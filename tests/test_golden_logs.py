@@ -1,0 +1,44 @@
+"""Golden event-log digests: pin what every protocol writes, byte for byte.
+
+Each case runs one scenario (defaults apart from protocol, node count, seed
+and 60 simulated seconds) and compares the SHA-256 of the full event log
+with the digest recorded when the case was added. A change that alters any
+record, its order or its formatting fails here, so speed-ups of the engine,
+the topology or the protocols must leave every digest as it is.
+
+At 25 nodes every AODV and DSR route is one hop long, so the two baselines
+write the same log there.
+"""
+
+import hashlib
+
+import pytest
+
+from hybsim.engine import Engine
+from hybsim.scenario import Scenario
+
+SIM_TIME = 60.0
+
+GOLDEN = {
+    ("hyb", 25, 1): "171716c65757c38af3df2e2a8d99e931a2af6997f4e2a92b750c4dc827918ce2",
+    ("hyb", 25, 2): "97cd210f602f2fc0b3f4824404d6f8c78b2d1c8c678bed84693ffe7c9dff1579",
+    ("hyb", 75, 1): "5dfe93cd620df15da834cec4c93398a16c12628b226bd0bf8932b11fc7559ad0",
+    ("hyb", 75, 2): "c72182aa0cef30dab4257f8b1da650bb592407700ecdc276d1c2df216d947316",
+    ("aodv", 25, 1): "9685de853d9b07edf6edd89cad3d7f90ec08a20555b9e58be11c7f45f3bac0d9",
+    ("aodv", 25, 2): "935432727204ecd9358f0ea7608b580bad3e6ef62168f75e97c510816d640344",
+    ("aodv", 75, 1): "ea79d59adb4fe83661d48540d6e6d4dfb76e859ca786ea386da3b1b42c895d8c",
+    ("aodv", 75, 2): "ba2713cfa033c9377a4ec4d2e750c14d2a7665945de5b07d3dac963547c8e5de",
+    ("dsr", 25, 1): "9685de853d9b07edf6edd89cad3d7f90ec08a20555b9e58be11c7f45f3bac0d9",
+    ("dsr", 25, 2): "935432727204ecd9358f0ea7608b580bad3e6ef62168f75e97c510816d640344",
+    ("dsr", 75, 1): "14bb5b991a75eb91f81a3fa8df4da69eca44a74b0ae105b53247fb65f39ca89b",
+    ("dsr", 75, 2): "c9e2ccf276de030c9be213abf448e5093b0b504d8d0e514cf208bb5a4b0ce2ba",
+    ("hyb", 500, 1): "7bd10e1951596ae10d84647fa287f398e1e81046379f21cd81068fd473b81627",
+}
+
+
+@pytest.mark.parametrize("protocol,nodes,seed", sorted(GOLDEN))
+def test_event_log_digest(protocol, nodes, seed):
+    sc = Scenario(protocol=protocol, node_count=nodes, seed=seed,
+                  sim_time=SIM_TIME)
+    log = Engine(sc).run()
+    assert hashlib.sha256(log.encode()).hexdigest() == GOLDEN[protocol, nodes, seed]
