@@ -20,9 +20,10 @@ from .hyb import (ASLEEP, CONGESTION, DROP, DUPLICATE, FORWARD, NO_ROUTE,
                   SEND_DIRECT, Action, DataPacket, DedupBuffer, HybContext,
                   HybNodeState)
 from .radio import (EnergyState, deduct, frame_airtime, is_alive,
-                    link_feasible, received_power, rx_energy, tx_energy)
+                    link_bounds, link_feasible, received_power, rx_energy,
+                    tx_energy)
 from .scenario import Scenario, ScenarioError
-from .topology import (DIRECT, ISOLATED, Location, LocationTable,
+from .topology import (DIRECT, ISOLATED, Grid, Location, LocationTable,
                        NeighbourTable, compute_neighbour_table,
                        parse_location_file, refresh_table)
 
@@ -148,15 +149,25 @@ class Engine:
                                    threshold=scenario.energy_threshold,
                                    initial=scenario.initial_energy))
 
-        # static topology: cache pairwise reachability for the hot paths
+        # static topology: cache pairwise reachability for the hot paths.
+        # The grid only picks the pairs to check; link_feasible decides
+        # every distance between the bounds that do not settle it.
+        inner, outer = link_bounds(self.radio)
+
+        def feasible(d: float) -> bool:
+            return d <= inner or (d < outer and link_feasible(self.radio, d))
+
+        reach_grid = Grid(self.locs.entries, outer)
+        self._sense_grid = Grid(self.locs.entries, scenario.sensing_radius)
         ids = sorted(self.nodes)
         self._in_range: Dict[object, List[int]] = {}
         self._bs_reach: Dict[int, bool] = {}
         for a in ids:
             la = self.nodes[a].location
-            self._in_range[a] = [b for b in ids if b != a and link_feasible(
-                self.radio, la.dist(self.nodes[b].location))]
-            self._bs_reach[a] = link_feasible(self.radio, la.dist(self.bs_loc))
+            self._in_range[a] = sorted(
+                b for b in reach_grid.near(la.x, la.y, outer)
+                if b != a and feasible(la.dist(self.nodes[b].location)))
+            self._bs_reach[a] = feasible(la.dist(self.bs_loc))
         self._in_range[BS] = [b for b in ids if self._bs_reach[b]]
         self._range_sets = {k: set(v) for k, v in self._in_range.items()}
         air_bits = max(scenario.payload_bits, scenario.control_bits)
@@ -179,7 +190,6 @@ class Engine:
         # base-station knowledge, fed by residual reports
         self.bs_known_residual: Dict[int, float] = {
             i: scenario.initial_energy for i in self.nodes}
-        self.bs_dead: Set[int] = set()
         self.neighbour_table: Optional[NeighbourTable] = None
 
         if scenario.protocol == "hyb":
@@ -436,13 +446,18 @@ class Engine:
         self.protocol.configure(0.0)
         events = generate_events(self.sc)
         for t, event_id, where in events:
-            sensors = [n for n in sorted(self.nodes)
-                       if self.nodes[n].location.dist(where) <= self.sc.sensing_radius]
-            for n in sensors:
+            for n in self.sensors(where):
                 jit = self.jitter(1e-3)
                 self.schedule(t + jit, self._make_sense(n, event_id))
         self.drain()
         return "".join(line + "\n" for line in self.log_lines)
+
+    def sensors(self, where: Location) -> List[int]:
+        """Nodes within sensing radius of ``where``, in ascending id order
+        so that the jitter stream is drawn in a fixed order."""
+        radius = self.sc.sensing_radius
+        return sorted(n for n in self._sense_grid.near(where.x, where.y, radius)
+                      if self.nodes[n].location.dist(where) <= radius)
 
     def drain(self) -> None:
         """Pop and execute queued events until the heap is empty."""
@@ -503,7 +518,6 @@ class HybRunner:
         thr = e.sc.energy_threshold
         dead = {n for n, r in e.bs_known_residual.items() if r < thr}
         dead &= set(e.neighbour_table.rows)
-        e.bs_dead |= dead
         e.neighbour_table = refresh_table(
             e.neighbour_table, e.locs, e.region, dead)
         for n in sorted(e.neighbour_table.rows):

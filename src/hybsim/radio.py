@@ -7,6 +7,7 @@ first-order radio energy model (electronics + amplifier terms).
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Tuple
 
 DEFAULT_RADIO_RANGE = 350.0          # m
 DEFAULT_RECEPTION_THRESHOLD = -80.0  # dBm
@@ -72,6 +73,29 @@ def link_feasible(params: RadioParams, distance: float) -> bool:
     what tests check it against.
     """
     return received_power(params, distance) >= params.reception_threshold
+
+
+def link_bounds(params: RadioParams) -> Tuple[float, float]:
+    """Distances ``(inner, outer)`` that bracket the edge of link_feasible.
+
+    ``link_feasible`` holds at every distance up to ``inner`` and fails at
+    every distance from ``outer`` on; only distances strictly between need
+    the power comparison. By calibration the edge is ``radio_range``, but
+    the comparison may round either way there, so each bound starts at
+    ``radio_range`` and moves outwards until the comparison agrees with it.
+    Received power never rises with distance, so one distance that agrees
+    settles every distance beyond it.
+    """
+    inner = outer = params.radio_range
+    step = params.radio_range * 2.0 ** -40
+    while not link_feasible(params, inner):
+        inner = max(inner - step, 0.0)
+        step *= 2
+    step = params.radio_range * 2.0 ** -40
+    while link_feasible(params, outer):
+        outer += step
+        step *= 2
+    return inner, outer
 
 
 def frame_airtime(params: RadioParams, bits: int) -> float:

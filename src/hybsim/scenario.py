@@ -6,6 +6,7 @@ CBR traffic, 350 m radio range at -80 dBm, 10 J batteries, 0.001 mJ sleep
 threshold). Unknown keys are rejected so typos fail loudly.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
@@ -71,8 +72,8 @@ class Scenario:
 
     def validate(self) -> None:
         w, h = self.topology_size
-        if w <= 0 or h <= 0:
-            raise ScenarioError("topology_size must be positive")
+        if not (0 < w < math.inf and 0 < h < math.inf):
+            raise ScenarioError("topology_size must be positive and finite")
         if self.node_count < 1:
             raise ScenarioError("node_count must be >= 1")
         if self.sim_time <= 0 or self.packet_rate <= 0 or self.packet_size <= 0:
@@ -84,8 +85,12 @@ class Scenario:
         if self.liveness not in ("ground_truth", "reported"):
             raise ScenarioError(f"unknown liveness mode {self.liveness!r}")
         bx, by = self.bs_location
-        if bx < 0 or by < 0:
-            raise ScenarioError("bs_location must be non-negative")
+        if not (0 <= bx < math.inf and 0 <= by < math.inf):
+            raise ScenarioError("bs_location must be non-negative and finite")
+        if not self.refresh_period > 0:
+            # zero would reschedule the table refresh at the same instant
+            # forever, a negative period schedules it in the past
+            raise ScenarioError("refresh_period must be positive")
 
     @property
     def payload_bits(self) -> int:

@@ -6,11 +6,15 @@ inside the vertical band around it that are strictly closer to the base
 station and physically reachable. Rows are capped at K entries; nodes that
 can reach the base station directly and have no such candidate carry a
 direct-to-sink marker, unreachable nodes an ISOLATED marker.
+
+Lookups by distance go through a uniform bucket grid. It only chooses
+which pairs are checked; the exact predicates decide, so every table is the
+one an all-pairs scan would build.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 DIRECT = "DIRECT"      # row marker: node delivers straight to the sink
 ISOLATED = "ISOLATED"  # row marker: node has no route at all
@@ -28,6 +32,8 @@ class Location:
     y: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise TopologyError("coordinates must be finite")
         if self.x < 0 or self.y < 0:
             raise TopologyError("coordinates must be non-negative")
 
@@ -71,11 +77,54 @@ class RegionParams:
 class NeighbourTable:
     rows: Dict[int, Row] = field(default_factory=dict)
 
-    def neighbours_of(self, node: int) -> Tuple[int, ...]:
-        row = self.rows.get(node)
-        if row is None or isinstance(row, str):
-            return ()
-        return row
+
+class Grid:
+    """Uniform bucket grid over point locations, for lookups by distance.
+
+    ``near(x, y, radius)`` returns, in no particular order, a superset of
+    the points whose ``Location.dist`` to (x, y) is at most ``radius``;
+    callers apply their exact predicate to it. A grid is built with cells
+    at least ``cell`` wide, so a lookup with ``radius <= cell`` visits at
+    most 3 x 3 cells. Zero and infinite radii are answered correctly.
+    """
+
+    MAX_CELLS = 1024  # per axis; caps the cell count for tiny radii
+
+    def __init__(self, points: Mapping[int, Location], cell: float):
+        xs = [p.x for p in points.values()] or [0.0]
+        ys = [p.y for p in points.values()] or [0.0]
+        self.x0, self.y0 = min(xs), min(ys)
+        span = max(max(xs) - self.x0, max(ys) - self.y0)
+        size = max(cell, span / self.MAX_CELLS)
+        if not 0.0 < size < math.inf:
+            size = max(span, 1.0)
+        self.size = size
+        self.nx = int((max(xs) - self.x0) / size) + 1
+        self.ny = int((max(ys) - self.y0) / size) + 1
+        self.cells: Dict[Tuple[int, int], List[int]] = {}
+        for i, p in points.items():
+            key = (int((p.x - self.x0) / size), int((p.y - self.y0) / size))
+            self.cells.setdefault(key, []).append(i)
+
+    def _span(self, c: float, r: float, origin: float, n: int) -> range:
+        # every step is a rounded operation, and rounding never reorders,
+        # so a coordinate inside [c - r, c + r] maps into this index range
+        lo = (c - r - origin) / self.size
+        hi = (c + r - origin) / self.size
+        if hi < 0 or lo >= n:
+            return range(0)
+        return range(int(lo) if lo > 0 else 0, int(hi) + 1 if hi < n else n)
+
+    def near(self, x: float, y: float, radius: float) -> List[int]:
+        # math.hypot and the coordinate differences it is given round by a
+        # few ulps; the relative pad keeps their boundary cases in
+        r = radius * (1.0 + 1e-9)
+        cells = self.cells
+        out: List[int] = []
+        for i in self._span(x, r, self.x0, self.nx):
+            for j in self._span(y, r, self.y0, self.ny):
+                out.extend(cells.get((i, j), ()))
+        return out
 
 
 def eligible(locs: LocationTable, params: RegionParams, alive: Set[int],
@@ -108,28 +157,58 @@ def compute_neighbour_table(locs: LocationTable, params: RegionParams,
     if unknown:
         raise TopologyError(f"alive set contains unknown ids: {sorted(unknown)}")
 
+    row = _row_builder(locs, params, alive)
+    return NeighbourTable(rows={u: row(u) for u in sorted(alive)})
+
+
+def _row_builder(locs: LocationTable, params: RegionParams,
+                 alive: Set[int]) -> Callable[[int], Row]:
+    """Row computation for the nodes of ``alive``.
+
+    Candidates come from the grid cells around the node, then ``eligible``
+    decides; only a node strictly closer to the base station can pass it,
+    so that test goes first.
+    """
+    entries = locs.entries
+    grid = Grid({v: entries[v] for v in alive}, params.radio_range)
     bs = locs.base_station
-    table = NeighbourTable()
-    for u in sorted(alive):
-        cands = [v for v in alive if eligible(locs, params, alive, u, v)]
-        cands.sort(key=lambda v: (locs.entries[v].dist(bs), v))
+    to_bs = {v: entries[v].dist(bs) for v in alive}
+
+    def row(u: int) -> Row:
+        pu, du = entries[u], to_bs[u]
+        cands = [v for v in grid.near(pu.x, pu.y, params.radio_range)
+                 if to_bs[v] < du and eligible(locs, params, alive, u, v)]
         if cands:
-            table.rows[u] = tuple(cands[: params.max_neighbours_K])
-        elif locs.entries[u].dist(bs) <= params.radio_range:
-            table.rows[u] = DIRECT
-        else:
-            table.rows[u] = ISOLATED
-    return table
+            cands.sort(key=lambda v: (to_bs[v], v))
+            return tuple(cands[: params.max_neighbours_K])
+        return DIRECT if du <= params.radio_range else ISOLATED
+    return row
 
 
 def refresh_table(table: NeighbourTable, locs: LocationTable,
                   params: RegionParams, dead: Set[int]) -> NeighbourTable:
-    """Recompute the table with the dead nodes removed from the network."""
+    """The table with the dead nodes removed from the network.
+
+    Equal to a full rebuild over the surviving rows' nodes, but only rows
+    that list a dead node are recomputed: a dead node leaves the candidate
+    set of every row, so a row that held none keeps its top K, and a DIRECT
+    or ISOLATED row has no candidate to lose or gain. The input table is
+    never modified.
+    """
     unknown = dead - locs.ids()
     if unknown:
         raise TopologyError(f"dead set contains unknown ids: {sorted(unknown)}")
+    dead = dead & table.rows.keys()
+    if not dead:
+        return NeighbourTable(rows=dict(table.rows))
     alive = set(table.rows) - dead
-    return compute_neighbour_table(locs, params, alive)
+    row = _row_builder(locs, params, alive)
+    rows = {}
+    for u in sorted(alive):
+        old = table.rows[u]
+        stale = not isinstance(old, str) and not dead.isdisjoint(old)
+        rows[u] = row(u) if stale else old
+    return NeighbourTable(rows=rows)
 
 
 def parse_location_file(text: str) -> LocationTable:
@@ -154,6 +233,8 @@ def parse_location_file(text: str) -> LocationTable:
             raise TopologyError(f"line {lineno}: non-numeric field in {raw!r}") from exc
         if node < 0:
             raise TopologyError(f"line {lineno}: negative node id {node}")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise TopologyError(f"line {lineno}: non-finite coordinate in {raw!r}")
         if x < 0 or y < 0:
             raise TopologyError(f"line {lineno}: negative coordinate in {raw!r}")
         if node in table.entries:

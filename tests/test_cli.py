@@ -65,6 +65,12 @@ class TestRunCommand:
         assert main(["run", str(path)]) == EXIT_RUN
         assert "unknown key" in capsys.readouterr().err
 
+    def test_zero_refresh_period_rejected_before_the_run(self, tmp_path, capsys):
+        path = tmp_path / "bad.scn"
+        path.write_text(TINY_SCENARIO + "refresh_period = 0\n")
+        assert main(["run", str(path)]) == EXIT_RUN
+        assert "refresh_period must be positive" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_no_command(self, capsys):

@@ -1,0 +1,186 @@
+"""The spatial grid against brute force.
+
+The grid only chooses which pairs are checked, so everything built with it
+must equal an all-pairs scan with the same exact predicate: engine
+reachability, sensor matching, neighbour tables and incremental refreshes.
+Placements are drawn to hit the edge cases: points exactly one radio range
+apart or one ulp either side of it, points on cell edges, coincident
+points, the base station in a corner, and zero or tiny radii.
+"""
+
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hybsim.engine import BS, Engine
+from hybsim.radio import link_bounds, link_feasible, RadioParams
+from hybsim.scenario import Scenario
+from hybsim.topology import (Grid, Location, LocationTable, RegionParams,
+                             compute_neighbour_table, refresh_table)
+
+from oracles import brute_force_rows
+
+RANGES = (1.5, 100.0, 350.0)
+FIELD = 800.0
+
+SETTINGS = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _edges(r):
+    """Coordinates on multiples of r and one ulp either side of them."""
+    out = []
+    for k in range(int(FIELD // r) + 1 if r > 50 else 4):
+        c = k * r
+        out += [c, math.nextafter(c, math.inf)]
+        if c > 0:
+            out.append(math.nextafter(c, 0.0))
+    return out
+
+
+def coordinate(r):
+    return st.one_of(st.floats(0.0, FIELD), st.sampled_from(_edges(r)))
+
+
+@st.composite
+def placements(draw, r, max_nodes=30):
+    """A list of (x, y) node positions; some repeat an earlier one."""
+    pts = []
+    for _ in range(draw(st.integers(1, max_nodes))):
+        if pts and draw(st.booleans()) and draw(st.booleans()):
+            pts.append(draw(st.sampled_from(pts)))
+        else:
+            pts.append((draw(coordinate(r)), draw(coordinate(r))))
+    return pts
+
+
+def base_station(r):
+    return st.one_of(st.sampled_from([(0.0, 0.0), (FIELD, FIELD), (0.0, FIELD)]),
+                     st.tuples(coordinate(r), coordinate(r)))
+
+
+def make_engine(points, bs, **kw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "nodes.txt"
+        path.write_text("".join(f"{i} , {x!r} , {y!r}\n"
+                                for i, (x, y) in enumerate(points)))
+        return Engine(Scenario(placement=str(path), node_count=len(points),
+                               bs_location=bs, **kw))
+
+
+def hypot(p, q):
+    return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
+@st.composite
+def engine_cases(draw):
+    r = draw(st.sampled_from(RANGES))
+    return (r, draw(placements(r)), draw(base_station(r)),
+            draw(st.sampled_from([0.0, 1e-300, 0.5, r, 250.0])))
+
+
+class TestGrid:
+    @SETTINGS
+    @given(r=st.sampled_from(RANGES + (0.0, 1e-300, math.inf)),
+           wider=st.sampled_from([1.0, 2.5, math.inf]), data=st.data())
+    def test_near_is_a_superset(self, r, wider, data):
+        pts = data.draw(placements(max(r, 1.0) if r < math.inf else 350.0))
+        cell = r * wider if r else 0.0
+        grid = Grid({i: Location(*p) for i, p in enumerate(pts)}, cell)
+        queries = pts + data.draw(st.lists(
+            st.tuples(st.floats(0.0, 2 * FIELD), st.floats(0.0, 2 * FIELD)),
+            max_size=5))
+        for q in queries:
+            got = grid.near(q[0], q[1], r)
+            assert len(got) == len(set(got))
+            want = {i for i, p in enumerate(pts)
+                    if Location(*p).dist(Location(*q)) <= r}
+            assert want <= set(got)
+
+    def test_empty_and_degenerate(self):
+        assert Grid({}, 10.0).near(1.0, 1.0, 5.0) == []
+        one = Grid({7: Location(3.0, 3.0)}, 0.0)
+        assert one.near(3.0, 3.0, 0.0) == [7]
+        far = Grid({1: Location(0.0, 0.0), 2: Location(1e300, 1e300)}, 1e-300)
+        assert far.near(0.0, 0.0, 0.0) == [1]
+        assert sorted(far.near(0.0, 0.0, math.inf)) == [1, 2]
+
+
+class TestEngineReachability:
+    @SETTINGS
+    @given(case=engine_cases())
+    def test_matches_all_pairs_link_feasible(self, case):
+        r, pts, bs, sensing = case
+        eng = make_engine(pts, bs, radio_range=r, sensing_radius=sensing)
+        radio = eng.radio
+        ids = range(len(pts))
+        for a in ids:
+            want = [b for b in ids
+                    if b != a and link_feasible(radio, hypot(pts[a], pts[b]))]
+            assert eng._in_range[a] == want
+            assert eng._bs_reach[a] == link_feasible(radio, hypot(pts[a], bs))
+        assert eng._in_range[BS] == [a for a in ids if eng._bs_reach[a]]
+        for where in pts + [bs]:
+            want = [n for n in ids if hypot(pts[n], where) <= sensing]
+            assert eng.sensors(Location(*where)) == want
+
+    def test_link_bounds_bracket_the_edge(self):
+        for params in (RadioParams(), RadioParams(radio_range=1.5),
+                       RadioParams(radio_range=123.456, path_loss_exponent=3.7,
+                                   reception_threshold=-91.3),
+                       RadioParams(reception_threshold=1e12)):
+            inner, outer = link_bounds(params)
+            assert inner <= params.radio_range <= outer
+            assert link_feasible(params, inner)
+            assert not link_feasible(params, outer)
+
+
+@st.composite
+def table_cases(draw):
+    r = draw(st.sampled_from(RANGES))
+    pts = draw(placements(r, max_nodes=40))
+    params = RegionParams(
+        band_halfwidth_M=draw(st.sampled_from([r / 2, r, 250.0, 1e-3])),
+        vertical_extent_N=draw(st.sampled_from([None, r / 3, 400.0])),
+        max_neighbours_K=draw(st.integers(1, 4)),
+        radio_range=r)
+    return r, pts, draw(base_station(r)), params
+
+
+def _locs(pts, bs):
+    return LocationTable(entries={i: Location(*p) for i, p in enumerate(pts)},
+                         base_station=Location(*bs))
+
+
+class TestNeighbourTable:
+    @SETTINGS
+    @given(case=table_cases())
+    def test_matches_brute_force(self, case):
+        r, pts, bs, params = case
+        got = compute_neighbour_table(_locs(pts, bs), params, set(range(len(pts))))
+        want = brute_force_rows(dict(enumerate(pts)), bs, params.band_halfwidth_M,
+                                params.vertical_extent_N,
+                                params.max_neighbours_K, r)
+        assert got.rows == want
+
+    @SETTINGS
+    @given(case=table_cases(), data=st.data())
+    def test_incremental_refresh_matches_rebuild(self, case, data):
+        r, pts, bs, params = case
+        locs = _locs(pts, bs)
+        ids = set(range(len(pts)))
+        table = compute_neighbour_table(locs, params, ids)
+        before = dict(table.rows)
+        for _ in range(3):
+            dead = data.draw(st.sets(st.sampled_from(sorted(ids))))
+            new = refresh_table(table, locs, params, dead)
+            assert table.rows == before  # the input is never modified
+            alive = set(table.rows) - dead
+            assert new.rows == compute_neighbour_table(locs, params, alive).rows
+            assert new.rows == brute_force_rows(
+                dict(enumerate(pts)), bs, params.band_halfwidth_M,
+                params.vertical_extent_N, params.max_neighbours_K, r, alive)
+            table, before = new, dict(new.rows)

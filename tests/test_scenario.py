@@ -41,6 +41,11 @@ class TestParse:
         ("node_count = 0\n", "node_count"),
         ("sim_time = -1\n", "positive"),
         ("liveness = psychic\n", "liveness"),
+        ("refresh_period = 0\n", "refresh_period"),
+        ("refresh_period = -5\n", "refresh_period"),
+        ("refresh_period = nan\n", "refresh_period"),
+        ("topology_size = infx100\n", "topology_size"),
+        ("bs_location = 10,nan\n", "bs_location"),
     ])
     def test_rejects(self, bad, fragment):
         with pytest.raises(ScenarioError, match=fragment):

@@ -184,6 +184,8 @@ class TestLocationFile:
         ("0 , 1 , 2\n0 , 3 , 4\n", "duplicate id 0"),
         ("-1 , 3 , 4\n", "negative node id"),
         ("0 , -3 , 4\n", "negative coordinate"),
+        ("0 , inf , 4\n", "non-finite coordinate"),
+        ("0 , 3 , nan\n", "non-finite coordinate"),
     ])
     def test_parse_errors(self, bad, fragment):
         with pytest.raises(TopologyError, match=fragment):
