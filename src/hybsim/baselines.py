@@ -16,38 +16,72 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .hyb import ASLEEP, CONGESTION, NO_ROUTE
 from . import engine as eng
-from .engine import (BS, BUSY, COLLISION, DATA, NO_RX, OK, RREP, RREQ,
-                     PacketCtx)
+from .engine import BS, DATA, OK, RREP, RREQ, PacketCtx
 
 
 @dataclass
-class AodvNodeState:
-    route: Optional[Tuple[object, int]] = None   # (next hop, transmissions to sink)
+class DiscoveryState:
+    """Per-node route discovery bookkeeping shared by both baselines."""
+
     pending: List[PacketCtx] = field(default_factory=list)
     disc_active: bool = False
     disc_attempts: int = 0
     rreq_counter: int = 0
     seen: Set[Tuple[int, int]] = field(default_factory=set)
-    reverse: Dict[int, object] = field(default_factory=dict)
 
 
 class _BaseRunner:
-    """Shared discovery/retransmission scaffolding for both baselines."""
+    """Shared discovery/retransmission skeleton for both baselines.
+
+    A baseline supplies its per-node ``node_state`` class and three hooks:
+    ``_best_route(node)``, the route to the sink known at ``node`` or None;
+    ``_rreq_payload(node, rreq_id)``, the body of its route request; and
+    ``_dispatch(node, ctx, route, now)``, which sends an originated packet
+    on a route. Besides, ``_send_data`` (re)transmits a packet toward its
+    next hop, ``_give_up`` ends a packet out of retries, ``_relay`` passes
+    on a received one, and each baseline handles its own route replies.
+    """
 
     def __init__(self, engine_: "eng.Engine"):
         self.e = engine_
         self.sink_seen: Set[Tuple[int, int]] = set()
+        self.states = {n: self.node_state() for n in engine_.nodes}
 
     def configure(self, now: float) -> None:
         pass  # on-demand protocols have no configuration phase
 
-    def on_node_died(self, node, now) -> None:
-        pass
-
     def on_delivered(self, ctx: PacketCtx, now: float) -> None:
         pass  # no residual reporting in the baselines
 
+    # ---------------------------------------------------------------- origin
+
+    def on_sense(self, node, event_id: str, now: float) -> None:
+        e = self.e
+        ctx = e.new_packet(event_id, node, now)
+        if node == BS:
+            e.deliver(ctx, node, now)
+            return
+        if e.nodes[node].asleep:
+            e.drop(ctx, ASLEEP, node, now)
+            return
+        route = self._best_route(node)
+        if route is not None:
+            self._dispatch(node, ctx, route, now)
+        else:
+            self._await_route(node, ctx, now)
+
     # ---------------------------------------------------------------- data
+
+    def on_data_received(self, node, ctx, now) -> None:
+        if node in ctx.packet.visited:
+            self.e.drop(ctx, NO_ROUTE, node, now)  # routing loop guard
+            return
+        ctx.packet.visited.append(node)
+        ctx.retry_count = 0
+        self._relay(node, ctx, now)
+
+    def _relay(self, node, ctx, now) -> None:
+        self._send_data(node, ctx, now)
 
     def _data_result(self, node, ctx, trans, outcome, now) -> None:
         e = self.e
@@ -77,9 +111,75 @@ class _BaseRunner:
             e.schedule(retry, lambda: self._transmit_data(node, rx, ctx, retry))
             return
         e.send_unicast(DATA, node, rx, ctx.packet.payload_bits, now,
-                       event_id=ctx.packet.event_id, pkt=ctx,
+                       event_id=ctx.packet.event_id,
                        on_result=lambda trans, outcome, t,
                        node=node, ctx=ctx: self._data_result(node, ctx, trans, outcome, t))
+
+    # ------------------------------------------------------------ discovery
+
+    def _await_route(self, node, ctx, now) -> None:
+        """Queue a packet at its origin; flood unless a discovery runs."""
+        st = self.states[node]
+        st.pending.append(ctx)
+        if not st.disc_active:
+            st.disc_active = True
+            self._flood(node, now)
+
+    def _flood(self, node, now) -> None:
+        e = self.e
+        st = self.states[node]
+        st.disc_attempts += 1
+        st.rreq_counter += 1
+        st.seen.add((node, st.rreq_counter))
+        self._broadcast_rreq(node, self._rreq_payload(node, st.rreq_counter), now)
+        deadline = now + e.sc.discovery_timeout
+        e.schedule(deadline, lambda: self._discovery_timeout(node, deadline))
+
+    def _discovery_timeout(self, node, now) -> None:
+        st = self.states[node]
+        if not st.disc_active:
+            return
+        if self._best_route(node) is not None:
+            self._route_available(node, now)
+            return
+        if st.disc_attempts <= self.e.sc.discovery_retries:
+            self._flood(node, now)
+            return
+        st.disc_active = False
+        st.disc_attempts = 0
+        for ctx in st.pending:
+            self.e.drop(ctx, NO_ROUTE, node, now)
+        st.pending = []
+
+    def _route_available(self, node, now) -> None:
+        """Flush queued packets once a route to the sink exists."""
+        st = self.states[node]
+        route = self._best_route(node)
+        if route is None:
+            return
+        st.disc_active = False
+        st.disc_attempts = 0
+        pending, st.pending = st.pending, []
+        for ctx in pending:
+            self._dispatch(node, ctx, route, now)
+
+    def _first_copy(self, node, payload) -> bool:
+        """Record a route request at ``node``; False if it was seen before."""
+        key = (payload["origin"], payload["rreq_id"])
+        seen = self.sink_seen if node == BS else self.states[node].seen
+        if key in seen:
+            return False
+        seen.add(key)
+        return True
+
+    def _broadcast_rreq(self, node, payload, now) -> None:
+        self.e.send_broadcast(RREQ, node, self.e.sc.control_bits, now,
+                              payload=payload,
+                              event_id=f"rq{payload['origin']}.{payload['rreq_id']}")
+
+    def _rebroadcast(self, node, payload, now) -> None:
+        retry = now + self.e.jitter(5e-3)
+        self.e.schedule(retry, lambda: self._broadcast_rreq(node, payload, retry))
 
     # ------------------------------------------------------------- control
 
@@ -97,49 +197,35 @@ class _BaseRunner:
         e.send_unicast(kind, frm, to, e.sc.control_bits, now,
                        payload=payload, on_result=on_result)
 
-    # subclass hooks
-    def _send_data(self, node, ctx, now) -> None:
-        raise NotImplementedError
 
-    def _give_up(self, node, ctx, now) -> None:
-        raise NotImplementedError
-
-    def on_data_received(self, node, ctx, now) -> None:
-        raise NotImplementedError
+@dataclass
+class AodvNodeState(DiscoveryState):
+    route: Optional[Tuple[object, int]] = None   # (next hop, transmissions to sink)
+    reverse: Dict[int, object] = field(default_factory=dict)
 
 
 class AodvRunner(_BaseRunner):
     """Hop-by-hop on-demand routing with route request flooding."""
 
-    def __init__(self, engine_: "eng.Engine"):
-        super().__init__(engine_)
-        self.states: Dict[int, AodvNodeState] = {
-            n: AodvNodeState() for n in engine_.nodes}
+    node_state = AodvNodeState
+    # defined here, not only inherited: the benchmark's tracer wraps the
+    # handlers found in each runner class's own namespace
+    on_sense = _BaseRunner.on_sense
 
-    # ---------------------------------------------------------------- origin
+    def _best_route(self, node) -> Optional[Tuple[object, int]]:
+        return self.states[node].route
 
-    def on_sense(self, node, event_id: str, now: float) -> None:
-        e = self.e
-        ctx = e.new_packet(event_id, node, now)
-        if node == BS:
-            e.deliver(ctx, node, now)
-            return
-        if e.nodes[node].asleep:
-            e.drop(ctx, ASLEEP, node, now)
-            return
-        st = self.states[node]
-        if st.route is not None:
-            self._send_data(node, ctx, now)
-        else:
-            st.pending.append(ctx)
-            self._ensure_discovery(node, now)
+    def _rreq_payload(self, node, rreq_id) -> dict:
+        return {"origin": node, "rreq_id": rreq_id}
+
+    def _dispatch(self, node, ctx, route, now) -> None:
+        self._send_data(node, ctx, now)  # the next hop is read per attempt
 
     def _send_data(self, node, ctx, now) -> None:
         st = self.states[node]
         if st.route is None:
             if node == ctx.packet.origin:
-                st.pending.append(ctx)
-                self._ensure_discovery(node, now)
+                self._await_route(node, ctx, now)
             else:
                 self.e.drop(ctx, NO_ROUTE, node, now)
             return
@@ -149,82 +235,15 @@ class AodvRunner(_BaseRunner):
         self.states[node].route = None  # the link is deemed broken
         self.e.drop(ctx, CONGESTION, node, now)
 
-    def on_data_received(self, node, ctx, now) -> None:
-        if node in ctx.packet.visited:
-            self.e.drop(ctx, NO_ROUTE, node, now)  # routing loop guard
-            return
-        ctx.packet.visited.append(node)
-        ctx.retry_count = 0
-        self._send_data(node, ctx, now)
-
-    # ------------------------------------------------------------ discovery
-
-    def _ensure_discovery(self, node, now) -> None:
-        st = self.states[node]
-        if st.disc_active:
-            return
-        st.disc_active = True
-        self._flood(node, now)
-
-    def _flood(self, node, now) -> None:
-        e = self.e
-        st = self.states[node]
-        st.disc_attempts += 1
-        st.rreq_counter += 1
-        rreq_id = st.rreq_counter
-        st.seen.add((node, rreq_id))
-        e.send_broadcast(RREQ, node, e.sc.control_bits, now,
-                         payload={"origin": node, "rreq_id": rreq_id},
-                         event_id=f"rq{node}.{rreq_id}")
-        deadline = now + e.sc.discovery_timeout
-        e.schedule(deadline, lambda: self._discovery_timeout(node, deadline))
-
-    def _discovery_timeout(self, node, now) -> None:
-        st = self.states[node]
-        if not st.disc_active:
-            return
-        if st.route is not None:
-            self._route_available(node, now)
-            return
-        if st.disc_attempts <= self.e.sc.discovery_retries:
-            self._flood(node, now)
-            return
-        st.disc_active = False
-        st.disc_attempts = 0
-        for ctx in st.pending:
-            self.e.drop(ctx, NO_ROUTE, node, now)
-        st.pending = []
-
-    def _route_available(self, node, now) -> None:
-        """Flush queued packets once a route to the sink exists."""
-        st = self.states[node]
-        if st.route is None:
-            return
-        st.disc_active = False
-        st.disc_attempts = 0
-        pending, st.pending = st.pending, []
-        for ctx in pending:
-            self._send_data(node, ctx, now)
-
     def on_broadcast_received(self, node, trans, now) -> None:
         origin = trans.payload["origin"]
-        rreq_id = trans.payload["rreq_id"]
-        key = (origin, rreq_id)
+        if not self._first_copy(node, trans.payload):
+            return
         if node == BS:
-            if key in self.sink_seen:
-                return
-            self.sink_seen.add(key)
             self._send_rrep(BS, trans.tx, origin, 0, now)
             return
-        st = self.states[node]
-        if key in st.seen:
-            return
-        st.seen.add(key)
-        st.reverse[origin] = trans.tx
-        retry = now + self.e.jitter(5e-3)
-        self.e.schedule(retry, lambda: self.e.send_broadcast(
-            RREQ, node, self.e.sc.control_bits, retry, payload=trans.payload,
-            event_id=f"rq{origin}.{rreq_id}"))
+        self.states[node].reverse[origin] = trans.tx
+        self._rebroadcast(node, trans.payload, now)
 
     def _send_rrep(self, frm, to, origin, route_len, now) -> None:
         self._send_ctrl_unicast(
@@ -249,22 +268,21 @@ class AodvRunner(_BaseRunner):
 
 
 @dataclass
-class DsrNodeState:
+class DsrNodeState(DiscoveryState):
     cache: List[Tuple[object, ...]] = field(default_factory=list)  # path to sink
-    pending: List[PacketCtx] = field(default_factory=list)
-    disc_active: bool = False
-    disc_attempts: int = 0
-    rreq_counter: int = 0
-    seen: Set[Tuple[int, int]] = field(default_factory=set)
 
 
 class DsrRunner(_BaseRunner):
-    """Source routing: replies carry the full path, data carries it too."""
+    """Source routing: replies carry the full path, data carries it too.
 
-    def __init__(self, engine_: "eng.Engine"):
-        super().__init__(engine_)
-        self.states: Dict[int, DsrNodeState] = {
-            n: DsrNodeState() for n in engine_.nodes}
+    A cached route and a packet's ``route`` both start at the node holding
+    them, so the next hop is always ``route[1]``.
+    """
+
+    node_state = DsrNodeState
+    # defined here, not only inherited: the benchmark's tracer wraps the
+    # handlers found in each runner class's own namespace
+    on_sense = _BaseRunner.on_sense
 
     # ---------------------------------------------------------------- cache
 
@@ -284,122 +302,38 @@ class DsrRunner(_BaseRunner):
         st = self.states[node]
         st.cache = [r for r in st.cache if bad not in r]
 
-    # ---------------------------------------------------------------- origin
+    # ---------------------------------------------------------------- data
 
-    def on_sense(self, node, event_id: str, now: float) -> None:
-        e = self.e
-        ctx = e.new_packet(event_id, node, now)
-        if node == BS:
-            e.deliver(ctx, node, now)
-            return
-        if e.nodes[node].asleep:
-            e.drop(ctx, ASLEEP, node, now)
-            return
-        route = self._best_route(node)
-        if route is not None:
-            ctx.route = [node] + list(route[1:])
-            ctx.route_idx = 0
-            self._send_data(node, ctx, now)
-        else:
-            st = self.states[node]
-            st.pending.append(ctx)
-            self._ensure_discovery(node, now)
+    def _rreq_payload(self, node, rreq_id) -> dict:
+        return {"origin": node, "rreq_id": rreq_id, "record": (node,)}
+
+    def _dispatch(self, node, ctx, route, now) -> None:
+        ctx.route = route
+        self._send_data(node, ctx, now)
 
     def _send_data(self, node, ctx, now) -> None:
-        nxt = ctx.route[ctx.route_idx + 1]
-        self._transmit_data(node, nxt, ctx, now)
+        self._transmit_data(node, ctx.route[1], ctx, now)
 
     def _give_up(self, node, ctx, now) -> None:
-        bad = ctx.route[ctx.route_idx + 1]
-        self._purge(node, bad)
+        self._purge(node, ctx.route[1])
         self.e.drop(ctx, CONGESTION, node, now)
 
-    def on_data_received(self, node, ctx, now) -> None:
-        if node in ctx.packet.visited:
-            self.e.drop(ctx, NO_ROUTE, node, now)
-            return
-        ctx.packet.visited.append(node)
-        ctx.retry_count = 0
-        ctx.route_idx += 1
+    def _relay(self, node, ctx, now) -> None:
         # forwarding is stateless; snoop the tail of the carried route
-        self._cache(node, tuple(ctx.route[ctx.route_idx:]))
+        ctx.route = ctx.route[1:]
+        self._cache(node, ctx.route)
         self._send_data(node, ctx, now)
 
     # ------------------------------------------------------------ discovery
 
-    def _ensure_discovery(self, node, now) -> None:
-        st = self.states[node]
-        if st.disc_active:
-            return
-        st.disc_active = True
-        self._flood(node, now)
-
-    def _flood(self, node, now) -> None:
-        e = self.e
-        st = self.states[node]
-        st.disc_attempts += 1
-        st.rreq_counter += 1
-        rreq_id = st.rreq_counter
-        st.seen.add((node, rreq_id))
-        e.send_broadcast(RREQ, node, e.sc.control_bits, now,
-                         payload={"origin": node, "rreq_id": rreq_id,
-                                  "record": (node,)},
-                         event_id=f"rq{node}.{rreq_id}")
-        deadline = now + e.sc.discovery_timeout
-        e.schedule(deadline, lambda: self._discovery_timeout(node, deadline))
-
-    def _discovery_timeout(self, node, now) -> None:
-        st = self.states[node]
-        if not st.disc_active:
-            return
-        if self._best_route(node) is not None:
-            self._route_available(node, now)
-            return
-        if st.disc_attempts <= self.e.sc.discovery_retries:
-            self._flood(node, now)
-            return
-        st.disc_active = False
-        st.disc_attempts = 0
-        for ctx in st.pending:
-            self.e.drop(ctx, NO_ROUTE, node, now)
-        st.pending = []
-
-    def _route_available(self, node, now) -> None:
-        """Flush queued packets along the shortest cached route."""
-        st = self.states[node]
-        route = self._best_route(node)
-        if route is None:
-            return
-        st.disc_active = False
-        st.disc_attempts = 0
-        pending, st.pending = st.pending, []
-        for ctx in pending:
-            ctx.route = list(route)
-            ctx.route_idx = 0
-            self._send_data(node, ctx, now)
-
     def on_broadcast_received(self, node, trans, now) -> None:
-        origin = trans.payload["origin"]
-        rreq_id = trans.payload["rreq_id"]
         record = trans.payload["record"]
-        key = (origin, rreq_id)
+        if node in record or not self._first_copy(node, trans.payload):
+            return
         if node == BS:
-            if key in self.sink_seen:
-                return
-            self.sink_seen.add(key)
-            route = tuple(record) + (BS,)
-            self._send_rrep(BS, record[-1], route, now)
+            self._send_rrep(BS, record[-1], record + (BS,), now)
             return
-        st = self.states[node]
-        if key in st.seen or node in record:
-            return
-        st.seen.add(key)
-        payload = {"origin": origin, "rreq_id": rreq_id,
-                   "record": tuple(record) + (node,)}
-        retry = now + self.e.jitter(5e-3)
-        self.e.schedule(retry, lambda: self.e.send_broadcast(
-            RREQ, node, self.e.sc.control_bits, retry, payload=payload,
-            event_id=f"rq{origin}.{rreq_id}"))
+        self._rebroadcast(node, dict(trans.payload, record=record + (node,)), now)
 
     def _send_rrep(self, frm, to, route: Tuple[object, ...], now) -> None:
         self._send_ctrl_unicast(

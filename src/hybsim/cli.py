@@ -6,14 +6,13 @@ Exit codes: 0 success, 1 usage error, 2 run failure, 3 trend check failed
 
 import argparse
 import os
-import random
 import sys
 from dataclasses import replace
 
-from . import metrics, topology
-from .engine import substream
+from . import metrics
+from .engine import place_nodes
 from .scenario import PROTOCOLS, Scenario, ScenarioError, parse_scenario
-from .topology import (LocationTable, Location, RegionParams, TopologyError,
+from .topology import (Location, RegionParams, TopologyError,
                        compute_neighbour_table, emit_location_file,
                        emit_neighbour_table, parse_location_file)
 
@@ -145,12 +144,7 @@ def _cmd_gen_topology(args) -> int:
     w, _, h = args.size.partition("x")
     sc = Scenario(node_count=args.nodes,
                   topology_size=(float(w), float(h)), seed=args.seed)
-    rng = substream(args.seed, "placement")
-    locs = LocationTable()
-    for i in range(args.nodes):
-        locs.entries[i] = Location(rng.uniform(0, float(w)),
-                                   rng.uniform(0, float(h)))
-    text = emit_location_file(locs)
+    text = emit_location_file(place_nodes(sc))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

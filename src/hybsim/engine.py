@@ -15,17 +15,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from . import hyb, radio, topology
-from .hyb import (ASLEEP, CONGESTION, DROP, DUPLICATE, FORWARD, NO_ROUTE,
-                  SEND_DIRECT, Action, DataPacket, DedupBuffer, HybContext,
-                  HybNodeState)
+from . import hyb
+from .hyb import (ASLEEP, CONGESTION, DROP, DUPLICATE, NO_ROUTE, SEND_DIRECT,
+                  Action, DataPacket, DedupBuffer, HybContext, HybNodeState)
 from .radio import (EnergyState, deduct, frame_airtime, is_alive,
                     link_bounds, link_feasible, received_power, rx_energy,
                     tx_energy)
 from .scenario import Scenario, ScenarioError
-from .topology import (DIRECT, ISOLATED, Grid, Location, LocationTable,
-                       NeighbourTable, compute_neighbour_table,
-                       parse_location_file, refresh_table)
+from .topology import (Grid, Location, LocationTable, NeighbourTable,
+                       compute_neighbour_table, parse_location_file,
+                       refresh_table)
 
 BS = "BS"          # base station pseudo-id in logs and addressing
 BROADCAST = "*"
@@ -96,7 +95,6 @@ class Transmission:
     start: float
     end: float
     event_id: str = "-"
-    pkt: Optional["PacketCtx"] = None
     payload: object = None
     cancelled: bool = False
     on_result: Optional[Callable] = None
@@ -106,14 +104,11 @@ class Transmission:
 class PacketCtx:
     """One originated packet intent and its bookkeeping."""
 
-    pid: int
     packet: DataPacket
     terminal: bool = False
     attempted: Set[int] = field(default_factory=set)  # hyb: tried this hop
-    tried_direct: bool = False
     retry_count: int = 0                              # baselines: per-hop retries
-    route: Optional[List[object]] = None              # dsr source route
-    route_idx: int = 0
+    route: Optional[Tuple[object, ...]] = None        # dsr: route from the holder on
 
 
 @dataclass
@@ -145,9 +140,7 @@ class Engine:
         for i in sorted(self.locs.entries):
             self.nodes[i] = NodeRec(
                 id=i, location=self.locs.entries[i],
-                energy=EnergyState(residual=scenario.initial_energy,
-                                   threshold=scenario.energy_threshold,
-                                   initial=scenario.initial_energy))
+                energy=scenario.battery())
 
         # static topology: cache pairwise reachability for the hot paths.
         # The grid only picks the pairs to check; link_feasible decides
@@ -184,7 +177,6 @@ class Engine:
         self.delivered = 0
         self.dropped: Dict[str, int] = {ASLEEP: 0, DUPLICATE: 0,
                                         NO_ROUTE: 0, CONGESTION: 0}
-        self._pid = 0
         self.delivered_paths: List[Tuple[str, List[int]]] = []
 
         # base-station knowledge, fed by residual reports
@@ -217,11 +209,10 @@ class Engine:
             return  # the sink is mains powered
         rec = self.nodes[node]
         was_alive = not rec.asleep
-        rec.energy = deduct(rec.energy, amount)
+        deduct(rec.energy, amount)
         rec.charges.append(amount)
         if was_alive and rec.asleep:
             rec.death_time = self.now
-            self.protocol.on_node_died(node, self.now)
 
     def alive(self, node: object) -> bool:
         if node == BS:
@@ -303,8 +294,7 @@ class Engine:
         self.schedule(trans.end, lambda: self._frame_end(trans))
 
     def send_unicast(self, kind: str, tx: object, rx: object, bits: int,
-                     now: float, event_id: str = "-",
-                     pkt: Optional[PacketCtx] = None, payload=None,
+                     now: float, event_id: str = "-", payload=None,
                      on_result: Optional[Callable] = None) -> str:
         """Arbitrate and, on grant, occupy the channel for the frame airtime.
 
@@ -320,7 +310,7 @@ class Engine:
         air = frame_airtime(self.radio, bits)
         trans = Transmission(kind=kind, tx=tx, rx=rx, bits=bits,
                              start=now, end=now + air, event_id=event_id,
-                             pkt=pkt, payload=payload, on_result=on_result)
+                             payload=payload, on_result=on_result)
         self._begin(trans)
         return GRANT
 
@@ -417,11 +407,10 @@ class Engine:
     # ------------------------------------------------------------------ packets
 
     def new_packet(self, event_id: str, origin: int, now: float) -> PacketCtx:
-        self._pid += 1
         self.generated += 1
         pkt = DataPacket(event_id=event_id, origin=origin,
                          payload_bits=self.sc.payload_bits, created_at=now)
-        return PacketCtx(pid=self._pid, packet=pkt)
+        return PacketCtx(packet=pkt)
 
     def drop(self, ctx: PacketCtx, reason: str, node: object, now: float) -> None:
         assert not ctx.terminal, "packet already resolved"
@@ -481,7 +470,7 @@ class HybRunner:
         self.states: Dict[int, HybNodeState] = {}
         for i, rec in engine.nodes.items():
             self.states[i] = HybNodeState(
-                id=i, location=rec.location, energy=rec.energy,
+                id=i, location=rec.location, energy=rec.energy,  # shared battery
                 dedup=DedupBuffer(ttl=sc.dedup_ttl))
         if sc.liveness == "ground_truth":
             alive = engine.alive
@@ -492,11 +481,6 @@ class HybRunner:
             energy_coeff=engine.coeff,
             location_of=lambda v: engine.nodes[v].location,
             alive=alive, wait_t=sc.wait_t)
-
-    def _sync(self, node: int) -> HybNodeState:
-        st = self.states[node]
-        st.energy = self.e.nodes[node].energy  # engine owns the battery
-        return st
 
     # -------------------------------------------------------------- phases
 
@@ -530,9 +514,8 @@ class HybRunner:
     # -------------------------------------------------------------- traffic
 
     def on_sense(self, node: int, event_id: str, now: float) -> None:
-        st = self._sync(node)
         ctx = self.e.new_packet(event_id, node, now)
-        action = hyb.on_sense(st, ctx.packet, self.ctx, now)
+        action = hyb.on_sense(self.states[node], ctx.packet, self.ctx, now)
         self._act(node, ctx, action, now)
 
     def _act(self, node: int, ctx: PacketCtx, action: Action, now: float) -> None:
@@ -541,7 +524,6 @@ class HybRunner:
             e.drop(ctx, action.reason, node, now)
             return
         if action.kind == SEND_DIRECT:
-            ctx.tried_direct = True
             rx = BS
         else:
             v = action.neighbour
@@ -561,7 +543,7 @@ class HybRunner:
             e.schedule(retry, lambda: self._transmit(node, ctx, rx, retry))
             return
         e.send_unicast(DATA, node, rx, ctx.packet.payload_bits, now,
-                       event_id=ctx.packet.event_id, pkt=ctx,
+                       event_id=ctx.packet.event_id,
                        on_result=lambda trans, outcome, t,
                        node=node, ctx=ctx: self._result(node, ctx, trans, outcome, t))
 
@@ -579,9 +561,9 @@ class HybRunner:
             e.drop(ctx, CONGESTION, node, now)
             return
         # BUSY / NO_RX: move on to the next candidate
-        st = self._sync(node)
         exclude = set(ctx.attempted)
-        action = hyb.on_busy_channel(st, ctx.packet, self.ctx, exclude, now)
+        action = hyb.on_busy_channel(self.states[node], ctx.packet, self.ctx,
+                                     exclude, now)
         if action.kind == DROP:
             e.drop(ctx, action.reason, node, now)
             return
@@ -589,10 +571,8 @@ class HybRunner:
         e.schedule(retry, lambda: self._act(node, ctx, action, retry))
 
     def _relay(self, node: int, ctx: PacketCtx, now: float) -> None:
-        st = self._sync(node)
         ctx.attempted = set()
-        ctx.tried_direct = False
-        action = hyb.on_receive(st, ctx.packet, self.ctx, now)
+        action = hyb.on_receive(self.states[node], ctx.packet, self.ctx, now)
         self._act(node, ctx, action, now)
 
     # -------------------------------------------------------------- reports
@@ -607,6 +587,3 @@ class HybRunner:
 
     def on_broadcast_received(self, node, trans, now) -> None:
         pass  # the hybrid protocol never broadcasts
-
-    def on_node_died(self, node: int, now: float) -> None:
-        pass  # the base station only learns of deaths through reports

@@ -9,11 +9,11 @@ candidate until candidates or the waiting budget run out.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from .radio import (EnergyState, RadioParams, EnergyCoefficients,
                     is_alive, link_feasible, tx_energy)
-from .topology import DIRECT, ISOLATED, Location, Row
+from .topology import ISOLATED, Location, Row
 
 DEFAULT_DEDUP_TTL = 5.0   # s
 DEFAULT_WAIT_T = 0.1      # s, waiting budget before a congested packet dies

@@ -23,8 +23,6 @@ CSV_COLUMNS = ["protocol", "node_count", "seed", "execution_time_s",
                "delivered", "dropped_asleep", "dropped_duplicate",
                "dropped_no_route", "dropped_congestion"]
 
-_NUMERIC = CSV_COLUMNS[3:]
-
 
 class MetricsError(ValueError):
     """Malformed event log or comparison input."""

@@ -6,7 +6,7 @@ first-order radio energy model (electronics + amplifier terms).
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 DEFAULT_RADIO_RANGE = 350.0          # m
@@ -40,11 +40,15 @@ class RadioParams:
     bandwidth: float = DEFAULT_BANDWIDTH
 
     def __post_init__(self):
-        if self.path_loss_exponent < 2:
-            raise ValueError("path loss exponent must be >= 2")
-        if not self.radio_range > self.reference_distance > 0:
-            raise ValueError("require radio_range > reference_distance > 0")
-        if self.bandwidth <= 0:
+        # a non-finite calibration makes every power NaN or infinite, and
+        # link_bounds would then search for the range edge forever
+        if not 2 <= self.path_loss_exponent < math.inf:
+            raise ValueError("path loss exponent must be finite and >= 2")
+        if not math.inf > self.radio_range > self.reference_distance > 0:
+            raise ValueError("require inf > radio_range > reference_distance > 0")
+        if not math.isfinite(self.reception_threshold):
+            raise ValueError("reception_threshold must be finite")
+        if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
 
     @property
@@ -150,8 +154,8 @@ def is_alive(state: EnergyState) -> bool:
     return state.residual >= state.threshold
 
 
-def deduct(state: EnergyState, amount: float) -> EnergyState:
-    """Charge ``amount`` joules; residual clamps at zero, never negative."""
+def deduct(state: EnergyState, amount: float) -> None:
+    """Charge ``amount`` joules in place; residual clamps at zero."""
     if amount < 0:
         raise ValueError("amount must be non-negative")
-    return replace(state, residual=max(0.0, state.residual - amount))
+    state.residual = max(0.0, state.residual - amount)

@@ -7,14 +7,14 @@ threshold). Unknown keys are rejected so typos fail loudly.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
-from .radio import (RadioParams, EnergyCoefficients,
+from .radio import (RadioParams, EnergyCoefficients, EnergyState,
                     DEFAULT_ELEC, DEFAULT_AMP,
                     DEFAULT_INITIAL_ENERGY, DEFAULT_ENERGY_THRESHOLD,
                     CONTROL_FRAME_BITS)
-from .topology import Location, RegionParams, TopologyError
+from .topology import Location, RegionParams
 
 PROTOCOLS = ("hyb", "aodv", "dsr")
 
@@ -91,6 +91,18 @@ class Scenario:
             # zero would reschedule the table refresh at the same instant
             # forever, a negative period schedules it in the past
             raise ScenarioError("refresh_period must be positive")
+        for name in ("control_bits", "wait_t", "dedup_ttl", "discovery_timeout",
+                     "retry_backoff", "discovery_retries", "data_retries"):
+            if not getattr(self, name) >= 0:
+                # a negative delay would schedule an event in the past mid-run
+                raise ScenarioError(f"{name} must be non-negative")
+        try:  # the radio, energy and region checks live with those types
+            self.radio_params()
+            self.energy_coefficients()
+            self.battery()
+            self.region_params()
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
 
     @property
     def payload_bits(self) -> int:
@@ -107,6 +119,12 @@ class Scenario:
 
     def energy_coefficients(self) -> EnergyCoefficients:
         return EnergyCoefficients(elec=self.elec, amp=self.amp)
+
+    def battery(self) -> EnergyState:
+        """A full battery for one node."""
+        return EnergyState(residual=self.initial_energy,
+                           threshold=self.energy_threshold,
+                           initial=self.initial_energy)
 
     def region_params(self) -> RegionParams:
         return RegionParams(
@@ -146,10 +164,7 @@ def parse_scenario(text: str) -> Scenario:
             values[key] = _convert(key, val)
         except (ValueError, TypeError) as exc:
             raise ScenarioError(f"line {lineno}: bad value for {key}: {val!r}") from exc
-    try:
-        return Scenario(**values)
-    except TopologyError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return Scenario(**values)
 
 
 def _convert(key, val):

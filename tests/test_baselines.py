@@ -74,7 +74,7 @@ class TestDiscoveryAndDelivery:
         e.protocol.on_sense(0, "ev0", 0.0)
         e.drain()
         assert e.delivered == 1
-        e.nodes[1].energy = deduct(e.nodes[1].energy, 100.0)
+        deduct(e.nodes[1].energy, 100.0)
         e.protocol.on_sense(0, "ev1", e.now + 1.0)
         e.drain()
         assert e.dropped["CONGESTION"] == 1
@@ -116,7 +116,7 @@ class TestAodvState:
         e.protocol.on_sense(0, "ev0", 0.0)
         e.drain()
         assert e.protocol.states[0].route is not None
-        e.nodes[1].energy = deduct(e.nodes[1].energy, 100.0)
+        deduct(e.nodes[1].energy, 100.0)
         e.protocol.on_sense(0, "ev1", e.now + 1.0)
         e.drain()
         assert e.protocol.states[0].route is None
@@ -143,7 +143,7 @@ class TestDsrState:
         e.protocol.on_sense(0, "ev0", 0.0)
         e.drain()
         assert e.protocol._best_route(0) is not None
-        e.nodes[1].energy = deduct(e.nodes[1].energy, 100.0)
+        deduct(e.nodes[1].energy, 100.0)
         e.protocol.on_sense(0, "ev1", e.now + 1.0)
         e.drain()
         assert e.protocol._best_route(0) is None

@@ -133,7 +133,7 @@ class TestArbitration:
 
     def test_no_rx_when_receiver_asleep(self, tmp_path):
         e = self.make(tmp_path)
-        e.nodes[2].energy = deduct(e.nodes[2].energy, 10.0)
+        deduct(e.nodes[2].energy, 10.0)
         rec = Recorder()
         assert e.send_unicast("DATA", 0, 2, 4096, 0.0, on_result=rec) == NO_RX
         assert rec.results == [(NO_RX, 0.0)]
@@ -213,6 +213,13 @@ class TestEnergyAccounting:
     def test_bs_is_mains_powered(self, tmp_path):
         e = make_engine(tmp_path, {0: (100.0, 100.0)}, (1500.0, 1500.0))
         e.charge(BS, 100.0)  # no-op, never raises
+
+    def test_hyb_states_share_the_engine_battery(self):
+        # the hybrid state machine decides on the battery the engine charges
+        e = Engine(Scenario(protocol="hyb", node_count=25, sim_time=20.0, seed=1))
+        e.run()
+        for n, rec in e.nodes.items():
+            assert e.protocol.states[n].energy is rec.energy
 
 
 class TestScheduler:

@@ -106,16 +106,18 @@ class TestEnergyState:
     def test_alive_at_threshold_boundary(self):
         st = EnergyState(residual=1e-6, threshold=1e-6, initial=10.0)
         assert is_alive(st)
-        assert not is_alive(deduct(st, 1e-9))
+        deduct(st, 1e-9)
+        assert not is_alive(st)
 
     def test_deduct_clamps_at_zero(self):
         st = EnergyState(residual=0.5, initial=10.0)
-        st = deduct(st, 2.0)
+        deduct(st, 2.0)
         assert st.residual == 0.0
         assert not is_alive(st)
 
     def test_deduct_preserves_initial(self):
-        st = deduct(EnergyState(initial=10.0, residual=10.0), 3.25)
+        st = EnergyState(initial=10.0, residual=10.0)
+        deduct(st, 3.25)
         assert st.initial == 10.0
         assert st.residual == pytest.approx(6.75)
 

@@ -46,6 +46,30 @@ class TestParse:
         ("refresh_period = nan\n", "refresh_period"),
         ("topology_size = infx100\n", "topology_size"),
         ("bs_location = 10,nan\n", "bs_location"),
+        ("bandwidth = 0\n", "bandwidth"),
+        ("radio_range = 1\n", "radio_range"),
+        ("radio_range = 0.5\n", "radio_range"),
+        ("path_loss_exponent = 1.5\n", "path loss exponent"),
+        ("path_loss_exponent = nan\n", "path loss exponent"),
+        ("path_loss_exponent = inf\n", "path loss exponent"),
+        ("radio_range = inf\n", "radio_range"),
+        ("reception_threshold = nan\n", "reception_threshold"),
+        ("bandwidth = nan\n", "bandwidth"),
+        ("elec = 0\n", "energy coefficients"),
+        ("initial_energy = -1\n", "residual"),
+        ("energy_threshold = -1\n", "threshold"),
+        ("max_neighbours_K = 0\n", "max_neighbours_K"),
+        ("band_halfwidth_M = 0\n", "band_halfwidth_M"),
+        ("band_halfwidth_M = -5\n", "band_halfwidth_M"),
+        ("vertical_extent_N = 0\n", "vertical_extent_N"),
+        ("control_bits = -1\n", "control_bits"),
+        ("wait_t = -0.1\n", "wait_t"),
+        ("dedup_ttl = -1\n", "dedup_ttl"),
+        ("discovery_timeout = -1\n", "discovery_timeout"),
+        ("discovery_timeout = nan\n", "discovery_timeout"),
+        ("retry_backoff = -0.01\n", "retry_backoff"),
+        ("discovery_retries = -1\n", "discovery_retries"),
+        ("data_retries = -1\n", "data_retries"),
     ])
     def test_rejects(self, bad, fragment):
         with pytest.raises(ScenarioError, match=fragment):
