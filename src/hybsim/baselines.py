@@ -18,6 +18,8 @@ from .hyb import ASLEEP, CONGESTION, NO_ROUTE
 from . import engine as eng
 from .engine import BS, DATA, OK, RREP, RREQ, PacketCtx
 
+DEFER_JITTER = 1e-3  # s, spread of a send deferred behind the sender's own frame
+
 
 @dataclass
 class DiscoveryState:
@@ -33,13 +35,15 @@ class DiscoveryState:
 class _BaseRunner:
     """Shared discovery/retransmission skeleton for both baselines.
 
-    A baseline supplies its per-node ``node_state`` class and three hooks:
+    A baseline supplies its per-node ``node_state`` class and four hooks:
     ``_best_route(node)``, the route to the sink known at ``node`` or None;
-    ``_rreq_payload(node, rreq_id)``, the body of its route request; and
+    ``_rreq_payload(node, rreq_id)``, the body of its route request;
     ``_dispatch(node, ctx, route, now)``, which sends an originated packet
-    on a route. Besides, ``_send_data`` (re)transmits a packet toward its
-    next hop, ``_give_up`` ends a packet out of retries, ``_relay`` passes
-    on a received one, and each baseline handles its own route replies.
+    on a route; and ``_learn_route(node, trans)``, which records the route
+    a reply carries to ``node`` and returns ``(next_hop, payload)`` for the
+    reply's next hop, or None where the reply path ends. Besides,
+    ``_send_data`` (re)transmits a packet toward its next hop, ``_give_up``
+    ends a packet out of retries and ``_relay`` passes on a received one.
     """
 
     def __init__(self, engine_: "eng.Engine"):
@@ -91,6 +95,9 @@ class _BaseRunner:
             else:
                 self.on_data_received(trans.rx, ctx, now)
             return
+        if outcome == ASLEEP:
+            e.drop(ctx, ASLEEP, node, now)
+            return
         # BUSY / COLLISION / NO_RX: bounded retransmission with backoff
         ctx.retry_count += 1
         if ctx.retry_count <= e.sc.data_retries:
@@ -101,19 +108,11 @@ class _BaseRunner:
             self._give_up(node, ctx, now)
 
     def _transmit_data(self, node, rx, ctx, now) -> None:
-        e = self.e
-        if e.nodes[node].asleep:
-            e.drop(ctx, ASLEEP, node, now)
-            return
-        own = e.transmitting(node)
-        if own is not None:
-            retry = own.end + eng.RETRY_GAP + e.jitter(1e-3)
-            e.schedule(retry, lambda: self._transmit_data(node, rx, ctx, retry))
-            return
-        e.send_unicast(DATA, node, rx, ctx.packet.payload_bits, now,
-                       event_id=ctx.packet.event_id,
-                       on_result=lambda trans, outcome, t,
-                       node=node, ctx=ctx: self._data_result(node, ctx, trans, outcome, t))
+        self.e.send_unicast(
+            DATA, node, rx, ctx.packet.payload_bits, now,
+            event_id=ctx.packet.event_id, defer_jitter=DEFER_JITTER,
+            on_result=lambda trans, outcome, t: self._data_result(
+                node, ctx, trans, outcome, t))
 
     # ------------------------------------------------------------ discovery
 
@@ -181,21 +180,21 @@ class _BaseRunner:
         retry = now + self.e.jitter(5e-3)
         self.e.schedule(retry, lambda: self._broadcast_rreq(node, payload, retry))
 
-    # ------------------------------------------------------------- control
+    # --------------------------------------------------------------- replies
 
-    def _send_ctrl_unicast(self, kind, frm, to, now, payload, on_result) -> None:
-        """Unicast a control frame, deferring while ``frm`` holds the channel."""
-        e = self.e
-        if frm != BS and e.nodes[frm].asleep:
-            return
-        own = e.transmitting(frm)
-        if own is not None:
-            retry = own.end + eng.RETRY_GAP + e.jitter(1e-3)
-            e.schedule(retry, lambda: self._send_ctrl_unicast(
-                kind, frm, to, retry, payload, on_result))
-            return
-        e.send_unicast(kind, frm, to, e.sc.control_bits, now,
-                       payload=payload, on_result=on_result)
+    def _send_rrep(self, frm, to, payload, now) -> None:
+        self.e.send_unicast(RREP, frm, to, self.e.sc.control_bits, now,
+                            payload=payload, on_result=self._rrep_result,
+                            defer_jitter=DEFER_JITTER)
+
+    def _rrep_result(self, trans, outcome, now) -> None:
+        if outcome != OK:
+            return  # a lost reply is recovered by the discovery retry
+        node = trans.rx
+        onward = self._learn_route(node, trans)
+        self._route_available(node, now)
+        if onward is not None:
+            self._send_rrep(node, *onward, now)
 
 
 @dataclass
@@ -240,31 +239,21 @@ class AodvRunner(_BaseRunner):
         if not self._first_copy(node, trans.payload):
             return
         if node == BS:
-            self._send_rrep(BS, trans.tx, origin, 0, now)
+            self._send_rrep(BS, trans.tx, {"origin": origin, "route_len": 0}, now)
             return
         self.states[node].reverse[origin] = trans.tx
         self._rebroadcast(node, trans.payload, now)
 
-    def _send_rrep(self, frm, to, origin, route_len, now) -> None:
-        self._send_ctrl_unicast(
-            RREP, frm, to, now,
-            payload={"origin": origin, "route_len": route_len},
-            on_result=lambda trans, outcome, t: self._rrep_result(trans, outcome, t))
-
-    def _rrep_result(self, trans, outcome, now) -> None:
-        if outcome != OK:
-            return  # a lost reply is recovered by the discovery retry
-        node = trans.rx
+    def _learn_route(self, node, trans):
         origin = trans.payload["origin"]
         st = self.states[node]
         my_len = trans.payload["route_len"] + 1
         if st.route is None or my_len < st.route[1]:
             st.route = (trans.tx, my_len)
-        self._route_available(node, now)
-        if node != origin:
-            nxt = st.reverse.get(origin)
-            if nxt is not None:
-                self._send_rrep(node, nxt, origin, my_len, now)
+        nxt = None if node == origin else st.reverse.get(origin)
+        if nxt is None:
+            return None
+        return nxt, {"origin": origin, "route_len": my_len}
 
 
 @dataclass
@@ -331,22 +320,14 @@ class DsrRunner(_BaseRunner):
         if node in record or not self._first_copy(node, trans.payload):
             return
         if node == BS:
-            self._send_rrep(BS, record[-1], record + (BS,), now)
+            self._send_rrep(BS, record[-1], {"route": record + (BS,)}, now)
             return
         self._rebroadcast(node, dict(trans.payload, record=record + (node,)), now)
 
-    def _send_rrep(self, frm, to, route: Tuple[object, ...], now) -> None:
-        self._send_ctrl_unicast(
-            RREP, frm, to, now, payload={"route": route},
-            on_result=lambda trans, outcome, t: self._rrep_result(trans, outcome, t))
-
-    def _rrep_result(self, trans, outcome, now) -> None:
-        if outcome != OK:
-            return
-        node = trans.rx
+    def _learn_route(self, node, trans):
         route = trans.payload["route"]
         idx = route.index(node)
         self._cache(node, route[idx:])
-        self._route_available(node, now)
-        if idx > 0:
-            self._send_rrep(node, route[idx - 1], route, now)
+        if idx == 0:
+            return None
+        return route[idx - 1], trans.payload

@@ -43,6 +43,7 @@ GRANT = "GRANT"
 BUSY = "BUSY"
 COLLISION = "COLLISION"
 NO_RX = "NO_RX"
+DEFERRED = "DEFERRED"
 OK = "OK"
 SENT = "SENT"
 
@@ -247,7 +248,7 @@ class Engine:
 
     def transmitting(self, node: object) -> Optional[Transmission]:
         for t in self.active:
-            if t.tx == node and not t.cancelled:
+            if t.tx == node:
                 return t
         return None
 
@@ -262,15 +263,13 @@ class Engine:
         if rx != BS and self.nodes[rx].asleep:
             return NO_RX
         for t in self.active:
-            if t.cancelled:
-                continue
             if t.tx == rx:
                 return BUSY
             if t.start < now and self.audible(t.tx, rx):
                 return BUSY
         # same-instant contest on this receiver: higher power wins
         for t in list(self.active):
-            if t.cancelled or t.rx != rx or t.start != now:
+            if t.rx != rx or t.start != now:
                 continue
             p_old = received_power(self.radio, self.dist(t.tx, rx))
             p_new = received_power(self.radio, self.dist(tx, rx))
@@ -295,13 +294,31 @@ class Engine:
 
     def send_unicast(self, kind: str, tx: object, rx: object, bits: int,
                      now: float, event_id: str = "-", payload=None,
-                     on_result: Optional[Callable] = None) -> str:
-        """Arbitrate and, on grant, occupy the channel for the frame airtime.
+                     on_result: Optional[Callable] = None,
+                     defer_jitter: float = 0.0) -> str:
+        """Send one frame from ``tx`` to ``rx`` at ``now``.
 
-        ``on_result(trans, outcome, t)`` fires exactly once with GRANT-side
-        outcomes OK / COLLISION / NO_RX, or immediately with BUSY / NO_RX
-        when arbitration fails.
+        A drained ``tx`` sends nothing (ASLEEP). A node holds one frame at a
+        time, so while ``tx`` is on the air the send waits until RETRY_GAP
+        after its own frame ends, plus up to ``defer_jitter`` s when that is
+        non-zero (DEFERRED). Otherwise the receiver arbitrates; a grant
+        occupies the channel for the frame airtime. ``on_result(trans,
+        outcome, t)`` fires exactly once: OK / COLLISION / NO_RX at frame
+        end, or at once, with ``trans`` None, ASLEEP / BUSY / NO_RX.
         """
+        if tx != BS and self.nodes[tx].asleep:
+            if on_result is not None:
+                on_result(None, ASLEEP, now)
+            return ASLEEP
+        own = self.transmitting(tx)
+        if own is not None:
+            retry = own.end + RETRY_GAP
+            if defer_jitter:
+                retry += self.jitter(defer_jitter)
+            self.schedule(retry, lambda: self.send_unicast(
+                kind, tx, rx, bits, retry, event_id, payload, on_result,
+                defer_jitter))
+            return DEFERRED
         verdict = self.arbitrate(tx, rx, now)
         if verdict in (BUSY, NO_RX):
             if on_result is not None:
@@ -323,8 +340,6 @@ class Engine:
             return  # the node drained while the frame was pending
         busy_until = None
         for t in self.active:
-            if t.cancelled:
-                continue
             if t.tx == tx or self.audible(t.tx, tx):
                 busy_until = max(busy_until or 0.0, t.end)
         if busy_until is not None:
@@ -530,22 +545,10 @@ class HybRunner:
             hyb.note_forward(self.states[node], v)
             ctx.attempted.add(v)
             rx = v
-        self._transmit(node, ctx, rx, now)
-
-    def _transmit(self, node: int, ctx: PacketCtx, rx, now: float) -> None:
-        e = self.e
-        if e.nodes[node].asleep:
-            e.drop(ctx, ASLEEP, node, now)
-            return
-        own = e.transmitting(node)
-        if own is not None:
-            retry = own.end + RETRY_GAP
-            e.schedule(retry, lambda: self._transmit(node, ctx, rx, retry))
-            return
         e.send_unicast(DATA, node, rx, ctx.packet.payload_bits, now,
                        event_id=ctx.packet.event_id,
-                       on_result=lambda trans, outcome, t,
-                       node=node, ctx=ctx: self._result(node, ctx, trans, outcome, t))
+                       on_result=lambda trans, outcome, t: self._result(
+                           node, ctx, trans, outcome, t))
 
     def _result(self, node: int, ctx: PacketCtx, trans, outcome: str,
                 now: float) -> None:
@@ -555,6 +558,9 @@ class HybRunner:
                 e.deliver(ctx, node, now)
             else:
                 self._relay(trans.rx, ctx, now)
+            return
+        if outcome == ASLEEP:
+            e.drop(ctx, ASLEEP, node, now)
             return
         if outcome == COLLISION:
             # the model never retransmits a frame lost on the air

@@ -18,6 +18,8 @@ from .topology import Location, RegionParams
 
 PROTOCOLS = ("hyb", "aodv", "dsr")
 
+MAX_EVENTS = 1_000_000  # sim_time * packet_rate; each event held costs ~290 B
+
 
 class ScenarioError(ValueError):
     """Invalid scenario configuration."""
@@ -76,9 +78,15 @@ class Scenario:
             raise ScenarioError("topology_size must be positive and finite")
         if self.node_count < 1:
             raise ScenarioError("node_count must be >= 1")
-        if self.sim_time <= 0 or self.packet_rate <= 0 or self.packet_size <= 0:
-            raise ScenarioError("sim_time, packet_rate and packet_size must be positive")
-        if self.sensing_radius < 0:
+        for name in ("sim_time", "packet_rate"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ScenarioError(f"{name} must be positive and finite")
+        if self.sim_time * self.packet_rate > MAX_EVENTS:
+            raise ScenarioError(
+                f"sim_time * packet_rate exceeds {MAX_EVENTS} events")
+        if self.packet_size <= 0:
+            raise ScenarioError("packet_size must be positive")
+        if not self.sensing_radius >= 0:  # NaN too; infinite senses everywhere
             raise ScenarioError("sensing_radius must be non-negative")
         if self.protocol not in PROTOCOLS:
             raise ScenarioError(f"unknown protocol {self.protocol!r}")

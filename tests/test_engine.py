@@ -2,8 +2,10 @@
 
 import pytest
 
-from hybsim.engine import (BS, BUSY, COLLISION, GRANT, NO_RX, OK, Engine,
-                           generate_events, place_nodes, substream)
+from hybsim.engine import (BS, BUSY, COLLISION, DEFERRED, GRANT, NO_RX, OK,
+                           RETRY_GAP, Engine, Transmission, generate_events,
+                           place_nodes, substream)
+from hybsim.hyb import ASLEEP
 from hybsim.metrics import collect
 from hybsim.radio import deduct
 from hybsim.scenario import Scenario
@@ -141,8 +143,49 @@ class TestArbitration:
     def test_transmitter_channel_exclusivity_enforced(self, tmp_path):
         e = self.make(tmp_path)
         assert e.send_unicast("DATA", 0, 2, 4096, 0.0) == GRANT
+        own = e.active[0]
+        assert e.send_unicast("DATA", 0, 3, 4096, 0.0) == DEFERRED
+        assert e.active == [own]      # the second frame waits its turn
         with pytest.raises(AssertionError):
-            e.send_unicast("DATA", 0, 3, 4096, 0.0)
+            e._begin(Transmission(kind="DATA", tx=0, rx=3, bits=4096,
+                                  start=0.0, end=1.0))
+
+    def test_send_while_on_air_starts_after_own_frame(self, tmp_path):
+        e = self.make(tmp_path)
+        assert e.send_unicast("DATA", 0, 2, 4096, 0.0) == GRANT
+        own_end = e.active[0].end
+        rng_state = e.rng_jitter.getstate()
+        starts = []
+        assert e.send_unicast(
+            "DATA", 0, 3, 4096, 0.0,
+            on_result=lambda trans, outcome, t: starts.append(
+                (trans.start, outcome))) == DEFERRED
+        e.drain()
+        assert starts == [(own_end + RETRY_GAP, OK)]
+        assert e.rng_jitter.getstate() == rng_state   # no jitter drawn
+
+    def test_deferral_jitter_bounds_the_start(self, tmp_path):
+        e = self.make(tmp_path)
+        j = 1e-3
+        assert e.send_unicast("DATA", 0, 2, 4096, 0.0) == GRANT
+        earliest = e.active[0].end + RETRY_GAP
+        starts = []
+        assert e.send_unicast(
+            "DATA", 0, 3, 4096, 0.0, defer_jitter=j,
+            on_result=lambda trans, outcome, t: starts.append(trans.start)) == DEFERRED
+        e.drain()
+        assert len(starts) == 1
+        assert earliest <= starts[0] < earliest + j
+
+    def test_drained_sender_sends_nothing(self, tmp_path):
+        e = self.make(tmp_path)
+        deduct(e.nodes[0].energy, 10.0)
+        rec = Recorder()
+        assert e.send_unicast("DATA", 0, 2, 4096, 0.0, on_result=rec) == ASLEEP
+        assert rec.results == [(ASLEEP, 0.0)]
+        assert e.active == []
+        e.drain()
+        assert e.log_lines == []
 
 
 class TestHiddenTerminal:

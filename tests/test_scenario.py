@@ -2,8 +2,8 @@
 
 import pytest
 
-from hybsim.scenario import (Scenario, ScenarioError, emit_scenario,
-                             parse_scenario)
+from hybsim.scenario import (MAX_EVENTS, Scenario, ScenarioError,
+                             emit_scenario, parse_scenario)
 
 
 class TestParse:
@@ -70,10 +70,22 @@ class TestParse:
         ("retry_backoff = -0.01\n", "retry_backoff"),
         ("discovery_retries = -1\n", "discovery_retries"),
         ("data_retries = -1\n", "data_retries"),
+        ("sim_time = inf\n", "sim_time"),
+        ("sim_time = nan\n", "sim_time"),
+        ("packet_rate = inf\n", "packet_rate"),
+        ("packet_rate = nan\n", "packet_rate"),
+        ("sensing_radius = nan\n", "sensing_radius"),
+        ("sim_time = 125000.5\npacket_rate = 8\n", "exceeds"),
+        ("sim_time = 1e9\npacket_rate = 1e9\n", "exceeds"),
     ])
     def test_rejects(self, bad, fragment):
         with pytest.raises(ScenarioError, match=fragment):
             parse_scenario(bad)
+
+    def test_accepts_the_limits(self):
+        sc = parse_scenario("sim_time = 125000\npacket_rate = 8\n"
+                            "sensing_radius = inf\n")
+        assert sc.sim_time * sc.packet_rate == MAX_EVENTS
 
 
 class TestRoundTrip:
