@@ -79,12 +79,9 @@ def generate_events(scenario: Scenario,
     uniformly random point; every node within sensing radius senses it."""
     rng = rng or substream(scenario.seed, "traffic")
     w, h = scenario.topology_size
-    out = []
-    count = int(scenario.sim_time * scenario.packet_rate)
-    for k in range(count):
-        t = k / scenario.packet_rate
-        out.append((t, f"ev{k}", Location(rng.uniform(0, w), rng.uniform(0, h))))
-    return out
+    rate = scenario.packet_rate
+    return [(k / rate, f"ev{k}", Location(rng.uniform(0, w), rng.uniform(0, h)))
+            for k in range(int(scenario.sim_time * rate))]
 
 
 @dataclass
@@ -173,6 +170,7 @@ class Engine:
         self.log_lines: List[str] = []
         self.active: List[Transmission] = []
         self.recent: List[Transmission] = []
+        self._overlap: Optional[tuple] = None  # see _interfered
 
         self.generated = 0
         self.delivered = 0
@@ -366,12 +364,18 @@ class Engine:
         self.log(now, kind, tx, rx, "-", outcome)
 
     def _interfered(self, trans: Transmission, receiver: object) -> bool:
-        for g in self.recent:
-            if g is trans or g.cancelled:
-                continue
-            if g.start < trans.end and g.end > trans.start:
-                if g.tx == receiver or self.audible(g.tx, receiver):
-                    return True
+        # A broadcast asks once per receiver: the frames sharing air time with
+        # trans are kept in _overlap until recent is pruned or grows.
+        c = self._overlap
+        if (c is None or c[0] is not trans or c[1] is not self.recent
+                or c[2] != len(self.recent)):
+            c = self._overlap = (trans, self.recent, len(self.recent), [
+                g for g in self.recent if g is not trans
+                and g.start < trans.end and g.end > trans.start])
+        for g in c[3]:
+            if not g.cancelled and (g.tx == receiver
+                                    or self.audible(g.tx, receiver)):
+                return True
         return False
 
     def _frame_end(self, trans: Transmission) -> None:
@@ -538,13 +542,11 @@ class HybRunner:
         if action.kind == DROP:
             e.drop(ctx, action.reason, node, now)
             return
-        if action.kind == SEND_DIRECT:
-            rx = BS
-        else:
-            v = action.neighbour
-            hyb.note_forward(self.states[node], v)
-            ctx.attempted.add(v)
-            rx = v
+        rx = BS
+        if action.kind != SEND_DIRECT:
+            rx = action.neighbour
+            hyb.note_forward(self.states[node], rx)
+            ctx.attempted.add(rx)
         e.send_unicast(DATA, node, rx, ctx.packet.payload_bits, now,
                        event_id=ctx.packet.event_id,
                        on_result=lambda trans, outcome, t: self._result(

@@ -206,6 +206,21 @@ class TestHiddenTerminal:
         assert report.signals == 2
 
 
+class TestInterference:
+    # 0 and 2 cannot hear each other; 1 hears both
+    POINTS = {0: (0.0, 100.0), 1: (300.0, 100.0), 2: (600.0, 100.0)}
+
+    def test_answer_follows_frames_begun_between_calls(self, tmp_path):
+        e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0))
+        assert e.send_unicast("DATA", 0, 1, 4096, 0.0) == GRANT
+        first = e.active[0]
+        assert not e._interfered(first, 1)
+        e.send_broadcast("RREQ", 2, 320, 1e-3)   # 2 does not hear 0
+        assert len(e.active) == 2
+        assert e._interfered(first, 1)
+        assert not e._interfered(first, 0)       # 0 does not hear 2
+
+
 class TestBroadcast:
     POINTS = {0: (100.0, 100.0), 1: (250.0, 100.0), 2: (400.0, 100.0)}
 
