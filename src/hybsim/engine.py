@@ -170,7 +170,7 @@ class Engine:
         self.log_lines: List[str] = []
         self.active: List[Transmission] = []
         self.recent: List[Transmission] = []
-        self._overlap: Optional[tuple] = None  # see _interfered
+        self._jammed: Optional[tuple] = None  # see _interfered
 
         self.generated = 0
         self.delivered = 0
@@ -207,10 +207,11 @@ class Engine:
         if node == BS:
             return  # the sink is mains powered
         rec = self.nodes[node]
-        was_alive = not rec.asleep
-        deduct(rec.energy, amount)
+        battery = rec.energy
+        was_alive = battery.residual >= battery.threshold  # is_alive, on a hot path
+        deduct(battery, amount)
         rec.charges.append(amount)
-        if was_alive and rec.asleep:
+        if was_alive and battery.residual < battery.threshold:
             rec.death_time = self.now
 
     def alive(self, node: object) -> bool:
@@ -280,6 +281,7 @@ class Engine:
     def _cancel(self, trans: Transmission) -> None:
         trans.cancelled = True
         self.active = [t for t in self.active if t is not trans]
+        self._jammed = None  # the frame may be in the set; see _interfered
         if trans.on_result is not None:
             trans.on_result(trans, BUSY, self.now)
 
@@ -364,19 +366,23 @@ class Engine:
         self.log(now, kind, tx, rx, "-", outcome)
 
     def _interfered(self, trans: Transmission, receiver: object) -> bool:
-        # A broadcast asks once per receiver: the frames sharing air time with
-        # trans are kept in _overlap until recent is pruned or grows.
-        c = self._overlap
+        # Every other live frame that shares air time with trans jams its own
+        # sender and every node that hears it. A broadcast asks once per
+        # receiver, so that set is built once per frame and kept until recent
+        # is pruned or grows, or a frame is cancelled.
+        c = self._jammed
         if (c is None or c[0] is not trans or c[1] is not self.recent
                 or c[2] != len(self.recent)):
-            c = self._overlap = (trans, self.recent, len(self.recent), [
-                g for g in self.recent if g is not trans
-                and g.start < trans.end and g.end > trans.start])
-        for g in c[3]:
-            if not g.cancelled and (g.tx == receiver
-                                    or self.audible(g.tx, receiver)):
-                return True
-        return False
+            jammed = set()
+            for g in self.recent:
+                if (g is not trans and not g.cancelled
+                        and g.start < trans.end and g.end > trans.start):
+                    jammed.add(g.tx)
+                    jammed |= self._range_sets[g.tx]
+                    if g.tx != BS and self._bs_reach[g.tx]:
+                        jammed.add(BS)
+            c = self._jammed = (trans, self.recent, len(self.recent), jammed)
+        return receiver in c[3]
 
     def _frame_end(self, trans: Transmission) -> None:
         if trans.cancelled:
@@ -392,16 +398,18 @@ class Engine:
         if trans.rx == BROADCAST:
             self.log(trans.start, trans.kind, trans.tx, BROADCAST,
                      trans.event_id, SENT)
+            nodes = self.nodes
             receivers = [n for n in self._in_range[trans.tx]
-                         if not self.nodes[n].asleep]
+                         if (b := nodes[n].energy).residual >= b.threshold]
             if self.audible(trans.tx, BS):
                 receivers.append(BS)
+            cost = rx_energy(self.coeff, trans.bits)
             for r in receivers:
                 if self._interfered(trans, r):
                     self.log(trans.start, COLL, trans.tx, r,
                              trans.event_id, COLLISION)
                     continue
-                self.charge(r, rx_energy(self.coeff, trans.bits))
+                self.charge(r, cost)
                 self.protocol.on_broadcast_received(r, trans, trans.end)
             return
 

@@ -117,7 +117,7 @@ class EnergyCoefficients:
     amp: float = DEFAULT_AMP    # J/bit/m^2, amplifier
 
     def __post_init__(self):
-        if self.elec <= 0 or self.amp <= 0:
+        if not (self.elec > 0 and self.amp > 0):  # NaN too
             raise ValueError("energy coefficients must be positive")
 
 
@@ -146,7 +146,7 @@ class EnergyState:
     def __post_init__(self):
         if not (0 <= self.residual <= self.initial):
             raise ValueError("require 0 <= residual <= initial")
-        if self.threshold < 0:
+        if not self.threshold >= 0:  # NaN too
             raise ValueError("threshold must be non-negative")
 
 

@@ -190,15 +190,17 @@ def _convert(key, val):
 
 
 def emit_scenario(sc: Scenario) -> str:
-    """Render a scenario back to file form (round-trips via parse_scenario)."""
+    """Render a scenario back to file form (round-trips via parse_scenario).
+
+    Floats are written with ``repr``, the shortest text that parses back to
+    the same value.
+    """
     lines = []
     for f in fields(Scenario):
         v = getattr(sc, f.name)
-        if f.name == "topology_size":
-            v = f"{v[0]:g}x{v[1]:g}"
-        elif f.name == "bs_location":
-            v = f"{v[0]:g},{v[1]:g}"
+        if f.name in _PAIR_KEYS:
+            v = f"{v[0]!r}{_PAIR_KEYS[f.name]}{v[1]!r}"
         elif f.name == "vertical_extent_N":
-            v = "unbounded" if v is None else f"{v:g}"
+            v = "unbounded" if v is None else repr(v)
         lines.append(f"{f.name} = {v}")
     return "".join(line + "\n" for line in lines)

@@ -65,11 +65,11 @@ class RegionParams:
     radio_range: float = 350.0
 
     def __post_init__(self):
-        if self.band_halfwidth_M <= 0:
+        if not self.band_halfwidth_M > 0:  # NaN too
             raise TopologyError("band_halfwidth_M must be positive")
         if self.max_neighbours_K < 1:
             raise TopologyError("max_neighbours_K must be >= 1")
-        if self.vertical_extent_N is not None and self.vertical_extent_N <= 0:
+        if self.vertical_extent_N is not None and not self.vertical_extent_N > 0:
             raise TopologyError("vertical_extent_N must be positive or unbounded")
 
 

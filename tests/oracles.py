@@ -53,3 +53,22 @@ def replay_energy_ledger(initial, charges):
     for amount in charges:
         residual = max(0.0, residual - amount)
     return residual
+
+
+def brute_force_interfered(frames, trans, receiver, audible):
+    """Whether ``trans`` is jammed at ``receiver``, from every frame sent.
+
+    A receiver is jammed when some other frame that was not cancelled
+    overlaps ``trans`` in time and was sent by the receiver or is audible
+    at it. ``frames`` is every frame begun so far (objects with ``tx``,
+    ``start``, ``end`` and ``cancelled``); ``audible(tx, at)`` is the link
+    predicate between two node ids or the base station.
+    """
+    for g in frames:
+        if g is trans or g.cancelled:
+            continue
+        if g.start >= trans.end or g.end <= trans.start:
+            continue
+        if g.tx == receiver or audible(g.tx, receiver):
+            return True
+    return False

@@ -1,19 +1,27 @@
 """Discrete-event core tests: RNG streams, placement, traffic, channel."""
 
+import math
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hybsim.engine import (BS, BUSY, COLLISION, DEFERRED, GRANT, NO_RX, OK,
                            RETRY_GAP, Engine, Transmission, generate_events,
                            place_nodes, substream)
 from hybsim.hyb import ASLEEP
 from hybsim.metrics import collect
-from hybsim.radio import deduct
+from hybsim.radio import RadioParams, deduct, frame_airtime, link_feasible
 from hybsim.scenario import Scenario
+
+from oracles import brute_force_interfered
 
 
 def write_points(tmp_path, points):
     path = tmp_path / "nodes.txt"
-    path.write_text("".join(f"{i} , {x:g} , {y:g}\n"
+    path.write_text("".join(f"{i} , {x!r} , {y!r}\n"
                             for i, (x, y) in sorted(points.items())))
     return str(path)
 
@@ -219,6 +227,113 @@ class TestInterference:
         assert len(e.active) == 2
         assert e._interfered(first, 1)
         assert not e._interfered(first, 0)       # 0 does not hear 2
+
+    def test_cancelled_frame_stops_jamming_between_calls(self, tmp_path):
+        # 0 -> 1 is on the air; 2 -> 3 overlaps it and 1 hears 2. A
+        # same-instant grab by 4, much closer to 3, then cancels 2's frame
+        # without beginning one, so recent keeps its length.
+        points = {0: (0.0, 100.0), 1: (300.0, 100.0), 2: (600.0, 100.0),
+                  3: (900.0, 100.0), 4: (1000.0, 100.0)}
+        e = make_engine(tmp_path, points, (1500.0, 1500.0))
+        assert e.send_unicast("DATA", 0, 1, 4096, 0.0) == GRANT
+        first = e.active[0]
+        assert e.send_unicast("DATA", 2, 3, 320, 1e-3) == GRANT
+        jammer = e.active[1]
+        assert e._interfered(first, 1)
+        assert e.arbitrate(4, 3, 1e-3) == GRANT
+        assert jammer.cancelled and len(e.recent) == 2
+        assert not e._interfered(first, 1)
+
+
+# start times that are exact sums of frame airtimes, so that some frames end
+# at the very instant another begins
+AIRTIMES = [frame_airtime(RadioParams(), bits) for bits in (320, 4096)]
+STARTS = {0.0}
+for _ in range(2):
+    STARTS |= {t + air for t in STARTS for air in AIRTIMES}
+STARTS = sorted(STARTS)
+COORD = st.one_of(st.floats(0.0, 700.0), st.sampled_from([0.0, 350.0, 700.0]))
+
+
+@st.composite
+def frame_scripts(draw):
+    """A few nodes, a base station and the frames they try to send.
+
+    Each send is (start, broadcast?, tx, rx, bits); senders and receivers
+    may be the base station. Sends are scheduled in list order, so several
+    at one start time contend in that order.
+    """
+    n = draw(st.integers(2, 6))
+    pts = [(draw(COORD), draw(COORD)) for _ in range(n)]
+    who = st.sampled_from(list(range(n)) + [BS])
+    sends = draw(st.lists(st.tuples(st.sampled_from(STARTS), st.booleans(),
+                                    who, who, st.sampled_from([320, 4096])),
+                          min_size=1, max_size=12))
+    return pts, (draw(COORD), draw(COORD)), sends
+
+
+class TestInterferenceOracle:
+    """Every interference answer at frame end against brute force."""
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=frame_scripts())
+    # coincident starts: both broadcasts reach 1 together
+    @example(case=([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)], (300.0, 300.0),
+                   [(0.0, True, 0, 0, 320), (0.0, True, 2, 2, 320)]))
+    # 1 starts a frame of its own as 0's broadcast begins to reach it
+    @example(case=([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)], (300.0, 300.0),
+                   [(0.0, True, 0, 0, 320), (0.0, False, 1, 2, 4096)]))
+    # 2 begins exactly when 0's frame ends: no overlap at 1
+    @example(case=([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)], (300.0, 300.0),
+                   [(0.0, True, 0, 0, 320), (AIRTIMES[0], True, 2, 2, 320)]))
+    # the base station as sender: its broadcast jams 2's frame at 1; as
+    # receiver: 1's broadcast and 0's frame to it jam each other there
+    @example(case=([(350.0, 0.0), (350.0, 600.0), (650.0, 600.0)],
+                   (350.0, 300.0),
+                   [(0.0, True, BS, BS, 320), (0.0, False, 2, 1, 4096),
+                    (2 * AIRTIMES[1], False, 0, BS, 4096),
+                    (2 * AIRTIMES[1], True, 1, 1, 320)]))
+    # 2 wins the same-instant contest for 1 and cancels 0's frame, which
+    # must not jam 4, the one receiver of 3's broadcast that hears 0
+    @example(case=([(300.0, 0.0), (500.0, 0.0), (600.0, 0.0), (100.0, 300.0),
+                    (100.0, 0.0)], (1500.0, 1500.0),
+                   [(0.0, True, 3, 3, 320), (0.0, False, 0, 1, 4096),
+                    (0.0, False, 2, 1, 4096)]))
+    def test_every_answer_matches_brute_force(self, case):
+        pts, bs, sends = case
+        with tempfile.TemporaryDirectory() as tmp:
+            e = make_engine(Path(tmp), dict(enumerate(pts)), bs)
+        where = dict(enumerate(pts))
+        where[BS] = bs
+
+        def audible(tx, at):
+            d = math.hypot(where[tx][0] - where[at][0],
+                           where[tx][1] - where[at][1])
+            return link_feasible(e.radio, d)
+
+        frames = []
+        begin, interfered = e._begin, e._interfered
+
+        def recording_begin(trans):
+            frames.append(trans)
+            begin(trans)
+
+        def checked_interfered(trans, receiver):
+            got = interfered(trans, receiver)
+            assert got == brute_force_interfered(frames, trans, receiver,
+                                                 audible)
+            return got
+
+        e._begin, e._interfered = recording_begin, checked_interfered
+        for t, broadcast, tx, rx, bits in sends:
+            if broadcast:
+                e.schedule(t, lambda t=t, tx=tx, bits=bits:
+                           e.send_broadcast("RREQ", tx, bits, t))
+            elif rx != tx:
+                e.schedule(t, lambda t=t, tx=tx, rx=rx, bits=bits:
+                           e.send_unicast("DATA", tx, rx, bits, t))
+        e.drain()
 
 
 class TestBroadcast:

@@ -1,8 +1,12 @@
 """Scenario file parsing, validation and round-trip tests."""
 
-import pytest
+from dataclasses import fields
 
-from hybsim.scenario import (MAX_EVENTS, Scenario, ScenarioError,
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hybsim.scenario import (MAX_EVENTS, PROTOCOLS, Scenario, ScenarioError,
                              emit_scenario, parse_scenario)
 
 
@@ -75,6 +79,11 @@ class TestParse:
         ("packet_rate = inf\n", "packet_rate"),
         ("packet_rate = nan\n", "packet_rate"),
         ("sensing_radius = nan\n", "sensing_radius"),
+        ("elec = nan\n", "energy coefficients"),
+        ("amp = nan\n", "energy coefficients"),
+        ("energy_threshold = nan\n", "threshold"),
+        ("band_halfwidth_M = nan\n", "band_halfwidth_M"),
+        ("vertical_extent_N = nan\n", "vertical_extent_N"),
         ("sim_time = 125000.5\npacket_rate = 8\n", "exceeds"),
         ("sim_time = 1e9\npacket_rate = 1e9\n", "exceeds"),
     ])
@@ -88,6 +97,42 @@ class TestParse:
         assert sc.sim_time * sc.packet_rate == MAX_EVENTS
 
 
+def _number():
+    """Number text: mostly values most knobs accept, sometimes anything."""
+    return st.one_of(
+        st.floats(1e-3, 1e4).map(repr),
+        st.floats(0.0, 1e4).map(lambda x: f"{x:g}"),
+        st.floats().map(repr),
+        st.just("nan"),
+        st.sampled_from(["inf", "-inf", "0", "1e-300", "-1"]))
+
+
+def _value(field):
+    name = field.name
+    if name in ("topology_size", "bs_location"):
+        sep = "x" if name == "topology_size" else ","
+        return st.tuples(_number(), _number()).map(sep.join)
+    if name == "vertical_extent_N":
+        return st.one_of(_number(), st.sampled_from(["unbounded", "None"]))
+    if name == "protocol":
+        return st.sampled_from(PROTOCOLS + ("olsr",))
+    if name == "liveness":
+        return st.sampled_from(["ground_truth", "reported", "psychic"])
+    if name == "placement":
+        return st.one_of(st.just("uniform"), st.text(max_size=12))
+    if field.type is int:
+        return st.integers(-2, 10 ** 6).map(str)
+    return _number()
+
+
+@st.composite
+def scenario_entries(draw):
+    """Key -> value text for a few distinct scenario keys."""
+    chosen = draw(st.lists(st.sampled_from(fields(Scenario)),
+                           unique_by=lambda f: f.name, max_size=6))
+    return {f.name: draw(_value(f)) for f in chosen}
+
+
 class TestRoundTrip:
     def test_emit_parses_back(self):
         sc = Scenario(node_count=42, topology_size=(500.0, 750.0),
@@ -98,6 +143,23 @@ class TestRoundTrip:
     def test_bounded_extent_round_trips(self):
         sc = Scenario(vertical_extent_N=150.0)
         assert parse_scenario(emit_scenario(sc)) == sc
+
+    def test_floats_keep_every_digit(self):
+        sc = Scenario(topology_size=(1234.5678, 2000.0),
+                      bs_location=(0.1 + 0.2, 1e-7), vertical_extent_N=1 / 3)
+        assert parse_scenario(emit_scenario(sc)) == sc
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=scenario_entries())
+    def test_parse_emit_parse_round_trips(self, entries):
+        text = "".join(f"{key} = {val}\n" for key, val in entries.items())
+        try:
+            sc = parse_scenario(text)
+        except ScenarioError:
+            return  # rejected as a whole at parse time
+        again = parse_scenario(emit_scenario(sc))
+        assert again == sc
+        assert emit_scenario(again) == emit_scenario(sc)
 
 
 class TestDerived:
