@@ -18,9 +18,22 @@ in that time lead both to the same frames.
 A third table pins the baselines' collision storm (125 nodes, seed 1,
 10 s). There RREQ floods keep ~63 frames in the engine's recent-frame
 window at each interference check on average, against ~18 at 75 nodes.
+
+A fourth table pins hyb with ``liveness = reported`` (75 nodes, seed 1,
+60 s), where neighbour selection trusts the base station's last residual
+reports instead of the batteries. With full 10 J batteries no node drains
+in a minute and the log equals the ground-truth one, so these runs use
+batteries small enough for nodes to die mid-run.
+
+A fifth table pins a hand-made location file whose node pairs, and nodes
+and the base station, sit exactly one radio range apart or one ulp either
+side of it. There a row (``dist <= radio_range``) and the power test of
+``link_feasible`` disagree: a node one ulp beyond the range hears its
+neighbour but may not list it.
 """
 
 import hashlib
+import math
 
 import pytest
 
@@ -60,6 +73,44 @@ STORM = {
     "dsr": "4c7ccdbece00024bfedeeb7dcfdd6816d5289a5389cb6424d9ea2ade2a4e2cc1",
 }
 
+# initial_energy -> digest, hyb at 75 nodes, seed 1, reported liveness
+REPORTED = {
+    0.2: "e26f827d2b8dc417ec86c89b0d73082cf061bd3813e8c985680db793b75f8838",
+    1.0: "f06de042cc4a01c340933a823a3d4dc7aaf1bc6c599d6e238b4d58d809bd12cb",
+}
+
+
+
+def _up(v):
+    return math.nextafter(v, math.inf)
+
+
+def _down(v):
+    return math.nextafter(v, 0.0)
+
+
+# the base station sits at (700, 0); the radio range is the default 350 m
+EDGE_BS = (700.0, 0.0)
+EDGE_POINTS = [
+    (700.0, 350.0), (700.0, _down(350.0)),    # range and -1 ulp to BS
+    (350.0, 0.0), (_down(350.0), 0.0),        # range and +1 ulp to BS
+    (1050.0, 0.0), (_down(1050.0), 0.0),      # range and -4 ulp to BS
+    (910.0, 280.0),                           # a 210-280-350 triangle to BS
+    (700.0, 700.0),                           # range and +1 ulp to the first two
+    (700.0, _down(700.0)),                    # -2 ulp to (700, 350)
+    (0.0, 0.0), (1400.0, 0.0),
+    (1120.0, 560.0), (350.0, 350.0), (1050.0, 350.0),
+    (700.0, 1050.0), (350.0, 700.0), (1050.0, 700.0),
+    (520.0, 10.0), (520.0, _down(360.0)),     # -1 ulp apart
+    (520.0, _up(360.0)),                      # +1 ulp from (520, 10)
+]
+
+# protocol -> digest, on EDGE_POINTS, seed 1, 60 s
+EDGE = {
+    "aodv": "be51acf0fd2dc42c459302b1ab218441d43eb9140d37fe0216f7be1c03e653a7",
+    "hyb": "8625f0221ece3ee8dbf1a962709f24401024e7f4ac865ce7e64c4c240396ffa5",
+}
+
 
 @pytest.mark.parametrize("protocol,nodes,seed", sorted(GOLDEN))
 def test_event_log_digest(protocol, nodes, seed):
@@ -82,3 +133,23 @@ def test_collision_storm_log_digest(protocol):
     sc = Scenario(protocol=protocol, node_count=125, seed=1, sim_time=10.0)
     log = Engine(sc).run()
     assert hashlib.sha256(log.encode()).hexdigest() == STORM[protocol]
+
+
+@pytest.mark.parametrize("initial_energy", sorted(REPORTED))
+def test_reported_liveness_log_digest(initial_energy):
+    sc = Scenario(protocol="hyb", node_count=75, seed=1, sim_time=SIM_TIME,
+                  initial_energy=initial_energy, liveness="reported")
+    log = Engine(sc).run()
+    assert hashlib.sha256(log.encode()).hexdigest() == REPORTED[initial_energy]
+
+
+@pytest.mark.parametrize("protocol", sorted(EDGE))
+def test_range_edge_log_digest(protocol, tmp_path):
+    path = tmp_path / "nodes.txt"
+    path.write_text("".join(f"{i} , {x!r} , {y!r}\n"
+                            for i, (x, y) in enumerate(EDGE_POINTS)))
+    sc = Scenario(protocol=protocol, placement=str(path),
+                  node_count=len(EDGE_POINTS), bs_location=EDGE_BS,
+                  topology_size=(1400.0, 1050.0), sim_time=SIM_TIME)
+    log = Engine(sc).run()
+    assert hashlib.sha256(log.encode()).hexdigest() == EDGE[protocol]
