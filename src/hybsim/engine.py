@@ -11,6 +11,7 @@ event logs.
 
 import hashlib
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -141,25 +142,31 @@ class Engine:
                 energy=scenario.battery())
 
         # static topology: cache pairwise reachability for the hot paths.
-        # The grid only picks the pairs to check; link_feasible decides
-        # every distance between the bounds that do not settle it.
+        # The grid sweep hands over each unordered pair of nearby nodes
+        # once; link_feasible decides every distance between the bounds
+        # that do not settle it. math.hypot of the negated differences is
+        # bit-identical, so one distance serves both directions.
         inner, outer = link_bounds(self.radio)
 
         def feasible(d: float) -> bool:
             return d <= inner or (d < outer and link_feasible(self.radio, d))
 
-        reach_grid = Grid(self.locs.entries, outer)
+        hypot = math.hypot
         self._sense_grid = Grid(self.locs.entries, scenario.sensing_radius)
-        ids = sorted(self.nodes)
-        self._in_range: Dict[object, List[int]] = {}
-        self._bs_reach: Dict[int, bool] = {}
-        for a in ids:
-            la = self.nodes[a].location
-            self._in_range[a] = sorted(
-                b for b in reach_grid.near(la.x, la.y, outer)
-                if b != a and feasible(la.dist(self.nodes[b].location)))
-            self._bs_reach[a] = feasible(la.dist(self.bs_loc))
-        self._in_range[BS] = [b for b in ids if self._bs_reach[b]]
+        self._in_range: Dict[object, List[int]] = {n: [] for n in self.nodes}
+        near = self._in_range
+        for (a, xa, ya), later in Grid(self.locs.entries, outer).sweep():
+            near_a = near[a]
+            for b, xb, yb in later:
+                d = hypot(xa - xb, ya - yb)
+                if d <= inner or (d < outer and feasible(d)):  # bounds settle most
+                    near_a.append(b)
+                    near[b].append(a)
+        for heard in near.values():
+            heard.sort()
+        self._bs_reach = {n: feasible(rec.location.dist(self.bs_loc))
+                          for n, rec in self.nodes.items()}
+        self._in_range[BS] = [n for n, ok in self._bs_reach.items() if ok]
         self._range_sets = {k: set(v) for k, v in self._in_range.items()}
         air_bits = max(scenario.payload_bits, scenario.control_bits)
         self._max_air = frame_airtime(self.radio, air_bits) + 1e-9
@@ -213,11 +220,6 @@ class Engine:
         rec.charges.append(amount)
         if was_alive and battery.residual < battery.threshold:
             rec.death_time = self.now
-
-    def alive(self, node: object) -> bool:
-        if node == BS:
-            return True
-        return not self.nodes[node].asleep
 
     def loc(self, node: object) -> Location:
         return self.bs_loc if node == BS else self.nodes[node].location
@@ -401,8 +403,8 @@ class Engine:
             nodes = self.nodes
             receivers = [n for n in self._in_range[trans.tx]
                          if (b := nodes[n].energy).residual >= b.threshold]
-            if self.audible(trans.tx, BS):
-                receivers.append(BS)
+            if trans.tx != BS and self._bs_reach[trans.tx]:
+                receivers.append(BS)  # the sink never hears its own frame
             cost = rx_energy(self.coeff, trans.bits)
             for r in receivers:
                 if self._interfered(trans, r):
@@ -500,7 +502,11 @@ class HybRunner:
                 id=i, location=rec.location, energy=rec.energy,  # shared battery
                 dedup=DedupBuffer(ttl=sc.dedup_ttl))
         if sc.liveness == "ground_truth":
-            alive = engine.alive
+            batteries = {i: rec.energy for i, rec in engine.nodes.items()}
+
+            def alive(v: int) -> bool:  # is_alive, on a hot path
+                b = batteries[v]
+                return b.residual >= b.threshold
         else:
             alive = lambda v: engine.bs_known_residual.get(v, 0.0) >= sc.energy_threshold
         self.ctx = HybContext(
@@ -519,7 +525,7 @@ class HybRunner:
         alive = {n for n in e.nodes if not e.nodes[n].asleep}
         e.neighbour_table = compute_neighbour_table(e.locs, e.region, alive)
         for n in sorted(alive):
-            self.states[n].set_row(e.neighbour_table.rows[n])
+            self.states[n].set_row(e.neighbour_table.rows[n], self.ctx)
             e.send_oob_control(CONFIG, BS, n, now)
         e.schedule(now + e.sc.refresh_period, self._bs_refresh)
 
@@ -532,7 +538,7 @@ class HybRunner:
         e.neighbour_table = refresh_table(
             e.neighbour_table, e.locs, e.region, dead)
         for n in sorted(e.neighbour_table.rows):
-            self.states[n].set_row(e.neighbour_table.rows[n])
+            self.states[n].set_row(e.neighbour_table.rows[n], self.ctx)
             if not e.nodes[n].asleep:
                 e.send_oob_control(CONFIG, BS, n, now)
         if e._heap:  # keep refreshing only while work remains

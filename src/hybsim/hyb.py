@@ -8,8 +8,9 @@ There are no retransmissions: a busy channel moves the packet to the next
 candidate until candidates or the waiting budget run out.
 """
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .radio import (EnergyState, RadioParams, EnergyCoefficients,
                     is_alive, link_feasible, tx_energy)
@@ -91,19 +92,32 @@ class HybNodeState:
     location: Location
     energy: EnergyState
     row: Row = ISOLATED
+    linked: Tuple[int, ...] = ()   # row members the link reaches, in row order
     use_count: Dict[int, int] = field(default_factory=dict)
     dedup: DedupBuffer = field(default_factory=DedupBuffer)
+    # payload bits -> energy of a direct send, None when the link fails
+    direct_cost: Dict[int, Optional[float]] = field(default_factory=dict)
 
     @property
     def asleep(self) -> bool:
         return not is_alive(self.energy)
 
-    def set_row(self, row: Row) -> None:
+    def set_row(self, row: Row, ctx: "HybContext") -> None:
+        """Install a row from the base station.
+
+        Locations and the radio never change, so whether the link reaches
+        each member is decided here, once per row.
+        """
         self.row = row
         if isinstance(row, str):
             self.use_count = {}
+            self.linked = ()
         else:
             self.use_count = {v: self.use_count.get(v, 0) for v in row}
+            here = self.location
+            self.linked = tuple(
+                v for v in row
+                if link_feasible(ctx.radio, here.dist(ctx.location_of(v))))
 
 
 @dataclass(frozen=True)
@@ -120,12 +134,20 @@ class HybContext:
 
 def single_hop_feasible(state: HybNodeState, ctx: HybContext,
                         payload_bits: int = DEFAULT_PAYLOAD_BITS) -> bool:
-    """Direct delivery is on when the link closes and the battery covers it."""
-    d = state.location.dist(ctx.bs_location)
-    if not link_feasible(ctx.radio, d):
-        return False
-    cost = tx_energy(ctx.energy_coeff, payload_bits, d)
-    return state.energy.residual >= state.energy.threshold + cost
+    """Direct delivery is on when the link closes and the battery covers it.
+
+    The link test and the cost depend only on the node's location, so they
+    are worked out once per payload size; the battery is read every time.
+    """
+    try:
+        cost = state.direct_cost[payload_bits]
+    except KeyError:
+        d = state.location.dist(ctx.bs_location)
+        cost = (tx_energy(ctx.energy_coeff, payload_bits, d)
+                if link_feasible(ctx.radio, d) else None)
+        state.direct_cost[payload_bits] = cost
+    return (cost is not None
+            and state.energy.residual >= state.energy.threshold + cost)
 
 
 def best_neighbour(state: HybNodeState, packet: DataPacket,
@@ -133,22 +155,18 @@ def best_neighbour(state: HybNodeState, packet: DataPacket,
                    exclude: Set[int] = frozenset()) -> Optional[int]:
     """Least-used feasible candidate, ties broken by row position.
 
-    Candidates already on the packet's path, already attempted for this
-    packet (``exclude``), dead, or out of link range are skipped.
+    Candidates out of link range (left out of ``state.linked`` by
+    ``set_row``), already on the packet's path, already attempted for this
+    packet (``exclude``) or dead are skipped.
     """
-    if isinstance(state.row, str):
-        return None
     best: Optional[int] = None
-    best_count = -1
-    for v in state.row:  # row order encodes proximity to the base station
-        if v in packet.visited or v in exclude:
+    best_count = math.inf
+    visited = packet.visited
+    for v in state.linked:  # row order encodes proximity to the base station
+        if v in visited or v in exclude or not ctx.alive(v):
             continue
-        if not ctx.alive(v):
-            continue
-        if not link_feasible(ctx.radio, state.location.dist(ctx.location_of(v))):
-            continue
-        count = state.use_count.get(v, 0)
-        if best is None or count < best_count:
+        count = state.use_count[v]
+        if count < best_count:
             best, best_count = v, count
     return best
 

@@ -117,8 +117,8 @@ class EnergyCoefficients:
     amp: float = DEFAULT_AMP    # J/bit/m^2, amplifier
 
     def __post_init__(self):
-        if not (self.elec > 0 and self.amp > 0):  # NaN too
-            raise ValueError("energy coefficients must be positive")
+        if not (0 < self.elec < math.inf and 0 < self.amp < math.inf):  # NaN too
+            raise ValueError("energy coefficients must be positive and finite")
 
 
 def tx_energy(coeff: EnergyCoefficients, bits: int, distance: float) -> float:
@@ -146,8 +146,8 @@ class EnergyState:
     def __post_init__(self):
         if not (0 <= self.residual <= self.initial):
             raise ValueError("require 0 <= residual <= initial")
-        if not self.threshold >= 0:  # NaN too
-            raise ValueError("threshold must be non-negative")
+        if not 0 <= self.threshold < math.inf:  # NaN too
+            raise ValueError("threshold must be non-negative and finite")
 
 
 def is_alive(state: EnergyState) -> bool:

@@ -95,10 +95,11 @@ class Scenario:
         bx, by = self.bs_location
         if not (0 <= bx < math.inf and 0 <= by < math.inf):
             raise ScenarioError("bs_location must be non-negative and finite")
-        if not self.refresh_period > 0:
+        if not 0 < self.refresh_period < math.inf:
             # zero would reschedule the table refresh at the same instant
-            # forever, a negative period schedules it in the past
-            raise ScenarioError("refresh_period must be positive")
+            # forever, a negative period schedules it in the past, and an
+            # infinite one logs refreshes at t = inf after the last event
+            raise ScenarioError("refresh_period must be positive and finite")
         for name in ("control_bits", "wait_t", "dedup_ttl", "discovery_timeout",
                      "retry_backoff", "discovery_retries", "data_retries"):
             if not getattr(self, name) >= 0:

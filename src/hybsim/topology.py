@@ -14,7 +14,8 @@ one an all-pairs scan would build.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional, Set,
+                    Tuple, Union)
 
 DIRECT = "DIRECT"      # row marker: node delivers straight to the sink
 ISOLATED = "ISOLATED"  # row marker: node has no route at all
@@ -65,17 +66,23 @@ class RegionParams:
     radio_range: float = 350.0
 
     def __post_init__(self):
-        if not self.band_halfwidth_M > 0:  # NaN too
-            raise TopologyError("band_halfwidth_M must be positive")
+        if not 0 < self.band_halfwidth_M < math.inf:  # NaN too
+            raise TopologyError("band_halfwidth_M must be positive and finite")
         if self.max_neighbours_K < 1:
             raise TopologyError("max_neighbours_K must be >= 1")
-        if self.vertical_extent_N is not None and not self.vertical_extent_N > 0:
-            raise TopologyError("vertical_extent_N must be positive or unbounded")
+        if (self.vertical_extent_N is not None
+                and not 0 < self.vertical_extent_N < math.inf):
+            # None, not inf, stands for an unbounded extent
+            raise TopologyError(
+                "vertical_extent_N must be positive and finite, or unbounded")
 
 
 @dataclass
 class NeighbourTable:
     rows: Dict[int, Row] = field(default_factory=dict)
+
+
+Point = Tuple[int, float, float]  # (id, x, y)
 
 
 class Grid:
@@ -85,22 +92,29 @@ class Grid:
     the points whose ``Location.dist`` to (x, y) is at most ``radius``;
     callers apply their exact predicate to it. A grid is built with cells
     at least ``cell`` wide, so a lookup with ``radius <= cell`` visits at
-    most 3 x 3 cells. Zero and infinite radii are answered correctly.
+    most 3 x 3 cells, and ``sweep()`` pairs every two points within
+    ``cell`` of each other exactly once. Zero and infinite radii are
+    answered correctly.
     """
 
     MAX_CELLS = 1024  # per axis; caps the cell count for tiny radii
+    # half of the eight neighbour cells; the other half pair from their side
+    FORWARD = ((1, -1), (1, 0), (1, 1), (0, 1))
 
     def __init__(self, points: Mapping[int, Location], cell: float):
         xs = [p.x for p in points.values()] or [0.0]
         ys = [p.y for p in points.values()] or [0.0]
         self.x0, self.y0 = min(xs), min(ys)
         span = max(max(xs) - self.x0, max(ys) - self.y0)
-        size = max(cell, span / self.MAX_CELLS)
+        # the pad keeps two points one cell apart, whose cell indices round
+        # independently, from landing two cells apart
+        size = max(cell * (1.0 + 1e-9), span / self.MAX_CELLS)
         if not 0.0 < size < math.inf:
             size = max(span, 1.0)
         self.size = size
         self.nx = int((max(xs) - self.x0) / size) + 1
         self.ny = int((max(ys) - self.y0) / size) + 1
+        self.points = points
         self.cells: Dict[Tuple[int, int], List[int]] = {}
         for i, p in points.items():
             key = (int((p.x - self.x0) / size), int((p.y - self.y0) / size))
@@ -126,10 +140,33 @@ class Grid:
                 out.extend(cells.get((i, j), ()))
         return out
 
+    def sweep(self) -> Iterator[Tuple[Point, List[Point]]]:
+        """Every point with the points it is paired with, each pair once.
+
+        Yields ``(p, later)`` where ``later`` holds the points after ``p`` in
+        its own cell and every point in the FORWARD neighbour cells. Every
+        unordered pair of points whose ``Location.dist`` is at most the
+        ``cell`` the grid was built with appears exactly once, among other
+        pairs; callers apply their exact predicate.
+        """
+        points = self.points
+        cells = {key: [(i, points[i].x, points[i].y) for i in ids]
+                 for key, ids in self.cells.items()}
+        for (i, j), here in cells.items():
+            ahead: List[Point] = []
+            for di, dj in self.FORWARD:
+                ahead += cells.get((i + di, j + dj), ())
+            for k, p in enumerate(here):
+                yield p, here[k + 1:] + ahead
+
 
 def eligible(locs: LocationTable, params: RegionParams, alive: Set[int],
              u: int, v: int) -> bool:
-    """Can v appear in u's neighbour row?"""
+    """Can v appear in u's neighbour row?
+
+    The single-pair definition; ``_row_builder`` applies the same tests to
+    whole rows, and the two must agree exactly.
+    """
     if v == u or v not in alive:
         return False
     pu, pv, bs = locs.entries[u], locs.entries[v], locs.base_station
@@ -165,23 +202,32 @@ def _row_builder(locs: LocationTable, params: RegionParams,
                  alive: Set[int]) -> Callable[[int], Row]:
     """Row computation for the nodes of ``alive``.
 
-    Candidates come from the grid cells around the node, then ``eligible``
-    decides; only a node strictly closer to the base station can pass it,
-    so that test goes first.
+    Candidates come from the grid cells around the node. They then pass
+    ``eligible``'s tests, inlined on coordinates and distances to the base
+    station computed once per node, cheapest first: strictly closer to the
+    base station, inside the band, inside the vertical extent, in range.
     """
-    entries = locs.entries
-    grid = Grid({v: entries[v] for v in alive}, params.radio_range)
+    pts = {v: locs.entries[v] for v in alive}
+    grid = Grid(pts, params.radio_range)
     bs = locs.base_station
-    to_bs = {v: entries[v].dist(bs) for v in alive}
+    to_bs = {v: p.dist(bs) for v, p in pts.items()}
+    xs = {v: p.x for v, p in pts.items()}
+    ys = {v: p.y for v, p in pts.items()}
+    band, reach = params.band_halfwidth_M, params.radio_range
+    extent = (math.inf if params.vertical_extent_N is None
+              else params.vertical_extent_N)
+    hypot = math.hypot
 
     def row(u: int) -> Row:
-        pu, du = entries[u], to_bs[u]
-        cands = [v for v in grid.near(pu.x, pu.y, params.radio_range)
-                 if to_bs[v] < du and eligible(locs, params, alive, u, v)]
+        x, y, du = xs[u], ys[u], to_bs[u]
+        cands = [v for v in grid.near(x, y, reach)
+                 if to_bs[v] < du and abs(xs[v] - x) <= band
+                 and abs(ys[v] - y) <= extent
+                 and hypot(x - xs[v], y - ys[v]) <= reach]
         if cands:
             cands.sort(key=lambda v: (to_bs[v], v))
             return tuple(cands[: params.max_neighbours_K])
-        return DIRECT if du <= params.radio_range else ISOLATED
+        return DIRECT if du <= reach else ISOLATED
     return row
 
 

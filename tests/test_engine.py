@@ -348,6 +348,17 @@ class TestBroadcast:
         e.drain()
         assert sorted(heard) == [1, 2]   # 300 m away is still in range
 
+    def test_base_station_does_not_receive_its_own_broadcast(self, tmp_path):
+        # 0 and 1 hear the base station, 2 is 360.6 m away from it
+        e = make_engine(tmp_path, self.POINTS, (100.0, 300.0))
+        heard = []
+        e.protocol.on_broadcast_received = (
+            lambda node, trans, now: heard.append(node))
+        e.send_broadcast("RREQ", BS, 320, 0.0)
+        e.drain()
+        assert heard == [0, 1]
+        assert not any(" COLL BS BS " in line for line in e.log_lines)
+
     def test_carrier_sense_defers_behind_active_frame(self, tmp_path):
         e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0))
         assert e.send_unicast("DATA", 1, 2, 4096, 0.0) == GRANT

@@ -3,6 +3,8 @@
 The grid only chooses which pairs are checked, so everything built with it
 must equal an all-pairs scan with the same exact predicate: engine
 reachability, sensor matching, neighbour tables and incremental refreshes.
+Its pair sweep must hand over every two points within one cell width of
+each other exactly once.
 Placements are drawn to hit the edge cases: points exactly one radio range
 apart or one ulp either side of it, points on cell edges, coincident
 points, the base station in a corner, and zero or tiny radii.
@@ -10,6 +12,7 @@ points, the base station in a corner, and zero or tiny radii.
 
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -18,8 +21,9 @@ from hypothesis import strategies as st
 from hybsim.engine import BS, Engine
 from hybsim.radio import link_bounds, link_feasible, RadioParams
 from hybsim.scenario import Scenario
-from hybsim.topology import (Grid, Location, LocationTable, RegionParams,
-                             compute_neighbour_table, refresh_table)
+from hybsim.topology import (DIRECT, ISOLATED, Grid, Location, LocationTable,
+                             RegionParams, compute_neighbour_table, eligible,
+                             refresh_table)
 
 from oracles import brute_force_rows
 
@@ -100,6 +104,71 @@ class TestGrid:
                     if Location(*p).dist(Location(*q)) <= r}
             assert want <= set(got)
 
+    @SETTINGS
+    @given(r=st.sampled_from(RANGES + (0.5, 0.0, 1e-300, math.inf)),
+           data=st.data())
+    def test_sweep_pairs_every_close_pair_once(self, r, data):
+        # r = 0.5 and 1e-300 over an 800 m field hit the MAX_CELLS cap
+        pts = data.draw(placements(max(r, 1.0) if r < math.inf else 350.0,
+                                   max_nodes=40))
+        locs = {i: Location(*p) for i, p in enumerate(pts)}
+        grid = Grid(locs, r)
+        seen, pairs = [], []
+        for (a, xa, ya), later in grid.sweep():
+            assert (xa, ya) == pts[a]
+            seen.append(a)
+            for b, xb, yb in later:
+                assert (xb, yb) == pts[b]
+                pairs.append(frozenset((a, b)))
+        assert sorted(seen) == list(range(len(pts)))
+        assert all(len(pair) == 2 for pair in pairs)
+        assert len(pairs) == len(set(pairs))
+        close = {frozenset((a, b)) for a in locs for b in locs
+                 if a < b and locs[a].dist(locs[b]) <= r}
+        assert close <= set(pairs)
+
+    @staticmethod
+    def _check_sweep(pts, r):
+        grid = Grid({i: Location(*p) for i, p in pts.items()}, r)
+        pairs = [frozenset((a, b)) for (a, _, _), later in grid.sweep()
+                 for b, _, _ in later]
+        assert len(pairs) == len(set(pairs))
+        close = {frozenset((a, b)) for a in pts for b in pts
+                 if a < b and hypot(pts[a], pts[b]) <= r}
+        assert close <= set(pairs)
+        return grid
+
+    def test_sweep_at_cell_edges(self):
+        # coordinates on the cell edges, one ulp either side, and one
+        # radius before and after them; (0, 0) and (1000, 1000) fix the
+        # grid's origin and span, so its cells are those of the probe
+        r = 100.0
+        size = Grid({0: Location(0.0, 0.0), 1: Location(1000.0, 1000.0)}, r).size
+        coords = [0.0, 1000.0]
+        for k in range(1, 4):
+            edge = k * size
+            coords += [math.nextafter(edge, 0.0), edge,
+                       math.nextafter(edge, math.inf), edge - r, edge + r]
+        pts = dict(enumerate((x, y) for x in coords for y in coords[:7]))
+        assert self._check_sweep(pts, r).size == size
+
+    def test_sweep_survives_rounding_of_cell_indices(self):
+        # 1 and 2 are 0.3 apart, but (x - x0) / 0.3 rounds to 571.99... for
+        # 1 and to 573.0 for 2: cells exactly 0.3 wide would put them two
+        # cells apart and the sweep would miss the pair
+        pts = {0: (60.608280301711616, 0.0), 1: (232.2082803017116, 0.0),
+               2: (232.50828030171158, 0.0)}
+        assert hypot(pts[1], pts[2]) <= 0.3
+        self._check_sweep(pts, 0.3)
+
+    def test_sweep_under_the_cell_cap(self):
+        # a span a million radii wide: cells are capped, not r wide
+        far = 1e8
+        pts = {0: (0.0, 0.0), 1: (far, far), 2: (far, math.nextafter(far, 0.0)),
+               3: (far - 100.0, far), 4: (50.0, 50.0), 5: (50.0, 50.0)}
+        grid = self._check_sweep(pts, 100.0)
+        assert grid.nx == Grid.MAX_CELLS + 1
+
     def test_empty_and_degenerate(self):
         assert Grid({}, 10.0).near(1.0, 1.0, 5.0) == []
         one = Grid({7: Location(3.0, 3.0)}, 0.0)
@@ -107,6 +176,8 @@ class TestGrid:
         far = Grid({1: Location(0.0, 0.0), 2: Location(1e300, 1e300)}, 1e-300)
         assert far.near(0.0, 0.0, 0.0) == [1]
         assert sorted(far.near(0.0, 0.0, math.inf)) == [1, 2]
+        assert list(Grid({}, 10.0).sweep()) == []
+        assert list(one.sweep()) == [((7, 3.0, 3.0), [])]
 
 
 class TestEngineReachability:
@@ -144,7 +215,7 @@ def table_cases(draw):
     pts = draw(placements(r, max_nodes=40))
     params = RegionParams(
         band_halfwidth_M=draw(st.sampled_from([r / 2, r, 250.0, 1e-3])),
-        vertical_extent_N=draw(st.sampled_from([None, r / 3, 400.0])),
+        vertical_extent_N=draw(st.sampled_from([None, r / 3, r, 400.0])),
         max_neighbours_K=draw(st.integers(1, 4)),
         radio_range=r)
     return r, pts, draw(base_station(r)), params
@@ -165,6 +236,35 @@ class TestNeighbourTable:
                                 params.vertical_extent_N,
                                 params.max_neighbours_K, r)
         assert got.rows == want
+
+    @SETTINGS
+    @given(case=table_cases(), data=st.data())
+    def test_rows_hold_exactly_the_eligible_nodes(self, case, data):
+        # with K above the node count a row is every node eligible() admits
+        r, pts, bs, params = case
+        params = replace(params, max_neighbours_K=len(pts))
+        locs = _locs(pts, bs)
+        alive = data.draw(st.sets(st.sampled_from(range(len(pts))), min_size=1))
+        rows = compute_neighbour_table(locs, params, alive).rows
+        to_bs = {v: hypot(pts[v], bs) for v in alive}
+        for u in alive:
+            want = sorted((v for v in alive if eligible(locs, params, alive, u, v)),
+                          key=lambda v: (to_bs[v], v))
+            if want:
+                assert rows[u] == tuple(want)
+            else:
+                assert rows[u] in (DIRECT, ISOLATED)
+
+    def test_band_extent_and_range_bounds_are_inclusive(self):
+        # 1 is exactly N above 0 and R away; 2 is exactly M across and R away
+        pts = [(0.0, 0.0), (0.0, 300.0), (180.0, 240.0)]
+        params = RegionParams(band_halfwidth_M=180.0, vertical_extent_N=300.0,
+                              max_neighbours_K=3, radio_range=300.0)
+        locs = _locs(pts, (0.0, 1000.0))
+        alive = {0, 1, 2}
+        assert eligible(locs, params, alive, 0, 1)
+        assert eligible(locs, params, alive, 0, 2)
+        assert compute_neighbour_table(locs, params, alive).rows[0] == (1, 2)
 
     @SETTINGS
     @given(case=table_cases(), data=st.data())

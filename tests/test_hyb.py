@@ -2,12 +2,14 @@
 
 import pytest
 
+from hybsim import hyb
 from hybsim.hyb import (ASLEEP, CONGESTION, DROP, DUPLICATE, FORWARD,
                         NO_ROUTE, SEND_DIRECT, DataPacket, DedupBuffer,
                         HybContext, HybNodeState, best_neighbour, note_forward,
                         on_busy_channel, on_receive, on_sense,
                         single_hop_feasible)
-from hybsim.radio import EnergyCoefficients, EnergyState, RadioParams, tx_energy
+from hybsim.radio import (EnergyCoefficients, EnergyState, RadioParams, deduct,
+                          tx_energy)
 from hybsim.topology import DIRECT, ISOLATED, Location
 
 BS = Location(0.0, 0.0)
@@ -27,7 +29,7 @@ def make_ctx(dead=(), wait_t=0.1):
 def make_state(node, row, residual=10.0):
     st = HybNodeState(id=node, location=POINTS[node],
                       energy=EnergyState(residual=residual, initial=10.0))
-    st.set_row(row)
+    st.set_row(row, make_ctx())
     return st
 
 
@@ -75,6 +77,22 @@ class TestSingleHopFeasible:
         assert not single_hop_feasible(poor, ctx)
 
 
+    def test_decision_follows_a_battery_drained_after_caching(self):
+        st = make_state(1, DIRECT)
+        ctx = make_ctx()
+        assert single_hop_feasible(st, ctx)
+        cost = st.direct_cost[4096]
+        assert cost == tx_energy(ctx.energy_coeff, 4096, POINTS[1].dist(BS))
+        deduct(st.energy, st.energy.residual - st.energy.threshold - cost / 2)
+        assert not single_hop_feasible(st, ctx)
+        assert st.direct_cost == {4096: cost}
+
+    def test_out_of_range_is_cached_as_no_link(self):
+        st = make_state(3, (1, 2))
+        assert not single_hop_feasible(st, make_ctx())
+        assert st.direct_cost == {4096: None}
+
+
 class TestBestNeighbour:
     def test_least_used_wins(self):
         st = make_state(3, (1, 2))
@@ -103,6 +121,35 @@ class TestBestNeighbour:
         # 4 -> 1 is 600 m, far beyond the radio range
         st = make_state(4, (1,))
         assert best_neighbour(st, make_packet(4), make_ctx()) is None
+
+    def test_member_the_link_misses_is_never_chosen(self):
+        # 4 -> 1 is 600 m: link_feasible fails, so 1 is never picked, not
+        # even when 3, the only other member, is busier or excluded
+        st = make_state(4, (1, 3))
+        assert st.linked == (3,)
+        st.use_count[3] = 5
+        assert best_neighbour(st, make_packet(4), make_ctx()) == 3
+        assert best_neighbour(st, make_packet(4), make_ctx(), exclude={3}) is None
+
+    def test_link_test_is_hyb_link_feasible(self, monkeypatch):
+        # the cached link facts come from the module's own link_feasible
+        monkeypatch.setattr(hyb, "link_feasible", lambda radio, d: d < 290.0)
+        st = make_state(3, (1, 2))   # 1 is 300 m away, 2 is 282.8 m
+        assert st.linked == (2,)
+        assert best_neighbour(st, make_packet(3), make_ctx()) == 2
+
+    def test_set_row_refreshes_the_cached_candidates(self):
+        st = make_state(4, (3,))
+        ctx = make_ctx()
+        assert best_neighbour(st, make_packet(4), ctx) == 3
+        st.set_row((1,), ctx)
+        assert st.linked == ()
+        assert best_neighbour(st, make_packet(4), ctx) is None
+        st.set_row((2, 3), ctx)   # 4 -> 2 is 581 m
+        assert st.linked == (3,)
+        assert best_neighbour(st, make_packet(4), ctx) == 3
+        st.set_row(DIRECT, ctx)
+        assert st.linked == ()
 
     def test_marker_rows_have_no_neighbour(self):
         assert best_neighbour(make_state(3, DIRECT), make_packet(3),
@@ -191,7 +238,7 @@ class TestUseCount:
     def test_set_row_keeps_counts_for_surviving_entries(self):
         st = make_state(3, (1, 2))
         note_forward(st, 1)
-        st.set_row((1,))
+        st.set_row((1,), make_ctx())
         assert st.use_count == {1: 1}
 
     def test_alternation_balances_load(self):

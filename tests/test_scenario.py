@@ -84,6 +84,12 @@ class TestParse:
         ("energy_threshold = nan\n", "threshold"),
         ("band_halfwidth_M = nan\n", "band_halfwidth_M"),
         ("vertical_extent_N = nan\n", "vertical_extent_N"),
+        ("refresh_period = inf\n", "refresh_period"),
+        ("elec = inf\n", "energy coefficients"),
+        ("amp = inf\n", "energy coefficients"),
+        ("energy_threshold = inf\n", "threshold"),
+        ("band_halfwidth_M = inf\n", "band_halfwidth_M"),
+        ("vertical_extent_N = inf\n", "vertical_extent_N"),
         ("sim_time = 125000.5\npacket_rate = 8\n", "exceeds"),
         ("sim_time = 1e9\npacket_rate = 1e9\n", "exceeds"),
     ])
