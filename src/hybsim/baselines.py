@@ -65,7 +65,7 @@ class _BaseRunner:
         if node == BS:
             e.deliver(ctx, node, now)
             return
-        if e.nodes[node].asleep:
+        if node not in e.awake:
             e.drop(ctx, ASLEEP, node, now)
             return
         route = self._best_route(node)

@@ -53,10 +53,12 @@ def _build_parser() -> _Parser:
     nb = sub.add_parser("neighbours", help="print a neighbour table")
     nb.add_argument("location_file")
     nb.add_argument("--bs", required=True, help="base station as X,Y")
-    nb.add_argument("--M", type=float, default=250.0)
-    nb.add_argument("--N", type=float, default=None)
-    nb.add_argument("--K", type=int, default=3)
-    nb.add_argument("--range", dest="radio_range", type=float, default=350.0)
+    region = RegionParams()
+    nb.add_argument("--M", type=float, default=region.band_halfwidth_M)
+    nb.add_argument("--N", type=float, default=region.vertical_extent_N)
+    nb.add_argument("--K", type=int, default=region.max_neighbours_K)
+    nb.add_argument("--range", dest="radio_range", type=float,
+                    default=region.radio_range)
 
     gen = sub.add_parser("gen-topology", help="emit a random location file")
     gen.add_argument("--nodes", type=int, required=True)

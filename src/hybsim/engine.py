@@ -118,10 +118,6 @@ class NodeRec:
     charges: List[float] = field(default_factory=list)
     death_time: Optional[float] = None
 
-    @property
-    def asleep(self) -> bool:
-        return not is_alive(self.energy)
-
 
 class Engine:
     """Single run of one scenario under one protocol."""
@@ -141,11 +137,13 @@ class Engine:
                 id=i, location=self.locs.entries[i],
                 energy=scenario.battery())
 
-        # static topology: cache pairwise reachability for the hot paths.
-        # The grid sweep hands over each unordered pair of nearby nodes
-        # once; link_feasible decides every distance between the bounds
-        # that do not settle it. math.hypot of the negated differences is
-        # bit-identical, so one distance serves both directions.
+        # static topology: who hears whom, for every node and for BS.
+        # _in_range[x] lists the endpoints x's frame reaches in ascending id
+        # order, BS last; _hears[x] is the same as a set. The grid sweep
+        # hands over each unordered pair of nearby nodes once; link_feasible
+        # decides every distance between the bounds that do not settle it.
+        # math.hypot of the negated differences is bit-identical, so one
+        # distance serves both directions.
         inner, outer = link_bounds(self.radio)
 
         def feasible(d: float) -> bool:
@@ -153,7 +151,7 @@ class Engine:
 
         hypot = math.hypot
         self._sense_grid = Grid(self.locs.entries, scenario.sensing_radius)
-        self._in_range: Dict[object, List[int]] = {n: [] for n in self.nodes}
+        self._in_range: Dict[object, List[object]] = {n: [] for n in self.nodes}
         near = self._in_range
         for (a, xa, ya), later in Grid(self.locs.entries, outer).sweep():
             near_a = near[a]
@@ -162,12 +160,18 @@ class Engine:
                 if d <= inner or (d < outer and feasible(d)):  # bounds settle most
                     near_a.append(b)
                     near[b].append(a)
-        for heard in near.values():
+        reach_bs = []
+        for n, heard in near.items():
             heard.sort()
-        self._bs_reach = {n: feasible(rec.location.dist(self.bs_loc))
-                          for n, rec in self.nodes.items()}
-        self._in_range[BS] = [n for n, ok in self._bs_reach.items() if ok]
-        self._range_sets = {k: set(v) for k, v in self._in_range.items()}
+            if feasible(self.nodes[n].location.dist(self.bs_loc)):
+                heard.append(BS)
+                reach_bs.append(n)
+        near[BS] = reach_bs
+        self._hears: Dict[object, Set[object]] = {
+            k: set(v) for k, v in near.items()}
+        # BS never sleeps; charge removes a node the moment it dies
+        self.awake: Set[object] = {BS, *(n for n, rec in self.nodes.items()
+                                         if is_alive(rec.energy))}
         air_bits = max(scenario.payload_bits, scenario.control_bits)
         self._max_air = frame_airtime(self.radio, air_bits) + 1e-9
 
@@ -175,7 +179,7 @@ class Engine:
         self._heap: List[Tuple[float, int, Callable]] = []
         self._seq = 0
         self.log_lines: List[str] = []
-        self.active: List[Transmission] = []
+        self.active: Dict[object, Transmission] = {}  # by transmitter
         self.recent: List[Transmission] = []
         self._jammed: Optional[tuple] = None  # see _interfered
 
@@ -215,10 +219,10 @@ class Engine:
             return  # the sink is mains powered
         rec = self.nodes[node]
         battery = rec.energy
-        was_alive = battery.residual >= battery.threshold  # is_alive, on a hot path
         deduct(battery, amount)
         rec.charges.append(amount)
-        if was_alive and battery.residual < battery.threshold:
+        if battery.residual < battery.threshold and node in self.awake:
+            self.awake.remove(node)
             rec.death_time = self.now
 
     def loc(self, node: object) -> Location:
@@ -226,11 +230,6 @@ class Engine:
 
     def dist(self, a: object, b: object) -> float:
         return self.loc(a).dist(self.loc(b))
-
-    def audible(self, tx: object, at: object) -> bool:
-        if at == BS:
-            return True if tx == BS else self._bs_reach[tx]
-        return at in self._range_sets[tx]
 
     # ------------------------------------------------------------------ log
 
@@ -248,10 +247,7 @@ class Engine:
             self.recent = [t for t in self.recent if t.end >= horizon]
 
     def transmitting(self, node: object) -> Optional[Transmission]:
-        for t in self.active:
-            if t.tx == node:
-                return t
-        return None
+        return self.active.get(node)
 
     def arbitrate(self, tx: object, rx: object, now: float) -> str:
         """Receiver-side channel grab for a unicast starting at ``now``.
@@ -261,15 +257,16 @@ class Engine:
         by received power. COLLISION is never returned here: interference
         between granted frames is resolved at frame end.
         """
-        if rx != BS and self.nodes[rx].asleep:
+        if rx not in self.awake:
             return NO_RX
-        for t in self.active:
-            if t.tx == rx:
-                return BUSY
-            if t.start < now and self.audible(t.tx, rx):
+        if rx in self.active:
+            return BUSY
+        hears = self._hears
+        for t in self.active.values():
+            if t.start < now and rx in hears[t.tx]:
                 return BUSY
         # same-instant contest on this receiver: higher power wins
-        for t in list(self.active):
+        for t in list(self.active.values()):
             if t.rx != rx or t.start != now:
                 continue
             p_old = received_power(self.radio, self.dist(t.tx, rx))
@@ -282,16 +279,17 @@ class Engine:
 
     def _cancel(self, trans: Transmission) -> None:
         trans.cancelled = True
-        self.active = [t for t in self.active if t is not trans]
+        del self.active[trans.tx]
         self._jammed = None  # the frame may be in the set; see _interfered
         if trans.on_result is not None:
             trans.on_result(trans, BUSY, self.now)
 
     def _begin(self, trans: Transmission) -> None:
-        assert self.transmitting(trans.tx) is None, \
+        assert trans.tx not in self.active, \
             f"node {trans.tx} already holds the channel"
-        self.active.append(trans)
+        self.active[trans.tx] = trans
         self.recent.append(trans)
+        self._jammed = None  # the frame may overlap the cached one
         self.schedule(trans.end, lambda: self._frame_end(trans))
 
     def send_unicast(self, kind: str, tx: object, rx: object, bits: int,
@@ -308,7 +306,7 @@ class Engine:
         outcome, t)`` fires exactly once: OK / COLLISION / NO_RX at frame
         end, or at once, with ``trans`` None, ASLEEP / BUSY / NO_RX.
         """
-        if tx != BS and self.nodes[tx].asleep:
+        if tx not in self.awake:
             if on_result is not None:
                 on_result(None, ASLEEP, now)
             return ASLEEP
@@ -338,11 +336,11 @@ class Engine:
         """Carrier-sense broadcast: defers while the transmitter hears an
         ongoing transmission, then occupies the channel; copies are handed
         to the protocol per receiver at frame end."""
-        if tx != BS and self.nodes[tx].asleep:
+        if tx not in self.awake:
             return  # the node drained while the frame was pending
         busy_until = None
-        for t in self.active:
-            if t.tx == tx or self.audible(t.tx, tx):
+        for t in self.active.values():
+            if t.tx == tx or tx in self._hears[t.tx]:
                 busy_until = max(busy_until or 0.0, t.end)
         if busy_until is not None:
             retry = busy_until + self.jitter(1e-3)
@@ -363,33 +361,32 @@ class Engine:
         """
         bits = self.sc.control_bits
         self.charge(tx, tx_energy(self.coeff, bits, self.dist(tx, rx)))
-        if rx != BS and not self.nodes[rx].asleep:
+        if rx in self.awake:
             self.charge(rx, rx_energy(self.coeff, bits))
         self.log(now, kind, tx, rx, "-", outcome)
 
     def _interfered(self, trans: Transmission, receiver: object) -> bool:
         # Every other live frame that shares air time with trans jams its own
-        # sender and every node that hears it. A broadcast asks once per
-        # receiver, so that set is built once per frame and kept until recent
-        # is pruned or grows, or a frame is cancelled.
+        # sender and every endpoint that hears it. A broadcast asks once per
+        # receiver, so that set is built once per frame and kept until a
+        # frame begins or is cancelled. Pruning recent cannot change it: it
+        # drops only frames that ended before any frame still resolving began.
         c = self._jammed
-        if (c is None or c[0] is not trans or c[1] is not self.recent
-                or c[2] != len(self.recent)):
+        if c is None or c[0] is not trans:
             jammed = set()
+            hears = self._hears
             for g in self.recent:
                 if (g is not trans and not g.cancelled
                         and g.start < trans.end and g.end > trans.start):
                     jammed.add(g.tx)
-                    jammed |= self._range_sets[g.tx]
-                    if g.tx != BS and self._bs_reach[g.tx]:
-                        jammed.add(BS)
-            c = self._jammed = (trans, self.recent, len(self.recent), jammed)
-        return receiver in c[3]
+                    jammed |= hears[g.tx]
+            c = self._jammed = (trans, jammed)
+        return receiver in c[1]
 
     def _frame_end(self, trans: Transmission) -> None:
         if trans.cancelled:
             return
-        self.active = [t for t in self.active if t is not trans]
+        del self.active[trans.tx]
         self._prune_recent()
         # transmit cost is charged on completion; a cancelled reservation
         # never put energy on the air
@@ -400,11 +397,8 @@ class Engine:
         if trans.rx == BROADCAST:
             self.log(trans.start, trans.kind, trans.tx, BROADCAST,
                      trans.event_id, SENT)
-            nodes = self.nodes
-            receivers = [n for n in self._in_range[trans.tx]
-                         if (b := nodes[n].energy).residual >= b.threshold]
-            if trans.tx != BS and self._bs_reach[trans.tx]:
-                receivers.append(BS)  # the sink never hears its own frame
+            awake = self.awake
+            receivers = [n for n in self._in_range[trans.tx] if n in awake]
             cost = rx_energy(self.coeff, trans.bits)
             for r in receivers:
                 if self._interfered(trans, r):
@@ -416,7 +410,7 @@ class Engine:
             return
 
         r = trans.rx
-        if r != BS and self.nodes[r].asleep:
+        if r not in self.awake:
             self.log(trans.start, trans.kind, trans.tx, r,
                      trans.event_id, NO_RX)
             if trans.on_result is not None:
@@ -502,11 +496,7 @@ class HybRunner:
                 id=i, location=rec.location, energy=rec.energy,  # shared battery
                 dedup=DedupBuffer(ttl=sc.dedup_ttl))
         if sc.liveness == "ground_truth":
-            batteries = {i: rec.energy for i, rec in engine.nodes.items()}
-
-            def alive(v: int) -> bool:  # is_alive, on a hot path
-                b = batteries[v]
-                return b.residual >= b.threshold
+            alive = engine.awake.__contains__
         else:
             alive = lambda v: engine.bs_known_residual.get(v, 0.0) >= sc.energy_threshold
         self.ctx = HybContext(
@@ -522,7 +512,7 @@ class HybRunner:
         e = self.e
         for n in sorted(e.nodes):
             e.send_oob_control(CONFIG, n, BS, now)
-        alive = {n for n in e.nodes if not e.nodes[n].asleep}
+        alive = {n for n in e.nodes if n in e.awake}
         e.neighbour_table = compute_neighbour_table(e.locs, e.region, alive)
         for n in sorted(alive):
             self.states[n].set_row(e.neighbour_table.rows[n], self.ctx)
@@ -539,7 +529,7 @@ class HybRunner:
             e.neighbour_table, e.locs, e.region, dead)
         for n in sorted(e.neighbour_table.rows):
             self.states[n].set_row(e.neighbour_table.rows[n], self.ctx)
-            if not e.nodes[n].asleep:
+            if n in e.awake:
                 e.send_oob_control(CONFIG, BS, n, now)
         if e._heap:  # keep refreshing only while work remains
             e.schedule(now + e.sc.refresh_period, self._bs_refresh)
@@ -602,7 +592,7 @@ class HybRunner:
     def on_delivered(self, ctx: PacketCtx, now: float) -> None:
         e = self.e
         for n in ctx.packet.visited:
-            if e.nodes[n].asleep:
+            if n not in e.awake:
                 continue
             e.send_oob_control(REPORT, n, BS, now)
             e.bs_known_residual[n] = e.nodes[n].energy.residual

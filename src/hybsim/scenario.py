@@ -100,6 +100,10 @@ class Scenario:
             # forever, a negative period schedules it in the past, and an
             # infinite one logs refreshes at t = inf after the last event
             raise ScenarioError("refresh_period must be positive and finite")
+        for name in ("discovery_timeout", "retry_backoff"):
+            if not getattr(self, name) < math.inf:
+                # an infinite delay stamps retries and give-ups at t = inf
+                raise ScenarioError(f"{name} must be finite")
         for name in ("control_bits", "wait_t", "dedup_ttl", "discovery_timeout",
                      "retry_backoff", "discovery_retries", "data_retries"):
             if not getattr(self, name) >= 0:

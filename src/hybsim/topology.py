@@ -75,6 +75,8 @@ class RegionParams:
             # None, not inf, stands for an unbounded extent
             raise TopologyError(
                 "vertical_extent_N must be positive and finite, or unbounded")
+        if not 0 < self.radio_range < math.inf:  # NaN too
+            raise TopologyError("radio_range must be positive and finite")
 
 
 @dataclass

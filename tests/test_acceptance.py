@@ -213,7 +213,7 @@ def test_criterion_09_load_balance(tmp_path):
     sc = Scenario(node_count=20, sim_time=60.0, seed=11)
     engine = Engine(sc)
     engine.run()
-    assert all(not rec.asleep for rec in engine.nodes.values()), \
+    assert all(n in engine.awake for n in engine.nodes), \
         "load-balance scenario must finish with no deaths"
     checked = 0
     for state in engine.protocol.states.values():

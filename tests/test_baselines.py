@@ -4,7 +4,6 @@ import pytest
 
 from hybsim.engine import BS, Engine
 from hybsim.metrics import collect
-from hybsim.radio import deduct
 from hybsim.scenario import Scenario
 
 from test_engine import write_points
@@ -74,7 +73,7 @@ class TestDiscoveryAndDelivery:
         e.protocol.on_sense(0, "ev0", 0.0)
         e.drain()
         assert e.delivered == 1
-        deduct(e.nodes[1].energy, 100.0)
+        e.charge(1, 100.0)
         e.protocol.on_sense(0, "ev1", e.now + 1.0)
         e.drain()
         assert e.dropped["CONGESTION"] == 1
@@ -116,7 +115,7 @@ class TestAodvState:
         e.protocol.on_sense(0, "ev0", 0.0)
         e.drain()
         assert e.protocol.states[0].route is not None
-        deduct(e.nodes[1].energy, 100.0)
+        e.charge(1, 100.0)
         e.protocol.on_sense(0, "ev1", e.now + 1.0)
         e.drain()
         assert e.protocol.states[0].route is None
@@ -143,7 +142,7 @@ class TestDsrState:
         e.protocol.on_sense(0, "ev0", 0.0)
         e.drain()
         assert e.protocol._best_route(0) is not None
-        deduct(e.nodes[1].energy, 100.0)
+        e.charge(1, 100.0)
         e.protocol.on_sense(0, "ev1", e.now + 1.0)
         e.drain()
         assert e.protocol._best_route(0) is None

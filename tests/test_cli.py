@@ -125,6 +125,14 @@ class TestNeighboursCommand:
         path.write_text(SAMPLE_TEXT)
         assert main(["neighbours", str(path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("bad", ["nan", "0", "-5"])
+    def test_bad_range_is_run_error(self, tmp_path, capsys, bad):
+        path = tmp_path / "nodes.txt"
+        path.write_text(SAMPLE_TEXT)
+        args = ["neighbours", str(path), "--bs", "600,100", f"--range={bad}"]
+        assert main(args) == EXIT_RUN
+        assert "radio_range" in capsys.readouterr().err
+
 
 class TestGenTopologyCommand:
     def test_deterministic_output(self, tmp_path, capsys):

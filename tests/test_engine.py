@@ -13,7 +13,7 @@ from hybsim.engine import (BS, BUSY, COLLISION, DEFERRED, GRANT, NO_RX, OK,
                            place_nodes, substream)
 from hybsim.hyb import ASLEEP
 from hybsim.metrics import collect
-from hybsim.radio import RadioParams, deduct, frame_airtime, link_feasible
+from hybsim.radio import RadioParams, frame_airtime, link_feasible
 from hybsim.scenario import Scenario
 
 from oracles import brute_force_interfered
@@ -143,7 +143,7 @@ class TestArbitration:
 
     def test_no_rx_when_receiver_asleep(self, tmp_path):
         e = self.make(tmp_path)
-        deduct(e.nodes[2].energy, 10.0)
+        e.charge(2, 10.0)
         rec = Recorder()
         assert e.send_unicast("DATA", 0, 2, 4096, 0.0, on_result=rec) == NO_RX
         assert rec.results == [(NO_RX, 0.0)]
@@ -151,9 +151,9 @@ class TestArbitration:
     def test_transmitter_channel_exclusivity_enforced(self, tmp_path):
         e = self.make(tmp_path)
         assert e.send_unicast("DATA", 0, 2, 4096, 0.0) == GRANT
-        own = e.active[0]
+        own = list(e.active.values())[0]
         assert e.send_unicast("DATA", 0, 3, 4096, 0.0) == DEFERRED
-        assert e.active == [own]      # the second frame waits its turn
+        assert list(e.active.values()) == [own]  # the second frame waits
         with pytest.raises(AssertionError):
             e._begin(Transmission(kind="DATA", tx=0, rx=3, bits=4096,
                                   start=0.0, end=1.0))
@@ -161,7 +161,7 @@ class TestArbitration:
     def test_send_while_on_air_starts_after_own_frame(self, tmp_path):
         e = self.make(tmp_path)
         assert e.send_unicast("DATA", 0, 2, 4096, 0.0) == GRANT
-        own_end = e.active[0].end
+        own_end = list(e.active.values())[0].end
         rng_state = e.rng_jitter.getstate()
         starts = []
         assert e.send_unicast(
@@ -176,7 +176,7 @@ class TestArbitration:
         e = self.make(tmp_path)
         j = 1e-3
         assert e.send_unicast("DATA", 0, 2, 4096, 0.0) == GRANT
-        earliest = e.active[0].end + RETRY_GAP
+        earliest = list(e.active.values())[0].end + RETRY_GAP
         starts = []
         assert e.send_unicast(
             "DATA", 0, 3, 4096, 0.0, defer_jitter=j,
@@ -187,11 +187,11 @@ class TestArbitration:
 
     def test_drained_sender_sends_nothing(self, tmp_path):
         e = self.make(tmp_path)
-        deduct(e.nodes[0].energy, 10.0)
+        e.charge(0, 10.0)
         rec = Recorder()
         assert e.send_unicast("DATA", 0, 2, 4096, 0.0, on_result=rec) == ASLEEP
         assert rec.results == [(ASLEEP, 0.0)]
-        assert e.active == []
+        assert list(e.active.values()) == []
         e.drain()
         assert e.log_lines == []
 
@@ -221,7 +221,7 @@ class TestInterference:
     def test_answer_follows_frames_begun_between_calls(self, tmp_path):
         e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0))
         assert e.send_unicast("DATA", 0, 1, 4096, 0.0) == GRANT
-        first = e.active[0]
+        first = list(e.active.values())[0]
         assert not e._interfered(first, 1)
         e.send_broadcast("RREQ", 2, 320, 1e-3)   # 2 does not hear 0
         assert len(e.active) == 2
@@ -236,9 +236,9 @@ class TestInterference:
                   3: (900.0, 100.0), 4: (1000.0, 100.0)}
         e = make_engine(tmp_path, points, (1500.0, 1500.0))
         assert e.send_unicast("DATA", 0, 1, 4096, 0.0) == GRANT
-        first = e.active[0]
+        first = list(e.active.values())[0]
         assert e.send_unicast("DATA", 2, 3, 320, 1e-3) == GRANT
-        jammer = e.active[1]
+        jammer = list(e.active.values())[1]
         assert e._interfered(first, 1)
         assert e.arbitrate(4, 3, 1e-3) == GRANT
         assert jammer.cancelled and len(e.recent) == 2
@@ -390,13 +390,59 @@ class TestEnergyAccounting:
         e.now = 2.5
         e.charge(0, cost)
         assert e.nodes[0].death_time == 2.5
-        assert e.nodes[0].asleep
+        assert 0 not in e.awake
         assert e.nodes[0].charges == [cost, cost]
         assert e.nodes[0].energy.residual == 0.0  # clamped, not negative
+
+    def test_charged_down_to_the_threshold_stays_awake(self, tmp_path):
+        e = make_engine(tmp_path, {0: (100.0, 100.0)}, (1500.0, 1500.0),
+                        initial_energy=0.75, energy_threshold=0.25)
+        e.charge(0, 0.5)
+        assert e.nodes[0].energy.residual == 0.25
+        assert 0 in e.awake and e.nodes[0].death_time is None
+        e.now = 1.5
+        e.charge(0, 1e-9)
+        assert 0 not in e.awake and e.nodes[0].death_time == 1.5
+        e.now = 2.0
+        e.charge(0, 1e-9)   # a dead node dies once
+        assert e.nodes[0].death_time == 1.5
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(protocol=st.sampled_from(["hyb", "aodv", "dsr"]),
+           nodes=st.integers(2, 15), seed=st.integers(0, 10 ** 6),
+           initial=st.sampled_from([2e-4, 1e-3, 4e-3, 2e-2]),
+           threshold=st.sampled_from([0.0, 1e-6, 1e-4]))
+    def test_awake_follows_every_charge(self, protocol, nodes, seed,
+                                        initial, threshold):
+        e = Engine(Scenario(protocol=protocol, node_count=nodes, seed=seed,
+                            sim_time=1.0, topology_size=(700.0, 700.0),
+                            bs_location=(350.0, 350.0),
+                            initial_energy=initial,
+                            energy_threshold=threshold))
+        charge = e.charge
+        deaths = []
+
+        def checked_charge(node, amount):
+            before = {n: rec.death_time for n, rec in e.nodes.items()}
+            charge(node, amount)
+            assert e.awake == {BS} | {
+                n for n, rec in e.nodes.items()
+                if rec.energy.residual >= rec.energy.threshold}
+            for n, rec in e.nodes.items():
+                if rec.death_time != before[n]:
+                    assert before[n] is None and n == node
+                    assert rec.death_time == e.now
+                    deaths.append(n)
+
+        e.charge = checked_charge
+        e.run()
+        assert sorted(deaths) == sorted(set(e.nodes) - e.awake)
 
     def test_bs_is_mains_powered(self, tmp_path):
         e = make_engine(tmp_path, {0: (100.0, 100.0)}, (1500.0, 1500.0))
         e.charge(BS, 100.0)  # no-op, never raises
+        assert BS in e.awake
 
     def test_hyb_states_share_the_engine_battery(self):
         # the hybrid state machine decides on the battery the engine charges

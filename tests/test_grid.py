@@ -191,9 +191,11 @@ class TestEngineReachability:
         for a in ids:
             want = [b for b in ids
                     if b != a and link_feasible(radio, hypot(pts[a], pts[b]))]
-            assert eng._in_range[a] == want
-            assert eng._bs_reach[a] == link_feasible(radio, hypot(pts[a], bs))
-        assert eng._in_range[BS] == [a for a in ids if eng._bs_reach[a]]
+            reach_bs = link_feasible(radio, hypot(pts[a], bs))
+            assert eng._in_range[a] == want + [BS] * reach_bs
+            assert eng._hears[a] == set(eng._in_range[a])
+        assert eng._in_range[BS] == [a for a in ids if BS in eng._in_range[a]]
+        assert eng._hears[BS] == set(eng._in_range[BS])
         for where in pts + [bs]:
             want = [n for n in ids if hypot(pts[n], where) <= sensing]
             assert eng.sensors(Location(*where)) == want

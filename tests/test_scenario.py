@@ -85,6 +85,8 @@ class TestParse:
         ("band_halfwidth_M = nan\n", "band_halfwidth_M"),
         ("vertical_extent_N = nan\n", "vertical_extent_N"),
         ("refresh_period = inf\n", "refresh_period"),
+        ("discovery_timeout = inf\n", "discovery_timeout"),
+        ("retry_backoff = inf\n", "retry_backoff"),
         ("elec = inf\n", "energy coefficients"),
         ("amp = inf\n", "energy coefficients"),
         ("energy_threshold = inf\n", "threshold"),

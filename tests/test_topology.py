@@ -1,5 +1,6 @@
 """Location/neighbour table unit tests, checked against a brute-force oracle."""
 
+import math
 import random
 
 import pytest
@@ -218,3 +219,6 @@ class TestRegionParams:
             RegionParams(max_neighbours_K=0)
         with pytest.raises(TopologyError):
             RegionParams(vertical_extent_N=0.0)
+        for bad in (0.0, -5.0, math.nan, math.inf):
+            with pytest.raises(TopologyError, match="radio_range"):
+                RegionParams(radio_range=bad)
