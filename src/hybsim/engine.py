@@ -11,6 +11,7 @@ event logs.
 
 import hashlib
 import heapq
+import io
 import math
 import random
 from dataclasses import dataclass, field
@@ -115,7 +116,6 @@ class NodeRec:
     id: int
     location: Location
     energy: EnergyState
-    charges: List[float] = field(default_factory=list)
     death_time: Optional[float] = None
 
 
@@ -178,7 +178,7 @@ class Engine:
         self.now = 0.0
         self._heap: List[Tuple[float, int, Callable]] = []
         self._seq = 0
-        self.log_lines: List[str] = []
+        self.log_buffer = io.StringIO()  # the event log, written once
         self.active: Dict[object, Transmission] = {}  # by transmitter
         self.recent: List[Transmission] = []
         self._jammed: Optional[tuple] = None  # see _interfered
@@ -220,7 +220,6 @@ class Engine:
         rec = self.nodes[node]
         battery = rec.energy
         deduct(battery, amount)
-        rec.charges.append(amount)
         if battery.residual < battery.threshold and node in self.awake:
             self.awake.remove(node)
             rec.death_time = self.now
@@ -235,8 +234,8 @@ class Engine:
 
     def log(self, time: float, kind: str, tx: object, rx: object,
             event_id: str, outcome: str) -> None:
-        self.log_lines.append(
-            f"{time:.6f} {kind} {tx} {rx} {event_id} {outcome}")
+        self.log_buffer.write(
+            f"{time:.6f} {kind} {tx} {rx} {event_id} {outcome}\n")
 
     # ------------------------------------------------------------------ channel
 
@@ -358,7 +357,10 @@ class Engine:
         """Zero-airtime control frame (residual reports, configuration).
 
         Charged and counted as a signal but never contends for the channel.
+        A drained ``tx`` sends nothing, as in ``send_unicast``.
         """
+        if tx not in self.awake:
+            return
         bits = self.sc.control_bits
         self.charge(tx, tx_energy(self.coeff, bits, self.dist(tx, rx)))
         if rx in self.awake:
@@ -462,7 +464,9 @@ class Engine:
                 jit = self.jitter(1e-3)
                 self.schedule(t + jit, self._make_sense(n, event_id))
         self.drain()
-        return "".join(line + "\n" for line in self.log_lines)
+        text = self.log_buffer.getvalue()
+        self.log_buffer.close()  # the returned text is the only copy
+        return text
 
     def sensors(self, where: Location) -> List[int]:
         """Nodes within sensing radius of ``where``, in ascending id order

@@ -56,6 +56,21 @@ class MetricsReport:
                 str(self.dropped.get(CONGESTION, 0))]
 
 
+_BLOCK = 1 << 16  # characters of log text split into lines at a time
+
+
+def _lines(text: str):
+    """Yield ``text.splitlines()`` one line at a time without building the
+    whole list. Each block ends just after a newline, so no line break, not
+    even a CR LF pair, straddles two blocks."""
+    start, end = 0, len(text)
+    while start < end:
+        cut = text.find("\n", start + _BLOCK)
+        stop = end if cut < 0 else cut + 1
+        yield from text[start:stop].splitlines()
+        start = stop
+
+
 def collect(log_text: str) -> MetricsReport:
     """Tally a report from an event log; pure function of the text."""
     report = MetricsReport(dropped={ASLEEP: 0, DUPLICATE: 0,
@@ -63,7 +78,7 @@ def collect(log_text: str) -> MetricsReport:
     hops: List[int] = []
     events_delivered = set()
     last_terminal = 0.0
-    for lineno, raw in enumerate(log_text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(log_text), start=1):
         if not raw.strip():
             continue
         parts = raw.split()

@@ -47,6 +47,24 @@ def brute_force_rows(points, bs, m_halfwidth, n_extent, k, radio_range,
     return rows
 
 
+def record_charges(engine):
+    """Record every charge ``engine`` makes from now on, node by node.
+
+    Wraps ``charge`` on the engine instance and returns node id -> list of
+    amounts in charge order; the base station, which is never charged,
+    has no list.
+    """
+    ledger = {node: [] for node in engine.nodes}
+    charge = engine.charge
+
+    def recording(node, amount):
+        charge(node, amount)
+        if node in ledger:
+            ledger[node].append(amount)
+    engine.charge = recording
+    return ledger
+
+
 def replay_energy_ledger(initial, charges):
     """Replay a node's charge list against a zero-clamped battery."""
     residual = initial

@@ -18,7 +18,7 @@ from hybsim.scenario import Scenario
 from hybsim.topology import (DIRECT, Location, LocationTable, RegionParams,
                              compute_neighbour_table, parse_location_file)
 
-from oracles import brute_force_rows, replay_energy_ledger
+from oracles import brute_force_rows, record_charges, replay_energy_ledger
 from test_topology import SAMPLE_POINTS, SAMPLE_TEXT
 
 NODE_COUNTS = (25, 50, 75)
@@ -38,6 +38,7 @@ class SweepRun:
     engine: Engine
     report: MetricsReport
     log: str
+    charges: Dict[int, List[float]]  # node id -> every charge, in order
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +51,7 @@ def sweep() -> List[SweepRun]:
                               sim_time=SWEEP_SIM_TIME)
                 start = time.perf_counter()
                 engine = Engine(sc)
+                charges = record_charges(engine)
                 log = engine.run()
                 wall = time.perf_counter() - start
                 report = collect(log)
@@ -57,7 +59,8 @@ def sweep() -> List[SweepRun]:
                     rec.energy.initial - rec.energy.residual
                     for rec in engine.nodes.values())
                 report.wall_clock = wall
-                runs.append(SweepRun(protocol, n, seed, engine, report, log))
+                runs.append(SweepRun(protocol, n, seed, engine, report, log,
+                                     charges))
     return runs
 
 
@@ -183,7 +186,8 @@ def test_criterion_08_energy_properties(sweep, tmp_path):
     # (a) every node's charge ledger replays exactly to its residual
     for r in sweep:
         for node, rec in r.engine.nodes.items():
-            replayed = replay_energy_ledger(rec.energy.initial, rec.charges)
+            replayed = replay_energy_ledger(rec.energy.initial,
+                                            r.charges[node])
             assert replayed == pytest.approx(rec.energy.residual, abs=1e-15), \
                 f"{r.protocol}/{r.node_count}/{r.seed}: node {node} ledger drift"
     # (b) no frame was ever put on the air by an asleep transmitter

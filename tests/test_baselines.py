@@ -6,7 +6,7 @@ from hybsim.engine import BS, Engine
 from hybsim.metrics import collect
 from hybsim.scenario import Scenario
 
-from test_engine import write_points
+from test_engine import log_lines, write_points
 
 
 def make_engine(tmp_path, points, protocol, bs=(0.0, 0.0), **kw):
@@ -18,7 +18,7 @@ def make_engine(tmp_path, points, protocol, bs=(0.0, 0.0), **kw):
 
 def lines(engine, kind, outcome=None):
     out = []
-    for raw in engine.log_lines:
+    for raw in log_lines(engine):
         parts = raw.split()
         if parts[1] == kind and (outcome is None or parts[5] == outcome):
             out.append(parts)

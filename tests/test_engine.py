@@ -8,15 +8,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hybsim.engine import (BS, BUSY, COLLISION, DEFERRED, GRANT, NO_RX, OK,
-                           RETRY_GAP, Engine, Transmission, generate_events,
-                           place_nodes, substream)
+from hybsim.engine import (BS, BUSY, COLLISION, CONFIG, DEFERRED, GRANT,
+                           NO_RX, OK, REPORT, RETRY_GAP, Engine, Transmission,
+                           generate_events, place_nodes, substream)
 from hybsim.hyb import ASLEEP
 from hybsim.metrics import collect
 from hybsim.radio import RadioParams, frame_airtime, link_feasible
 from hybsim.scenario import Scenario
 
-from oracles import brute_force_interfered
+from oracles import brute_force_interfered, record_charges
 
 
 def write_points(tmp_path, points):
@@ -30,6 +30,11 @@ def make_engine(tmp_path, points, bs, **kw):
     sc = Scenario(placement=write_points(tmp_path, points),
                   node_count=len(points), bs_location=bs, **kw)
     return Engine(sc)
+
+
+def log_lines(engine):
+    """The records an engine has logged so far, one string each."""
+    return engine.log_buffer.getvalue().splitlines()
 
 
 class Recorder:
@@ -193,7 +198,25 @@ class TestArbitration:
         assert rec.results == [(ASLEEP, 0.0)]
         assert list(e.active.values()) == []
         e.drain()
-        assert e.log_lines == []
+        assert log_lines(e) == []
+
+    def test_drained_sender_sends_no_control_frame(self, tmp_path):
+        e = self.make(tmp_path)
+        e.charge(0, 10.0)
+        residual = {n: rec.energy.residual for n, rec in e.nodes.items()}
+        e.send_oob_control(CONFIG, 0, BS, 0.0)
+        e.send_oob_control(REPORT, 0, 2, 0.0)
+        assert log_lines(e) == []
+        assert {n: rec.energy.residual
+                for n, rec in e.nodes.items()} == residual
+
+    def test_nodes_drained_from_the_start_upload_nothing(self):
+        log = Engine(Scenario(node_count=5, sim_time=2,
+                              initial_energy=0.0)).run()
+        records = [line.split() for line in log.splitlines()]
+        assert records
+        assert all(kind == "DROP" and outcome == ASLEEP
+                   for _, kind, _, _, _, outcome in records)
 
 
 class TestHiddenTerminal:
@@ -209,7 +232,7 @@ class TestHiddenTerminal:
         e.drain()
         assert a.results[0][0] == COLLISION
         assert b.results[0][0] == COLLISION
-        report = collect("".join(l + "\n" for l in e.log_lines))
+        report = collect(e.log_buffer.getvalue())
         assert report.collisions == 2
         assert report.signals == 2
 
@@ -357,14 +380,14 @@ class TestBroadcast:
         e.send_broadcast("RREQ", BS, 320, 0.0)
         e.drain()
         assert heard == [0, 1]
-        assert not any(" COLL BS BS " in line for line in e.log_lines)
+        assert not any(" COLL BS BS " in line for line in log_lines(e))
 
     def test_carrier_sense_defers_behind_active_frame(self, tmp_path):
         e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0))
         assert e.send_unicast("DATA", 1, 2, 4096, 0.0) == GRANT
         e.send_broadcast("RREQ", 0, 320, 0.0)   # 0 hears 1: must defer
         e.drain()
-        sent = [l for l in e.log_lines if " RREQ " in l and l.endswith("SENT")]
+        sent = [l for l in log_lines(e) if " RREQ " in l and l.endswith("SENT")]
         assert len(sent) == 1
         assert float(sent[0].split()[0]) >= 2.048e-3
 
@@ -376,7 +399,7 @@ class TestBroadcast:
         e.send_broadcast("RREQ", 0, 320, 0.0)
         e.send_broadcast("RREQ", 2, 320, 0.0)
         e.drain()
-        coll = [l for l in e.log_lines if " COLL 0 1 " in l or " COLL 2 1 " in l]
+        coll = [l for l in log_lines(e) if " COLL 0 1 " in l or " COLL 2 1 " in l]
         assert len(coll) == 2
 
 
@@ -384,6 +407,7 @@ class TestEnergyAccounting:
     def test_charges_ledger_and_death(self, tmp_path):
         e = make_engine(tmp_path, {0: (100.0, 100.0)}, (1500.0, 1500.0),
                         initial_energy=1e-4)
+        charges = record_charges(e)
         cost = 6e-5
         e.charge(0, cost)
         assert e.nodes[0].death_time is None
@@ -391,7 +415,7 @@ class TestEnergyAccounting:
         e.charge(0, cost)
         assert e.nodes[0].death_time == 2.5
         assert 0 not in e.awake
-        assert e.nodes[0].charges == [cost, cost]
+        assert charges[0] == [cost, cost]
         assert e.nodes[0].energy.residual == 0.0  # clamped, not negative
 
     def test_charged_down_to_the_threshold_stays_awake(self, tmp_path):

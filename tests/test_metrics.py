@@ -1,7 +1,12 @@
 """Metric collection, CSV round trips and the dominance check."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hybsim import metrics
 from hybsim.metrics import (CSV_COLUMNS, ComparisonTable, MetricsError,
                             MetricsReport, RunRow, check_dominance, collect,
                             compare, parse_runs_csv, run_scenario, runs_csv,
@@ -20,6 +25,14 @@ SAMPLE_LOG = """\
 0.010000 CONFIG BS 3 - OK
 0.011000 REPORT 3 BS - OK
 """
+
+MALFORMED = [
+    ("0.1 DATA 1 2 ev0\n", "line 1"),
+    ("zero DATA 1 2 ev0 OK\n", "bad timestamp"),
+    ("0.1 DELIVER 1 BS ev0 fast\n", "bad DELIVER outcome"),
+    ("0.1 DROP 1 - ev0 TIRED\n", "unknown drop reason"),
+    ("0.1 DATA 1 2 ev0 OK\n0.2 BEEP 1 2 ev0 OK\n", "line 2"),
+]
 
 
 class TestCollect:
@@ -41,16 +54,62 @@ class TestCollect:
         assert r.avg_hop_count == 0.0
         assert r.execution_time == 0.0
 
-    @pytest.mark.parametrize("bad,fragment", [
-        ("0.1 DATA 1 2 ev0\n", "line 1"),
-        ("zero DATA 1 2 ev0 OK\n", "bad timestamp"),
-        ("0.1 DELIVER 1 BS ev0 fast\n", "bad DELIVER outcome"),
-        ("0.1 DROP 1 - ev0 TIRED\n", "unknown drop reason"),
-        ("0.1 DATA 1 2 ev0 OK\n0.2 BEEP 1 2 ev0 OK\n", "line 2"),
-    ])
+    @pytest.mark.parametrize("bad,fragment", MALFORMED)
     def test_malformed_logs_rejected(self, bad, fragment):
         with pytest.raises(MetricsError, match=fragment):
             collect(bad)
+
+
+def outcome(text, block=None):
+    """collect's report or MetricsError message for ``text``: split
+    ``block`` characters at a time, or by ``str.splitlines`` when None."""
+    patch = (mock.patch.object(metrics, "_lines", str.splitlines)
+             if block is None else mock.patch.object(metrics, "_BLOCK", block))
+    with patch:
+        try:
+            return collect(text)
+        except MetricsError as exc:
+            return f"MetricsError: {exc}"
+
+
+# every line boundary str.splitlines knows, and lines good, blank and bad
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+RECORDS = SAMPLE_LOG.splitlines() + ["", "   ", "\t"] + [
+    line for bad, _ in MALFORMED for line in bad.splitlines()]
+
+
+@st.composite
+def tricky_logs(draw):
+    records = draw(st.lists(st.sampled_from(RECORDS), max_size=12))
+    breaks = draw(st.lists(st.sampled_from(BREAKS), min_size=len(records),
+                           max_size=len(records)))
+    text = "".join(r + b for r, b in zip(records, breaks))
+    if records and draw(st.booleans()):
+        text = text[:-len(breaks[-1])]  # no final line break
+    return text
+
+
+class TestLazyCollect:
+    """collect walks the log a block at a time; str.splitlines is the
+    reference it must match, report and error alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=tricky_logs(), block=st.integers(0, 80))
+    def test_matches_splitlines_reference(self, text, block):
+        with mock.patch.object(metrics, "_BLOCK", block):
+            assert list(metrics._lines(text)) == text.splitlines()
+        assert outcome(text, block) == outcome(text)
+
+    @pytest.mark.parametrize("bad", [bad for bad, _ in MALFORMED])
+    @pytest.mark.parametrize("prefix", [
+        "", SAMPLE_LOG, SAMPLE_LOG.replace("\n", "\r\n")],
+        ids=["bare", "after_lf", "after_crlf"])
+    def test_same_error_at_every_block_edge(self, bad, prefix):
+        text = prefix + bad
+        expected = outcome(text)
+        assert expected.startswith("MetricsError: line ")
+        for block in range(len(text) + 2):
+            assert outcome(text, block) == expected
 
 
 class TestRunScenario:
