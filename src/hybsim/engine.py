@@ -14,6 +14,7 @@ import heapq
 import io
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -139,7 +140,8 @@ class Engine:
 
         # static topology: who hears whom, for every node and for BS.
         # _in_range[x] lists the endpoints x's frame reaches in ascending id
-        # order, BS last; _hears[x] is the same as a set. The grid sweep
+        # order, BS last; _hears[x] is the same as a bitmask over _bit, which
+        # gives every endpoint one bit in that same order. The grid sweep
         # hands over each unordered pair of nearby nodes once; link_feasible
         # decides every distance between the bounds that do not settle it.
         # math.hypot of the negated differences is bit-identical, so one
@@ -167,8 +169,15 @@ class Engine:
                 heard.append(BS)
                 reach_bs.append(n)
         near[BS] = reach_bs
-        self._hears: Dict[object, Set[object]] = {
-            k: set(v) for k, v in near.items()}
+        self._bit: Dict[object, int] = {
+            x: 1 << i for i, x in enumerate([*self.nodes, BS])}
+        bit = self._bit
+        self._hears: Dict[object, int] = {}
+        for x, heard in near.items():
+            mask = 0
+            for y in heard:
+                mask |= bit[y]
+            self._hears[x] = mask
         # BS never sleeps; charge removes a node the moment it dies
         self.awake: Set[object] = {BS, *(n for n, rec in self.nodes.items()
                                          if is_alive(rec.energy))}
@@ -178,6 +187,12 @@ class Engine:
         self.now = 0.0
         self._heap: List[Tuple[float, int, Callable]] = []
         self._seq = 0
+        # every sensed environmental event, fed to the heap by drain; see run()
+        self._sensed: List[Tuple[float, str, List[int]]] = []
+        self._sense_jitter = array("d")
+        self._sense_seq = 0   # sequence number of the first sensing callback
+        self._fed = 0         # events of _sensed already on the heap
+        self._fed_jitter = 0  # jitters of those events
         self.log_buffer = io.StringIO()  # the event log, written once
         self.active: Dict[object, Transmission] = {}  # by transmitter
         self.recent: List[Transmission] = []
@@ -260,9 +275,9 @@ class Engine:
             return NO_RX
         if rx in self.active:
             return BUSY
-        hears = self._hears
+        hears, mine = self._hears, self._bit[rx]
         for t in self.active.values():
-            if t.start < now and rx in hears[t.tx]:
+            if t.start < now and hears[t.tx] & mine:
                 return BUSY
         # same-instant contest on this receiver: higher power wins
         for t in list(self.active.values()):
@@ -279,13 +294,13 @@ class Engine:
     def _cancel(self, trans: Transmission) -> None:
         trans.cancelled = True
         del self.active[trans.tx]
-        self._jammed = None  # the frame may be in the set; see _interfered
+        self._jammed = None  # the frame may be in the mask; see _interfered
         if trans.on_result is not None:
             trans.on_result(trans, BUSY, self.now)
 
     def _begin(self, trans: Transmission) -> None:
-        assert trans.tx not in self.active, \
-            f"node {trans.tx} already holds the channel"
+        if trans.tx in self.active:
+            raise RuntimeError(f"node {trans.tx} already holds the channel")
         self.active[trans.tx] = trans
         self.recent.append(trans)
         self._jammed = None  # the frame may overlap the cached one
@@ -338,8 +353,9 @@ class Engine:
         if tx not in self.awake:
             return  # the node drained while the frame was pending
         busy_until = None
+        hears, mine = self._hears, self._bit[tx]
         for t in self.active.values():
-            if t.tx == tx or tx in self._hears[t.tx]:
+            if t.tx == tx or hears[t.tx] & mine:
                 busy_until = max(busy_until or 0.0, t.end)
         if busy_until is not None:
             retry = busy_until + self.jitter(1e-3)
@@ -370,20 +386,19 @@ class Engine:
     def _interfered(self, trans: Transmission, receiver: object) -> bool:
         # Every other live frame that shares air time with trans jams its own
         # sender and every endpoint that hears it. A broadcast asks once per
-        # receiver, so that set is built once per frame and kept until a
+        # receiver, so that mask is built once per frame and kept until a
         # frame begins or is cancelled. Pruning recent cannot change it: it
         # drops only frames that ended before any frame still resolving began.
         c = self._jammed
         if c is None or c[0] is not trans:
-            jammed = set()
-            hears = self._hears
+            jammed = 0
+            hears, bit = self._hears, self._bit
             for g in self.recent:
                 if (g is not trans and not g.cancelled
                         and g.start < trans.end and g.end > trans.start):
-                    jammed.add(g.tx)
-                    jammed |= hears[g.tx]
+                    jammed |= hears[g.tx] | bit[g.tx]
             c = self._jammed = (trans, jammed)
-        return receiver in c[1]
+        return bool(c[1] & self._bit[receiver])
 
     def _frame_end(self, trans: Transmission) -> None:
         if trans.cancelled:
@@ -438,13 +453,15 @@ class Engine:
         return PacketCtx(packet=pkt)
 
     def drop(self, ctx: PacketCtx, reason: str, node: object, now: float) -> None:
-        assert not ctx.terminal, "packet already resolved"
+        if ctx.terminal:
+            raise RuntimeError("packet already resolved")
         ctx.terminal = True
         self.dropped[reason] += 1
         self.log(now, "DROP", node, "-", ctx.packet.event_id, reason)
 
     def deliver(self, ctx: PacketCtx, last_tx: object, now: float) -> None:
-        assert not ctx.terminal, "packet already resolved"
+        if ctx.terminal:
+            raise RuntimeError("packet already resolved")
         ctx.terminal = True
         self.delivered += 1
         self.delivered_paths.append((ctx.packet.event_id,
@@ -456,13 +473,24 @@ class Engine:
     # ------------------------------------------------------------------ run
 
     def run(self) -> str:
-        """Execute the configured run and return the event log text."""
+        """Execute the configured run and return the event log text.
+
+        Every event is matched to its sensors, and every sense jitter drawn,
+        before the first event runs, in event order and ascending node id
+        within an event. The sensing callbacks themselves reach the heap
+        only as ``drain`` needs them; they hold the block of sequence numbers
+        taken here, so ties at one instant break as if each had been
+        scheduled now.
+        """
         self.protocol.configure(0.0)
-        events = generate_events(self.sc)
-        for t, event_id, where in events:
-            for n in self.sensors(where):
-                jit = self.jitter(1e-3)
-                self.schedule(t + jit, self._make_sense(n, event_id))
+        sensed, jitter = self._sensed, self._sense_jitter
+        for t, event_id, where in generate_events(self.sc):
+            nodes = self.sensors(where)
+            if nodes:
+                sensed.append((t, event_id, nodes))
+                jitter.extend([self.jitter(1e-3) for _ in nodes])
+        self._sense_seq = self._seq
+        self._seq += len(jitter)
         self.drain()
         text = self.log_buffer.getvalue()
         self.log_buffer.close()  # the returned text is the only copy
@@ -475,10 +503,42 @@ class Engine:
         return sorted(n for n in self._sense_grid.near(where.x, where.y, radius)
                       if self.nodes[n].location.dist(where) <= radius)
 
+    def pending(self) -> bool:
+        """Whether any event is still to run: queued or sensed but unfed."""
+        return bool(self._heap) or self._fed < len(self._sensed)
+
+    def _feed(self) -> float:
+        """Queue the sensing callbacks of the next sensed event; return the
+        time of the one after it, or infinity when none is left."""
+        sensed = self._sensed
+        t, event_id, nodes = sensed[self._fed]
+        self._fed += 1
+        first = self._fed_jitter
+        self._fed_jitter += len(nodes)
+        jitter, seq, heap = self._sense_jitter, self._sense_seq, self._heap
+        for i, n in enumerate(nodes, first):
+            heapq.heappush(heap, (t + jitter[i], seq + i,
+                                  self._make_sense(n, event_id)))
+        return sensed[self._fed][0] if self._fed < len(sensed) else math.inf
+
     def drain(self) -> None:
-        """Pop and execute queued events until the heap is empty."""
-        while self._heap:
-            time, _, fn = heapq.heappop(self._heap)
+        """Pop and execute queued events until none is left.
+
+        Before each pop, every sensed event whose time is at or below the
+        heap top is fed, and the next one when the heap is empty; no
+        sensing callback runs before its event's time, so none can belong
+        in front of an event already queued.
+        """
+        heap, sensed = self._heap, self._sensed
+        due = sensed[self._fed][0] if self._fed < len(sensed) else math.inf
+        while True:
+            if not (heap and heap[0][0] < due):
+                if self._fed < len(sensed):
+                    due = self._feed()
+                    continue
+                if not heap:
+                    return
+            time, _, fn = heapq.heappop(heap)
             if time < self.now - 1e-12:
                 raise RuntimeError("queue time went backwards")
             self.now = max(self.now, time)
@@ -535,7 +595,7 @@ class HybRunner:
             self.states[n].set_row(e.neighbour_table.rows[n], self.ctx)
             if n in e.awake:
                 e.send_oob_control(CONFIG, BS, n, now)
-        if e._heap:  # keep refreshing only while work remains
+        if e.pending():  # keep refreshing only while work remains
             e.schedule(now + e.sc.refresh_period, self._bs_refresh)
 
     # -------------------------------------------------------------- traffic

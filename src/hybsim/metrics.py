@@ -124,9 +124,11 @@ def run_scenario(scenario: Scenario) -> Tuple[MetricsReport, str]:
     wall = time.perf_counter() - start
     report = collect(log)
     # cross-check the log-derived tallies against the engine's own counters
-    assert report.generated == engine.generated
-    assert report.delivered == engine.delivered
-    assert report.dropped == engine.dropped
+    for name in ("generated", "delivered", "dropped"):
+        logged, counted = getattr(report, name), getattr(engine, name)
+        if logged != counted:
+            raise MetricsError(f"{name}: log says {logged}, engine counted "
+                               f"{counted}")
     report.residual_energy = {n: rec.energy.residual
                               for n, rec in engine.nodes.items()}
     report.energy_consumed = sum(rec.energy.initial - rec.energy.residual

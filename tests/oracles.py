@@ -90,3 +90,25 @@ def brute_force_interfered(frames, trans, receiver, audible):
         if g.tx == receiver or audible(g.tx, receiver):
             return True
     return False
+
+
+def eager_run(engine, events):
+    """Run ``engine`` with every sensing callback scheduled up front.
+
+    The simulator's first run loop: after ``configure``, each event in
+    ``events`` (``(time, event_id, where)`` triples) is matched by
+    exhaustive scan to the nodes within sensing radius, in ascending id
+    order, and each gets a sense jitter and a scheduled callback; only
+    then does the heap drain. Returns the event log text.
+    """
+    engine.protocol.configure(0.0)
+    radius = engine.sc.sensing_radius
+    for t, event_id, where in events:
+        for n in sorted(engine.nodes):
+            if engine.nodes[n].location.dist(where) <= radius:
+                engine.schedule(t + engine.jitter(1e-3),
+                                lambda n=n, event_id=event_id:
+                                engine.protocol.on_sense(n, event_id,
+                                                         engine.now))
+    engine.drain()
+    return engine.log_buffer.getvalue()

@@ -16,7 +16,7 @@ from hybsim.metrics import collect
 from hybsim.radio import RadioParams, frame_airtime, link_feasible
 from hybsim.scenario import Scenario
 
-from oracles import brute_force_interfered, record_charges
+from oracles import brute_force_interfered, eager_run, record_charges
 
 
 def write_points(tmp_path, points):
@@ -159,7 +159,7 @@ class TestArbitration:
         own = list(e.active.values())[0]
         assert e.send_unicast("DATA", 0, 3, 4096, 0.0) == DEFERRED
         assert list(e.active.values()) == [own]  # the second frame waits
-        with pytest.raises(AssertionError):
+        with pytest.raises(RuntimeError, match="already holds the channel"):
             e._begin(Transmission(kind="DATA", tx=0, rx=3, bits=4096,
                                   start=0.0, end=1.0))
 
@@ -491,6 +491,86 @@ class TestScheduler:
         e.schedule(0.5, lambda: order.append("c"))
         e.drain()
         assert order == ["c", "a", "b"]
+
+
+def sensing_scenario(protocol, nodes, seed, rate, events, radius, refresh):
+    return Scenario(protocol=protocol, node_count=nodes, seed=seed,
+                    packet_rate=rate, sim_time=events / rate,
+                    topology_size=(600.0, 600.0), bs_location=(300.0, 300.0),
+                    sensing_radius=radius, refresh_period=refresh)
+
+
+# events 0.5 ms apart: each event's 1 ms sense-jitter window overlaps the next
+OVERLAPPING_WINDOWS = dict(protocol="hyb", nodes=12, seed=3, rate=2000.0,
+                           events=30, radius=250.0, refresh=30.0)
+# table refreshes every 0.3 s between events 2 s apart: a refresh finds the
+# heap empty while later events are still to be sensed
+REFRESH_BETWEEN_EVENTS = dict(protocol="hyb", nodes=8, seed=1, rate=0.5,
+                              events=5, radius=250.0, refresh=0.3)
+
+
+class TestLazySensing:
+    """Sensing callbacks fed to the heap as the run reaches them give the
+    same log as scheduling every one of them before the run starts."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=st.fixed_dictionaries(dict(
+        protocol=st.sampled_from(["hyb", "aodv", "dsr"]),
+        nodes=st.integers(1, 15), seed=st.integers(0, 10 ** 6),
+        rate=st.sampled_from([0.5, 8.0, 1000.0, 2500.0]),
+        events=st.integers(1, 30),
+        radius=st.sampled_from([0.0, 60.0, 250.0, 1000.0]),
+        refresh=st.sampled_from([0.05, 0.3, 30.0]))))
+    @example(case=OVERLAPPING_WINDOWS)
+    @example(case=dict(OVERLAPPING_WINDOWS, protocol="aodv", rate=1000.0))
+    @example(case=dict(OVERLAPPING_WINDOWS, protocol="dsr"))
+    @example(case=REFRESH_BETWEEN_EVENTS)
+    def test_log_matches_eager_schedule(self, case):
+        sc = sensing_scenario(**case)
+        want = eager_run(Engine(sc), generate_events(sc))
+        assert Engine(sc).run() == want
+
+    def test_overlapping_case_interleaves_events(self):
+        e = Engine(sensing_scenario(**OVERLAPPING_WINDOWS))
+        order = []
+        on_sense = e.protocol.on_sense
+
+        def recording(node, event_id, now):
+            order.append(int(event_id[2:]))
+            on_sense(node, event_id, now)
+        e.protocol.on_sense = recording
+        e.run()
+        assert order != sorted(order)
+
+    def test_refresh_case_fires_with_only_unfed_sensing_left(self):
+        e = Engine(sensing_scenario(**REFRESH_BETWEEN_EVENTS))
+        seen = []
+        refresh = e.protocol._bs_refresh
+
+        def recording():
+            seen.append(not e._heap and e.pending())
+            refresh()
+        e.protocol._bs_refresh = recording
+        e.run()
+        assert any(seen)
+        assert not e.pending()
+
+
+class TestPacketResolution:
+    """A packet resolves once; the check is an exception, so ``python -O``
+    keeps it."""
+
+    @pytest.mark.parametrize("first", ["drop", "deliver"])
+    @pytest.mark.parametrize("second", ["drop", "deliver"])
+    def test_second_resolution_raises(self, tmp_path, first, second):
+        e = make_engine(tmp_path, {0: (1000.0, 1200.0)}, (1000.0, 1000.0))
+        ctx = e.new_packet("ev0", 0, 0.0)
+        resolve = {"drop": lambda: e.drop(ctx, ASLEEP, 0, 0.0),
+                   "deliver": lambda: e.deliver(ctx, 0, 0.0)}
+        resolve[first]()
+        with pytest.raises(RuntimeError, match="already resolved"):
+            resolve[second]()
 
 
 class TestSingleNodeRun:

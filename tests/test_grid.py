@@ -79,6 +79,14 @@ def hypot(p, q):
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
+def members(eng, mask):
+    """The endpoints an engine reachability mask holds, decoded through its
+    bit map; a set bit that no endpoint owns fails the decode."""
+    out = {x for x, b in eng._bit.items() if mask & b}
+    assert mask == sum(eng._bit[x] for x in out), "bit owned by no endpoint"
+    return out
+
+
 @st.composite
 def engine_cases(draw):
     r = draw(st.sampled_from(RANGES))
@@ -193,9 +201,9 @@ class TestEngineReachability:
                     if b != a and link_feasible(radio, hypot(pts[a], pts[b]))]
             reach_bs = link_feasible(radio, hypot(pts[a], bs))
             assert eng._in_range[a] == want + [BS] * reach_bs
-            assert eng._hears[a] == set(eng._in_range[a])
+            assert members(eng, eng._hears[a]) == set(eng._in_range[a])
         assert eng._in_range[BS] == [a for a in ids if BS in eng._in_range[a]]
-        assert eng._hears[BS] == set(eng._in_range[BS])
+        assert members(eng, eng._hears[BS]) == set(eng._in_range[BS])
         for where in pts + [bs]:
             want = [n for n in ids if hypot(pts[n], where) <= sensing]
             assert eng.sensors(Location(*where)) == want

@@ -11,6 +11,7 @@ from hybsim.metrics import (CSV_COLUMNS, ComparisonTable, MetricsError,
                             MetricsReport, RunRow, check_dominance, collect,
                             compare, parse_runs_csv, run_scenario, runs_csv,
                             summary_csv)
+from hybsim.hyb import ASLEEP
 from hybsim.scenario import Scenario
 
 SAMPLE_LOG = """\
@@ -174,6 +175,29 @@ class TestComparison:
         table = synthetic_table()
         assert table.mean("hyb", 50, "execution_time") == pytest.approx(12.0)
         assert table.spread("hyb", 50, "execution_time") == (11.0, 13.0)
+
+
+class TestRunScenarioCrossCheck:
+    """The log is checked against the engine's counters with an exception,
+    so ``python -O`` keeps the check."""
+
+    @pytest.mark.parametrize("counter", ["generated", "delivered", "dropped"])
+    def test_log_engine_mismatch_raises(self, monkeypatch, counter):
+        class Miscounting(metrics.Engine):
+            def run(self):
+                log = super().run()
+                if counter == "dropped":
+                    self.dropped[ASLEEP] += 1
+                else:
+                    setattr(self, counter, getattr(self, counter) + 1)
+                return log
+        monkeypatch.setattr(metrics, "Engine", Miscounting)
+        with pytest.raises(MetricsError, match=counter):
+            run_scenario(Scenario(node_count=5, sim_time=2.0))
+
+    def test_matching_counters_pass(self):
+        report, log = run_scenario(Scenario(node_count=5, sim_time=2.0))
+        assert report.generated == collect(log).generated > 0
 
 
 class TestDominanceCheck:
