@@ -59,7 +59,7 @@ def substream(seed: int, name: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def place_nodes(scenario: Scenario, rng: Optional[random.Random] = None) -> LocationTable:
+def place_nodes(scenario: Scenario) -> LocationTable:
     """Node placement: location file when configured, else seeded uniform."""
     if scenario.placement != "uniform":
         with open(scenario.placement, "r", encoding="utf-8") as fh:
@@ -67,7 +67,7 @@ def place_nodes(scenario: Scenario, rng: Optional[random.Random] = None) -> Loca
         if not locs.entries:
             raise ScenarioError("location file holds no nodes")
     else:
-        rng = rng or substream(scenario.seed, "placement")
+        rng = substream(scenario.seed, "placement")
         w, h = scenario.topology_size
         locs = LocationTable()
         for i in range(scenario.node_count):
@@ -76,11 +76,10 @@ def place_nodes(scenario: Scenario, rng: Optional[random.Random] = None) -> Loca
     return locs
 
 
-def generate_events(scenario: Scenario,
-                    rng: Optional[random.Random] = None) -> List[Tuple[float, str, Location]]:
+def generate_events(scenario: Scenario) -> List[Tuple[float, str, Location]]:
     """CBR event stream: one environmental event per 1/rate seconds at a
     uniformly random point; every node within sensing radius senses it."""
-    rng = rng or substream(scenario.seed, "traffic")
+    rng = substream(scenario.seed, "traffic")
     w, h = scenario.topology_size
     rate = scenario.packet_rate
     return [(k / rate, f"ev{k}", Location(rng.uniform(0, w), rng.uniform(0, h)))
@@ -139,13 +138,13 @@ class Engine:
                 energy=scenario.battery())
 
         # static topology: who hears whom, for every node and for BS.
-        # _in_range[x] lists the endpoints x's frame reaches in ascending id
-        # order, BS last; _hears[x] is the same as a bitmask over _bit, which
-        # gives every endpoint one bit in that same order. The grid sweep
-        # hands over each unordered pair of nearby nodes once; link_feasible
-        # decides every distance between the bounds that do not settle it.
-        # math.hypot of the negated differences is bit-identical, so one
-        # distance serves both directions.
+        # _ids lists every endpoint in bit order, ascending node id then BS;
+        # _bit[x] is x's bit and _hears[x] the mask of the endpoints x's
+        # frame reaches. The grid sweep hands over each unordered pair of
+        # nearby nodes once; link_feasible decides every distance between
+        # the bounds that do not settle it. math.hypot of the negated
+        # differences is bit-identical, so one distance serves both
+        # directions.
         inner, outer = link_bounds(self.radio)
 
         def feasible(d: float) -> bool:
@@ -153,31 +152,23 @@ class Engine:
 
         hypot = math.hypot
         self._sense_grid = Grid(self.locs.entries, scenario.sensing_radius)
-        self._in_range: Dict[object, List[object]] = {n: [] for n in self.nodes}
-        near = self._in_range
+        self._ids: List[object] = [*self.nodes, BS]
+        self._bit: Dict[object, int] = {
+            x: 1 << i for i, x in enumerate(self._ids)}
+        bit = self._bit
+        hears = self._hears = dict.fromkeys(self._ids, 0)
         for (a, xa, ya), later in Grid(self.locs.entries, outer).sweep():
-            near_a = near[a]
+            bit_a, mask = bit[a], 0
             for b, xb, yb in later:
                 d = hypot(xa - xb, ya - yb)
                 if d <= inner or (d < outer and feasible(d)):  # bounds settle most
-                    near_a.append(b)
-                    near[b].append(a)
-        reach_bs = []
-        for n, heard in near.items():
-            heard.sort()
-            if feasible(self.nodes[n].location.dist(self.bs_loc)):
-                heard.append(BS)
-                reach_bs.append(n)
-        near[BS] = reach_bs
-        self._bit: Dict[object, int] = {
-            x: 1 << i for i, x in enumerate([*self.nodes, BS])}
-        bit = self._bit
-        self._hears: Dict[object, int] = {}
-        for x, heard in near.items():
-            mask = 0
-            for y in heard:
-                mask |= bit[y]
-            self._hears[x] = mask
+                    mask |= bit[b]
+                    hears[b] |= bit_a
+            hears[a] |= mask
+        for n, rec in self.nodes.items():
+            if feasible(rec.location.dist(self.bs_loc)):
+                hears[n] |= bit[BS]
+                hears[BS] |= bit[n]
         # BS never sleeps; charge removes a node the moment it dies
         self.awake: Set[object] = {BS, *(n for n, rec in self.nodes.items()
                                          if is_alive(rec.energy))}
@@ -187,12 +178,6 @@ class Engine:
         self.now = 0.0
         self._heap: List[Tuple[float, int, Callable]] = []
         self._seq = 0
-        # every sensed environmental event, fed to the heap by drain; see run()
-        self._sensed: List[Tuple[float, str, List[int]]] = []
-        self._sense_jitter = array("d")
-        self._sense_seq = 0   # sequence number of the first sensing callback
-        self._fed = 0         # events of _sensed already on the heap
-        self._fed_jitter = 0  # jitters of those events
         self.log_buffer = io.StringIO()  # the event log, written once
         self.active: Dict[object, Transmission] = {}  # by transmitter
         self.recent: List[Transmission] = []
@@ -202,7 +187,6 @@ class Engine:
         self.delivered = 0
         self.dropped: Dict[str, int] = {ASLEEP: 0, DUPLICATE: 0,
                                         NO_ROUTE: 0, CONGESTION: 0}
-        self.delivered_paths: List[Tuple[str, List[int]]] = []
 
         # base-station knowledge, fed by residual reports
         self.bs_known_residual: Dict[int, float] = {
@@ -369,7 +353,7 @@ class Engine:
         self._begin(trans)
 
     def send_oob_control(self, kind: str, tx: object, rx: object,
-                         now: float, outcome: str = OK) -> None:
+                         now: float) -> None:
         """Zero-airtime control frame (residual reports, configuration).
 
         Charged and counted as a signal but never contends for the channel.
@@ -381,7 +365,7 @@ class Engine:
         self.charge(tx, tx_energy(self.coeff, bits, self.dist(tx, rx)))
         if rx in self.awake:
             self.charge(rx, rx_energy(self.coeff, bits))
-        self.log(now, kind, tx, rx, "-", outcome)
+        self.log(now, kind, tx, rx, "-", OK)
 
     def _interfered(self, trans: Transmission, receiver: object) -> bool:
         # Every other live frame that shares air time with trans jams its own
@@ -414,8 +398,15 @@ class Engine:
         if trans.rx == BROADCAST:
             self.log(trans.start, trans.kind, trans.tx, BROADCAST,
                      trans.event_id, SENT)
-            awake = self.awake
-            receivers = [n for n in self._in_range[trans.tx] if n in awake]
+            # the receivers in ascending bit order: node ids, then BS
+            awake, ids, heard = self.awake, self._ids, self._hears[trans.tx]
+            receivers = []
+            while heard:
+                low = heard & -heard
+                r = ids[low.bit_length() - 1]
+                if r in awake:
+                    receivers.append(r)
+                heard ^= low
             cost = rx_energy(self.coeff, trans.bits)
             for r in receivers:
                 if self._interfered(trans, r):
@@ -464,8 +455,6 @@ class Engine:
             raise RuntimeError("packet already resolved")
         ctx.terminal = True
         self.delivered += 1
-        self.delivered_paths.append((ctx.packet.event_id,
-                                     list(ctx.packet.visited)))
         self.log(now, "DELIVER", last_tx, BS, ctx.packet.event_id,
                  f"hops={ctx.packet.hops}")
         self.protocol.on_delivered(ctx, now)
@@ -478,19 +467,19 @@ class Engine:
         Every event is matched to its sensors, and every sense jitter drawn,
         before the first event runs, in event order and ascending node id
         within an event. The sensing callbacks themselves reach the heap
-        only as ``drain`` needs them; they hold the block of sequence numbers
-        taken here, so ties at one instant break as if each had been
-        scheduled now.
+        through one feed entry per event, each queued when the one before it
+        runs; see ``_feed``.
         """
         self.protocol.configure(0.0)
-        sensed, jitter = self._sensed, self._sense_jitter
+        sensed, jitter = [], array("d")
         for t, event_id, where in generate_events(self.sc):
             nodes = self.sensors(where)
             if nodes:
                 sensed.append((t, event_id, nodes))
                 jitter.extend([self.jitter(1e-3) for _ in nodes])
-        self._sense_seq = self._seq
-        self._seq += len(jitter)
+        if sensed:
+            self._feed(sensed, jitter, 0, self._seq, 0)
+        self._seq += len(sensed) + len(jitter)
         self.drain()
         text = self.log_buffer.getvalue()
         self.log_buffer.close()  # the returned text is the only copy
@@ -503,41 +492,34 @@ class Engine:
         return sorted(n for n in self._sense_grid.near(where.x, where.y, radius)
                       if self.nodes[n].location.dist(where) <= radius)
 
-    def pending(self) -> bool:
-        """Whether any event is still to run: queued or sensed but unfed."""
-        return bool(self._heap) or self._fed < len(self._sensed)
+    def _feed(self, sensed: List[Tuple[float, str, List[int]]],
+              jitter: array, k: int, seq: int, j: int) -> None:
+        """Queue the feed entry of sensed event ``k``: at the event's time
+        it queues the event's sensing callbacks, then the feed entry of
+        event ``k + 1``.
 
-    def _feed(self) -> float:
-        """Queue the sensing callbacks of the next sensed event; return the
-        time of the one after it, or infinity when none is left."""
-        sensed = self._sensed
-        t, event_id, nodes = sensed[self._fed]
-        self._fed += 1
-        first = self._fed_jitter
-        self._fed_jitter += len(nodes)
-        jitter, seq, heap = self._sense_jitter, self._sense_seq, self._heap
-        for i, n in enumerate(nodes, first):
-            heapq.heappush(heap, (t + jitter[i], seq + i,
-                                  self._make_sense(n, event_id)))
-        return sensed[self._fed][0] if self._fed < len(sensed) else math.inf
+        ``run`` reserves one sequence number per event, ``seq`` for event
+        ``k``, just before one per sensor: the block that scheduling every
+        callback up front would have taken, so ties at one instant break
+        as if it had. Jitter is never negative, so a feed entry pops ahead
+        of its own callbacks. Event ``k``'s jitters start at ``jitter[j]``.
+        """
+        t, event_id, nodes = sensed[k]
+
+        def fire() -> None:
+            heap = self._heap
+            for i, n in enumerate(nodes):
+                heapq.heappush(heap, (t + jitter[j + i], seq + 1 + i,
+                                      self._make_sense(n, event_id)))
+            if k + 1 < len(sensed):
+                self._feed(sensed, jitter, k + 1, seq + len(nodes) + 1,
+                           j + len(nodes))
+        heapq.heappush(self._heap, (t, seq, fire))
 
     def drain(self) -> None:
-        """Pop and execute queued events until none is left.
-
-        Before each pop, every sensed event whose time is at or below the
-        heap top is fed, and the next one when the heap is empty; no
-        sensing callback runs before its event's time, so none can belong
-        in front of an event already queued.
-        """
-        heap, sensed = self._heap, self._sensed
-        due = sensed[self._fed][0] if self._fed < len(sensed) else math.inf
-        while True:
-            if not (heap and heap[0][0] < due):
-                if self._fed < len(sensed):
-                    due = self._feed()
-                    continue
-                if not heap:
-                    return
+        """Pop and execute queued events until none is left."""
+        heap = self._heap
+        while heap:
             time, _, fn = heapq.heappop(heap)
             if time < self.now - 1e-12:
                 raise RuntimeError("queue time went backwards")
@@ -595,7 +577,7 @@ class HybRunner:
             self.states[n].set_row(e.neighbour_table.rows[n], self.ctx)
             if n in e.awake:
                 e.send_oob_control(CONFIG, BS, n, now)
-        if e.pending():  # keep refreshing only while work remains
+        if e._heap:  # keep refreshing only while work remains
             e.schedule(now + e.sc.refresh_period, self._bs_refresh)
 
     # -------------------------------------------------------------- traffic
@@ -637,9 +619,8 @@ class HybRunner:
             e.drop(ctx, CONGESTION, node, now)
             return
         # BUSY / NO_RX: move on to the next candidate
-        exclude = set(ctx.attempted)
         action = hyb.on_busy_channel(self.states[node], ctx.packet, self.ctx,
-                                     exclude, now)
+                                     ctx.attempted, now)
         if action.kind == DROP:
             e.drop(ctx, action.reason, node, now)
             return
@@ -660,6 +641,3 @@ class HybRunner:
                 continue
             e.send_oob_control(REPORT, n, BS, now)
             e.bs_known_residual[n] = e.nodes[n].energy.residual
-
-    def on_broadcast_received(self, node, trans, now) -> None:
-        pass  # the hybrid protocol never broadcasts

@@ -9,6 +9,7 @@ candidate until candidates or the waiting budget run out.
 """
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -38,18 +39,6 @@ class Action:
     neighbour: Optional[int] = None
     reason: Optional[str] = None
 
-    @classmethod
-    def send_direct(cls) -> "Action":
-        return cls(SEND_DIRECT)
-
-    @classmethod
-    def forward(cls, neighbour: int) -> "Action":
-        return cls(FORWARD, neighbour=neighbour)
-
-    @classmethod
-    def drop(cls, reason: str) -> "Action":
-        return cls(DROP, reason=reason)
-
 
 @dataclass
 class DataPacket:
@@ -72,18 +61,26 @@ class DataPacket:
 
 @dataclass
 class DedupBuffer:
+    """Event ids seen in the last ``ttl`` seconds.
+
+    ``record`` is called at non-decreasing times, and it moves the id it
+    records to the end, so expiries rise from the front to the back: the
+    purge at each ``record`` pops expired entries from the front only.
+    """
+
     ttl: float = DEFAULT_DEDUP_TTL
-    entries: Dict[str, float] = field(default_factory=dict)
+    entries: "OrderedDict[str, float]" = field(default_factory=OrderedDict)
 
     def contains(self, event_id: str, now: float) -> bool:
         expiry = self.entries.get(event_id)
         return expiry is not None and expiry >= now
 
     def record(self, event_id: str, now: float) -> None:
-        self.entries[event_id] = now + self.ttl
-        # lazy purge keeps the buffer bounded on long runs
-        if len(self.entries) > 4096:
-            self.entries = {e: t for e, t in self.entries.items() if t >= now}
+        entries = self.entries
+        while entries and next(iter(entries.values())) < now:
+            entries.popitem(last=False)
+        entries.pop(event_id, None)
+        entries[event_id] = now + self.ttl
 
 
 @dataclass
@@ -173,22 +170,29 @@ def best_neighbour(state: HybNodeState, packet: DataPacket,
 
 def _route(state: HybNodeState, packet: DataPacket, ctx: HybContext) -> Action:
     if single_hop_feasible(state, ctx, packet.payload_bits):
-        return Action.send_direct()
+        return Action(SEND_DIRECT)
     nxt = best_neighbour(state, packet, ctx)
     if nxt is None:
-        return Action.drop(NO_ROUTE)
-    return Action.forward(nxt)
+        return Action(DROP, reason=NO_ROUTE)
+    return Action(FORWARD, neighbour=nxt)
+
+
+def _gate(state: HybNodeState, packet: DataPacket,
+          now: float) -> Optional[Action]:
+    """The energy gate, then the duplicate buffer: the DROP for a node that
+    must not handle the packet, else None, with the event recorded."""
+    if state.asleep:
+        return Action(DROP, reason=ASLEEP)
+    if state.dedup.contains(packet.event_id, now):
+        return Action(DROP, reason=DUPLICATE)
+    state.dedup.record(packet.event_id, now)
+    return None
 
 
 def on_sense(state: HybNodeState, packet: DataPacket, ctx: HybContext,
              now: float) -> Action:
     """Handle a locally sensed event."""
-    if state.asleep:
-        return Action.drop(ASLEEP)
-    if state.dedup.contains(packet.event_id, now):
-        return Action.drop(DUPLICATE)
-    state.dedup.record(packet.event_id, now)
-    return _route(state, packet, ctx)
+    return _gate(state, packet, now) or _route(state, packet, ctx)
 
 
 def on_receive(state: HybNodeState, packet: DataPacket, ctx: HybContext,
@@ -198,11 +202,9 @@ def on_receive(state: HybNodeState, packet: DataPacket, ctx: HybContext,
     On the fresh path the node appends itself to the packet's route before
     choosing the next action, so the hop is recorded exactly once.
     """
-    if state.asleep:
-        return Action.drop(ASLEEP)
-    if state.dedup.contains(packet.event_id, now):
-        return Action.drop(DUPLICATE)
-    state.dedup.record(packet.event_id, now)
+    dropped = _gate(state, packet, now)
+    if dropped is not None:
+        return dropped
     packet.visited.append(state.id)
     return _route(state, packet, ctx)
 
@@ -216,11 +218,11 @@ def on_busy_channel(state: HybNodeState, packet: DataPacket, ctx: HybContext,
     CONGESTION, before that with no candidate left as NO_ROUTE.
     """
     if now - packet.created_at >= ctx.wait_t:
-        return Action.drop(CONGESTION)
+        return Action(DROP, reason=CONGESTION)
     nxt = best_neighbour(state, packet, ctx, exclude=attempted)
     if nxt is None:
-        return Action.drop(NO_ROUTE)
-    return Action.forward(nxt)
+        return Action(DROP, reason=NO_ROUTE)
+    return Action(FORWARD, neighbour=nxt)
 
 
 def note_forward(state: HybNodeState, neighbour: int) -> None:

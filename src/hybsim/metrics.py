@@ -38,7 +38,6 @@ class MetricsReport:
     delivered: int = 0
     dropped: Dict[str, int] = field(default_factory=dict)
     unique_events_delivered: int = 0
-    residual_energy: Dict[int, float] = field(default_factory=dict)
     energy_consumed: float = 0.0
     wall_clock: float = 0.0
 
@@ -129,8 +128,6 @@ def run_scenario(scenario: Scenario) -> Tuple[MetricsReport, str]:
         if logged != counted:
             raise MetricsError(f"{name}: log says {logged}, engine counted "
                                f"{counted}")
-    report.residual_energy = {n: rec.energy.residual
-                              for n, rec in engine.nodes.items()}
     report.energy_consumed = sum(rec.energy.initial - rec.energy.residual
                                  for rec in engine.nodes.values())
     report.wall_clock = wall

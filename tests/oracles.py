@@ -65,6 +65,23 @@ def record_charges(engine):
     return ledger
 
 
+def record_deliveries(engine):
+    """Record every packet ``engine`` delivers from now on.
+
+    Wraps ``deliver`` on the engine instance and returns a list of
+    ``(event_id, path)`` pairs in delivery order, each path a copy of the
+    packet's ``visited`` list when it was delivered.
+    """
+    delivered = []
+    deliver = engine.deliver
+
+    def recording(ctx, last_tx, now):
+        delivered.append((ctx.packet.event_id, list(ctx.packet.visited)))
+        deliver(ctx, last_tx, now)
+    engine.deliver = recording
+    return delivered
+
+
 def replay_energy_ledger(initial, charges):
     """Replay a node's charge list against a zero-clamped battery."""
     residual = initial

@@ -18,7 +18,8 @@ from hybsim.scenario import Scenario
 from hybsim.topology import (DIRECT, Location, LocationTable, RegionParams,
                              compute_neighbour_table, parse_location_file)
 
-from oracles import brute_force_rows, record_charges, replay_energy_ledger
+from oracles import (brute_force_rows, record_charges, record_deliveries,
+                     replay_energy_ledger)
 from test_topology import SAMPLE_POINTS, SAMPLE_TEXT
 
 NODE_COUNTS = (25, 50, 75)
@@ -39,6 +40,7 @@ class SweepRun:
     report: MetricsReport
     log: str
     charges: Dict[int, List[float]]  # node id -> every charge, in order
+    deliveries: List[Tuple[str, List[int]]]  # (event id, path), in order
 
 
 @pytest.fixture(scope="session")
@@ -52,6 +54,7 @@ def sweep() -> List[SweepRun]:
                 start = time.perf_counter()
                 engine = Engine(sc)
                 charges = record_charges(engine)
+                deliveries = record_deliveries(engine)
                 log = engine.run()
                 wall = time.perf_counter() - start
                 report = collect(log)
@@ -60,7 +63,7 @@ def sweep() -> List[SweepRun]:
                     for rec in engine.nodes.values())
                 report.wall_clock = wall
                 runs.append(SweepRun(protocol, n, seed, engine, report, log,
-                                     charges))
+                                     charges, deliveries))
     return runs
 
 
@@ -151,7 +154,7 @@ def test_criterion_06_loop_freedom(sweep):
         if r.protocol != "hyb":
             continue
         bs = r.engine.bs_loc
-        for event_id, path in r.engine.delivered_paths:
+        for event_id, path in r.deliveries:
             dists = [r.engine.nodes[v].location.dist(bs) for v in path]
             assert all(a > b for a, b in zip(dists, dists[1:])), \
                 f"path for {event_id} not strictly closing on the sink: {path}"

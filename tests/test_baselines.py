@@ -6,6 +6,7 @@ from hybsim.engine import BS, Engine
 from hybsim.metrics import collect
 from hybsim.scenario import Scenario
 
+from oracles import record_deliveries
 from test_engine import log_lines, write_points
 
 
@@ -34,10 +35,11 @@ LINE3 = {0: (900.0, 0.0), 1: (600.0, 0.0), 2: (300.0, 0.0)}
 class TestDiscoveryAndDelivery:
     def test_two_hop_delivery(self, tmp_path, protocol):
         e = make_engine(tmp_path, LINE2, protocol)
+        delivered = record_deliveries(e)
         e.protocol.on_sense(0, "ev0", 0.0)
         e.drain()
         assert e.delivered == 1
-        assert e.delivered_paths == [("ev0", [0, 1])]
+        assert delivered == [("ev0", [0, 1])]
         assert lines(e, "DELIVER")[0][5] == "hops=1"
 
     def test_flood_suppression(self, tmp_path, protocol):
@@ -80,9 +82,10 @@ class TestDiscoveryAndDelivery:
 
     def test_loop_free_paths(self, tmp_path, protocol):
         e = make_engine(tmp_path, LINE3, protocol)
+        delivered = record_deliveries(e)
         e.protocol.on_sense(0, "ev0", 0.0)
         e.drain()
-        for _, path in e.delivered_paths:
+        for _, path in delivered:
             assert len(path) == len(set(path))
 
     def test_sink_origin_degenerate_delivery(self, tmp_path, protocol):
@@ -149,9 +152,10 @@ class TestDsrState:
 
     def test_delivered_path_matches_source_route(self, tmp_path):
         e = make_engine(tmp_path, LINE3, "dsr")
+        delivered = record_deliveries(e)
         e.protocol.on_sense(0, "ev0", 0.0)
         e.drain()
-        assert e.delivered_paths == [("ev0", [0, 1, 2])]
+        assert delivered == [("ev0", [0, 1, 2])]
 
 
 class TestPacketConservation:

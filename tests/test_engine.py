@@ -16,7 +16,8 @@ from hybsim.metrics import collect
 from hybsim.radio import RadioParams, frame_airtime, link_feasible
 from hybsim.scenario import Scenario
 
-from oracles import brute_force_interfered, eager_run, record_charges
+from oracles import (brute_force_interfered, eager_run, record_charges,
+                     record_deliveries)
 
 
 def write_points(tmp_path, points):
@@ -327,6 +328,7 @@ class TestInterferenceOracle:
         pts, bs, sends = case
         with tempfile.TemporaryDirectory() as tmp:
             e = make_engine(Path(tmp), dict(enumerate(pts)), bs)
+        e.protocol.on_broadcast_received = lambda *a: None  # hyb has no handler
         where = dict(enumerate(pts))
         where[BS] = bs
 
@@ -384,6 +386,7 @@ class TestBroadcast:
 
     def test_carrier_sense_defers_behind_active_frame(self, tmp_path):
         e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0))
+        e.protocol.on_broadcast_received = lambda *a: None
         assert e.send_unicast("DATA", 1, 2, 4096, 0.0) == GRANT
         e.send_broadcast("RREQ", 0, 320, 0.0)   # 0 hears 1: must defer
         e.drain()
@@ -503,8 +506,9 @@ def sensing_scenario(protocol, nodes, seed, rate, events, radius, refresh):
 # events 0.5 ms apart: each event's 1 ms sense-jitter window overlaps the next
 OVERLAPPING_WINDOWS = dict(protocol="hyb", nodes=12, seed=3, rate=2000.0,
                            events=30, radius=250.0, refresh=30.0)
-# table refreshes every 0.3 s between events 2 s apart: a refresh finds the
-# heap empty while later events are still to be sensed
+# table refreshes every 0.3 s between events 2 s apart: a refresh finds
+# only the next event's feed entry queued while later events are still to
+# be sensed
 REFRESH_BETWEEN_EVENTS = dict(protocol="hyb", nodes=8, seed=1, rate=0.5,
                               events=5, radius=250.0, refresh=0.3)
 
@@ -543,18 +547,24 @@ class TestLazySensing:
         e.run()
         assert order != sorted(order)
 
-    def test_refresh_case_fires_with_only_unfed_sensing_left(self):
-        e = Engine(sensing_scenario(**REFRESH_BETWEEN_EVENTS))
-        seen = []
+    def test_refresh_case_refreshes_past_the_last_event(self):
+        sc = sensing_scenario(**REFRESH_BETWEEN_EVENTS)
+        e = Engine(sc)
+        refreshes = []
         refresh = e.protocol._bs_refresh
 
         def recording():
-            seen.append(not e._heap and e.pending())
+            refreshes.append(e.now)
             refresh()
         e.protocol._bs_refresh = recording
         e.run()
-        assert any(seen)
-        assert not e.pending()
+        last_event = generate_events(sc)[-1][0]
+        assert max(refreshes) > last_event
+        # one refresh per period, with none missing between the events
+        period = sc.refresh_period
+        assert refreshes == pytest.approx(
+            [period * (k + 1) for k in range(len(refreshes))])
+        assert not e._heap
 
 
 class TestPacketResolution:
@@ -582,12 +592,14 @@ class TestSingleNodeRun:
 
     def test_every_event_delivered_with_zero_hops(self, tmp_path):
         e = Engine(self.make_scenario(tmp_path))
+        delivered = record_deliveries(e)
         log = e.run()
         report = collect(log)
         assert report.generated == 40
         assert report.delivered == 40
         assert report.avg_hop_count == 0.0
-        assert all(path == [0] for _, path in e.delivered_paths)
+        assert len(delivered) == 40
+        assert all(path == [0] for _, path in delivered)
 
     def test_exact_signal_budget(self, tmp_path):
         # location upload + table push + one periodic table refresh, then

@@ -196,14 +196,16 @@ class TestEngineReachability:
         eng = make_engine(pts, bs, radio_range=r, sensing_radius=sensing)
         radio = eng.radio
         ids = range(len(pts))
+        assert eng._ids == [*ids, BS]
+        for x in eng._ids:
+            assert eng._bit[x] == 1 << eng._ids.index(x)
+        reach_bs = {a for a in ids if link_feasible(radio, hypot(pts[a], bs))}
         for a in ids:
-            want = [b for b in ids
-                    if b != a and link_feasible(radio, hypot(pts[a], pts[b]))]
-            reach_bs = link_feasible(radio, hypot(pts[a], bs))
-            assert eng._in_range[a] == want + [BS] * reach_bs
-            assert members(eng, eng._hears[a]) == set(eng._in_range[a])
-        assert eng._in_range[BS] == [a for a in ids if BS in eng._in_range[a]]
-        assert members(eng, eng._hears[BS]) == set(eng._in_range[BS])
+            want = {b for b in ids
+                    if b != a and link_feasible(radio, hypot(pts[a], pts[b]))}
+            assert members(eng, eng._hears[a]) == (
+                want | {BS} if a in reach_bs else want)
+        assert members(eng, eng._hears[BS]) == reach_bs
         for where in pts + [bs]:
             want = [n for n in ids if hypot(pts[n], where) <= sensing]
             assert eng.sensors(Location(*where)) == want

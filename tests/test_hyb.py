@@ -1,6 +1,8 @@
 """Unit tests for the hybrid protocol's per-node state machine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybsim import hyb
 from hybsim.hyb import (ASLEEP, CONGESTION, DROP, DUPLICATE, FORWARD,
@@ -54,6 +56,24 @@ class TestDedupBuffer:
         buf.record("ev0", 0.0)
         buf.record("ev0", 4.0)
         assert buf.contains("ev0", 8.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ttl=st.sampled_from([0.0, 0.5, 1.0, 5.0]),
+           calls=st.lists(st.tuples(
+               st.booleans(), st.sampled_from(["ev0", "ev1", "ev2", "ev3"]),
+               st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])), max_size=60))
+    def test_purge_keeps_every_answer_and_no_expired_entry(self, ttl, calls):
+        # a never-purged dict is the reference; time only moves forward
+        buf, kept, now = DedupBuffer(ttl=ttl), {}, 0.0
+        for record, event_id, step in calls:
+            now += step
+            if record:
+                buf.record(event_id, now)
+                kept[event_id] = now + ttl
+                assert all(t >= now for t in buf.entries.values())
+            else:
+                want = event_id in kept and kept[event_id] >= now
+                assert buf.contains(event_id, now) == want
 
 
 class TestSingleHopFeasible:

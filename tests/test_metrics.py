@@ -118,7 +118,6 @@ class TestRunScenario:
         sc = Scenario(node_count=10, sim_time=5.0, seed=2)
         report, log = run_scenario(sc)
         assert report.generated == report.delivered + report.dropped_total()
-        assert set(report.residual_energy) == set(range(10))
         assert report.energy_consumed > 0.0
         assert report.wall_clock > 0.0
         assert collect(log).signals == report.signals
