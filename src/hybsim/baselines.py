@@ -35,15 +35,15 @@ class DiscoveryState:
 class _BaseRunner:
     """Shared discovery/retransmission skeleton for both baselines.
 
-    A baseline supplies its per-node ``node_state`` class and four hooks:
+    A baseline supplies its per-node ``node_state`` class and three hooks:
     ``_best_route(node)``, the route to the sink known at ``node`` or None;
-    ``_rreq_payload(node, rreq_id)``, the body of its route request;
     ``_dispatch(node, ctx, route, now)``, which sends an originated packet
     on a route; and ``_learn_route(node, trans)``, which records the route
     a reply carries to ``node`` and returns ``(next_hop, payload)`` for the
     reply's next hop, or None where the reply path ends. Besides,
     ``_send_data`` (re)transmits a packet toward its next hop, ``_give_up``
-    ends a packet out of retries and ``_relay`` passes on a received one.
+    ends a packet out of retries and ``_relay`` passes on a received one,
+    and ``_rreq_payload(node, rreq_id)`` builds the body of a route request.
     """
 
     def __init__(self, engine_: "eng.Engine"):
@@ -129,8 +129,9 @@ class _BaseRunner:
         st = self.states[node]
         st.disc_attempts += 1
         st.rreq_counter += 1
-        st.seen.add((node, st.rreq_counter))
-        self._broadcast_rreq(node, self._rreq_payload(node, st.rreq_counter), now)
+        payload = self._rreq_payload(node, st.rreq_counter)
+        st.seen.add(payload["key"])
+        self._broadcast_rreq(node, payload, now)
         deadline = now + e.sc.discovery_timeout
         e.schedule(deadline, lambda: self._discovery_timeout(node, deadline))
 
@@ -162,9 +163,15 @@ class _BaseRunner:
         for ctx in pending:
             self._dispatch(node, ctx, route, now)
 
+    def _rreq_payload(self, node, rreq_id) -> dict:
+        """The body of a route request; every copy of the flood shares its
+        duplicate key and its event id."""
+        return {"origin": node, "key": (node, rreq_id),
+                "event_id": f"rq{node}.{rreq_id}"}
+
     def _first_copy(self, node, payload) -> bool:
         """Record a route request at ``node``; False if it was seen before."""
-        key = (payload["origin"], payload["rreq_id"])
+        key = payload["key"]
         seen = self.sink_seen if node == BS else self.states[node].seen
         if key in seen:
             return False
@@ -173,8 +180,7 @@ class _BaseRunner:
 
     def _broadcast_rreq(self, node, payload, now) -> None:
         self.e.send_broadcast(RREQ, node, self.e.sc.control_bits, now,
-                              payload=payload,
-                              event_id=f"rq{payload['origin']}.{payload['rreq_id']}")
+                              payload=payload, event_id=payload["event_id"])
 
     def _rebroadcast(self, node, payload, now) -> None:
         retry = now + self.e.jitter(5e-3)
@@ -213,9 +219,6 @@ class AodvRunner(_BaseRunner):
 
     def _best_route(self, node) -> Optional[Tuple[object, int]]:
         return self.states[node].route
-
-    def _rreq_payload(self, node, rreq_id) -> dict:
-        return {"origin": node, "rreq_id": rreq_id}
 
     def _dispatch(self, node, ctx, route, now) -> None:
         self._send_data(node, ctx, now)  # the next hop is read per attempt
@@ -294,7 +297,7 @@ class DsrRunner(_BaseRunner):
     # ---------------------------------------------------------------- data
 
     def _rreq_payload(self, node, rreq_id) -> dict:
-        return {"origin": node, "rreq_id": rreq_id, "record": (node,)}
+        return dict(super()._rreq_payload(node, rreq_id), record=(node,))
 
     def _dispatch(self, node, ctx, route, now) -> None:
         ctx.route = route

@@ -86,7 +86,7 @@ def generate_events(scenario: Scenario) -> List[Tuple[float, str, Location]]:
             for k in range(int(scenario.sim_time * rate))]
 
 
-@dataclass
+@dataclass(slots=True)
 class Transmission:
     kind: str
     tx: object                 # node id or BS
@@ -98,6 +98,9 @@ class Transmission:
     payload: object = None
     cancelled: bool = False
     on_result: Optional[Callable] = None
+    # the frames that share air time with this one, from its _begin to its
+    # _frame_end; see Engine._begin
+    overlaps: Optional[List["Transmission"]] = None
 
 
 @dataclass
@@ -180,8 +183,12 @@ class Engine:
         self._seq = 0
         self.log_buffer = io.StringIO()  # the event log, written once
         self.active: Dict[object, Transmission] = {}  # by transmitter
+        # the OR of _hears[t.tx] | _bit[t.tx] over active: whom a frame on
+        # the air reaches, its senders included
+        self._on_air = 0
+        # only the benchmark's tracer reads recent (its _interfered wrapper
+        # takes len(eng.recent)); interference comes from overlap lists
         self.recent: List[Transmission] = []
-        self._jammed: Optional[tuple] = None  # see _interfered
 
         self.generated = 0
         self.delivered = 0
@@ -209,7 +216,8 @@ class Engine:
         self._seq += 1
 
     def jitter(self, scale: float) -> float:
-        return self.rng_jitter.uniform(0.0, scale)
+        # bit for bit what rng_jitter.uniform(0.0, scale) returns
+        return scale * self.rng_jitter.random()
 
     # ------------------------------------------------------------------ energy
 
@@ -260,9 +268,10 @@ class Engine:
         if rx in self.active:
             return BUSY
         hears, mine = self._hears, self._bit[rx]
-        for t in self.active.values():
-            if t.start < now and hears[t.tx] & mine:
-                return BUSY
+        if self._on_air & mine:
+            for t in self.active.values():
+                if t.start < now and hears[t.tx] & mine:
+                    return BUSY
         # same-instant contest on this receiver: higher power wins
         for t in list(self.active.values()):
             if t.rx != rx or t.start != now:
@@ -275,20 +284,38 @@ class Engine:
                 return BUSY
         return GRANT
 
+    def _remove(self, trans: Transmission) -> None:
+        del self.active[trans.tx]
+        hears, bit, on_air = self._hears, self._bit, 0
+        for t in self.active.values():
+            on_air |= hears[t.tx] | bit[t.tx]
+        self._on_air = on_air
+
     def _cancel(self, trans: Transmission) -> None:
         trans.cancelled = True
-        del self.active[trans.tx]
-        self._jammed = None  # the frame may be in the mask; see _interfered
+        self._remove(trans)
         if trans.on_result is not None:
             trans.on_result(trans, BUSY, self.now)
 
     def _begin(self, trans: Transmission) -> None:
+        # Pair the frame with every frame on the air that shares air time
+        # with it. The test is strict, so a frame that ends as another
+        # begins, zero-airtime frames included, overlaps nothing there. A
+        # frame that overlaps trans but begins later pairs itself with trans
+        # then: trans stays in active until its own _frame_end, and no frame
+        # that begins after that time can overlap it.
         if trans.tx in self.active:
             raise RuntimeError(f"node {trans.tx} already holds the channel")
+        start, end = trans.start, trans.end
+        overlaps = trans.overlaps = []
+        for g in self.active.values():
+            if g.start < end and g.end > start:
+                g.overlaps.append(trans)
+                overlaps.append(g)
         self.active[trans.tx] = trans
+        self._on_air |= self._hears[trans.tx] | self._bit[trans.tx]
         self.recent.append(trans)
-        self._jammed = None  # the frame may overlap the cached one
-        self.schedule(trans.end, lambda: self._frame_end(trans))
+        self.schedule(end, lambda: self._frame_end(trans))
 
     def send_unicast(self, kind: str, tx: object, rx: object, bits: int,
                      now: float, event_id: str = "-", payload=None,
@@ -302,7 +329,9 @@ class Engine:
         non-zero (DEFERRED). Otherwise the receiver arbitrates; a grant
         occupies the channel for the frame airtime. ``on_result(trans,
         outcome, t)`` fires exactly once: OK / COLLISION / NO_RX at frame
-        end, or at once, with ``trans`` None, ASLEEP / BUSY / NO_RX.
+        end; at once, with ``trans`` None, ASLEEP / BUSY / NO_RX; or BUSY
+        with ``trans`` itself when a stronger same-instant grab for ``rx``
+        cancels the frame before it ends.
         """
         if tx not in self.awake:
             if on_result is not None:
@@ -336,12 +365,12 @@ class Engine:
         to the protocol per receiver at frame end."""
         if tx not in self.awake:
             return  # the node drained while the frame was pending
-        busy_until = None
         hears, mine = self._hears, self._bit[tx]
-        for t in self.active.values():
-            if t.tx == tx or hears[t.tx] & mine:
-                busy_until = max(busy_until or 0.0, t.end)
-        if busy_until is not None:
+        if self._on_air & mine:  # tx sends or hears a frame on the air
+            busy_until = 0.0
+            for t in self.active.values():
+                if (t.tx == tx or hears[t.tx] & mine) and t.end > busy_until:
+                    busy_until = t.end
             retry = busy_until + self.jitter(1e-3)
             self.schedule(retry, lambda: self.send_broadcast(
                 kind, tx, bits, retry, payload=payload, event_id=event_id))
@@ -367,27 +396,23 @@ class Engine:
             self.charge(rx, rx_energy(self.coeff, bits))
         self.log(now, kind, tx, rx, "-", OK)
 
+    def _jam_mask(self, trans: Transmission) -> int:
+        # every other frame that shares air time with trans and was not
+        # cancelled jams its own sender and every endpoint that hears it
+        hears, bit, jammed = self._hears, self._bit, 0
+        for g in trans.overlaps:
+            if not g.cancelled:
+                jammed |= hears[g.tx] | bit[g.tx]
+        return jammed
+
     def _interfered(self, trans: Transmission, receiver: object) -> bool:
-        # Every other live frame that shares air time with trans jams its own
-        # sender and every endpoint that hears it. A broadcast asks once per
-        # receiver, so that mask is built once per frame and kept until a
-        # frame begins or is cancelled. Pruning recent cannot change it: it
-        # drops only frames that ended before any frame still resolving began.
-        c = self._jammed
-        if c is None or c[0] is not trans:
-            jammed = 0
-            hears, bit = self._hears, self._bit
-            for g in self.recent:
-                if (g is not trans and not g.cancelled
-                        and g.start < trans.end and g.end > trans.start):
-                    jammed |= hears[g.tx] | bit[g.tx]
-            c = self._jammed = (trans, jammed)
-        return bool(c[1] & self._bit[receiver])
+        return bool(self._jam_mask(trans) & self._bit[receiver])
 
     def _frame_end(self, trans: Transmission) -> None:
         if trans.cancelled:
+            trans.overlaps = None
             return
-        del self.active[trans.tx]
+        self._remove(trans)
         self._prune_recent()
         # transmit cost is charged on completion; a cancelled reservation
         # never put energy on the air
@@ -398,6 +423,11 @@ class Engine:
         if trans.rx == BROADCAST:
             self.log(trans.start, trans.kind, trans.tx, BROADCAST,
                      trans.event_id, SENT)
+            # One jammed mask serves every receiver. A frame that a
+            # receiver's handler begins, or cancels, starts at trans.end,
+            # so it never overlaps trans.
+            jammed = self._jam_mask(trans)
+            trans.overlaps = None
             # the receivers in ascending bit order: node ids, then BS
             awake, ids, heard = self.awake, self._ids, self._hears[trans.tx]
             receivers = []
@@ -405,26 +435,31 @@ class Engine:
                 low = heard & -heard
                 r = ids[low.bit_length() - 1]
                 if r in awake:
-                    receivers.append(r)
+                    receivers.append((r, low & jammed))
                 heard ^= low
             cost = rx_energy(self.coeff, trans.bits)
-            for r in receivers:
-                if self._interfered(trans, r):
-                    self.log(trans.start, COLL, trans.tx, r,
-                             trans.event_id, COLLISION)
-                    continue
-                self.charge(r, cost)
-                self.protocol.on_broadcast_received(r, trans, trans.end)
+            head = f"{trans.start:.6f} {COLL} {trans.tx} "
+            tail = f" {trans.event_id} {COLLISION}\n"
+            write, charge = self.log_buffer.write, self.charge
+            received = self.protocol.on_broadcast_received
+            for r, hit in receivers:
+                if hit:
+                    write(f"{head}{r}{tail}")  # what log() would write
+                else:
+                    charge(r, cost)
+                    received(r, trans, trans.end)
             return
 
         r = trans.rx
+        collided = r in self.awake and self._interfered(trans, r)
+        trans.overlaps = None
         if r not in self.awake:
             self.log(trans.start, trans.kind, trans.tx, r,
                      trans.event_id, NO_RX)
             if trans.on_result is not None:
                 trans.on_result(trans, NO_RX, trans.end)
             return
-        if self._interfered(trans, r):
+        if collided:
             self.log(trans.start, trans.kind, trans.tx, r,
                      trans.event_id, COLLISION)
             if trans.on_result is not None:
@@ -523,7 +558,7 @@ class Engine:
             time, _, fn = heapq.heappop(heap)
             if time < self.now - 1e-12:
                 raise RuntimeError("queue time went backwards")
-            self.now = max(self.now, time)
+            self.now = time
             fn()
 
     def _make_sense(self, node: int, event_id: str) -> Callable:

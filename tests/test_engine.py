@@ -1,6 +1,8 @@
 """Discrete-event core tests: RNG streams, placement, traffic, channel."""
 
 import math
+import random
+import struct
 import tempfile
 from pathlib import Path
 
@@ -8,9 +10,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hybsim.engine import (BS, BUSY, COLLISION, CONFIG, DEFERRED, GRANT,
-                           NO_RX, OK, REPORT, RETRY_GAP, Engine, Transmission,
-                           generate_events, place_nodes, substream)
+from hybsim.engine import (BROADCAST, BS, BUSY, COLLISION, CONFIG, DEFERRED,
+                           GRANT, NO_RX, OK, REPORT, RETRY_GAP, Engine,
+                           Transmission, generate_events, place_nodes,
+                           substream)
 from hybsim.hyb import ASLEEP
 from hybsim.metrics import collect
 from hybsim.radio import RadioParams, frame_airtime, link_feasible
@@ -291,13 +294,18 @@ def frame_scripts(draw):
     pts = [(draw(COORD), draw(COORD)) for _ in range(n)]
     who = st.sampled_from(list(range(n)) + [BS])
     sends = draw(st.lists(st.tuples(st.sampled_from(STARTS), st.booleans(),
-                                    who, who, st.sampled_from([320, 4096])),
+                                    who, who, st.sampled_from([0, 320, 4096])),
                           min_size=1, max_size=12))
     return pts, (draw(COORD), draw(COORD)), sends
 
 
 class TestInterferenceOracle:
-    """Every interference answer at frame end against brute force."""
+    """Every frame's fate at each receiver against brute force.
+
+    A unicast asks ``_interfered``; a broadcast resolves all its receivers
+    at once, so its fate at each awake endpoint that hears it, a ``COLL``
+    record or an ``on_broadcast_received`` call, is checked instead.
+    """
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -324,11 +332,20 @@ class TestInterferenceOracle:
                     (100.0, 0.0)], (1500.0, 1500.0),
                    [(0.0, True, 3, 3, 320), (0.0, False, 0, 1, 4096),
                     (0.0, False, 2, 1, 4096)]))
+    # a 0-bit broadcast begins while 0's frame is on the air: both jam 1
+    @example(case=([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)], (300.0, 300.0),
+                   [(0.0, True, 0, 0, 320), (AIRTIMES[0] / 2, True, 2, 2, 0)]))
+    # 2's 0-bit broadcast ends at the instant 0's begins, while both are on
+    # the air: no overlap, and 1 receives both
+    @example(case=([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)], (300.0, 300.0),
+                   [(0.0, True, 2, 2, 0), (0.0, True, 0, 0, 320)]))
     def test_every_answer_matches_brute_force(self, case):
         pts, bs, sends = case
         with tempfile.TemporaryDirectory() as tmp:
             e = make_engine(Path(tmp), dict(enumerate(pts)), bs)
-        e.protocol.on_broadcast_received = lambda *a: None  # hyb has no handler
+        received = []  # hyb has no broadcast handler of its own
+        e.protocol.on_broadcast_received = (
+            lambda node, trans, now: received.append(node))
         where = dict(enumerate(pts))
         where[BS] = bs
 
@@ -350,7 +367,28 @@ class TestInterferenceOracle:
                                                  audible)
             return got
 
+        frame_end = e._frame_end
+
+        def checked_frame_end(trans):
+            if trans.rx != BROADCAST or trans.cancelled:
+                frame_end(trans)
+                return
+            ends = sorted(n for n in where if n != BS) + [BS]  # bit order
+            receivers = [r for r in ends if r != trans.tx and r in e.awake
+                         and audible(trans.tx, r)]
+            mark = len(e.log_buffer.getvalue())
+            received.clear()
+            frame_end(trans)
+            collided = [r for r in receivers
+                        if f" COLL {trans.tx} {r} " in
+                        e.log_buffer.getvalue()[mark:]]
+            assert collided == [
+                r for r in receivers
+                if brute_force_interfered(frames, trans, r, audible)]
+            assert received == [r for r in receivers if r not in collided]
+
         e._begin, e._interfered = recording_begin, checked_interfered
+        e._frame_end = checked_frame_end
         for t, broadcast, tx, rx, bits in sends:
             if broadcast:
                 e.schedule(t, lambda t=t, tx=tx, bits=bits:
@@ -359,6 +397,21 @@ class TestInterferenceOracle:
                 e.schedule(t, lambda t=t, tx=tx, rx=rx, bits=bits:
                            e.send_unicast("DATA", tx, rx, bits, t))
         e.drain()
+        assert all(t.overlaps is None for t in frames)
+
+    def test_no_resolved_frame_keeps_an_overlap_list(self):
+        # a collision storm at 75 nodes
+        e = Engine(Scenario(protocol="aodv", node_count=75, seed=1,
+                            sim_time=5.0))
+        frames, begin = [], e._begin
+
+        def recording_begin(trans):
+            frames.append(trans)
+            begin(trans)
+        e._begin = recording_begin
+        log = e.run()
+        assert log.count(" COLL ") > 1000
+        assert all(t.overlaps is None for t in frames)
 
 
 class TestBroadcast:
@@ -477,6 +530,25 @@ class TestEnergyAccounting:
         e.run()
         for n, rec in e.nodes.items():
             assert e.protocol.states[n].energy is rec.energy
+
+
+class TestJitter:
+    @settings(max_examples=200, deadline=None)
+    @given(scale=st.floats(0.0, 1e300), seed=st.integers(0, 2**32))
+    @example(scale=0.0, seed=1)
+    @example(scale=5e-324, seed=1)
+    @example(scale=1e-3, seed=1)
+    @example(scale=5e-3, seed=1)
+    @example(scale=1.0, seed=1)
+    @example(scale=1e300, seed=1)
+    def test_draw_is_uniform_bit_for_bit(self, scale, seed):
+        e = Engine(Scenario(node_count=2, seed=seed))
+        e.rng_jitter.random()  # start away from a fresh stream
+        clone = random.Random()
+        clone.setstate(e.rng_jitter.getstate())
+        for _ in range(3):
+            got, want = e.jitter(scale), clone.uniform(0.0, scale)
+            assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 class TestScheduler:
