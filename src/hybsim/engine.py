@@ -186,7 +186,7 @@ class Engine:
         # the OR of _hears[t.tx] | _bit[t.tx] over active: whom a frame on
         # the air reaches, its senders included
         self._on_air = 0
-        # only the benchmark's tracer reads recent (its _interfered wrapper
+        # only perfbench/tracer.py reads recent now (its _interfered wrapper
         # takes len(eng.recent)); interference comes from overlap lists
         self.recent: List[Transmission] = []
 
@@ -268,7 +268,7 @@ class Engine:
         if rx in self.active:
             return BUSY
         hears, mine = self._hears, self._bit[rx]
-        if self._on_air & mine:
+        if self._on_air & mine:  # rx hears or sends a frame on the air
             for t in self.active.values():
                 if t.start < now and hears[t.tx] & mine:
                     return BUSY
@@ -285,6 +285,7 @@ class Engine:
         return GRANT
 
     def _remove(self, trans: Transmission) -> None:
+        # take trans off the air and rebuild the on-air mask without it
         del self.active[trans.tx]
         hears, bit, on_air = self._hears, self._bit, 0
         for t in self.active.values():
@@ -451,7 +452,7 @@ class Engine:
             return
 
         r = trans.rx
-        collided = r in self.awake and self._interfered(trans, r)
+        collided = self._interfered(trans, r)
         trans.overlaps = None
         if r not in self.awake:
             self.log(trans.start, trans.kind, trans.tx, r,
