@@ -16,8 +16,8 @@ the field drains within the first half minute, and the few routes found
 in that time lead both to the same frames.
 
 A third table pins the baselines' collision storm (125 nodes, seed 1,
-10 s). There RREQ floods keep ~63 frames in the engine's recent-frame
-window at each interference check on average, against ~18 at 75 nodes.
+10 s). There RREQ floods make each frame share its air time with ~8 others
+on average.
 
 A fourth table pins hyb with ``liveness = reported`` (75 nodes, seed 1,
 60 s), where neighbour selection trusts the base station's last residual
@@ -198,21 +198,14 @@ def test_flood_edge_log_digest(case):
     assert hashlib.sha256(log.encode()).hexdigest() == FLOOD[case][1]
 
 
-def _record_frames(e):
-    """Wrap ``_begin`` on ``e``; return the list of every frame begun."""
-    frames = []
-    begin = e._begin
+def test_zero_airtime_case_reaches_the_strict_overlap_edges():
+    e = _flood_engine("aodv-zero-airtime")
+    frames, begin = [], e._begin
 
     def recording(trans):
         frames.append(trans)
         begin(trans)
     e._begin = recording
-    return frames
-
-
-def test_zero_airtime_case_reaches_the_strict_overlap_edges():
-    e = _flood_engine("aodv-zero-airtime")
-    frames = _record_frames(e)
     e.run()
     hears, bit = e._hears, e._bit
 
@@ -250,10 +243,8 @@ def test_drained_case_kills_every_node_mid_flood(case):
 
     def tracking_frame_end(trans):
         current.append(trans)
-        try:
-            frame_end(trans)
-        finally:
-            current.pop()
+        frame_end(trans)
+        current.pop()
 
     def tracking_charge(node, amount):
         was_awake = node in e.awake
@@ -272,10 +263,10 @@ def test_drained_case_kills_every_node_mid_flood(case):
 
 def test_dense_case_has_longer_overlap_lists():
     e = _flood_engine("aodv-200")
-    overlaps = {}
-    begin = e._begin
+    frames, overlaps, begin = [], {}, e._begin
 
     def counting(trans):
+        frames.append(trans)  # kept alive, so that no id is reused
         overlaps[id(trans)] = 0
         for g in e.active.values():
             if g.start < trans.end and g.end > trans.start:
