@@ -13,7 +13,9 @@ A second table pins runs with small batteries (75 nodes, seed 1, 60 s),
 where nodes drain mid-run and still hold data packets or route replies to
 send. With 0.05 J the two baselines happen to write the same log as well:
 the field drains within the first half minute, and the few routes found
-in that time lead both to the same frames.
+in that time lead both to the same frames. hyb with 0.05 J is the one
+case whose base station drops dead rows from the neighbour table at a
+refresh; a test below shows that it does.
 
 A third table pins the baselines' collision storm (125 nodes, seed 1,
 10 s). There RREQ floods make each frame share its air time with ~8 others
@@ -54,6 +56,7 @@ from collections import defaultdict
 
 import pytest
 
+from hybsim import engine
 from hybsim.engine import BROADCAST, Engine
 from hybsim.scenario import Scenario
 
@@ -81,6 +84,7 @@ DRAINED = {
     ("aodv", 0.2): "1994e48b10517dce1fa57cca8b3a4fcb9c42d86909155cdc3124983d3fe000c3",
     ("dsr", 0.05): "be48cd95af52a0ae3d041c111041af16fba21fdce61d187c8caba10174a9ba62",
     ("dsr", 0.2): "20364bf48446b402d3edd207a6acc8ea14cafa9c975ee6062fe2a6ab70a730b5",
+    ("hyb", 0.05): "0539522c87034797abee4e4a7dea137db0712f67f38d635772c71a5eaa1d5885",
     ("hyb", 0.2): "1e6d36dc1c879144584f879161b96d5e761fb92655f6e1cab28d935f86db3d93",
 }
 
@@ -143,6 +147,18 @@ def test_drained_battery_log_digest(protocol, initial_energy):
                   initial_energy=initial_energy)
     log = Engine(sc).run()
     assert hashlib.sha256(log.encode()).hexdigest() == DRAINED[protocol, initial_energy]
+
+
+def test_drained_hyb_case_refreshes_out_dead_rows(monkeypatch):
+    dropped, refresh = [], engine.refresh_table
+
+    def recording(table, locs, params, dead):
+        dropped.append(dead & table.rows.keys())
+        return refresh(table, locs, params, dead)
+    monkeypatch.setattr(engine, "refresh_table", recording)
+    Engine(Scenario(protocol="hyb", node_count=75, seed=1, sim_time=SIM_TIME,
+                    initial_energy=0.05)).run()
+    assert any(dropped)
 
 
 @pytest.mark.parametrize("protocol", sorted(STORM))
