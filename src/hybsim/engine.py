@@ -25,9 +25,8 @@ from .radio import (EnergyState, deduct, frame_airtime, is_alive,
                     link_bounds, link_feasible, received_power, rx_energy,
                     tx_energy)
 from .scenario import Scenario, ScenarioError
-from .topology import (Grid, Location, LocationTable, NeighbourTable,
-                       compute_neighbour_table, parse_location_file,
-                       refresh_table)
+from .topology import (Grid, Location, LocationTable, compute_neighbour_table,
+                       parse_location_file, refresh_table)
 
 BS = "BS"          # base station pseudo-id in logs and addressing
 BROADCAST = "*"
@@ -149,11 +148,7 @@ class Engine:
         # differences is bit-identical, so one distance serves both
         # directions.
         inner, outer = link_bounds(self.radio)
-
-        def feasible(d: float) -> bool:
-            return d <= inner or (d < outer and link_feasible(self.radio, d))
-
-        hypot = math.hypot
+        hypot, radio = math.hypot, self.radio
         self._sense_grid = Grid(self.locs.entries, scenario.sensing_radius)
         self._ids: List[object] = [*self.nodes, BS]
         self._bit: Dict[object, int] = {
@@ -164,12 +159,12 @@ class Engine:
             bit_a, mask = bit[a], 0
             for b, xb, yb in later:
                 d = hypot(xa - xb, ya - yb)
-                if d <= inner or (d < outer and feasible(d)):  # bounds settle most
+                if d <= inner or (d < outer and link_feasible(radio, d)):
                     mask |= bit[b]
                     hears[b] |= bit_a
             hears[a] |= mask
         for n, rec in self.nodes.items():
-            if feasible(rec.location.dist(self.bs_loc)):
+            if link_feasible(radio, rec.location.dist(self.bs_loc)):
                 hears[n] |= bit[BS]
                 hears[BS] |= bit[n]
         # BS never sleeps; charge removes a node the moment it dies
@@ -194,11 +189,6 @@ class Engine:
         self.delivered = 0
         self.dropped: Dict[str, int] = {ASLEEP: 0, DUPLICATE: 0,
                                         NO_ROUTE: 0, CONGESTION: 0}
-
-        # base-station knowledge, fed by residual reports
-        self.bs_known_residual: Dict[int, float] = {
-            i: scenario.initial_energy for i in self.nodes}
-        self.neighbour_table: Optional[NeighbourTable] = None
 
         if scenario.protocol == "hyb":
             self.protocol = HybRunner(self)
@@ -454,22 +444,13 @@ class Engine:
         r = trans.rx
         collided = self._interfered(trans, r)
         trans.overlaps = None
-        if r not in self.awake:
-            self.log(trans.start, trans.kind, trans.tx, r,
-                     trans.event_id, NO_RX)
-            if trans.on_result is not None:
-                trans.on_result(trans, NO_RX, trans.end)
-            return
-        if collided:
-            self.log(trans.start, trans.kind, trans.tx, r,
-                     trans.event_id, COLLISION)
-            if trans.on_result is not None:
-                trans.on_result(trans, COLLISION, trans.end)
-            return
-        self.log(trans.start, trans.kind, trans.tx, r, trans.event_id, OK)
-        self.charge(r, rx_energy(self.coeff, trans.bits))
+        outcome = (NO_RX if r not in self.awake
+                   else COLLISION if collided else OK)
+        self.log(trans.start, trans.kind, trans.tx, r, trans.event_id, outcome)
+        if outcome == OK:
+            self.charge(r, rx_energy(self.coeff, trans.bits))
         if trans.on_result is not None:
-            trans.on_result(trans, OK, trans.end)
+            trans.on_result(trans, outcome, trans.end)
 
     # ------------------------------------------------------------------ packets
 
@@ -577,10 +558,14 @@ class HybRunner:
             self.states[i] = HybNodeState(
                 id=i, location=rec.location, energy=rec.energy,  # shared battery
                 dedup=DedupBuffer(ttl=sc.dedup_ttl))
+        # base-station knowledge, fed by residual reports
+        self.bs_known_residual: Dict[int, float] = {
+            i: sc.initial_energy for i in engine.nodes}
+        self.neighbour_table = None  # configure builds it
         if sc.liveness == "ground_truth":
             alive = engine.awake.__contains__
         else:
-            alive = lambda v: engine.bs_known_residual.get(v, 0.0) >= sc.energy_threshold
+            alive = lambda v: self.bs_known_residual.get(v, 0.0) >= sc.energy_threshold
         self.ctx = HybContext(
             bs_location=engine.bs_loc, radio=engine.radio,
             energy_coeff=engine.coeff,
@@ -595,9 +580,9 @@ class HybRunner:
         for n in sorted(e.nodes):
             e.send_oob_control(CONFIG, n, BS, now)
         alive = {n for n in e.nodes if n in e.awake}
-        e.neighbour_table = compute_neighbour_table(e.locs, e.region, alive)
+        self.neighbour_table = compute_neighbour_table(e.locs, e.region, alive)
         for n in sorted(alive):
-            self.states[n].set_row(e.neighbour_table.rows[n], self.ctx)
+            self.states[n].set_row(self.neighbour_table.rows[n], self.ctx)
             e.send_oob_control(CONFIG, BS, n, now)
         e.schedule(now + e.sc.refresh_period, self._bs_refresh)
 
@@ -605,12 +590,11 @@ class HybRunner:
         e = self.e
         now = e.now
         thr = e.sc.energy_threshold
-        dead = {n for n, r in e.bs_known_residual.items() if r < thr}
-        dead &= set(e.neighbour_table.rows)
-        e.neighbour_table = refresh_table(
-            e.neighbour_table, e.locs, e.region, dead)
-        for n in sorted(e.neighbour_table.rows):
-            self.states[n].set_row(e.neighbour_table.rows[n], self.ctx)
+        dead = {n for n, r in self.bs_known_residual.items() if r < thr}
+        self.neighbour_table = refresh_table(
+            self.neighbour_table, e.locs, e.region, dead)
+        for n in sorted(self.neighbour_table.rows):
+            self.states[n].set_row(self.neighbour_table.rows[n], self.ctx)
             if n in e.awake:
                 e.send_oob_control(CONFIG, BS, n, now)
         if e._heap:  # keep refreshing only while work remains
@@ -676,4 +660,4 @@ class HybRunner:
             if n not in e.awake:
                 continue
             e.send_oob_control(REPORT, n, BS, now)
-            e.bs_known_residual[n] = e.nodes[n].energy.residual
+            self.bs_known_residual[n] = e.nodes[n].energy.residual

@@ -14,8 +14,8 @@ one an all-pairs scan would build.
 
 import math
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterator, List, Mapping, Optional, Set,
-                    Tuple, Union)
+from typing import (Dict, Iterator, List, Mapping, Optional, Set, Tuple,
+                    Union)
 
 DIRECT = "DIRECT"      # row marker: node delivers straight to the sink
 ISOLATED = "ISOLATED"  # row marker: node has no route at all
@@ -166,8 +166,8 @@ def eligible(locs: LocationTable, params: RegionParams, alive: Set[int],
              u: int, v: int) -> bool:
     """Can v appear in u's neighbour row?
 
-    The single-pair definition; ``_row_builder`` applies the same tests to
-    whole rows, and the two must agree exactly.
+    The single-pair definition; ``compute_neighbour_table`` applies the same
+    tests to each pair of the grid sweep, and the two must agree exactly.
     """
     if v == u or v not in alive:
         return False
@@ -196,67 +196,53 @@ def compute_neighbour_table(locs: LocationTable, params: RegionParams,
     if unknown:
         raise TopologyError(f"alive set contains unknown ids: {sorted(unknown)}")
 
-    row = _row_builder(locs, params, alive)
-    return NeighbourTable(rows={u: row(u) for u in sorted(alive)})
-
-
-def _row_builder(locs: LocationTable, params: RegionParams,
-                 alive: Set[int]) -> Callable[[int], Row]:
-    """Row computation for the nodes of ``alive``.
-
-    Candidates come from the grid cells around the node. They then pass
-    ``eligible``'s tests, inlined on coordinates and distances to the base
-    station computed once per node, cheapest first: strictly closer to the
-    base station, inside the band, inside the vertical extent, in range.
-    """
+    # The sweep hands over every pair within radio range once. The band,
+    # extent and range tests are symmetric, so one pass decides the pair:
+    # the node farther from the base station lists the nearer one, and
+    # two equally far nodes list neither.
     pts = {v: locs.entries[v] for v in alive}
-    grid = Grid(pts, params.radio_range)
     bs = locs.base_station
     to_bs = {v: p.dist(bs) for v, p in pts.items()}
-    xs = {v: p.x for v, p in pts.items()}
-    ys = {v: p.y for v, p in pts.items()}
     band, reach = params.band_halfwidth_M, params.radio_range
     extent = (math.inf if params.vertical_extent_N is None
               else params.vertical_extent_N)
     hypot = math.hypot
-
-    def row(u: int) -> Row:
-        x, y, du = xs[u], ys[u], to_bs[u]
-        cands = [v for v in grid.near(x, y, reach)
-                 if to_bs[v] < du and abs(xs[v] - x) <= band
-                 and abs(ys[v] - y) <= extent
-                 and hypot(x - xs[v], y - ys[v]) <= reach]
-        if cands:
-            cands.sort(key=lambda v: (to_bs[v], v))
-            return tuple(cands[: params.max_neighbours_K])
-        return DIRECT if du <= reach else ISOLATED
-    return row
+    cands: Dict[int, List[int]] = {v: [] for v in alive}
+    for (a, xa, ya), later in Grid(pts, reach).sweep():
+        da = to_bs[a]
+        for b, xb, yb in later:
+            if (abs(xa - xb) <= band and abs(ya - yb) <= extent
+                    and hypot(xa - xb, ya - yb) <= reach):
+                db = to_bs[b]
+                if db < da:
+                    cands[a].append(b)
+                elif da < db:
+                    cands[b].append(a)
+    rows: Dict[int, Row] = {}
+    for u in sorted(alive):
+        row = cands[u]
+        if row:
+            row.sort(key=lambda v: (to_bs[v], v))
+            rows[u] = tuple(row[: params.max_neighbours_K])
+        else:
+            rows[u] = DIRECT if to_bs[u] <= reach else ISOLATED
+    return NeighbourTable(rows=rows)
 
 
 def refresh_table(table: NeighbourTable, locs: LocationTable,
                   params: RegionParams, dead: Set[int]) -> NeighbourTable:
     """The table with the dead nodes removed from the network.
 
-    Equal to a full rebuild over the surviving rows' nodes, but only rows
-    that list a dead node are recomputed: a dead node leaves the candidate
-    set of every row, so a row that held none keeps its top K, and a DIRECT
-    or ISOLATED row has no candidate to lose or gain. The input table is
+    A table that lists none of them comes back unchanged, as a copy; any
+    other is rebuilt over its surviving rows' nodes. The input table is
     never modified.
     """
     unknown = dead - locs.ids()
     if unknown:
         raise TopologyError(f"dead set contains unknown ids: {sorted(unknown)}")
-    dead = dead & table.rows.keys()
-    if not dead:
+    if dead.isdisjoint(table.rows):
         return NeighbourTable(rows=dict(table.rows))
-    alive = set(table.rows) - dead
-    row = _row_builder(locs, params, alive)
-    rows = {}
-    for u in sorted(alive):
-        old = table.rows[u]
-        stale = not isinstance(old, str) and not dead.isdisjoint(old)
-        rows[u] = row(u) if stale else old
-    return NeighbourTable(rows=rows)
+    return compute_neighbour_table(locs, params, set(table.rows) - dead)
 
 
 def parse_location_file(text: str) -> LocationTable:

@@ -205,14 +205,15 @@ def test_criterion_08_energy_properties(sweep, tmp_path):
     # (c) a drained node disappears from every row at the next refresh
     sc = Scenario(node_count=12, seed=4)
     engine = Engine(sc)
-    engine.protocol.configure(0.0)
-    victim = next(n for n, row in engine.neighbour_table.rows.items()
+    hyb = engine.protocol
+    hyb.configure(0.0)
+    victim = next(n for n, row in hyb.neighbour_table.rows.items()
                   if any(isinstance(other, tuple) and n in other
-                         for other in engine.neighbour_table.rows.values()))
-    engine.bs_known_residual[victim] = 0.0
-    engine.protocol._bs_refresh()
-    assert victim not in engine.neighbour_table.rows
-    for row in engine.neighbour_table.rows.values():
+                         for other in hyb.neighbour_table.rows.values()))
+    hyb.bs_known_residual[victim] = 0.0
+    hyb._bs_refresh()
+    assert victim not in hyb.neighbour_table.rows
+    for row in hyb.neighbour_table.rows.values():
         assert isinstance(row, str) or victim not in row
 
 
