@@ -15,6 +15,40 @@ packet_rate = 4
 seed = 3
 """
 
+# `hybsim run` output for TINY_SCENARIO, byte for byte
+_BASELINE_REPORT = """\
+execution_time = 4.50015
+avg_hop_count = 0.0
+collisions = 0
+signals = 6
+generated = 2
+delivered = 0
+unique_events_delivered = 0
+energy_consumed = 0.023615999999996973
+dropped_asleep = 0
+dropped_congestion = 0
+dropped_duplicate = 0
+dropped_no_route = 2
+"""
+REPORTS = {
+    "hyb": """\
+execution_time = 1.50015
+avg_hop_count = 0.0
+collisions = 0
+signals = 15
+generated = 2
+delivered = 0
+unique_events_delivered = 0
+energy_consumed = 0.07227688636174001
+dropped_asleep = 0
+dropped_congestion = 0
+dropped_duplicate = 0
+dropped_no_route = 2
+""",
+    "aodv": _BASELINE_REPORT,
+    "dsr": _BASELINE_REPORT,
+}
+
 
 @pytest.fixture
 def scenario_file(tmp_path):
@@ -39,6 +73,11 @@ class TestRunCommand:
     def test_report_to_stdout(self, scenario_file, capsys):
         assert main(["run", scenario_file]) == EXIT_OK
         assert "avg_hop_count = " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("protocol", sorted(REPORTS))
+    def test_exact_report_text(self, scenario_file, capsys, protocol):
+        assert main(["run", scenario_file, "--protocol", protocol]) == EXIT_OK
+        assert capsys.readouterr().out == REPORTS[protocol]
 
     def test_protocol_and_seed_overrides(self, tmp_path, scenario_file, capsys):
         a = tmp_path / "a.log"

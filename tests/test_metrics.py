@@ -155,7 +155,10 @@ class TestComparison:
     def test_runs_csv_round_trip(self):
         table = synthetic_table()
         text = runs_csv(table)
-        assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
+        header = ("protocol,node_count,seed,execution_time_s,avg_hop_count,"
+                  "collisions,signals,generated,delivered,dropped_asleep,"
+                  "dropped_duplicate,dropped_no_route,dropped_congestion")
+        assert text.splitlines()[0] == header == ",".join(CSV_COLUMNS)
         back = parse_runs_csv(text)
         assert runs_csv(back) == text
 
