@@ -7,14 +7,14 @@ Exit codes: 0 success, 1 usage error, 2 run failure, 3 trend check failed
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import metrics
 from .engine import place_nodes
-from .scenario import PROTOCOLS, Scenario, ScenarioError, parse_scenario
-from .topology import (Location, RegionParams, TopologyError,
-                       compute_neighbour_table, emit_location_file,
-                       emit_neighbour_table, parse_location_file)
+from .scenario import PROTOCOLS, Scenario, parse_scenario
+from .topology import (Location, RegionParams, compute_neighbour_table,
+                       emit_location_file, emit_neighbour_table,
+                       parse_location_file)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,16 +69,8 @@ def _build_parser() -> _Parser:
 
 
 def _report_text(report: metrics.MetricsReport) -> str:
-    lines = [
-        f"execution_time = {report.execution_time}",
-        f"avg_hop_count = {report.avg_hop_count}",
-        f"collisions = {report.collisions}",
-        f"signals = {report.signals}",
-        f"generated = {report.generated}",
-        f"delivered = {report.delivered}",
-        f"unique_events_delivered = {report.unique_events_delivered}",
-        f"energy_consumed = {report.energy_consumed}",
-    ]
+    lines = [f"{f.name} = {getattr(report, f.name)}"
+             for f in fields(report) if f.name not in ("dropped", "wall_clock")]
     for reason in sorted(report.dropped):
         lines.append(f"dropped_{reason.lower()} = {report.dropped[reason]}")
     return "".join(line + "\n" for line in lines)
@@ -167,10 +159,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (ScenarioError, TopologyError, metrics.MetricsError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUN
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # every hybsim error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUN
 

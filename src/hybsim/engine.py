@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from . import hyb
-from .hyb import (ASLEEP, CONGESTION, DROP, DUPLICATE, NO_ROUTE, SEND_DIRECT,
-                  Action, DataPacket, DedupBuffer, HybContext, HybNodeState)
+from .hyb import (ASLEEP, CONGESTION, DROP, DROP_REASONS, SEND_DIRECT, Action,
+                  DataPacket, DedupBuffer, HybContext, HybNodeState)
 from .radio import (EnergyState, deduct, frame_airtime, is_alive,
                     link_bounds, link_feasible, received_power, rx_energy,
                     tx_energy)
@@ -124,6 +124,8 @@ class NodeRec:
 class Engine:
     """Single run of one scenario under one protocol."""
 
+    recent = ()  # perfbench/tracer.py reads len(eng.recent); no history kept
+
     def __init__(self, scenario: Scenario):
         self.sc = scenario
         self.radio = scenario.radio_params()
@@ -170,8 +172,6 @@ class Engine:
         # BS never sleeps; charge removes a node the moment it dies
         self.awake: Set[object] = {BS, *(n for n, rec in self.nodes.items()
                                          if is_alive(rec.energy))}
-        air_bits = max(scenario.payload_bits, scenario.control_bits)
-        self._max_air = frame_airtime(self.radio, air_bits) + 1e-9
 
         self.now = 0.0
         self._heap: List[Tuple[float, int, Callable]] = []
@@ -181,14 +181,10 @@ class Engine:
         # the OR of _hears[t.tx] | _bit[t.tx] over active: whom a frame on
         # the air reaches, its senders included
         self._on_air = 0
-        # only perfbench/tracer.py reads recent now (its _interfered wrapper
-        # takes len(eng.recent)); interference comes from overlap lists
-        self.recent: List[Transmission] = []
 
         self.generated = 0
         self.delivered = 0
-        self.dropped: Dict[str, int] = {ASLEEP: 0, DUPLICATE: 0,
-                                        NO_ROUTE: 0, CONGESTION: 0}
+        self.dropped: Dict[str, int] = dict.fromkeys(DROP_REASONS, 0)
 
         if scenario.protocol == "hyb":
             self.protocol = HybRunner(self)
@@ -217,7 +213,7 @@ class Engine:
         rec = self.nodes[node]
         battery = rec.energy
         deduct(battery, amount)
-        if battery.residual < battery.threshold and node in self.awake:
+        if not is_alive(battery) and node in self.awake:
             self.awake.remove(node)
             rec.death_time = self.now
 
@@ -235,12 +231,6 @@ class Engine:
             f"{time:.6f} {kind} {tx} {rx} {event_id} {outcome}\n")
 
     # ------------------------------------------------------------------ channel
-
-    def _prune_recent(self) -> None:
-        # only transmissions that can still overlap a live frame matter
-        horizon = self.now - self._max_air
-        if self.recent and self.recent[0].end < horizon:
-            self.recent = [t for t in self.recent if t.end >= horizon]
 
     def transmitting(self, node: object) -> Optional[Transmission]:
         return self.active.get(node)
@@ -305,7 +295,6 @@ class Engine:
                 overlaps.append(g)
         self.active[trans.tx] = trans
         self._on_air |= self._hears[trans.tx] | self._bit[trans.tx]
-        self.recent.append(trans)
         self.schedule(end, lambda: self._frame_end(trans))
 
     def send_unicast(self, kind: str, tx: object, rx: object, bits: int,
@@ -404,7 +393,6 @@ class Engine:
             trans.overlaps = None
             return
         self._remove(trans)
-        self._prune_recent()
         # transmit cost is charged on completion; a cancelled reservation
         # never put energy on the air
         cost_dist = (self.radio.radio_range if trans.rx == BROADCAST
@@ -565,7 +553,7 @@ class HybRunner:
         if sc.liveness == "ground_truth":
             alive = engine.awake.__contains__
         else:
-            alive = lambda v: self.bs_known_residual.get(v, 0.0) >= sc.energy_threshold
+            alive = self._bs_alive
         self.ctx = HybContext(
             bs_location=engine.bs_loc, radio=engine.radio,
             energy_coeff=engine.coeff,
@@ -586,11 +574,15 @@ class HybRunner:
             e.send_oob_control(CONFIG, BS, n, now)
         e.schedule(now + e.sc.refresh_period, self._bs_refresh)
 
+    def _bs_alive(self, node: int) -> bool:
+        # the base station's belief: the last residual node reported
+        # is at or above the energy threshold
+        return self.bs_known_residual[node] >= self.e.sc.energy_threshold
+
     def _bs_refresh(self) -> None:
         e = self.e
         now = e.now
-        thr = e.sc.energy_threshold
-        dead = {n for n, r in self.bs_known_residual.items() if r < thr}
+        dead = {n for n in self.bs_known_residual if not self._bs_alive(n)}
         self.neighbour_table = refresh_table(
             self.neighbour_table, e.locs, e.region, dead)
         for n in sorted(self.neighbour_table.rows):

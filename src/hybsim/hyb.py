@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .radio import (EnergyState, RadioParams, EnergyCoefficients,
                     is_alive, link_feasible, tx_energy)
-from .topology import ISOLATED, Location, Row
+from .topology import Location, Row
 
 DEFAULT_DEDUP_TTL = 5.0   # s
 DEFAULT_WAIT_T = 0.1      # s, waiting budget before a congested packet dies
@@ -26,11 +26,12 @@ SEND_DIRECT = "SEND_DIRECT"
 FORWARD = "FORWARD"
 DROP = "DROP"
 
-# Drop reasons
+# Drop reasons: every fate of an undelivered packet, in runs.csv order
 ASLEEP = "ASLEEP"
 DUPLICATE = "DUPLICATE"
 NO_ROUTE = "NO_ROUTE"
 CONGESTION = "CONGESTION"
+DROP_REASONS = (ASLEEP, DUPLICATE, NO_ROUTE, CONGESTION)
 
 
 @dataclass(frozen=True)
@@ -88,16 +89,11 @@ class HybNodeState:
     id: int
     location: Location
     energy: EnergyState
-    row: Row = ISOLATED
     linked: Tuple[int, ...] = ()   # row members the link reaches, in row order
     use_count: Dict[int, int] = field(default_factory=dict)
     dedup: DedupBuffer = field(default_factory=DedupBuffer)
     # payload bits -> energy of a direct send, None when the link fails
     direct_cost: Dict[int, Optional[float]] = field(default_factory=dict)
-
-    @property
-    def asleep(self) -> bool:
-        return not is_alive(self.energy)
 
     def set_row(self, row: Row, ctx: "HybContext") -> None:
         """Install a row from the base station.
@@ -105,7 +101,6 @@ class HybNodeState:
         Locations and the radio never change, so whether the link reaches
         each member is decided here, once per row.
         """
-        self.row = row
         if isinstance(row, str):
             self.use_count = {}
             self.linked = ()
@@ -180,8 +175,9 @@ def _route(state: HybNodeState, packet: DataPacket, ctx: HybContext) -> Action:
 def _gate(state: HybNodeState, packet: DataPacket,
           now: float) -> Optional[Action]:
     """The energy gate, then the duplicate buffer: the DROP for a node that
-    must not handle the packet, else None, with the event recorded."""
-    if state.asleep:
+    must not handle the packet, else None, with the event recorded. The
+    gate reads the node's own battery, whatever ``ctx.alive`` believes."""
+    if not is_alive(state.energy):
         return Action(DROP, reason=ASLEEP)
     if state.dedup.contains(packet.event_id, now):
         return Action(DROP, reason=DUPLICATE)

@@ -15,13 +15,21 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import COLL, Engine, FRAME_KINDS
-from .hyb import ASLEEP, CONGESTION, DUPLICATE, NO_ROUTE
+from .hyb import DROP_REASONS
 from .scenario import Scenario
 
-CSV_COLUMNS = ["protocol", "node_count", "seed", "execution_time_s",
-               "avg_hop_count", "collisions", "signals", "generated",
-               "delivered", "dropped_asleep", "dropped_duplicate",
-               "dropped_no_route", "dropped_congestion"]
+# the runs.csv columns between the run's key (protocol, node count, seed) and
+# its drop counts, one per reason in DROP_REASONS order: (column,
+# MetricsReport field, type)
+_REPORT_COLUMNS = (("execution_time_s", "execution_time", float),
+                   ("avg_hop_count", "avg_hop_count", float),
+                   ("collisions", "collisions", int),
+                   ("signals", "signals", int),
+                   ("generated", "generated", int),
+                   ("delivered", "delivered", int))
+_DROP_COLUMNS = [f"dropped_{reason.lower()}" for reason in DROP_REASONS]
+CSV_COLUMNS = ["protocol", "node_count", "seed",
+               *(column for column, _, _ in _REPORT_COLUMNS), *_DROP_COLUMNS]
 
 
 class MetricsError(ValueError):
@@ -46,13 +54,8 @@ class MetricsReport:
 
     def csv_values(self, protocol: str, node_count: int, seed: int) -> List[str]:
         return [protocol, str(node_count), str(seed),
-                str(self.execution_time), str(self.avg_hop_count),
-                str(self.collisions), str(self.signals),
-                str(self.generated), str(self.delivered),
-                str(self.dropped.get(ASLEEP, 0)),
-                str(self.dropped.get(DUPLICATE, 0)),
-                str(self.dropped.get(NO_ROUTE, 0)),
-                str(self.dropped.get(CONGESTION, 0))]
+                *(str(getattr(self, name)) for _, name, _ in _REPORT_COLUMNS),
+                *(str(self.dropped.get(reason, 0)) for reason in DROP_REASONS)]
 
 
 _BLOCK = 1 << 16  # characters of log text split into lines at a time
@@ -72,8 +75,7 @@ def _lines(text: str):
 
 def collect(log_text: str) -> MetricsReport:
     """Tally a report from an event log; pure function of the text."""
-    report = MetricsReport(dropped={ASLEEP: 0, DUPLICATE: 0,
-                                    NO_ROUTE: 0, CONGESTION: 0})
+    report = MetricsReport(dropped=dict.fromkeys(DROP_REASONS, 0))
     hops: List[int] = []
     events_delivered = set()
     last_terminal = 0.0
@@ -206,16 +208,10 @@ def parse_runs_csv(text: str) -> ComparisonTable:
     for rec in reader:
         vals = dict(zip(CSV_COLUMNS, rec))
         report = MetricsReport(
-            execution_time=float(vals["execution_time_s"]),
-            avg_hop_count=float(vals["avg_hop_count"]),
-            collisions=int(vals["collisions"]),
-            signals=int(vals["signals"]),
-            generated=int(vals["generated"]),
-            delivered=int(vals["delivered"]),
-            dropped={ASLEEP: int(vals["dropped_asleep"]),
-                     DUPLICATE: int(vals["dropped_duplicate"]),
-                     NO_ROUTE: int(vals["dropped_no_route"]),
-                     CONGESTION: int(vals["dropped_congestion"])})
+            **{name: kind(vals[column])
+               for column, name, kind in _REPORT_COLUMNS},
+            dropped={reason: int(vals[column])
+                     for reason, column in zip(DROP_REASONS, _DROP_COLUMNS)})
         table.runs.append(RunRow(vals["protocol"], int(vals["node_count"]),
                                  int(vals["seed"]), report))
     return table
@@ -226,8 +222,7 @@ def summary_csv(table: ComparisonTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["protocol", "node_count", "metric", "mean", "min", "max"])
-    metrics = ["execution_time", "avg_hop_count", "collisions", "signals",
-               "generated", "delivered", "energy_consumed"]
+    metrics = [name for _, name, _ in _REPORT_COLUMNS] + ["energy_consumed"]
     for n in table.node_counts():
         for protocol in table.protocols():
             if not table.cell(protocol, n):

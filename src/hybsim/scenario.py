@@ -154,15 +154,13 @@ class Scenario:
         return Location(*self.bs_location)
 
 
-_INT_KEYS = {"node_count", "packet_size", "max_neighbours_K", "seed",
-             "discovery_retries", "data_retries", "control_bits"}
-_STR_KEYS = {"placement", "protocol", "liveness"}
+# key -> annotated type; int, str and float values convert with that type
+_TYPES = {f.name: f.type for f in fields(Scenario)}
 _PAIR_KEYS = {"topology_size": "x", "bs_location": ","}
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse `key = value` lines (# comments, blank lines allowed)."""
-    known = {f.name for f in fields(Scenario)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -172,7 +170,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"line {lineno}: expected `key = value`, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in known:
+        if key not in _TYPES:
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
@@ -184,17 +182,13 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _convert(key, val):
-    if key in _STR_KEYS:
-        return val
     if key in _PAIR_KEYS:
         sep = _PAIR_KEYS[key]
         a, _, b = val.partition(sep)
         return (float(a), float(b))
     if key == "vertical_extent_N":
         return None if val.lower() in ("unbounded", "none") else float(val)
-    if key in _INT_KEYS:
-        return int(val)
-    return float(val)
+    return _TYPES[key](val)
 
 
 def emit_scenario(sc: Scenario) -> str:

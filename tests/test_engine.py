@@ -258,7 +258,7 @@ class TestInterference:
     def test_cancelled_frame_stops_jamming_between_calls(self, tmp_path):
         # 0 -> 1 is on the air; 2 -> 3 overlaps it and 1 hears 2. A
         # same-instant grab by 4, much closer to 3, then cancels 2's frame
-        # without beginning one, so recent keeps its length.
+        # without beginning one: only 0's frame stays on the air.
         points = {0: (0.0, 100.0), 1: (300.0, 100.0), 2: (600.0, 100.0),
                   3: (900.0, 100.0), 4: (1000.0, 100.0)}
         e = make_engine(tmp_path, points, (1500.0, 1500.0))
@@ -268,7 +268,8 @@ class TestInterference:
         jammer = list(e.active.values())[1]
         assert e._interfered(first, 1)
         assert e.arbitrate(4, 3, 1e-3) == GRANT
-        assert jammer.cancelled and len(e.recent) == 2
+        assert jammer.cancelled and e.active == {0: first}
+        assert first.overlaps == [jammer]
         assert not e._interfered(first, 1)
 
 
