@@ -47,7 +47,10 @@ has a test that shows it reaches what it is there for:
   from their origin to the base station, where AODV's next hop and DSR's
   source route send the same frame;
 - aodv at 200 nodes, 1 s: each frame overlaps ~13 others on average,
-  against ~8 in the 125-node storm.
+  against ~8 in the 125-node storm;
+- dsr at 200 nodes, 1 s: the same dense flood, where a node tests whether
+  it is on a request's route record before it checks the request for a
+  duplicate.
 """
 
 import hashlib
@@ -201,6 +204,8 @@ FLOOD = {
                     "64b1d40847724b14edde682c7e177e0ddc8c7ccc6d365877905e228e66c2958e"),
     "aodv-200": (dict(protocol="aodv", node_count=200, sim_time=1.0),
                  "2ccbdcaace0c79caf1b3d1291eef7fb5433891bfea462dd94c23e8f06e6597e7"),
+    "dsr-200": (dict(protocol="dsr", node_count=200, sim_time=1.0),
+                "2583698dd0929a9ac03faf095310880709bef0758191edfb3c8ef138f05ef34b"),
 }
 
 
