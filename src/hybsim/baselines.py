@@ -12,7 +12,7 @@ retransmissions for comparison.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .hyb import ASLEEP, CONGESTION, NO_ROUTE
 from . import engine as eng
@@ -29,7 +29,6 @@ class DiscoveryState:
     disc_active: bool = False
     disc_attempts: int = 0
     rreq_counter: int = 0
-    seen: Set[Tuple[int, int]] = field(default_factory=set)
 
 
 class _BaseRunner:
@@ -48,7 +47,8 @@ class _BaseRunner:
 
     def __init__(self, engine_: "eng.Engine"):
         self.e = engine_
-        self.sink_seen: Set[Tuple[int, int]] = set()
+        # flood key -> mask of the endpoints that have seen the flood
+        self.seen: Dict[Tuple[int, int], int] = {}
         self.states = {n: self.node_state() for n in engine_.nodes}
 
     def configure(self, now: float) -> None:
@@ -130,7 +130,7 @@ class _BaseRunner:
         st.disc_attempts += 1
         st.rreq_counter += 1
         payload = self._rreq_payload(node, st.rreq_counter)
-        st.seen.add(payload["key"])
+        self.seen[payload["key"]] = e._bit[node]
         self._broadcast_rreq(node, payload, now)
         deadline = now + e.sc.discovery_timeout
         e.schedule(deadline, lambda: self._discovery_timeout(node, deadline))
@@ -171,12 +171,14 @@ class _BaseRunner:
 
     def _first_copy(self, node, payload) -> bool:
         """Record a route request at ``node``; False if it was seen before."""
-        key = payload["key"]
-        seen = self.sink_seen if node == BS else self.states[node].seen
-        if key in seen:
-            return False
-        seen.add(key)
-        return True
+        key, bit = payload["key"], self.e._bit[node]
+        mask = self.seen.get(key, 0)
+        self.seen[key] = mask | bit
+        return not mask & bit
+
+    def heard_before(self, trans) -> int:
+        """The mask of the endpoints that have seen ``trans``'s flood."""
+        return self.seen.get(trans.payload["key"], 0)
 
     def _broadcast_rreq(self, node, payload, now) -> None:
         self.e.send_broadcast(RREQ, node, self.e.sc.control_bits, now,

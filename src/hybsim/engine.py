@@ -172,6 +172,7 @@ class Engine:
         # BS never sleeps; charge removes a node the moment it dies
         self.awake: Set[object] = {BS, *(n for n, rec in self.nodes.items()
                                          if is_alive(rec.energy))}
+        self._heard_by: Dict[object, List[Tuple[object, int]]] = {}
 
         self.now = 0.0
         self._heap: List[Tuple[float, int, Callable]] = []
@@ -215,6 +216,7 @@ class Engine:
         deduct(battery, amount)
         if not is_alive(battery) and node in self.awake:
             self.awake.remove(node)
+            self._heard_by.clear()  # a list _frame_end is walking stays whole
             rec.death_time = self.now
 
     def loc(self, node: object) -> Location:
@@ -388,6 +390,15 @@ class Engine:
     def _interfered(self, trans: Transmission, receiver: object) -> bool:
         return bool(self._jam_mask(trans) & self._bit[receiver])
 
+    def _receivers(self, tx: object) -> List[Tuple[object, int]]:
+        # (endpoint, bit) per awake endpoint tx reaches, in bit order; kept
+        # from tx's first broadcast until charge records a death
+        if tx not in self._heard_by:
+            awake, heard = self.awake, self._hears[tx]
+            self._heard_by[tx] = [(r, 1 << i) for i, r in enumerate(self._ids)
+                                  if heard >> i & 1 and r in awake]
+        return self._heard_by[tx]
+
     def _frame_end(self, trans: Transmission) -> None:
         if trans.cancelled:
             trans.overlaps = None
@@ -404,29 +415,24 @@ class Engine:
                      trans.event_id, SENT)
             # One jammed mask serves every receiver. A frame that a
             # receiver's handler begins, or cancels, starts at trans.end,
-            # so it never overlaps trans.
+            # so it never overlaps trans. So does one heard-before mask: a
+            # fresh copy's handler marks only its own receiver, and a copy
+            # heard before is charged but needs no handler.
             jammed = self._jam_mask(trans)
             trans.overlaps = None
-            # the receivers in ascending bit order: node ids, then BS
-            awake, ids, heard = self.awake, self._ids, self._hears[trans.tx]
-            receivers = []
-            while heard:
-                low = heard & -heard
-                r = ids[low.bit_length() - 1]
-                if r in awake:
-                    receivers.append((r, low & jammed))
-                heard ^= low
+            skip = self.protocol.heard_before(trans)
             cost = rx_energy(self.coeff, trans.bits)
             head = f"{trans.start:.6f} {COLL} {trans.tx} "
             tail = f" {trans.event_id} {COLLISION}\n"
             write, charge = self.log_buffer.write, self.charge
             received = self.protocol.on_broadcast_received
-            for r, hit in receivers:
-                if hit:
+            for r, bit in self._receivers(trans.tx):
+                if bit & jammed:
                     write(f"{head}{r}{tail}")  # what log() would write
                 else:
                     charge(r, cost)
-                    received(r, trans, trans.end)
+                    if not bit & skip:
+                        received(r, trans, trans.end)
             return
 
         r = trans.rx
@@ -643,6 +649,9 @@ class HybRunner:
         ctx.attempted = set()
         action = hyb.on_receive(self.states[node], ctx.packet, self.ctx, now)
         self._act(node, ctx, action, now)
+
+    def heard_before(self, trans: Transmission) -> int:
+        return 0  # hyb floods nothing
 
     # -------------------------------------------------------------- reports
 

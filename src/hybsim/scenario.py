@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 from .radio import (RadioParams, EnergyCoefficients, EnergyState,
                     DEFAULT_ELEC, DEFAULT_AMP,
                     DEFAULT_INITIAL_ENERGY, DEFAULT_ENERGY_THRESHOLD,
-                    CONTROL_FRAME_BITS)
+                    CONTROL_FRAME_BITS, frame_airtime)
 from .topology import Location, RegionParams
 
 PROTOCOLS = ("hyb", "aodv", "dsr")
@@ -22,6 +22,7 @@ PROTOCOLS = ("hyb", "aodv", "dsr")
 # while it matches sensors; each sensed event then keeps ~230 B plus ~19 B
 # per sensing node until the run ends (tracemalloc, Python 3.11).
 MAX_EVENTS = 1_000_000
+MAX_RETRIES = 100  # per discovery or hop; each floods or doubles a backoff
 
 
 class ScenarioError(ValueError):
@@ -81,12 +82,14 @@ class Scenario:
             raise ScenarioError("topology_size must be positive and finite")
         if self.node_count < 1:
             raise ScenarioError("node_count must be >= 1")
-        for name in ("sim_time", "packet_rate"):
+        for name in ("sim_time", "packet_rate", "refresh_period"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ScenarioError(f"{name} must be positive and finite")
-        if self.sim_time * self.packet_rate > MAX_EVENTS:
-            raise ScenarioError(
-                f"sim_time * packet_rate exceeds {MAX_EVENTS} events")
+        # a hyb table refresh counts as an event, and so always moves the clock
+        rate = max(self.packet_rate, 1 / self.refresh_period)
+        if self.sim_time * rate > MAX_EVENTS:
+            raise ScenarioError(f"sim_time * packet_rate or sim_time / "
+                                f"refresh_period exceeds {MAX_EVENTS} events")
         if self.packet_size <= 0:
             raise ScenarioError("packet_size must be positive")
         if not self.sensing_radius >= 0:  # NaN too; infinite senses everywhere
@@ -98,20 +101,18 @@ class Scenario:
         bx, by = self.bs_location
         if not (0 <= bx < math.inf and 0 <= by < math.inf):
             raise ScenarioError("bs_location must be non-negative and finite")
-        if not 0 < self.refresh_period < math.inf:
-            # zero would reschedule the table refresh at the same instant
-            # forever, a negative period schedules it in the past, and an
-            # infinite one logs refreshes at t = inf after the last event
-            raise ScenarioError("refresh_period must be positive and finite")
         for name in ("discovery_timeout", "retry_backoff"):
             if not getattr(self, name) < math.inf:
                 # an infinite delay stamps retries and give-ups at t = inf
                 raise ScenarioError(f"{name} must be finite")
         for name in ("control_bits", "wait_t", "dedup_ttl", "discovery_timeout",
-                     "retry_backoff", "discovery_retries", "data_retries"):
+                     "retry_backoff"):
             if not getattr(self, name) >= 0:
                 # a negative delay would schedule an event in the past mid-run
                 raise ScenarioError(f"{name} must be non-negative")
+        for name in ("discovery_retries", "data_retries"):
+            if not 0 <= getattr(self, name) <= MAX_RETRIES:
+                raise ScenarioError(f"{name} must be in [0, {MAX_RETRIES}]")
         try:  # the radio, energy and region checks live with those types
             self.radio_params()
             self.energy_coefficients()
@@ -119,6 +120,9 @@ class Scenario:
             self.region_params()
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
+        if frame_airtime(self.radio_params(), self.payload_bits) > self.refresh_period:
+            # refreshes repeat until the last frame ends: at most one per frame
+            raise ScenarioError("a data frame's airtime exceeds refresh_period")
 
     @property
     def payload_bits(self) -> int:

@@ -1,10 +1,14 @@
 """Route discovery and data forwarding tests for the two baselines."""
 
+import math
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hybsim.engine import BS, Engine
 from hybsim.metrics import collect
-from hybsim.scenario import Scenario
+from hybsim.scenario import MAX_RETRIES, Scenario
 
 from oracles import record_deliveries
 from test_engine import log_lines, write_points
@@ -79,6 +83,17 @@ class TestDiscoveryAndDelivery:
         e.protocol.on_sense(0, "ev1", e.now + 1.0)
         e.drain()
         assert e.dropped["CONGESTION"] == 1
+
+    def test_dead_next_hop_at_the_retry_cap(self, tmp_path, protocol):
+        # the backoff doubles per retry; past 1024 retries 2 ** k overflowed
+        e = make_engine(tmp_path, LINE2, protocol, data_retries=MAX_RETRIES)
+        e.protocol.on_sense(0, "ev0", 0.0)
+        e.drain()
+        e.charge(1, 100.0)
+        e.protocol.on_sense(0, "ev1", e.now + 1.0)
+        e.drain()
+        assert e.dropped["CONGESTION"] == 1
+        assert math.isfinite(e.now)
 
     def test_loop_free_paths(self, tmp_path, protocol):
         e = make_engine(tmp_path, LINE3, protocol)
@@ -167,3 +182,37 @@ class TestPacketConservation:
         report = collect(log)
         assert report.generated == e.generated
         assert report.delivered + report.dropped_total() == report.generated
+
+
+class TestHeardBeforeSkip:
+    """``_frame_end`` hands a broadcast copy only to the receivers outside
+    the flood's heard-before mask. A copy inside it would change nothing, so
+    handing every clean receiver its copy must write the same log."""
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(protocol=st.sampled_from(["aodv", "dsr"]),
+           nodes=st.integers(2, 30), seed=st.integers(0, 10 ** 6),
+           sim_time=st.sampled_from([0.5, 1.0, 3.0]),
+           size=st.sampled_from([700.0, 2000.0]),
+           initial=st.sampled_from([10.0, 0.2, 0.05, 0.01]),
+           control_bits=st.sampled_from([0, 320]))
+    # a dense field where nodes die mid-flood
+    @example(protocol="dsr", nodes=30, seed=1, sim_time=3.0, size=700.0,
+             initial=0.05, control_bits=320)
+    def test_log_equals_handing_every_copy(self, protocol, nodes, seed,
+                                           sim_time, size, initial,
+                                           control_bits):
+        sc = Scenario(protocol=protocol, node_count=nodes, seed=seed,
+                      sim_time=sim_time, topology_size=(size, size),
+                      bs_location=(size / 2, size / 2),
+                      initial_energy=initial, control_bits=control_bits)
+
+        def run(skip):
+            e = Engine(sc)
+            if not skip:
+                e.protocol.heard_before = lambda trans: 0
+            log = e.run()
+            assert e.generated == e.delivered + sum(e.dropped.values())
+            return log
+        assert run(skip=True) == run(skip=False)

@@ -281,6 +281,7 @@ for _ in range(2):
     STARTS |= {t + air for t in STARTS for air in AIRTIMES}
 STARTS = sorted(STARTS)
 COORD = st.one_of(st.floats(0.0, 700.0), st.sampled_from([0.0, 350.0, 700.0]))
+FULL = Scenario().initial_energy
 
 
 @st.composite
@@ -289,7 +290,10 @@ def frame_scripts(draw):
 
     Each send is (start, broadcast?, tx, rx, bits); senders and receivers
     may be the base station. Sends are scheduled in list order, so several
-    at one start time contend in that order.
+    at one start time contend in that order. Every node starts with the
+    same battery; below a full one, nodes die mid-script: a broadcast costs
+    its sender ~4 mJ, a received 4096-bit frame 0.2 mJ, a 320-bit one
+    0.016 mJ.
     """
     n = draw(st.integers(2, 6))
     pts = [(draw(COORD), draw(COORD)) for _ in range(n)]
@@ -297,7 +301,8 @@ def frame_scripts(draw):
     sends = draw(st.lists(st.tuples(st.sampled_from(STARTS), st.booleans(),
                                     who, who, st.sampled_from([0, 320, 4096])),
                           min_size=1, max_size=12))
-    return pts, (draw(COORD), draw(COORD)), sends
+    battery = draw(st.sampled_from([FULL, 5e-3, 3e-4, 5e-5]))
+    return pts, (draw(COORD), draw(COORD)), sends, battery
 
 
 class TestInterferenceOracle:
@@ -313,37 +318,48 @@ class TestInterferenceOracle:
     @given(case=frame_scripts())
     # coincident starts: both broadcasts reach 1 together
     @example(case=([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)], (300.0, 300.0),
-                   [(0.0, True, 0, 0, 320), (0.0, True, 2, 2, 320)]))
+                   [(0.0, True, 0, 0, 320), (0.0, True, 2, 2, 320)], FULL))
     # 1 starts a frame of its own as 0's broadcast begins to reach it
     @example(case=([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)], (300.0, 300.0),
-                   [(0.0, True, 0, 0, 320), (0.0, False, 1, 2, 4096)]))
+                   [(0.0, True, 0, 0, 320), (0.0, False, 1, 2, 4096)], FULL))
     # 2 begins exactly when 0's frame ends: no overlap at 1
     @example(case=([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)], (300.0, 300.0),
-                   [(0.0, True, 0, 0, 320), (AIRTIMES[0], True, 2, 2, 320)]))
+                   [(0.0, True, 0, 0, 320), (AIRTIMES[0], True, 2, 2, 320)],
+                   FULL))
     # the base station as sender: its broadcast jams 2's frame at 1; as
     # receiver: 1's broadcast and 0's frame to it jam each other there
     @example(case=([(350.0, 0.0), (350.0, 600.0), (650.0, 600.0)],
                    (350.0, 300.0),
                    [(0.0, True, BS, BS, 320), (0.0, False, 2, 1, 4096),
                     (2 * AIRTIMES[1], False, 0, BS, 4096),
-                    (2 * AIRTIMES[1], True, 1, 1, 320)]))
+                    (2 * AIRTIMES[1], True, 1, 1, 320)], FULL))
     # 2 wins the same-instant contest for 1 and cancels 0's frame, which
     # must not jam 4, the one receiver of 3's broadcast that hears 0
     @example(case=([(300.0, 0.0), (500.0, 0.0), (600.0, 0.0), (100.0, 300.0),
                     (100.0, 0.0)], (1500.0, 1500.0),
                    [(0.0, True, 3, 3, 320), (0.0, False, 0, 1, 4096),
-                    (0.0, False, 2, 1, 4096)]))
+                    (0.0, False, 2, 1, 4096)], FULL))
     # a 0-bit broadcast begins while 0's frame is on the air: both jam 1
     @example(case=([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)], (300.0, 300.0),
-                   [(0.0, True, 0, 0, 320), (AIRTIMES[0] / 2, True, 2, 2, 0)]))
+                   [(0.0, True, 0, 0, 320), (AIRTIMES[0] / 2, True, 2, 2, 0)],
+                   FULL))
     # 2's 0-bit broadcast ends at the instant 0's begins, while both are on
     # the air: no overlap, and 1 receives both
     @example(case=([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)], (300.0, 300.0),
-                   [(0.0, True, 2, 2, 0), (0.0, True, 0, 0, 320)]))
+                   [(0.0, True, 2, 2, 0), (0.0, True, 0, 0, 320)], FULL))
+    # 1 dies sending a data frame to 0 and 0 receiving it; the base
+    # station's second broadcast, whose receivers were listed at its first,
+    # must reach neither
+    @example(case=([(0.0, 0.0), (300.0, 0.0)], (0.0, 300.0),
+                   [(0.0, True, BS, BS, 320),
+                    (2 * AIRTIMES[0], False, 1, 0, 4096),
+                    (2 * AIRTIMES[0] + 2 * AIRTIMES[1], True, BS, BS, 320)],
+                   2e-4))
     def test_every_answer_matches_brute_force(self, case):
-        pts, bs, sends = case
+        pts, bs, sends, battery = case
         with tempfile.TemporaryDirectory() as tmp:
-            e = make_engine(Path(tmp), dict(enumerate(pts)), bs)
+            e = make_engine(Path(tmp), dict(enumerate(pts)), bs,
+                            initial_energy=battery)
         received = []  # hyb has no broadcast handler of its own
         e.protocol.on_broadcast_received = (
             lambda node, trans, now: received.append(node))
@@ -458,6 +474,27 @@ class TestBroadcast:
         e.drain()
         coll = [l for l in log_lines(e) if " COLL 0 1 " in l or " COLL 2 1 " in l]
         assert len(coll) == 2
+
+    def test_dead_receiver_gets_no_copy_and_no_collision(self, tmp_path):
+        # 1 hears 0 and 2, which cannot hear each other; 3 hears only 0
+        points = {0: (0.0, 100.0), 1: (350.0, 100.0), 2: (700.0, 100.0),
+                  3: (0.0, 400.0)}
+        e = make_engine(tmp_path, points, (1500.0, 1500.0))
+        heard = []
+        e.protocol.on_broadcast_received = (
+            lambda node, trans, now: heard.append(node))
+        e.send_broadcast("RREQ", 0, 320, 0.0)
+        e.drain()
+        assert heard == [1, 3]
+        e.charge(1, 100.0)
+        heard.clear()
+        mark = len(e.log_buffer.getvalue())
+        # had 1 lived, both copies would have collided there
+        e.send_broadcast("RREQ", 0, 320, 1.0)
+        e.send_broadcast("RREQ", 2, 320, 1.0)
+        e.drain()
+        assert heard == [3]
+        assert " COLL " not in e.log_buffer.getvalue()[mark:]
 
 
 class TestEnergyAccounting:

@@ -1,13 +1,14 @@
 """Scenario file parsing, validation and round-trip tests."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hybsim.scenario import (MAX_EVENTS, PROTOCOLS, Scenario, ScenarioError,
-                             emit_scenario, parse_scenario)
+from hybsim.engine import Engine
+from hybsim.scenario import (MAX_EVENTS, MAX_RETRIES, PROTOCOLS, Scenario,
+                             ScenarioError, emit_scenario, parse_scenario)
 
 
 class TestParse:
@@ -94,6 +95,13 @@ class TestParse:
         ("vertical_extent_N = inf\n", "vertical_extent_N"),
         ("sim_time = 125000.5\npacket_rate = 8\n", "exceeds"),
         ("sim_time = 1e9\npacket_rate = 1e9\n", "exceeds"),
+        ("refresh_period = 1e-300\n", "refresh_period exceeds"),
+        ("sim_time = 2\nrefresh_period = 1e-6\n", "refresh_period exceeds"),
+        ("bandwidth = 1e-300\n", "airtime exceeds refresh_period"),
+        ("packet_size = 512\nbandwidth = 100\nrefresh_period = 30\n",
+         "airtime"),
+        ("discovery_retries = 101\n", "discovery_retries"),
+        ("data_retries = 1100\n", "data_retries"),
     ])
     def test_rejects(self, bad, fragment):
         with pytest.raises(ScenarioError, match=fragment):
@@ -103,6 +111,15 @@ class TestParse:
         sc = parse_scenario("sim_time = 125000\npacket_rate = 8\n"
                             "sensing_radius = inf\n")
         assert sc.sim_time * sc.packet_rate == MAX_EVENTS
+        sc = parse_scenario("sim_time = 500000\npacket_rate = 1\n"
+                            "refresh_period = 0.5\n"
+                            f"data_retries = {MAX_RETRIES}\n"
+                            f"discovery_retries = {MAX_RETRIES}\n")
+        assert sc.sim_time / sc.refresh_period == MAX_EVENTS
+        # a data frame exactly as long as the refresh period
+        sc = parse_scenario("packet_size = 512\nbandwidth = 512\n"
+                            "refresh_period = 8\n")
+        assert sc.payload_bits / sc.bandwidth == sc.refresh_period
 
 
 def _number():
@@ -184,3 +201,79 @@ class TestDerived:
         sc = Scenario(radio_range=200.0, band_halfwidth_M=90.0)
         assert sc.region_params().radio_range == 200.0
         assert sc.region_params().band_halfwidth_M == 90.0
+
+
+# key -> value texts for scenarios that are run: ordinary values, edge
+# values and invalid ones. A run's cost grows with its events, so the rates
+# stay small; node_count and sim_time are capped after parsing instead.
+LOCATION_FILE = "<location file>"
+_RUN_VALUES = {
+    "topology_size": ["2000x2000", "500x300", "1x1", "0x100", "-1x5",
+                      "infx1", "nanx1", "12"],
+    "node_count": ["1", "7", "20", "500", "0", "-2", "2.5"],
+    "placement": ["uniform", LOCATION_FILE],
+    "bs_location": ["1000,1000", "0,0", "5000,5000", "-1,0", "nan,1", "1,inf"],
+    "sim_time": ["2", "0.5", "300", "1e-3", "0", "-1", "nan", "inf"],
+    "packet_rate": ["8", "0.5", "40", "1e-3", "0", "-1", "nan", "inf"],
+    "packet_size": ["512", "1", "4000", "0", "-1", "3.5"],
+    "sensing_radius": ["250", "0", "inf", "-1", "nan"],
+    "protocol": list(PROTOCOLS) + ["olsr"],
+    "seed": ["1", "0", "-7", "x"],
+    "radio_range": ["350", "100", "2000", "1", "0.5", "inf", "nan"],
+    "reception_threshold": ["-80", "-120", "-40", "nan", "inf", "-inf"],
+    "bandwidth": ["2e6", "1e3", "1e12", "0", "-1", "nan", "inf", "1e-300"],
+    "path_loss_exponent": ["2", "4", "1.5", "nan"],
+    "reference_distance": ["1", "10", "0", "-1", "nan"],
+    "elec": ["5e-8", "1e-3", "0", "nan", "inf"],
+    "amp": ["1e-10", "1e-6", "0", "nan", "inf"],
+    "initial_energy": ["10", "0.05", "0.01", "1e-6", "0", "-1", "nan"],
+    "energy_threshold": ["1e-6", "0", "0.02", "20", "-1", "nan"],
+    "control_bits": ["320", "0", "4096", "-1", "1.5"],
+    "band_halfwidth_M": ["250", "50", "0", "-5", "nan", "inf"],
+    "vertical_extent_N": ["unbounded", "None", "100", "0", "nan", "inf"],
+    "max_neighbours_K": ["3", "1", "50", "0", "-1"],
+    "wait_t": ["0.1", "0", "1e9", "-0.1", "nan"],
+    "dedup_ttl": ["5", "0", "1e9", "-1"],
+    "refresh_period": ["30", "0.5", "0.05", "1e-6", "0", "-5", "nan", "inf",
+                       "1e-300"],
+    "liveness": ["ground_truth", "reported", "psychic"],
+    "discovery_timeout": ["1", "0", "0.05", "1e300", "-1", "nan", "inf"],
+    "discovery_retries": ["2", "0", "5", "100", "101", "1000000", "-1"],
+    "data_retries": ["3", "0", "10", "100", "1100", "1000000", "-1"],
+    "retry_backoff": ["0.01", "0", "1", "1e300", "-0.01", "nan", "inf"],
+}
+
+
+@pytest.fixture(scope="module")
+def location_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("placement") / "nodes.txt"
+    path.write_text("".join(f"{i} , {150.0 * i!r} , {90.0 * (i % 4)!r}\n"
+                            for i in range(12)))
+    return str(path)
+
+
+class TestEveryParsedScenarioRuns:
+    """Scenario text over every key, invalid values included: each file is
+    rejected at parse time or runs to completion with every packet
+    resolved exactly once."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_rejected_or_runs_with_packets_conserved(self, data,
+                                                     location_file):
+        chosen = data.draw(st.lists(st.sampled_from(fields(Scenario)),
+                                    unique_by=lambda f: f.name, max_size=8))
+        lines = []
+        for f in chosen:
+            val = data.draw(st.sampled_from(_RUN_VALUES[f.name]))
+            val = location_file if val == LOCATION_FILE else val
+            lines.append(f"{f.name} = {val}\n")
+        try:
+            sc = parse_scenario("".join(lines))
+        except ScenarioError:
+            return
+        e = Engine(replace(sc, node_count=min(sc.node_count, 20),
+                           sim_time=min(sc.sim_time, 2.0)))
+        e.run()  # a packet resolved twice raises here
+        assert e.generated == e.delivered + sum(e.dropped.values())
