@@ -14,9 +14,9 @@ retransmissions for comparison.
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .hyb import ASLEEP, CONGESTION, NO_ROUTE
+from .hyb import ASLEEP, CONGESTION, NO_ROUTE, DataPacket
 from . import engine as eng
-from .engine import BS, DATA, OK, RREP, RREQ, PacketCtx
+from .engine import BS, DATA, OK, RREP, RREQ
 
 DEFER_JITTER = 1e-3  # s, spread of a send deferred behind the sender's own frame
 
@@ -25,24 +25,39 @@ DEFER_JITTER = 1e-3  # s, spread of a send deferred behind the sender's own fram
 class DiscoveryState:
     """Per-node route discovery bookkeeping shared by both baselines."""
 
-    pending: List[PacketCtx] = field(default_factory=list)
+    pending: List[DataPacket] = field(default_factory=list)
     disc_active: bool = False
     disc_attempts: int = 0
     rreq_counter: int = 0
 
 
 class _BaseRunner:
-    """Shared discovery/retransmission skeleton for both baselines.
+    """Shared discovery/retransmission skeleton for both baselines, and
+    the runner contract, written once.
 
-    A baseline supplies its per-node ``node_state`` class and three hooks:
-    ``_best_route(node)``, the route to the sink known at ``node`` or None;
-    ``_dispatch(node, ctx, route, now)``, which sends an originated packet
-    on a route; and ``_learn_route(node, trans)``, which records the route
-    a reply carries to ``node`` and returns ``(next_hop, payload)`` for the
-    reply's next hop, or None where the reply path ends. Besides,
-    ``_send_data`` (re)transmits a packet toward its next hop, ``_give_up``
-    ends a packet out of retries and ``_relay`` passes on a received one,
-    and ``_rreq_payload(node, rreq_id)`` builds the body of a route request.
+    The engine calls a runner only through ``configure(now)``, once at
+    t = 0; ``on_sense(node, event_id, now)``, per node sensing an event;
+    per broadcast frame that ends on the air, ``heard_before(trans)``, the
+    ``_bit`` mask of the endpoints holding its flood, then
+    ``on_broadcast_received(node, trans, now)`` per awake receiver neither
+    jammed nor in it; and the callbacks a runner hands to ``send_unicast``
+    and ``schedule``. A runner reads the engine's ``sc``, ``nodes``,
+    ``awake`` and ``now`` (the hybrid one also ``locs``, ``region``,
+    ``bs_loc``, ``radio`` and ``coeff``) and calls only ``schedule``,
+    ``jitter``, ``new_packet``, ``drop``, ``deliver`` and the three
+    ``send_*`` methods. Two private reads remain as debts: the hybrid
+    refresh reads ``_heap`` to stop once no other work is queued, and the
+    seen masks here read ``_bit``.
+
+    A baseline supplies its ``node_state`` class and two hooks:
+    ``_best_route(node)``, the route to the sink known at ``node`` or None,
+    on which an originated packet is sent as its ``route``; and
+    ``_learn_route(node, trans)``, which records the route a reply carries
+    to ``node`` and returns ``(next_hop, payload)`` for the reply's next
+    hop, or None where the reply path ends. ``_send_data`` (re)transmits a
+    packet toward its next hop, ``_give_up`` ends one out of retries,
+    ``_relay`` passes on a received one and ``_rreq_payload(node,
+    rreq_id)`` builds the body of a route request.
     """
 
     def __init__(self, engine_: "eng.Engine"):
@@ -54,72 +69,66 @@ class _BaseRunner:
     def configure(self, now: float) -> None:
         pass  # on-demand protocols have no configuration phase
 
-    def on_delivered(self, ctx: PacketCtx, now: float) -> None:
-        pass  # no residual reporting in the baselines
-
     # ---------------------------------------------------------------- origin
 
     def on_sense(self, node, event_id: str, now: float) -> None:
         e = self.e
-        ctx = e.new_packet(event_id, node, now)
-        if node == BS:
-            e.deliver(ctx, node, now)
-            return
+        pkt = e.new_packet(event_id, node, now)
         if node not in e.awake:
-            e.drop(ctx, ASLEEP, node, now)
+            e.drop(pkt, ASLEEP, node, now)
             return
-        route = self._best_route(node)
-        if route is not None:
-            self._dispatch(node, ctx, route, now)
+        pkt.route = self._best_route(node)
+        if pkt.route is None:
+            self._await_route(node, pkt, now)
         else:
-            self._await_route(node, ctx, now)
+            self._send_data(node, pkt, now)
 
     # ---------------------------------------------------------------- data
 
-    def on_data_received(self, node, ctx, now) -> None:
-        if node in ctx.packet.visited:
-            self.e.drop(ctx, NO_ROUTE, node, now)  # routing loop guard
+    def on_data_received(self, node, pkt, now) -> None:
+        if node in pkt.visited:
+            self.e.drop(pkt, NO_ROUTE, node, now)  # routing loop guard
             return
-        ctx.packet.visited.append(node)
-        ctx.retry_count = 0
-        self._relay(node, ctx, now)
+        pkt.visited.append(node)
+        pkt.retry_count = 0
+        self._relay(node, pkt, now)
 
-    def _relay(self, node, ctx, now) -> None:
-        self._send_data(node, ctx, now)
+    def _relay(self, node, pkt, now) -> None:
+        self._send_data(node, pkt, now)
 
-    def _data_result(self, node, ctx, trans, outcome, now) -> None:
+    def _data_result(self, node, pkt, trans, outcome, now) -> None:
         e = self.e
         if outcome == OK:
             if trans.rx == BS:
-                e.deliver(ctx, node, now)
+                e.deliver(pkt, node, now)
             else:
-                self.on_data_received(trans.rx, ctx, now)
+                self.on_data_received(trans.rx, pkt, now)
             return
         if outcome == ASLEEP:
-            e.drop(ctx, ASLEEP, node, now)
+            e.drop(pkt, ASLEEP, node, now)
             return
         # BUSY / COLLISION / NO_RX: bounded retransmission with backoff
-        ctx.retry_count += 1
-        if ctx.retry_count <= e.sc.data_retries:
-            delay = e.sc.retry_backoff * (2 ** (ctx.retry_count - 1))
+        pkt.retry_count += 1
+        if pkt.retry_count <= e.sc.data_retries:
+            delay = e.sc.retry_backoff * (2 ** (pkt.retry_count - 1))
             retry = now + delay + e.jitter(1e-3)
-            e.schedule(retry, lambda: self._send_data(node, ctx, retry))
+            e.schedule(retry, lambda: self._send_data(node, pkt, retry))
         else:
-            self._give_up(node, ctx, now)
+            self._give_up(node, pkt, now)
 
-    def _transmit_data(self, node, rx, ctx, now) -> None:
+    def _transmit_data(self, node, rx, pkt, now) -> None:
         self.e.send_unicast(
-            DATA, node, rx, ctx.packet.payload_bits, now,
-            event_id=ctx.packet.event_id, defer_jitter=DEFER_JITTER,
+            DATA, node, rx, pkt.payload_bits, now,
+            event_id=pkt.event_id, defer_jitter=DEFER_JITTER,
             on_result=lambda trans, outcome, t: self._data_result(
-                node, ctx, trans, outcome, t))
+                node, pkt, trans, outcome, t))
 
     # ------------------------------------------------------------ discovery
 
-    def _await_route(self, node, ctx, now) -> None:
+    def _await_route(self, node, pkt, now) -> None:
         """Queue a packet at its origin; flood unless a discovery runs."""
         st = self.states[node]
-        st.pending.append(ctx)
+        st.pending.append(pkt)
         if not st.disc_active:
             st.disc_active = True
             self._flood(node, now)
@@ -147,8 +156,8 @@ class _BaseRunner:
             return
         st.disc_active = False
         st.disc_attempts = 0
-        for ctx in st.pending:
-            self.e.drop(ctx, NO_ROUTE, node, now)
+        for pkt in st.pending:
+            self.e.drop(pkt, NO_ROUTE, node, now)
         st.pending = []
 
     def _route_available(self, node, now) -> None:
@@ -160,8 +169,9 @@ class _BaseRunner:
         st.disc_active = False
         st.disc_attempts = 0
         pending, st.pending = st.pending, []
-        for ctx in pending:
-            self._dispatch(node, ctx, route, now)
+        for pkt in pending:
+            pkt.route = route
+            self._send_data(node, pkt, now)
 
     def _rreq_payload(self, node, rreq_id) -> dict:
         """The body of a route request; every copy of the flood shares its
@@ -222,22 +232,20 @@ class AodvRunner(_BaseRunner):
     def _best_route(self, node) -> Optional[Tuple[object, int]]:
         return self.states[node].route
 
-    def _dispatch(self, node, ctx, route, now) -> None:
-        self._send_data(node, ctx, now)  # the next hop is read per attempt
-
-    def _send_data(self, node, ctx, now) -> None:
+    def _send_data(self, node, pkt, now) -> None:
+        # the next hop is read per attempt, never from pkt.route
         st = self.states[node]
         if st.route is None:
-            if node == ctx.packet.origin:
-                self._await_route(node, ctx, now)
+            if node == pkt.origin:
+                self._await_route(node, pkt, now)
             else:
-                self.e.drop(ctx, NO_ROUTE, node, now)
+                self.e.drop(pkt, NO_ROUTE, node, now)
             return
-        self._transmit_data(node, st.route[0], ctx, now)
+        self._transmit_data(node, st.route[0], pkt, now)
 
-    def _give_up(self, node, ctx, now) -> None:
+    def _give_up(self, node, pkt, now) -> None:
         self.states[node].route = None  # the link is deemed broken
-        self.e.drop(ctx, CONGESTION, node, now)
+        self.e.drop(pkt, CONGESTION, node, now)
 
     def on_broadcast_received(self, node, trans, now) -> None:
         origin = trans.payload["origin"]
@@ -301,22 +309,18 @@ class DsrRunner(_BaseRunner):
     def _rreq_payload(self, node, rreq_id) -> dict:
         return dict(super()._rreq_payload(node, rreq_id), record=(node,))
 
-    def _dispatch(self, node, ctx, route, now) -> None:
-        ctx.route = route
-        self._send_data(node, ctx, now)
+    def _send_data(self, node, pkt, now) -> None:
+        self._transmit_data(node, pkt.route[1], pkt, now)
 
-    def _send_data(self, node, ctx, now) -> None:
-        self._transmit_data(node, ctx.route[1], ctx, now)
+    def _give_up(self, node, pkt, now) -> None:
+        self._purge(node, pkt.route[1])
+        self.e.drop(pkt, CONGESTION, node, now)
 
-    def _give_up(self, node, ctx, now) -> None:
-        self._purge(node, ctx.route[1])
-        self.e.drop(ctx, CONGESTION, node, now)
-
-    def _relay(self, node, ctx, now) -> None:
+    def _relay(self, node, pkt, now) -> None:
         # forwarding is stateless; snoop the tail of the carried route
-        ctx.route = ctx.route[1:]
-        self._cache(node, ctx.route)
-        self._send_data(node, ctx, now)
+        pkt.route = pkt.route[1:]
+        self._cache(node, pkt.route)
+        self._send_data(node, pkt, now)
 
     # ------------------------------------------------------------ discovery
 

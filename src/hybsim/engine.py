@@ -15,7 +15,7 @@ import io
 import math
 import random
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from . import hyb
@@ -103,19 +103,7 @@ class Transmission:
 
 
 @dataclass
-class PacketCtx:
-    """One originated packet intent and its bookkeeping."""
-
-    packet: DataPacket
-    terminal: bool = False
-    attempted: Set[int] = field(default_factory=set)  # hyb: tried this hop
-    retry_count: int = 0                              # baselines: per-hop retries
-    route: Optional[Tuple[object, ...]] = None        # dsr: route from the holder on
-
-
-@dataclass
 class NodeRec:
-    id: int
     location: Location
     energy: EnergyState
     death_time: Optional[float] = None
@@ -137,9 +125,7 @@ class Engine:
 
         self.nodes: Dict[int, NodeRec] = {}
         for i in sorted(self.locs.entries):
-            self.nodes[i] = NodeRec(
-                id=i, location=self.locs.entries[i],
-                energy=scenario.battery())
+            self.nodes[i] = NodeRec(self.locs.entries[i], scenario.battery())
 
         # static topology: who hears whom, for every node and for BS.
         # _ids lists every endpoint in bit order, ascending node id then BS;
@@ -448,27 +434,24 @@ class Engine:
 
     # ------------------------------------------------------------------ packets
 
-    def new_packet(self, event_id: str, origin: int, now: float) -> PacketCtx:
+    def new_packet(self, event_id: str, origin: int, now: float) -> DataPacket:
         self.generated += 1
-        pkt = DataPacket(event_id=event_id, origin=origin,
-                         payload_bits=self.sc.payload_bits, created_at=now)
-        return PacketCtx(packet=pkt)
+        return DataPacket(event_id=event_id, origin=origin,
+                          payload_bits=self.sc.payload_bits, created_at=now)
 
-    def drop(self, ctx: PacketCtx, reason: str, node: object, now: float) -> None:
-        if ctx.terminal:
+    def drop(self, pkt: DataPacket, reason: str, node: object, now: float) -> None:
+        if pkt.terminal:
             raise RuntimeError("packet already resolved")
-        ctx.terminal = True
+        pkt.terminal = True
         self.dropped[reason] += 1
-        self.log(now, "DROP", node, "-", ctx.packet.event_id, reason)
+        self.log(now, "DROP", node, "-", pkt.event_id, reason)
 
-    def deliver(self, ctx: PacketCtx, last_tx: object, now: float) -> None:
-        if ctx.terminal:
+    def deliver(self, pkt: DataPacket, last_tx: object, now: float) -> None:
+        if pkt.terminal:
             raise RuntimeError("packet already resolved")
-        ctx.terminal = True
+        pkt.terminal = True
         self.delivered += 1
-        self.log(now, "DELIVER", last_tx, BS, ctx.packet.event_id,
-                 f"hops={ctx.packet.hops}")
-        self.protocol.on_delivered(ctx, now)
+        self.log(now, "DELIVER", last_tx, BS, pkt.event_id, f"hops={pkt.hops}")
 
     # ------------------------------------------------------------------ run
 
@@ -542,7 +525,8 @@ class Engine:
 
 
 class HybRunner:
-    """Engine adapter for the hybrid protocol state machine."""
+    """Engine adapter for the hybrid protocol state machine; it keeps the
+    runner contract of ``baselines._BaseRunner`` but never broadcasts."""
 
     def __init__(self, engine: Engine):
         self.e = engine
@@ -601,64 +585,56 @@ class HybRunner:
     # -------------------------------------------------------------- traffic
 
     def on_sense(self, node: int, event_id: str, now: float) -> None:
-        ctx = self.e.new_packet(event_id, node, now)
-        action = hyb.on_sense(self.states[node], ctx.packet, self.ctx, now)
-        self._act(node, ctx, action, now)
+        pkt = self.e.new_packet(event_id, node, now)
+        action = hyb.on_sense(self.states[node], pkt, self.ctx, now)
+        self._act(node, pkt, action, now)
 
-    def _act(self, node: int, ctx: PacketCtx, action: Action, now: float) -> None:
+    def _act(self, node: int, pkt: DataPacket, action: Action, now: float) -> None:
         e = self.e
         if action.kind == DROP:
-            e.drop(ctx, action.reason, node, now)
+            e.drop(pkt, action.reason, node, now)
             return
         rx = BS
         if action.kind != SEND_DIRECT:
             rx = action.neighbour
             hyb.note_forward(self.states[node], rx)
-            ctx.attempted.add(rx)
-        e.send_unicast(DATA, node, rx, ctx.packet.payload_bits, now,
-                       event_id=ctx.packet.event_id,
+            pkt.attempted.add(rx)
+        e.send_unicast(DATA, node, rx, pkt.payload_bits, now,
+                       event_id=pkt.event_id,
                        on_result=lambda trans, outcome, t: self._result(
-                           node, ctx, trans, outcome, t))
+                           node, pkt, trans, outcome, t))
 
-    def _result(self, node: int, ctx: PacketCtx, trans, outcome: str,
+    def _result(self, node: int, pkt: DataPacket, trans, outcome: str,
                 now: float) -> None:
         e = self.e
         if outcome == OK:
             if trans.rx == BS:
-                e.deliver(ctx, node, now)
+                e.deliver(pkt, node, now)
+                # every awake node on the path reports its residual
+                for n in pkt.visited:
+                    if n in e.awake:
+                        e.send_oob_control(REPORT, n, BS, now)
+                        self.bs_known_residual[n] = e.nodes[n].energy.residual
             else:
-                self._relay(trans.rx, ctx, now)
+                self._relay(trans.rx, pkt, now)
             return
         if outcome == ASLEEP:
-            e.drop(ctx, ASLEEP, node, now)
+            e.drop(pkt, ASLEEP, node, now)
             return
         if outcome == COLLISION:
             # the model never retransmits a frame lost on the air
-            e.drop(ctx, CONGESTION, node, now)
+            e.drop(pkt, CONGESTION, node, now)
             return
         # BUSY / NO_RX: move on to the next candidate
-        action = hyb.on_busy_channel(self.states[node], ctx.packet, self.ctx,
-                                     ctx.attempted, now)
+        action = hyb.on_busy_channel(self.states[node], pkt, self.ctx,
+                                     pkt.attempted, now)
         if action.kind == DROP:
-            e.drop(ctx, action.reason, node, now)
+            e.drop(pkt, action.reason, node, now)
             return
         retry = now + RETRY_GAP
-        e.schedule(retry, lambda: self._act(node, ctx, action, retry))
+        e.schedule(retry, lambda: self._act(node, pkt, action, retry))
 
-    def _relay(self, node: int, ctx: PacketCtx, now: float) -> None:
-        ctx.attempted = set()
-        action = hyb.on_receive(self.states[node], ctx.packet, self.ctx, now)
-        self._act(node, ctx, action, now)
-
-    def heard_before(self, trans: Transmission) -> int:
-        return 0  # hyb floods nothing
-
-    # -------------------------------------------------------------- reports
-
-    def on_delivered(self, ctx: PacketCtx, now: float) -> None:
-        e = self.e
-        for n in ctx.packet.visited:
-            if n not in e.awake:
-                continue
-            e.send_oob_control(REPORT, n, BS, now)
-            self.bs_known_residual[n] = e.nodes[n].energy.residual
+    def _relay(self, node: int, pkt: DataPacket, now: float) -> None:
+        pkt.attempted = set()
+        action = hyb.on_receive(self.states[node], pkt, self.ctx, now)
+        self._act(node, pkt, action, now)

@@ -46,14 +46,15 @@ class DataPacket:
     event_id: str
     origin: int
     payload_bits: int = DEFAULT_PAYLOAD_BITS
-    visited: List[int] = field(default_factory=list)
     created_at: float = 0.0
+    visited: List[int] = field(init=False)  # the path so far, origin first
+    terminal: bool = False                  # delivered or dropped
+    attempted: Set[int] = field(default_factory=set)  # hyb: tried this hop
+    retry_count: int = 0                    # baselines: retries at this hop
+    route: Optional[Tuple[object, ...]] = None  # dsr: route from the holder on
 
     def __post_init__(self):
-        if not self.visited:
-            self.visited = [self.origin]
-        assert self.origin in self.visited
-        assert len(set(self.visited)) == len(self.visited)
+        self.visited = [self.origin]
 
     @property
     def hops(self) -> int:

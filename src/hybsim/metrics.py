@@ -198,25 +198,6 @@ def runs_csv(table: ComparisonTable) -> str:
     return buf.getvalue()
 
 
-def parse_runs_csv(text: str) -> ComparisonTable:
-    """Rebuild a ComparisonTable from runs_csv output (numeric round trip)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != CSV_COLUMNS:
-        raise MetricsError(f"unexpected CSV header: {header}")
-    table = ComparisonTable()
-    for rec in reader:
-        vals = dict(zip(CSV_COLUMNS, rec))
-        report = MetricsReport(
-            **{name: kind(vals[column])
-               for column, name, kind in _REPORT_COLUMNS},
-            dropped={reason: int(vals[column])
-                     for reason, column in zip(DROP_REASONS, _DROP_COLUMNS)})
-        table.runs.append(RunRow(vals["protocol"], int(vals["node_count"]),
-                                 int(vals["seed"]), report))
-    return table
-
-
 def summary_csv(table: ComparisonTable) -> str:
     """Per (protocol, node count) mean and min-max spread of each metric."""
     buf = io.StringIO()

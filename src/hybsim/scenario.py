@@ -23,6 +23,12 @@ PROTOCOLS = ("hyb", "aodv", "dsr")
 # per sensing node until the run ends (tracemalloc, Python 3.11).
 MAX_EVENTS = 1_000_000
 MAX_RETRIES = 100  # per discovery or hop; each floods or doubles a backoff
+# s, the longest discovery timeout or data backoff. A run adds delays one
+# after another, so delays near the largest float (~1.8e308) carry the
+# clock to inf and stamp records there; no run chains enough delays of at
+# most 1e30 s to come near it. The bound still admits the default backoff
+# doubled MAX_RETRIES - 1 times (0.01 * 2**99, ~6.3e27 s).
+MAX_DELAY = 1e30
 
 
 class ScenarioError(ValueError):
@@ -101,10 +107,6 @@ class Scenario:
         bx, by = self.bs_location
         if not (0 <= bx < math.inf and 0 <= by < math.inf):
             raise ScenarioError("bs_location must be non-negative and finite")
-        for name in ("discovery_timeout", "retry_backoff"):
-            if not getattr(self, name) < math.inf:
-                # an infinite delay stamps retries and give-ups at t = inf
-                raise ScenarioError(f"{name} must be finite")
         for name in ("control_bits", "wait_t", "dedup_ttl", "discovery_timeout",
                      "retry_backoff"):
             if not getattr(self, name) >= 0:
@@ -113,6 +115,12 @@ class Scenario:
         for name in ("discovery_retries", "data_retries"):
             if not 0 <= getattr(self, name) <= MAX_RETRIES:
                 raise ScenarioError(f"{name} must be in [0, {MAX_RETRIES}]")
+        if not self.discovery_timeout <= MAX_DELAY:
+            raise ScenarioError(f"discovery_timeout exceeds {MAX_DELAY:g} s")
+        # data_retries is in range by now, so the power fits in a float
+        if not self.retry_backoff * 2 ** (self.data_retries - 1) <= MAX_DELAY:
+            raise ScenarioError("retry_backoff * 2 ** (data_retries - 1) "
+                                f"exceeds {MAX_DELAY:g} s")
         try:  # the radio, energy and region checks live with those types
             self.radio_params()
             self.energy_coefficients()

@@ -300,38 +300,3 @@ def emit_neighbour_table(table: NeighbourTable, k: int = 3) -> str:
             cols = [str(v) for v in row] + ["-"] * (k - len(row))
         lines.append("\t".join([str(node)] + cols))
     return "".join(line + "\n" for line in lines)
-
-
-def parse_neighbour_table(text: str) -> NeighbourTable:
-    """Inverse of emit_neighbour_table (for round-trip checks and tooling)."""
-    table = NeighbourTable()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        cols = line.split("\t")
-        if len(cols) < 2:
-            raise TopologyError(f"line {lineno}: too few columns in {raw!r}")
-        try:
-            node = int(cols[0])
-        except ValueError as exc:
-            raise TopologyError(f"line {lineno}: bad node id in {raw!r}") from exc
-        if node in table.rows:
-            raise TopologyError(f"line {lineno}: duplicate row for {node}")
-        markers = cols[1:]
-        if all(m == "-" for m in markers):
-            table.rows[node] = ISOLATED
-        elif all(m == "0" for m in markers):
-            table.rows[node] = DIRECT
-        else:
-            neigh = []
-            for m in markers:
-                if m == "-":
-                    break
-                try:
-                    neigh.append(int(m))
-                except ValueError as exc:
-                    raise TopologyError(
-                        f"line {lineno}: bad neighbour id {m!r}") from exc
-            table.rows[node] = tuple(neigh)
-    return table

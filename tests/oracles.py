@@ -75,9 +75,9 @@ def record_deliveries(engine):
     delivered = []
     deliver = engine.deliver
 
-    def recording(ctx, last_tx, now):
-        delivered.append((ctx.packet.event_id, list(ctx.packet.visited)))
-        deliver(ctx, last_tx, now)
+    def recording(pkt, last_tx, now):
+        delivered.append((pkt.event_id, list(pkt.visited)))
+        deliver(pkt, last_tx, now)
     engine.deliver = recording
     return delivered
 

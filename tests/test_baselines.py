@@ -103,13 +103,6 @@ class TestDiscoveryAndDelivery:
         for _, path in delivered:
             assert len(path) == len(set(path))
 
-    def test_sink_origin_degenerate_delivery(self, tmp_path, protocol):
-        e = make_engine(tmp_path, LINE2, protocol)
-        e.protocol.on_sense(BS, "ev0", 0.0)
-        e.drain()
-        assert e.delivered == 1
-        assert lines(e, "DELIVER")[0][5] == "hops=0"
-
 
 class TestAodvState:
     def test_routes_point_toward_sink(self, tmp_path):

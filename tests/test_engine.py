@@ -363,6 +363,7 @@ class TestInterferenceOracle:
         received = []  # hyb has no broadcast handler of its own
         e.protocol.on_broadcast_received = (
             lambda node, trans, now: received.append(node))
+        e.protocol.heard_before = lambda trans: 0
         where = dict(enumerate(pts))
         where[BS] = bs
 
@@ -439,6 +440,7 @@ class TestBroadcast:
         heard = []
         e.protocol.on_broadcast_received = (
             lambda node, trans, now: heard.append(node))
+        e.protocol.heard_before = lambda trans: 0
         e.send_broadcast("RREQ", 0, 320, 0.0)
         e.drain()
         assert sorted(heard) == [1, 2]   # 300 m away is still in range
@@ -449,6 +451,7 @@ class TestBroadcast:
         heard = []
         e.protocol.on_broadcast_received = (
             lambda node, trans, now: heard.append(node))
+        e.protocol.heard_before = lambda trans: 0
         e.send_broadcast("RREQ", BS, 320, 0.0)
         e.drain()
         assert heard == [0, 1]
@@ -457,6 +460,7 @@ class TestBroadcast:
     def test_carrier_sense_defers_behind_active_frame(self, tmp_path):
         e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0))
         e.protocol.on_broadcast_received = lambda *a: None
+        e.protocol.heard_before = lambda trans: 0
         assert e.send_unicast("DATA", 1, 2, 4096, 0.0) == GRANT
         e.send_broadcast("RREQ", 0, 320, 0.0)   # 0 hears 1: must defer
         e.drain()
@@ -469,6 +473,7 @@ class TestBroadcast:
         points = {0: (0.0, 100.0), 1: (350.0, 100.0), 2: (700.0, 100.0)}
         e = make_engine(tmp_path, points, (1500.0, 1500.0))
         e.protocol.on_broadcast_received = lambda *a: None
+        e.protocol.heard_before = lambda trans: 0
         e.send_broadcast("RREQ", 0, 320, 0.0)
         e.send_broadcast("RREQ", 2, 320, 0.0)
         e.drain()
@@ -483,6 +488,7 @@ class TestBroadcast:
         heard = []
         e.protocol.on_broadcast_received = (
             lambda node, trans, now: heard.append(node))
+        e.protocol.heard_before = lambda trans: 0
         e.send_broadcast("RREQ", 0, 320, 0.0)
         e.drain()
         assert heard == [1, 3]

@@ -1,5 +1,7 @@
 """Metric collection, CSV round trips and the dominance check."""
 
+import csv
+import io
 from unittest import mock
 
 import pytest
@@ -9,9 +11,8 @@ from hypothesis import strategies as st
 from hybsim import metrics
 from hybsim.metrics import (CSV_COLUMNS, ComparisonTable, MetricsError,
                             MetricsReport, RunRow, check_dominance, collect,
-                            compare, parse_runs_csv, run_scenario, runs_csv,
-                            summary_csv)
-from hybsim.hyb import ASLEEP
+                            compare, run_scenario, runs_csv, summary_csv)
+from hybsim.hyb import ASLEEP, DROP_REASONS
 from hybsim.scenario import Scenario
 
 SAMPLE_LOG = """\
@@ -121,6 +122,25 @@ class TestRunScenario:
         assert report.energy_consumed > 0.0
         assert report.wall_clock > 0.0
         assert collect(log).signals == report.signals
+
+
+def parse_runs_csv(text: str) -> ComparisonTable:
+    """Rebuild a ComparisonTable from runs_csv output (numeric round trip)."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header != CSV_COLUMNS:
+        raise MetricsError(f"unexpected CSV header: {header}")
+    table = ComparisonTable()
+    for rec in reader:
+        vals = dict(zip(CSV_COLUMNS, rec))
+        report = MetricsReport(
+            **{name: kind(vals[column])
+               for column, name, kind in metrics._REPORT_COLUMNS},
+            dropped={reason: int(vals[column]) for reason, column
+                     in zip(DROP_REASONS, metrics._DROP_COLUMNS)})
+        table.runs.append(RunRow(vals["protocol"], int(vals["node_count"]),
+                                 int(vals["seed"]), report))
+    return table
 
 
 def synthetic_table():

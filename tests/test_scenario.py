@@ -1,5 +1,6 @@
 """Scenario file parsing, validation and round-trip tests."""
 
+import math
 from dataclasses import fields, replace
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hybsim.engine import Engine
+from hybsim.metrics import collect
 from hybsim.scenario import (MAX_EVENTS, MAX_RETRIES, PROTOCOLS, Scenario,
                              ScenarioError, emit_scenario, parse_scenario)
 
@@ -88,6 +90,11 @@ class TestParse:
         ("refresh_period = inf\n", "refresh_period"),
         ("discovery_timeout = inf\n", "discovery_timeout"),
         ("retry_backoff = inf\n", "retry_backoff"),
+        # finite delays whose retries overflowed the clock to inf
+        ("protocol = aodv\nnode_count = 20\nsim_time = 2\nseed = 1\n"
+         "discovery_timeout = 1e308\n", "discovery_timeout"),
+        ("protocol = aodv\nnode_count = 40\nsim_time = 5\n"
+         "retry_backoff = 1e308\n", "retry_backoff"),
         ("elec = inf\n", "energy coefficients"),
         ("amp = inf\n", "energy coefficients"),
         ("energy_threshold = inf\n", "threshold"),
@@ -237,10 +244,12 @@ _RUN_VALUES = {
     "refresh_period": ["30", "0.5", "0.05", "1e-6", "0", "-5", "nan", "inf",
                        "1e-300"],
     "liveness": ["ground_truth", "reported", "psychic"],
-    "discovery_timeout": ["1", "0", "0.05", "1e300", "-1", "nan", "inf"],
+    "discovery_timeout": ["1", "0", "0.05", "1e30", "1e300", "1e308", "-1",
+                          "nan", "inf"],
     "discovery_retries": ["2", "0", "5", "100", "101", "1000000", "-1"],
     "data_retries": ["3", "0", "10", "100", "1100", "1000000", "-1"],
-    "retry_backoff": ["0.01", "0", "1", "1e300", "-0.01", "nan", "inf"],
+    "retry_backoff": ["0.01", "0", "1", "1e27", "1e300", "1e308", "-0.01",
+                      "nan", "inf"],
 }
 
 
@@ -255,7 +264,7 @@ def location_file(tmp_path_factory):
 class TestEveryParsedScenarioRuns:
     """Scenario text over every key, invalid values included: each file is
     rejected at parse time or runs to completion with every packet
-    resolved exactly once."""
+    resolved exactly once and every record stamped at a finite time."""
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -275,5 +284,8 @@ class TestEveryParsedScenarioRuns:
             return
         e = Engine(replace(sc, node_count=min(sc.node_count, 20),
                            sim_time=min(sc.sim_time, 2.0)))
-        e.run()  # a packet resolved twice raises here
+        log = e.run()  # a packet resolved twice raises here
         assert e.generated == e.delivered + sum(e.dropped.values())
+        assert all(math.isfinite(float(line.split(" ", 1)[0]))
+                   for line in log.splitlines())
+        assert math.isfinite(collect(log).execution_time)

