@@ -21,9 +21,8 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from . import hyb
 from .hyb import (ASLEEP, CONGESTION, DROP, DROP_REASONS, SEND_DIRECT, Action,
                   DataPacket, DedupBuffer, HybContext, HybNodeState)
-from .radio import (EnergyState, deduct, frame_airtime, is_alive,
-                    link_bounds, link_feasible, received_power, rx_energy,
-                    tx_energy)
+from .radio import (EnergyState, frame_airtime, is_alive, link_bounds,
+                    link_feasible, received_power, rx_energy, tx_energy)
 from .scenario import Scenario, ScenarioError
 from .topology import (Grid, Location, LocationTable, compute_neighbour_table,
                        parse_location_file, refresh_table)
@@ -95,11 +94,14 @@ class Transmission:
     end: float
     event_id: str = "-"
     payload: object = None
-    cancelled: bool = False
     on_result: Optional[Callable] = None
+    cancelled: bool = False
     # the frames that share air time with this one, from its _begin to its
     # _frame_end; see Engine._begin
     overlaps: Optional[List["Transmission"]] = None
+    # _hears[tx] | _bit[tx], set by _begin: whom the frame reaches, its
+    # sender included
+    reach: int = 0
 
 
 @dataclass
@@ -165,9 +167,11 @@ class Engine:
         self._seq = 0
         self.log_buffer = io.StringIO()  # the event log, written once
         self.active: Dict[object, Transmission] = {}  # by transmitter
-        # the OR of _hears[t.tx] | _bit[t.tx] over active: whom a frame on
-        # the air reaches, its senders included
+        # the OR of t.reach over active: whom a frame on the air reaches,
+        # its senders included
         self._on_air = 0
+        # frame size -> (transmit, receive) energy of one broadcast
+        self._broadcast_cost: Dict[int, Tuple[float, float]] = {}
 
         self.generated = 0
         self.delivered = 0
@@ -195,12 +199,20 @@ class Engine:
     # ------------------------------------------------------------------ energy
 
     def charge(self, node: object, amount: float) -> None:
+        """Drain ``amount`` joules from ``node``'s battery, the one place
+        that drains one; the residual clamps at zero. Every charged copy of
+        a frame comes here, so the body makes no further call."""
         if node == BS:
             return  # the sink is mains powered
+        if amount < 0:
+            raise ValueError("amount must be non-negative")
         rec = self.nodes[node]
         battery = rec.energy
-        deduct(battery, amount)
-        if not is_alive(battery) and node in self.awake:
+        # max(0.0, left) to the bit, NaN included
+        left = battery.residual - amount
+        battery.residual = left if left > 0.0 else 0.0
+        # not radio.is_alive(battery), inlined
+        if battery.residual < battery.threshold and node in self.awake:
             self.awake.remove(node)
             self._heard_by.clear()  # a list _frame_end is walking stays whole
             rec.death_time = self.now
@@ -235,10 +247,10 @@ class Engine:
             return NO_RX
         if rx in self.active:
             return BUSY
-        hears, mine = self._hears, self._bit[rx]
+        mine = self._bit[rx]
         if self._on_air & mine:  # rx hears or sends a frame on the air
             for t in self.active.values():
-                if t.start < now and hears[t.tx] & mine:
+                if t.start < now and t.reach & mine:
                     return BUSY
         # same-instant contest on this receiver: higher power wins
         for t in list(self.active.values()):
@@ -255,9 +267,9 @@ class Engine:
     def _remove(self, trans: Transmission) -> None:
         # take trans off the air and rebuild the on-air mask without it
         del self.active[trans.tx]
-        hears, bit, on_air = self._hears, self._bit, 0
+        on_air = 0
         for t in self.active.values():
-            on_air |= hears[t.tx] | bit[t.tx]
+            on_air |= t.reach
         self._on_air = on_air
 
     def _cancel(self, trans: Transmission) -> None:
@@ -273,16 +285,18 @@ class Engine:
         # frame that overlaps trans but begins later pairs itself with trans
         # then: trans stays in active until its own _frame_end, and no frame
         # that begins after that time can overlap it.
-        if trans.tx in self.active:
-            raise RuntimeError(f"node {trans.tx} already holds the channel")
+        tx, active = trans.tx, self.active
+        if tx in active:
+            raise RuntimeError(f"node {tx} already holds the channel")
         start, end = trans.start, trans.end
         overlaps = trans.overlaps = []
-        for g in self.active.values():
+        for g in active.values():
             if g.start < end and g.end > start:
                 g.overlaps.append(trans)
                 overlaps.append(g)
-        self.active[trans.tx] = trans
-        self._on_air |= self._hears[trans.tx] | self._bit[trans.tx]
+        active[tx] = trans
+        trans.reach = self._hears[tx] | self._bit[tx]
+        self._on_air |= trans.reach
         self.schedule(end, lambda: self._frame_end(trans))
 
     def send_unicast(self, kind: str, tx: object, rx: object, bits: int,
@@ -320,10 +334,8 @@ class Engine:
                 on_result(None, verdict, now)
             return verdict
         air = frame_airtime(self.radio, bits)
-        trans = Transmission(kind=kind, tx=tx, rx=rx, bits=bits,
-                             start=now, end=now + air, event_id=event_id,
-                             payload=payload, on_result=on_result)
-        self._begin(trans)
+        self._begin(Transmission(kind, tx, rx, bits, now, now + air, event_id,
+                                 payload, on_result))
         return GRANT
 
     def send_broadcast(self, kind: str, tx: object, bits: int, now: float,
@@ -333,21 +345,19 @@ class Engine:
         to the protocol per receiver at frame end."""
         if tx not in self.awake:
             return  # the node drained while the frame was pending
-        hears, mine = self._hears, self._bit[tx]
+        mine = self._bit[tx]
         if self._on_air & mine:  # tx sends or hears a frame on the air
             busy_until = 0.0
             for t in self.active.values():
-                if (t.tx == tx or hears[t.tx] & mine) and t.end > busy_until:
+                if t.reach & mine and t.end > busy_until:
                     busy_until = t.end
             retry = busy_until + self.jitter(1e-3)
             self.schedule(retry, lambda: self.send_broadcast(
-                kind, tx, bits, retry, payload=payload, event_id=event_id))
+                kind, tx, bits, retry, payload, event_id))
             return
         air = frame_airtime(self.radio, bits)
-        trans = Transmission(kind=kind, tx=tx, rx=BROADCAST, bits=bits,
-                             start=now, end=now + air, event_id=event_id,
-                             payload=payload)
-        self._begin(trans)
+        self._begin(Transmission(kind, tx, BROADCAST, bits, now, now + air,
+                                 event_id, payload))
 
     def send_oob_control(self, kind: str, tx: object, rx: object,
                          now: float) -> None:
@@ -367,10 +377,10 @@ class Engine:
     def _jam_mask(self, trans: Transmission) -> int:
         # every other frame that shares air time with trans and was not
         # cancelled jams its own sender and every endpoint that hears it
-        hears, bit, jammed = self._hears, self._bit, 0
+        jammed = 0
         for g in trans.overlaps:
             if not g.cancelled:
-                jammed |= hears[g.tx] | bit[g.tx]
+                jammed |= g.reach
         return jammed
 
     def _interfered(self, trans: Transmission, receiver: object) -> bool:
@@ -392,13 +402,19 @@ class Engine:
         self._remove(trans)
         # transmit cost is charged on completion; a cancelled reservation
         # never put energy on the air
-        cost_dist = (self.radio.radio_range if trans.rx == BROADCAST
-                     else self.dist(trans.tx, trans.rx))
-        self.charge(trans.tx, tx_energy(self.coeff, trans.bits, cost_dist))
-
-        if trans.rx == BROADCAST:
-            self.log(trans.start, trans.kind, trans.tx, BROADCAST,
-                     trans.event_id, SENT)
+        tx, r, bits = trans.tx, trans.rx, trans.bits
+        if r == BROADCAST:
+            costs = self._broadcast_cost.get(bits)
+            if costs is None:
+                costs = self._broadcast_cost[bits] = (
+                    tx_energy(self.coeff, bits, self.radio.radio_range),
+                    rx_energy(self.coeff, bits))
+            tx_cost, cost = costs
+            self.charge(tx, tx_cost)
+            # the SENT record and each COLL record: the bytes log() writes
+            stamp, event_id = f"{trans.start:.6f} ", trans.event_id
+            write = self.log_buffer.write
+            write(f"{stamp}{trans.kind} {tx} {BROADCAST} {event_id} {SENT}\n")
             # One jammed mask serves every receiver. A frame that a
             # receiver's handler begins, or cancels, starts at trans.end,
             # so it never overlaps trans. So does one heard-before mask: a
@@ -407,28 +423,27 @@ class Engine:
             jammed = self._jam_mask(trans)
             trans.overlaps = None
             skip = self.protocol.heard_before(trans)
-            cost = rx_energy(self.coeff, trans.bits)
-            head = f"{trans.start:.6f} {COLL} {trans.tx} "
-            tail = f" {trans.event_id} {COLLISION}\n"
-            write, charge = self.log_buffer.write, self.charge
+            head = f"{stamp}{COLL} {tx} "
+            tail = f" {event_id} {COLLISION}\n"
+            end, charge = trans.end, self.charge
             received = self.protocol.on_broadcast_received
-            for r, bit in self._receivers(trans.tx):
+            for r, bit in self._receivers(tx):
                 if bit & jammed:
-                    write(f"{head}{r}{tail}")  # what log() would write
+                    write(f"{head}{r}{tail}")
                 else:
                     charge(r, cost)
                     if not bit & skip:
-                        received(r, trans, trans.end)
+                        received(r, trans, end)
             return
 
-        r = trans.rx
+        self.charge(tx, tx_energy(self.coeff, bits, self.dist(tx, r)))
         collided = self._interfered(trans, r)
         trans.overlaps = None
         outcome = (NO_RX if r not in self.awake
                    else COLLISION if collided else OK)
-        self.log(trans.start, trans.kind, trans.tx, r, trans.event_id, outcome)
+        self.log(trans.start, trans.kind, tx, r, trans.event_id, outcome)
         if outcome == OK:
-            self.charge(r, rx_energy(self.coeff, trans.bits))
+            self.charge(r, rx_energy(self.coeff, bits))
         if trans.on_result is not None:
             trans.on_result(trans, outcome, trans.end)
 
@@ -512,9 +527,9 @@ class Engine:
 
     def drain(self) -> None:
         """Pop and execute queued events until none is left."""
-        heap = self._heap
+        heap, pop = self._heap, heapq.heappop
         while heap:
-            time, _, fn = heapq.heappop(heap)
+            time, _, fn = pop(heap)
             if time < self.now - 1e-12:
                 raise RuntimeError("queue time went backwards")
             self.now = time

@@ -20,16 +20,16 @@ from .scenario import Scenario
 
 # the runs.csv columns between the run's key (protocol, node count, seed) and
 # its drop counts, one per reason in DROP_REASONS order: (column,
-# MetricsReport field, type)
-_REPORT_COLUMNS = (("execution_time_s", "execution_time", float),
-                   ("avg_hop_count", "avg_hop_count", float),
-                   ("collisions", "collisions", int),
-                   ("signals", "signals", int),
-                   ("generated", "generated", int),
-                   ("delivered", "delivered", int))
+# MetricsReport field)
+_REPORT_COLUMNS = (("execution_time_s", "execution_time"),
+                   ("avg_hop_count", "avg_hop_count"),
+                   ("collisions", "collisions"),
+                   ("signals", "signals"),
+                   ("generated", "generated"),
+                   ("delivered", "delivered"))
 _DROP_COLUMNS = [f"dropped_{reason.lower()}" for reason in DROP_REASONS]
 CSV_COLUMNS = ["protocol", "node_count", "seed",
-               *(column for column, _, _ in _REPORT_COLUMNS), *_DROP_COLUMNS]
+               *(column for column, _ in _REPORT_COLUMNS), *_DROP_COLUMNS]
 
 
 class MetricsError(ValueError):
@@ -54,7 +54,7 @@ class MetricsReport:
 
     def csv_values(self, protocol: str, node_count: int, seed: int) -> List[str]:
         return [protocol, str(node_count), str(seed),
-                *(str(getattr(self, name)) for _, name, _ in _REPORT_COLUMNS),
+                *(str(getattr(self, name)) for _, name in _REPORT_COLUMNS),
                 *(str(self.dropped.get(reason, 0)) for reason in DROP_REASONS)]
 
 
@@ -203,7 +203,7 @@ def summary_csv(table: ComparisonTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["protocol", "node_count", "metric", "mean", "min", "max"])
-    metrics = [name for _, name, _ in _REPORT_COLUMNS] + ["energy_consumed"]
+    metrics = [name for _, name in _REPORT_COLUMNS] + ["energy_consumed"]
     for n in table.node_counts():
         for protocol in table.protocols():
             if not table.cell(protocol, n):

@@ -153,12 +153,3 @@ class EnergyState:
 def is_alive(state: EnergyState) -> bool:
     return state.residual >= state.threshold
 
-
-def deduct(state: EnergyState, amount: float) -> None:
-    """Charge ``amount`` joules in place; residual clamps at zero."""
-    if amount < 0:
-        raise ValueError("amount must be non-negative")
-    # max(0.0, left) to the bit, NaN included; the builtin max costs
-    # several times more per call, and every copy of a frame is charged
-    left = state.residual - amount
-    state.residual = left if left > 0.0 else 0.0

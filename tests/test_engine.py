@@ -518,6 +518,18 @@ class TestEnergyAccounting:
         assert charges[0] == [cost, cost]
         assert e.nodes[0].energy.residual == 0.0  # clamped, not negative
 
+    def test_charge_preserves_initial(self, tmp_path):
+        e = make_engine(tmp_path, {0: (100.0, 100.0)}, (1500.0, 1500.0))
+        e.charge(0, 3.25)
+        assert e.nodes[0].energy.initial == 10.0
+        assert e.nodes[0].energy.residual == pytest.approx(6.75)
+
+    def test_negative_charge_rejected(self, tmp_path):
+        e = make_engine(tmp_path, {0: (100.0, 100.0)}, (1500.0, 1500.0))
+        with pytest.raises(ValueError):
+            e.charge(0, -0.1)
+        assert e.nodes[0].energy.residual == 10.0
+
     def test_charged_down_to_the_threshold_stays_awake(self, tmp_path):
         e = make_engine(tmp_path, {0: (100.0, 100.0)}, (1500.0, 1500.0),
                         initial_energy=0.75, energy_threshold=0.25)

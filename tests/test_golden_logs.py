@@ -51,11 +51,14 @@ has a test that shows it reaches what it is there for:
 - dsr at 200 nodes, 1 s: the same dense flood, where a node tests whether
   it is on a request's route record before it checks the request for a
   duplicate.
+
+On every case of that table a further test checks, after each frame
+enters or leaves the air, each frame's ``reach`` and the on-air mask.
 """
 
 import hashlib
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -217,6 +220,32 @@ def _flood_engine(case):
 def test_flood_edge_log_digest(case):
     log = _flood_engine(case).run()
     assert hashlib.sha256(log.encode()).hexdigest() == FLOOD[case][1]
+
+
+@pytest.mark.parametrize("case", sorted(FLOOD))
+def test_flood_keeps_every_reach_and_the_on_air_mask(case):
+    # after every change to active, each frame on the air reaches what its
+    # sender's masks say, and _on_air is the OR of those reaches
+    e = _flood_engine(case)
+    hears, bit, calls = e._hears, e._bit, Counter()
+
+    def checked(name):
+        fn = getattr(e, name)
+
+        def wrapper(trans):
+            fn(trans)
+            on_air = 0
+            for t in e.active.values():
+                assert t.reach == hears[t.tx] | bit[t.tx]
+                on_air |= t.reach
+            assert e._on_air == on_air
+            calls[name] += 1
+        setattr(e, name, wrapper)
+    for name in ("_begin", "_remove", "_cancel"):
+        checked(name)
+    e.run()
+    assert calls["_begin"] > 1000
+    assert calls["_remove"] > 1000
 
 
 def test_zero_airtime_case_reaches_the_strict_overlap_edges():

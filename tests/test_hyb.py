@@ -10,7 +10,7 @@ from hybsim.hyb import (ASLEEP, CONGESTION, DROP, DUPLICATE, FORWARD,
                         HybContext, HybNodeState, best_neighbour, note_forward,
                         on_busy_channel, on_receive, on_sense,
                         single_hop_feasible)
-from hybsim.radio import (EnergyCoefficients, EnergyState, RadioParams, deduct,
+from hybsim.radio import (EnergyCoefficients, EnergyState, RadioParams,
                           tx_energy)
 from hybsim.topology import DIRECT, ISOLATED, Location
 
@@ -103,7 +103,7 @@ class TestSingleHopFeasible:
         assert single_hop_feasible(st, ctx)
         cost = st.direct_cost[4096]
         assert cost == tx_energy(ctx.energy_coeff, 4096, POINTS[1].dist(BS))
-        deduct(st.energy, st.energy.residual - st.energy.threshold - cost / 2)
+        st.energy.residual = st.energy.threshold + cost / 2
         assert not single_hop_feasible(st, ctx)
         assert st.direct_cost == {4096: cost}
 

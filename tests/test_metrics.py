@@ -2,6 +2,7 @@
 
 import csv
 import io
+from dataclasses import fields
 from unittest import mock
 
 import pytest
@@ -131,11 +132,12 @@ def parse_runs_csv(text: str) -> ComparisonTable:
     if header != CSV_COLUMNS:
         raise MetricsError(f"unexpected CSV header: {header}")
     table = ComparisonTable()
+    kinds = {f.name: f.type for f in fields(MetricsReport)}
     for rec in reader:
         vals = dict(zip(CSV_COLUMNS, rec))
         report = MetricsReport(
-            **{name: kind(vals[column])
-               for column, name, kind in metrics._REPORT_COLUMNS},
+            **{name: kinds[name](vals[column])
+               for column, name in metrics._REPORT_COLUMNS},
             dropped={reason: int(vals[column]) for reason, column
                      in zip(DROP_REASONS, metrics._DROP_COLUMNS)})
         table.runs.append(RunRow(vals["protocol"], int(vals["node_count"]),

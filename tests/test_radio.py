@@ -5,7 +5,7 @@ import math
 import pytest
 
 from hybsim.radio import (CONTROL_FRAME_BITS, EnergyCoefficients, EnergyState,
-                          RadioParams, deduct, frame_airtime, is_alive,
+                          RadioParams, frame_airtime, is_alive,
                           link_feasible, received_power, rx_energy, tx_energy)
 
 
@@ -106,24 +106,8 @@ class TestEnergyState:
     def test_alive_at_threshold_boundary(self):
         st = EnergyState(residual=1e-6, threshold=1e-6, initial=10.0)
         assert is_alive(st)
-        deduct(st, 1e-9)
+        st.residual -= 1e-9
         assert not is_alive(st)
-
-    def test_deduct_clamps_at_zero(self):
-        st = EnergyState(residual=0.5, initial=10.0)
-        deduct(st, 2.0)
-        assert st.residual == 0.0
-        assert not is_alive(st)
-
-    def test_deduct_preserves_initial(self):
-        st = EnergyState(initial=10.0, residual=10.0)
-        deduct(st, 3.25)
-        assert st.initial == 10.0
-        assert st.residual == pytest.approx(6.75)
-
-    def test_negative_deduct_rejected(self):
-        with pytest.raises(ValueError):
-            deduct(EnergyState(), -0.1)
 
     def test_invalid_state(self):
         with pytest.raises(ValueError):

@@ -261,6 +261,43 @@ def location_file(tmp_path_factory):
     return str(path)
 
 
+# the protocol and every key that sets a delay or a retry count; a fault
+# among them can need two keys at once, such as a failed discovery retried
+# after a huge timeout
+_DELAY_KEYS = ("protocol", "discovery_timeout", "discovery_retries",
+               "retry_backoff", "data_retries", "refresh_period", "wait_t",
+               "dedup_ttl", "bandwidth", "packet_size")
+
+
+def _accepted_alone(key):
+    """The values of ``key`` in _RUN_VALUES that parse on their own."""
+    accepted = []
+    for val in _RUN_VALUES[key]:
+        try:
+            parse_scenario(f"{key} = {val}\n")
+        except ScenarioError:
+            continue
+        accepted.append(val)
+    return accepted
+
+
+_DELAY_VALUES = {key: _accepted_alone(key) for key in _DELAY_KEYS}
+
+
+def _rejected_or_runs(text):
+    try:
+        sc = parse_scenario(text)
+    except ScenarioError:
+        return
+    e = Engine(replace(sc, node_count=min(sc.node_count, 20),
+                       sim_time=min(sc.sim_time, 2.0)))
+    log = e.run()  # a packet resolved twice raises here
+    assert e.generated == e.delivered + sum(e.dropped.values())
+    assert all(math.isfinite(float(line.split(" ", 1)[0]))
+               for line in log.splitlines())
+    assert math.isfinite(collect(log).execution_time)
+
+
 class TestEveryParsedScenarioRuns:
     """Scenario text over every key, invalid values included: each file is
     rejected at parse time or runs to completion with every packet
@@ -278,14 +315,14 @@ class TestEveryParsedScenarioRuns:
             val = data.draw(st.sampled_from(_RUN_VALUES[f.name]))
             val = location_file if val == LOCATION_FILE else val
             lines.append(f"{f.name} = {val}\n")
-        try:
-            sc = parse_scenario("".join(lines))
-        except ScenarioError:
-            return
-        e = Engine(replace(sc, node_count=min(sc.node_count, 20),
-                           sim_time=min(sc.sim_time, 2.0)))
-        log = e.run()  # a packet resolved twice raises here
-        assert e.generated == e.delivered + sum(e.dropped.values())
-        assert all(math.isfinite(float(line.split(" ", 1)[0]))
-                   for line in log.splitlines())
-        assert math.isfinite(collect(log).execution_time)
+        _rejected_or_runs("".join(lines))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_delay_and_retry_keys_together(self, data):
+        # every key in every example, each at a value that parses on its
+        # own, so that only combinations are left to reject
+        _rejected_or_runs("".join(
+            f"{key} = {data.draw(st.sampled_from(values))}\n"
+            for key, values in _DELAY_VALUES.items()))
