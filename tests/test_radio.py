@@ -4,9 +4,11 @@ import math
 
 import pytest
 
+from hybsim.engine import Engine
 from hybsim.radio import (CONTROL_FRAME_BITS, EnergyCoefficients, EnergyState,
                           RadioParams, frame_airtime, is_alive,
                           link_feasible, received_power, rx_energy, tx_energy)
+from hybsim.scenario import Scenario
 
 
 @pytest.fixture
@@ -108,6 +110,16 @@ class TestEnergyState:
         assert is_alive(st)
         st.residual -= 1e-9
         assert not is_alive(st)
+
+    def test_deduct_clamps_at_zero(self):
+        # Engine.charge is the one place that drains a battery
+        e = Engine(Scenario(node_count=1, sim_time=1.0, initial_energy=1e-4))
+        node = next(iter(e.nodes))
+        e.charge(node, 1.0)
+        assert e.nodes[node].energy.residual == 0.0
+        e.charge(node, 1.0)
+        assert e.nodes[node].energy.residual == 0.0
+        assert e.nodes[node].energy.initial == 1e-4
 
     def test_invalid_state(self):
         with pytest.raises(ValueError):
