@@ -26,8 +26,7 @@ class DiscoveryState:
     """Per-node route discovery bookkeeping shared by both baselines."""
 
     pending: List[DataPacket] = field(default_factory=list)
-    disc_active: bool = False
-    disc_attempts: int = 0
+    disc_attempts: int = 0  # floods so far; non-zero exactly while one runs
     rreq_counter: int = 0
 
 
@@ -42,12 +41,11 @@ class _BaseRunner:
     ``on_broadcast_received(node, trans, now)`` per awake receiver neither
     jammed nor in it; and the callbacks a runner hands to ``send_unicast``
     and ``schedule``. A runner reads the engine's ``sc``, ``nodes``,
-    ``awake`` and ``now`` (the hybrid one also ``locs``, ``region``,
-    ``bs_loc``, ``radio`` and ``coeff``) and calls only ``schedule``,
-    ``jitter``, ``new_packet``, ``drop``, ``deliver`` and the three
-    ``send_*`` methods. Two private reads remain as debts: the hybrid
-    refresh reads ``_heap`` to stop once no other work is queued, and the
-    seen masks here read ``_bit``.
+    ``awake`` and ``now`` (the hybrid one also ``locs``, ``radio`` and
+    ``coeff``) and calls only ``schedule``, ``jitter``, ``new_packet``,
+    ``drop``, ``deliver`` and the three ``send_*`` methods. Two private
+    reads remain as debts: the hybrid refresh reads ``_heap`` to stop once
+    no other work is queued, and the seen masks here read ``_bit``.
 
     A baseline supplies its ``node_state`` class and two hooks:
     ``_best_route(node)``, the route to the sink known at ``node`` or None,
@@ -129,8 +127,7 @@ class _BaseRunner:
         """Queue a packet at its origin; flood unless a discovery runs."""
         st = self.states[node]
         st.pending.append(pkt)
-        if not st.disc_active:
-            st.disc_active = True
+        if not st.disc_attempts:
             self._flood(node, now)
 
     def _flood(self, node, now) -> None:
@@ -146,15 +143,14 @@ class _BaseRunner:
 
     def _discovery_timeout(self, node, now) -> None:
         st = self.states[node]
-        if not st.disc_active:
-            return
+        if not st.disc_attempts:
+            return  # its discovery has ended
         if self._best_route(node) is not None:
             self._route_available(node, now)
             return
         if st.disc_attempts <= self.e.sc.discovery_retries:
             self._flood(node, now)
             return
-        st.disc_active = False
         st.disc_attempts = 0
         for pkt in st.pending:
             self.e.drop(pkt, NO_ROUTE, node, now)
@@ -164,9 +160,6 @@ class _BaseRunner:
         """Flush queued packets once a route to the sink exists."""
         st = self.states[node]
         route = self._best_route(node)
-        if route is None:
-            return
-        st.disc_active = False
         st.disc_attempts = 0
         pending, st.pending = st.pending, []
         for pkt in pending:

@@ -129,7 +129,7 @@ def _cmd_neighbours(args) -> int:
     params = RegionParams(band_halfwidth_M=args.M, vertical_extent_N=args.N,
                           max_neighbours_K=args.K,
                           radio_range=args.radio_range)
-    table = compute_neighbour_table(locs, params, locs.ids())
+    table = compute_neighbour_table(locs, params, locs.entries.keys())
     sys.stdout.write(emit_neighbour_table(table, k=args.K))
     return EXIT_OK
 

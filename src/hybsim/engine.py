@@ -106,9 +106,8 @@ class Transmission:
 
 @dataclass
 class NodeRec:
-    location: Location
     energy: EnergyState
-    death_time: Optional[float] = None
+    death_time: Optional[float] = None  # None exactly while in Engine.awake
 
 
 class Engine:
@@ -120,23 +119,22 @@ class Engine:
         self.sc = scenario
         self.radio = scenario.radio_params()
         self.coeff = scenario.energy_coefficients()
-        self.region = scenario.region_params()
         self.locs = place_nodes(scenario)
-        self.bs_loc = self.locs.base_station
         self.rng_jitter = substream(scenario.seed, "jitter")
 
         self.nodes: Dict[int, NodeRec] = {}
         for i in sorted(self.locs.entries):
-            self.nodes[i] = NodeRec(self.locs.entries[i], scenario.battery())
+            battery = scenario.battery()  # one that starts drained died at 0
+            self.nodes[i] = NodeRec(battery, None if is_alive(battery) else 0.0)
 
         # static topology: who hears whom, for every node and for BS.
         # _ids lists every endpoint in bit order, ascending node id then BS;
         # _bit[x] is x's bit and _hears[x] the mask of the endpoints x's
-        # frame reaches. The grid sweep hands over each unordered pair of
-        # nearby nodes once; link_feasible decides every distance between
-        # the bounds that do not settle it. math.hypot of the negated
-        # differences is bit-identical, so one distance serves both
-        # directions.
+        # frame reaches. The grid sweep, the base station one of its points,
+        # hands over each unordered pair of nearby endpoints once;
+        # link_feasible decides every distance between the bounds that do
+        # not settle it. math.hypot of the negated differences is
+        # bit-identical, so one distance serves both directions.
         inner, outer = link_bounds(self.radio)
         hypot, radio = math.hypot, self.radio
         self._sense_grid = Grid(self.locs.entries, scenario.sensing_radius)
@@ -145,7 +143,8 @@ class Engine:
             x: 1 << i for i, x in enumerate(self._ids)}
         bit = self._bit
         hears = self._hears = dict.fromkeys(self._ids, 0)
-        for (a, xa, ya), later in Grid(self.locs.entries, outer).sweep():
+        points = {**self.locs.entries, BS: self.locs.base_station}
+        for (a, xa, ya), later in Grid(points, outer).sweep():
             bit_a, mask = bit[a], 0
             for b, xb, yb in later:
                 d = hypot(xa - xb, ya - yb)
@@ -153,13 +152,9 @@ class Engine:
                     mask |= bit[b]
                     hears[b] |= bit_a
             hears[a] |= mask
-        for n, rec in self.nodes.items():
-            if link_feasible(radio, rec.location.dist(self.bs_loc)):
-                hears[n] |= bit[BS]
-                hears[BS] |= bit[n]
         # BS never sleeps; charge removes a node the moment it dies
         self.awake: Set[object] = {BS, *(n for n, rec in self.nodes.items()
-                                         if is_alive(rec.energy))}
+                                         if rec.death_time is None)}
         self._heard_by: Dict[object, List[Tuple[object, int]]] = {}
 
         self.now = 0.0
@@ -218,7 +213,7 @@ class Engine:
             rec.death_time = self.now
 
     def loc(self, node: object) -> Location:
-        return self.bs_loc if node == BS else self.nodes[node].location
+        return self.locs.base_station if node == BS else self.locs.entries[node]
 
     def dist(self, a: object, b: object) -> float:
         return self.loc(a).dist(self.loc(b))
@@ -497,9 +492,9 @@ class Engine:
     def sensors(self, where: Location) -> List[int]:
         """Nodes within sensing radius of ``where``, in ascending id order
         so that the jitter stream is drawn in a fixed order."""
-        radius = self.sc.sensing_radius
+        radius, entries = self.sc.sensing_radius, self.locs.entries
         return sorted(n for n in self._sense_grid.near(where.x, where.y, radius)
-                      if self.nodes[n].location.dist(where) <= radius)
+                      if entries[n].dist(where) <= radius)
 
     def _feed(self, sensed: List[Tuple[float, str, List[int]]],
               jitter: array, k: int, seq: int, j: int) -> None:
@@ -546,10 +541,12 @@ class HybRunner:
     def __init__(self, engine: Engine):
         self.e = engine
         sc = engine.sc
+        self.region = sc.region_params()
+        locs = engine.locs
         self.states: Dict[int, HybNodeState] = {}
         for i, rec in engine.nodes.items():
             self.states[i] = HybNodeState(
-                id=i, location=rec.location, energy=rec.energy,  # shared battery
+                id=i, location=locs.entries[i], energy=rec.energy,  # shared battery
                 dedup=DedupBuffer(ttl=sc.dedup_ttl))
         # base-station knowledge, fed by residual reports
         self.bs_known_residual: Dict[int, float] = {
@@ -560,9 +557,8 @@ class HybRunner:
         else:
             alive = self._bs_alive
         self.ctx = HybContext(
-            bs_location=engine.bs_loc, radio=engine.radio,
-            energy_coeff=engine.coeff,
-            location_of=lambda v: engine.nodes[v].location,
+            bs_location=locs.base_station, radio=engine.radio,
+            energy_coeff=engine.coeff, location_of=locs.entries.__getitem__,
             alive=alive, wait_t=sc.wait_t)
 
     # -------------------------------------------------------------- phases
@@ -573,10 +569,8 @@ class HybRunner:
         for n in sorted(e.nodes):
             e.send_oob_control(CONFIG, n, BS, now)
         alive = {n for n in e.nodes if n in e.awake}
-        self.neighbour_table = compute_neighbour_table(e.locs, e.region, alive)
-        for n in sorted(alive):
-            self.states[n].set_row(self.neighbour_table.rows[n], self.ctx)
-            e.send_oob_control(CONFIG, BS, n, now)
+        self.neighbour_table = compute_neighbour_table(e.locs, self.region, alive)
+        self._install(now)
         e.schedule(now + e.sc.refresh_period, self._bs_refresh)
 
     def _bs_alive(self, node: int) -> bool:
@@ -589,13 +583,18 @@ class HybRunner:
         now = e.now
         dead = {n for n in self.bs_known_residual if not self._bs_alive(n)}
         self.neighbour_table = refresh_table(
-            self.neighbour_table, e.locs, e.region, dead)
-        for n in sorted(self.neighbour_table.rows):
-            self.states[n].set_row(self.neighbour_table.rows[n], self.ctx)
-            if n in e.awake:
-                e.send_oob_control(CONFIG, BS, n, now)
+            self.neighbour_table, e.locs, self.region, dead)
+        self._install(now)
         if e._heap:  # keep refreshing only while work remains
             e.schedule(now + e.sc.refresh_period, self._bs_refresh)
+
+    def _install(self, now: float) -> None:
+        # every row goes to its node's state; every awake node gets a CONFIG
+        e, rows = self.e, self.neighbour_table.rows
+        for n in sorted(rows):
+            self.states[n].set_row(rows[n], self.ctx)
+            if n in e.awake:
+                e.send_oob_control(CONFIG, BS, n, now)
 
     # -------------------------------------------------------------- traffic
 
@@ -641,8 +640,7 @@ class HybRunner:
             e.drop(pkt, CONGESTION, node, now)
             return
         # BUSY / NO_RX: move on to the next candidate
-        action = hyb.on_busy_channel(self.states[node], pkt, self.ctx,
-                                     pkt.attempted, now)
+        action = hyb.on_busy_channel(self.states[node], pkt, self.ctx, now)
         if action.kind == DROP:
             e.drop(pkt, action.reason, node, now)
             return

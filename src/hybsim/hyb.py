@@ -100,17 +100,14 @@ class HybNodeState:
         """Install a row from the base station.
 
         Locations and the radio never change, so whether the link reaches
-        each member is decided here, once per row.
+        each member is decided here, once per row. A marker row has none.
         """
-        if isinstance(row, str):
-            self.use_count = {}
-            self.linked = ()
-        else:
-            self.use_count = {v: self.use_count.get(v, 0) for v in row}
-            here = self.location
-            self.linked = tuple(
-                v for v in row
-                if link_feasible(ctx.radio, here.dist(ctx.location_of(v))))
+        members = () if isinstance(row, str) else row
+        self.use_count = {v: self.use_count.get(v, 0) for v in members}
+        here = self.location
+        self.linked = tuple(
+            v for v in members
+            if link_feasible(ctx.radio, here.dist(ctx.location_of(v))))
 
 
 @dataclass(frozen=True)
@@ -144,19 +141,18 @@ def single_hop_feasible(state: HybNodeState, ctx: HybContext,
 
 
 def best_neighbour(state: HybNodeState, packet: DataPacket,
-                   ctx: HybContext,
-                   exclude: Set[int] = frozenset()) -> Optional[int]:
+                   ctx: HybContext) -> Optional[int]:
     """Least-used feasible candidate, ties broken by row position.
 
     Candidates out of link range (left out of ``state.linked`` by
-    ``set_row``), already on the packet's path, already attempted for this
-    packet (``exclude``) or dead are skipped.
+    ``set_row``), already on the packet's path, already attempted at this
+    hop (``packet.attempted``) or dead are skipped.
     """
     best: Optional[int] = None
     best_count = math.inf
-    visited = packet.visited
+    visited, attempted = packet.visited, packet.attempted
     for v in state.linked:  # row order encodes proximity to the base station
-        if v in visited or v in exclude or not ctx.alive(v):
+        if v in visited or v in attempted or not ctx.alive(v):
             continue
         count = state.use_count[v]
         if count < best_count:
@@ -167,6 +163,11 @@ def best_neighbour(state: HybNodeState, packet: DataPacket,
 def _route(state: HybNodeState, packet: DataPacket, ctx: HybContext) -> Action:
     if single_hop_feasible(state, ctx, packet.payload_bits):
         return Action(SEND_DIRECT)
+    return _forward(state, packet, ctx)
+
+
+def _forward(state: HybNodeState, packet: DataPacket,
+             ctx: HybContext) -> Action:
     nxt = best_neighbour(state, packet, ctx)
     if nxt is None:
         return Action(DROP, reason=NO_ROUTE)
@@ -207,19 +208,16 @@ def on_receive(state: HybNodeState, packet: DataPacket, ctx: HybContext,
 
 
 def on_busy_channel(state: HybNodeState, packet: DataPacket, ctx: HybContext,
-                    attempted: Set[int], now: float) -> Action:
+                    now: float) -> Action:
     """React to a failed channel grab: next candidate or give up.
 
-    ``attempted`` holds every neighbour already tried for this packet; a
+    ``packet.attempted`` holds every neighbour already tried at this hop; a
     candidate is never retried. Past the waiting budget the packet dies as
     CONGESTION, before that with no candidate left as NO_ROUTE.
     """
     if now - packet.created_at >= ctx.wait_t:
         return Action(DROP, reason=CONGESTION)
-    nxt = best_neighbour(state, packet, ctx, exclude=attempted)
-    if nxt is None:
-        return Action(DROP, reason=NO_ROUTE)
-    return Action(FORWARD, neighbour=nxt)
+    return _forward(state, packet, ctx)
 
 
 def note_forward(state: HybNodeState, neighbour: int) -> None:

@@ -34,9 +34,9 @@ class Location:
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise TopologyError("coordinates must be finite")
+            raise TopologyError("non-finite coordinate")
         if self.x < 0 or self.y < 0:
-            raise TopologyError("coordinates must be non-negative")
+            raise TopologyError("negative coordinate")
 
     def dist(self, other: "Location") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -46,9 +46,6 @@ class Location:
 class LocationTable:
     entries: Dict[int, Location] = field(default_factory=dict)
     base_station: Location = Location(0.0, 0.0)
-
-    def ids(self) -> Set[int]:
-        return set(self.entries)
 
 
 @dataclass(frozen=True)
@@ -192,7 +189,7 @@ def compute_neighbour_table(locs: LocationTable, params: RegionParams,
     """
     if not locs.entries:
         raise TopologyError("empty location table")
-    unknown = alive - locs.ids()
+    unknown = alive - locs.entries.keys()
     if unknown:
         raise TopologyError(f"alive set contains unknown ids: {sorted(unknown)}")
 
@@ -237,7 +234,7 @@ def refresh_table(table: NeighbourTable, locs: LocationTable,
     other is rebuilt over its surviving rows' nodes. The input table is
     never modified.
     """
-    unknown = dead - locs.ids()
+    unknown = dead - locs.entries.keys()
     if unknown:
         raise TopologyError(f"dead set contains unknown ids: {sorted(unknown)}")
     if dead.isdisjoint(table.rows):
@@ -267,13 +264,13 @@ def parse_location_file(text: str) -> LocationTable:
             raise TopologyError(f"line {lineno}: non-numeric field in {raw!r}") from exc
         if node < 0:
             raise TopologyError(f"line {lineno}: negative node id {node}")
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise TopologyError(f"line {lineno}: non-finite coordinate in {raw!r}")
-        if x < 0 or y < 0:
-            raise TopologyError(f"line {lineno}: negative coordinate in {raw!r}")
+        try:
+            where = Location(x, y)
+        except TopologyError as exc:
+            raise TopologyError(f"line {lineno}: {exc} in {raw!r}") from exc
         if node in table.entries:
             raise TopologyError(f"line {lineno}: duplicate id {node}")
-        table.entries[node] = Location(x, y)
+        table.entries[node] = where
     return table
 
 

@@ -122,7 +122,7 @@ def eager_run(engine, events):
     radius = engine.sc.sensing_radius
     for t, event_id, where in events:
         for n in sorted(engine.nodes):
-            if engine.nodes[n].location.dist(where) <= radius:
+            if engine.locs.entries[n].dist(where) <= radius:
                 engine.schedule(t + engine.jitter(1e-3),
                                 lambda n=n, event_id=event_id:
                                 engine.protocol.on_sense(n, event_id,

@@ -153,9 +153,9 @@ def test_criterion_06_loop_freedom(sweep):
     for r in sweep:
         if r.protocol != "hyb":
             continue
-        bs = r.engine.bs_loc
+        bs = r.engine.locs.base_station
         for event_id, path in r.deliveries:
-            dists = [r.engine.nodes[v].location.dist(bs) for v in path]
+            dists = [r.engine.locs.entries[v].dist(bs) for v in path]
             assert all(a > b for a, b in zip(dists, dists[1:])), \
                 f"path for {event_id} not strictly closing on the sink: {path}"
             checked += 1
@@ -256,6 +256,6 @@ def test_criterion_11_golden_files():
     assert {i: (p.x, p.y) for i, p in locs.entries.items()} == SAMPLE_POINTS
     locs.base_station = Location(60.0, 230.0)
     table = compute_neighbour_table(locs, RegionParams(band_halfwidth_M=100.0),
-                                    locs.ids())
+                                    set(locs.entries))
     direct = {n for n, row in table.rows.items() if row == DIRECT}
     assert direct == {0, 5}

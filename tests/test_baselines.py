@@ -74,6 +74,41 @@ class TestDiscoveryAndDelivery:
         # initial flood plus the configured number of retries
         assert len(lines(e, "RREQ", "SENT")) == 1 + e.sc.discovery_retries
 
+    def test_timeout_after_its_discovery_ended_floods_nothing(
+            self, tmp_path, protocol):
+        # the reply ends the discovery long before its timeout fires; the
+        # route is then forgotten, so only the ended discovery keeps that
+        # timeout from flooding again
+        e = make_engine(tmp_path, LINE2, protocol)
+        st0 = e.protocol.states[0]
+
+        def forget_route():
+            assert e.delivered == 1 and st0.disc_attempts == 0
+            if protocol == "aodv":
+                st0.route = None
+            else:
+                st0.cache = []
+        e.protocol.on_sense(0, "ev0", 0.0)
+        e.schedule(e.sc.discovery_timeout / 2, forget_route)
+        e.drain()
+        assert e.now >= e.sc.discovery_timeout  # the timeout has fired
+        assert {p[4] for p in lines(e, "RREQ", "SENT")} == {"rq0.1"}
+        assert st0.disc_attempts == 0
+
+    def test_fresh_flood_after_retries_run_out(self, tmp_path, protocol):
+        e = make_engine(tmp_path, {0: (600.0, 0.0)}, protocol)
+        floods = 1 + e.sc.discovery_retries
+        e.protocol.on_sense(0, "ev0", 0.0)
+        e.drain()
+        assert e.dropped["NO_ROUTE"] == 1
+        assert e.protocol.states[0].disc_attempts == 0
+        e.protocol.on_sense(0, "ev1", e.now + 1.0)
+        assert e.protocol.states[0].disc_attempts == 1
+        e.drain()
+        assert e.dropped["NO_ROUTE"] == 2
+        sent = [p[4] for p in lines(e, "RREQ", "SENT") if p[2] == "0"]
+        assert sent == [f"rq0.{k}" for k in range(1, 2 * floods + 1)]
+
     def test_dead_next_hop_exhausts_retries(self, tmp_path, protocol):
         e = make_engine(tmp_path, LINE2, protocol)
         e.protocol.on_sense(0, "ev0", 0.0)

@@ -222,6 +222,16 @@ class TestArbitration:
         assert all(kind == "DROP" and outcome == ASLEEP
                    for _, kind, _, _, _, outcome in records)
 
+    @pytest.mark.parametrize("knob", [{"initial_energy": 0.0},
+                                      {"energy_threshold": 20.0}])
+    def test_nodes_drained_from_the_start_die_at_zero(self, knob):
+        # death_time is None exactly for the nodes in awake, from t = 0 on
+        e = Engine(Scenario(node_count=5, sim_time=2, **knob))
+        assert e.awake == {BS}
+        assert all(rec.death_time == 0.0 for rec in e.nodes.values())
+        e.run()
+        assert all(rec.death_time == 0.0 for rec in e.nodes.values())
+
 
 class TestHiddenTerminal:
     # two senders out of carrier range whose frames overlap at both receivers

@@ -62,7 +62,10 @@ def placements(draw, r, max_nodes=30):
 
 
 def base_station(r):
-    return st.one_of(st.sampled_from([(0.0, 0.0), (FIELD, FIELD), (0.0, FIELD)]),
+    # the last two lie beyond the node field, so they set the grid's extent
+    return st.one_of(st.sampled_from([(0.0, 0.0), (FIELD, FIELD), (0.0, FIELD),
+                                      (FIELD + r, FIELD / 2),
+                                      (100 * FIELD, 0.0)]),
                      st.tuples(coordinate(r), coordinate(r)))
 
 

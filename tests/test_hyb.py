@@ -35,8 +35,9 @@ def make_state(node, row, residual=10.0):
     return st
 
 
-def make_packet(origin, event_id="ev0", created_at=0.0):
-    return DataPacket(event_id=event_id, origin=origin, created_at=created_at)
+def make_packet(origin, event_id="ev0", created_at=0.0, attempted=()):
+    return DataPacket(event_id=event_id, origin=origin, created_at=created_at,
+                      attempted=set(attempted))
 
 
 class TestDedupBuffer:
@@ -131,7 +132,7 @@ class TestBestNeighbour:
 
     def test_excluded_skipped(self):
         st = make_state(3, (1, 2))
-        assert best_neighbour(st, make_packet(3), make_ctx(), exclude={1}) == 2
+        assert best_neighbour(st, make_packet(3, attempted={1}), make_ctx()) == 2
 
     def test_dead_skipped(self):
         st = make_state(3, (1, 2))
@@ -149,7 +150,8 @@ class TestBestNeighbour:
         assert st.linked == (3,)
         st.use_count[3] = 5
         assert best_neighbour(st, make_packet(4), make_ctx()) == 3
-        assert best_neighbour(st, make_packet(4), make_ctx(), exclude={3}) is None
+        assert best_neighbour(st, make_packet(4, attempted={3}),
+                              make_ctx()) is None
 
     def test_link_test_is_hyb_link_feasible(self, monkeypatch):
         # the cached link facts come from the module's own link_feasible
@@ -231,19 +233,21 @@ class TestOnReceive:
 class TestOnBusyChannel:
     def test_moves_to_next_candidate(self):
         st = make_state(3, (1, 2))
-        action = on_busy_channel(st, make_packet(3), make_ctx(), {1}, 0.01)
+        action = on_busy_channel(st, make_packet(3, attempted={1}), make_ctx(),
+                                 0.01)
         assert action.kind == FORWARD
         assert action.neighbour == 2
 
     def test_congestion_after_wait_budget(self):
         st = make_state(3, (1, 2))
-        pkt = make_packet(3, created_at=0.0)
-        action = on_busy_channel(st, pkt, make_ctx(wait_t=0.1), {1}, 0.1)
+        pkt = make_packet(3, created_at=0.0, attempted={1})
+        action = on_busy_channel(st, pkt, make_ctx(wait_t=0.1), 0.1)
         assert (action.kind, action.reason) == (DROP, CONGESTION)
 
     def test_no_route_when_candidates_exhausted(self):
         st = make_state(3, (1, 2))
-        action = on_busy_channel(st, make_packet(3), make_ctx(), {1, 2}, 0.01)
+        action = on_busy_channel(st, make_packet(3, attempted={1, 2}),
+                                 make_ctx(), 0.01)
         assert (action.kind, action.reason) == (DROP, NO_ROUTE)
 
 

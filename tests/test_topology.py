@@ -39,7 +39,7 @@ class TestEligibility:
     def test_band_and_progress(self):
         locs = sample_table()
         params = RegionParams(band_halfwidth_M=100.0)
-        alive = locs.ids()
+        alive = set(locs.entries)
         # 5 is inside 2's band and strictly closer to the base station
         assert eligible(locs, params, alive, 2, 5)
         # 3 is 53 m right of 2 but farther from the base station
@@ -49,7 +49,7 @@ class TestEligibility:
 
     def test_band_halfwidth_cut(self):
         locs = sample_table()
-        alive = locs.ids()
+        alive = set(locs.entries)
         wide = RegionParams(band_halfwidth_M=200.0)
         narrow = RegionParams(band_halfwidth_M=100.0)
         # |dx| between 3 and 0 is 158: inside the wide band, outside narrow
@@ -58,7 +58,7 @@ class TestEligibility:
 
     def test_vertical_extent_cut(self):
         locs = sample_table()
-        alive = locs.ids()
+        alive = set(locs.entries)
         bounded = RegionParams(band_halfwidth_M=100.0, vertical_extent_N=30.0)
         # |dy| between 2 and 5 is 35, above the 30 m extent
         assert not eligible(locs, bounded, alive, 2, 5)
