@@ -150,6 +150,17 @@ class TestArbitration:
         assert weak.results == [(BUSY, 0.0)]
         assert strong.results[0][0] == OK
 
+    def test_same_instant_equal_power_first_grab_holds(self, tmp_path):
+        # two senders 100 m either side of the receiver: a tie keeps the first
+        e = make_engine(tmp_path, {0: (0.0, 0.0), 1: (200.0, 0.0),
+                                   2: (100.0, 0.0)}, (1500.0, 1500.0))
+        first, second = Recorder(), Recorder()
+        assert e.send_unicast("DATA", 0, 2, 4096, 0.0, on_result=first) == GRANT
+        assert e.send_unicast("DATA", 1, 2, 4096, 0.0, on_result=second) == BUSY
+        e.drain()
+        assert second.results == [(BUSY, 0.0)]
+        assert first.results[0][0] == OK
+
     def test_no_rx_when_receiver_asleep(self, tmp_path):
         e = self.make(tmp_path)
         e.charge(2, 10.0)

@@ -58,6 +58,13 @@ class TestDedupBuffer:
         buf.record("ev0", 4.0)
         assert buf.contains("ev0", 8.0)
 
+    def test_record_at_an_ids_expiry_keeps_it(self):
+        # "a" expires at 5.0; recording "b" then must not purge it
+        buf = DedupBuffer(ttl=5.0)
+        buf.record("a", 0.0)
+        buf.record("b", 5.0)
+        assert buf.contains("a", 5.0)
+
     @settings(max_examples=200, deadline=None)
     @given(ttl=st.sampled_from([0.0, 0.5, 1.0, 5.0]),
            calls=st.lists(st.tuples(

@@ -249,3 +249,15 @@ class TestDominanceCheck:
         problems = check_dominance(table)
         assert any("collisions" in p and "75" in p for p in problems)
         assert not any("collisions" in p and "50" in p for p in problems)
+
+    def test_collision_half_the_seeds_is_no_majority(self):
+        # hyb has fewer collisions at 50 nodes in exactly one of two seeds
+        table = ComparisonTable()
+        for proto, scale in (("hyb", 1.0), ("aodv", 2.0)):
+            for seed, collisions in ((1, 10), (2, 30)):
+                table.runs.append(RunRow(proto, 50, seed, MetricsReport(
+                    execution_time=10.0 * scale, avg_hop_count=1.0,
+                    collisions=collisions if proto == "hyb" else 20,
+                    signals=int(100 * scale), energy_consumed=0.5 * scale)))
+        assert check_dominance(table) == [
+            "collisions hyb not majority-below aodv at 50 nodes"]
