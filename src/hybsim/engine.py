@@ -11,7 +11,6 @@ event logs.
 
 import hashlib
 import heapq
-import io
 import math
 import random
 from array import array
@@ -49,6 +48,7 @@ OK = "OK"
 SENT = "SENT"
 
 RETRY_GAP = 1.6e-4  # s between successive channel grabs for one packet
+TEXT_BLOCK = 4096   # writes joined into one block of a TextBuffer
 
 
 def substream(seed: int, name: str) -> random.Random:
@@ -104,7 +104,34 @@ class Transmission:
     reach: int = 0
 
 
-@dataclass
+class TextBuffer:
+    """Text written in many short pieces, such as the event log's records,
+    held once: every TEXT_BLOCK pieces are joined into one block."""
+
+    def __init__(self) -> None:
+        self._blocks: List[str] = []
+        self._pending: List[str] = []
+
+    def write(self, text: str) -> None:
+        pending = self._pending
+        pending.append(text)
+        if len(pending) == TEXT_BLOCK:
+            self._blocks.append("".join(pending))
+            pending.clear()
+
+    def getvalue(self) -> str:
+        """The text so far, kept as the only block; writes may follow."""
+        self._blocks.append("".join(self._pending))
+        self._pending.clear()
+        text = "".join(self._blocks)
+        self._blocks = [text]
+        return text
+
+    def close(self) -> None:
+        self._blocks, self._pending = [], []
+
+
+@dataclass(slots=True)
 class NodeRec:
     energy: EnergyState
     death_time: Optional[float] = None  # None exactly while in Engine.awake
@@ -160,7 +187,7 @@ class Engine:
         self.now = 0.0
         self._heap: List[Tuple[float, int, Callable]] = []
         self._seq = 0
-        self.log_buffer = io.StringIO()  # the event log, written once
+        self.log_buffer = TextBuffer()  # the event log
         self.active: Dict[object, Transmission] = {}  # by transmitter
         # the OR of t.reach over active: whom a frame on the air reaches,
         # its senders included
@@ -359,14 +386,14 @@ class Engine:
         """Zero-airtime control frame (residual reports, configuration).
 
         Charged and counted as a signal but never contends for the channel.
-        A drained ``tx`` sends nothing, as in ``send_unicast``.
+        A drained ``tx`` sends nothing, as in ``send_unicast``. Callers send
+        only to awake receivers: ``BS``, or a node just found in ``awake``.
         """
         if tx not in self.awake:
             return
         bits = self.sc.control_bits
         self.charge(tx, tx_energy(self.coeff, bits, self.dist(tx, rx)))
-        if rx in self.awake:
-            self.charge(rx, rx_energy(self.coeff, bits))
+        self.charge(rx, rx_energy(self.coeff, bits))
         self.log(now, kind, tx, rx, "-", OK)
 
     def _jam_mask(self, trans: Transmission) -> int:

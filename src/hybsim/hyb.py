@@ -9,7 +9,6 @@ candidate until candidates or the waiting budget run out.
 """
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -41,7 +40,7 @@ class Action:
     reason: Optional[str] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class DataPacket:
     event_id: str
     origin: int
@@ -61,7 +60,7 @@ class DataPacket:
         return len(self.visited) - 1
 
 
-@dataclass
+@dataclass(slots=True)
 class DedupBuffer:
     """Event ids seen in the last ``ttl`` seconds.
 
@@ -71,7 +70,7 @@ class DedupBuffer:
     """
 
     ttl: float = DEFAULT_DEDUP_TTL
-    entries: "OrderedDict[str, float]" = field(default_factory=OrderedDict)
+    entries: Dict[str, float] = field(default_factory=dict)  # insertion order
 
     def contains(self, event_id: str, now: float) -> bool:
         expiry = self.entries.get(event_id)
@@ -80,12 +79,12 @@ class DedupBuffer:
     def record(self, event_id: str, now: float) -> None:
         entries = self.entries
         while entries and next(iter(entries.values())) < now:
-            entries.popitem(last=False)
+            del entries[next(iter(entries))]
         entries.pop(event_id, None)
         entries[event_id] = now + self.ttl
 
 
-@dataclass
+@dataclass(slots=True)
 class HybNodeState:
     id: int
     location: Location

@@ -8,13 +8,12 @@ of one base scenario and aggregates mean and min-max spread per cell.
 """
 
 import csv
-import io
 import statistics
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import COLL, Engine, FRAME_KINDS
+from .engine import COLL, Engine, FRAME_KINDS, TextBuffer
 from .hyb import DROP_REASONS
 from .scenario import Scenario
 
@@ -189,7 +188,7 @@ def compare(scenario: Scenario, protocols: Sequence[str], seeds: Sequence[int],
 
 
 def runs_csv(table: ComparisonTable) -> str:
-    buf = io.StringIO()
+    buf = TextBuffer()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in table.runs:
@@ -200,7 +199,7 @@ def runs_csv(table: ComparisonTable) -> str:
 
 def summary_csv(table: ComparisonTable) -> str:
     """Per (protocol, node count) mean and min-max spread of each metric."""
-    buf = io.StringIO()
+    buf = TextBuffer()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["protocol", "node_count", "metric", "mean", "min", "max"])
     metrics = [name for _, name in _REPORT_COLUMNS] + ["energy_consumed"]

@@ -135,7 +135,7 @@ def rx_energy(coeff: EnergyCoefficients, bits: int) -> float:
     return coeff.elec * bits
 
 
-@dataclass
+@dataclass(slots=True)
 class EnergyState:
     """One node's battery. Below ``threshold`` the node is asleep for good."""
 

@@ -1,6 +1,6 @@
-"""Memory held by a run: the event log is written once and read lazily,
-reachability is one int per endpoint, and sensing callbacks reach the heap
-only as the run gets to them."""
+"""Memory held by a run: the event log is held once, in joined blocks, and
+read lazily, reachability is one int per endpoint, and sensing callbacks
+reach the heap only as the run gets to them."""
 
 import heapq
 import tracemalloc
@@ -14,16 +14,25 @@ from hybsim.metrics import collect
 from hybsim.scenario import Scenario
 
 # Peak traced allocation across Engine.run() and collect(), per character
-# of log text. A list of per-record strings, joined and then split again,
-# costs about 8; one text buffer read a block at a time costs about 4.4 on
-# this storm, and less on longer logs.
-MAX_PEAK_PER_LOG_CHAR = 6.0
+# of log text. On this storm, on Python 3.11, an io.StringIO log, which keeps
+# every write as its own string, reads 3.87; a log joined into blocks every
+# TEXT_BLOCK records reads 2.26: its blocks and the text joined from them,
+# then collect's working set.
+MAX_PEAK_PER_LOG_CHAR = 3.0
+
+# Peak traced allocation of 50,000 short records written through
+# Engine.log and read back once, per character of their text. On Python
+# 3.11 an io.StringIO log reads 3.61 and the block buffer 2.00: the blocks
+# and the one string joined from them.
+MAX_LOG_PEAK_PER_CHAR = 2.3
 
 # Peak traced allocation of Engine(...) plus run() for hyb at 1000 nodes and
 # 10 s, seed 1. Set-valued reachability and every sensing callback scheduled
 # up front peak at 10.3-10.8 MB on Python 3.10-3.13; bitmasks and lazily fed
-# callbacks at 3.6-4.3 MB.
-MAX_HYB_1000_PEAK = 6_000_000
+# callbacks at 3.6-4.3 MB. On Python 3.11 a StringIO log with per-node
+# records that carry instance dicts reads 3.27 MB, a block log with slotted
+# records 2.52 MB.
+MAX_HYB_1000_PEAK = 4_000_000
 
 
 def test_run_and_collect_peak_is_a_small_multiple_of_the_log():
@@ -40,6 +49,21 @@ def test_run_and_collect_peak_is_a_small_multiple_of_the_log():
     assert log.count("\n") > 20_000
     assert peak < MAX_PEAK_PER_LOG_CHAR * len(log), \
         f"peak {peak} B is {peak / len(log):.2f} x the {len(log)} B log"
+
+
+def test_log_is_held_about_once():
+    e = Engine(Scenario(node_count=5, seed=1))
+    tracemalloc.start()
+    try:
+        for k in range(50_000):
+            e.log(k * 1e-3, "DROP", k % 5, "-", f"ev{k}", "NO_ROUTE")
+        text = e.log_buffer.getvalue()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 50_000
+    assert peak < MAX_LOG_PEAK_PER_CHAR * len(text), \
+        f"peak {peak} B is {peak / len(text):.2f} x the {len(text)} B log"
 
 
 def test_hyb_1000_set_up_and_run_peak():
