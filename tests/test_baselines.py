@@ -193,6 +193,15 @@ class TestDsrState:
         e.drain()
         assert e.protocol._best_route(0) is None
 
+    def test_no_cache_holds_a_route_twice(self):
+        e = Engine(Scenario(protocol="dsr", node_count=30, sim_time=10.0,
+                            seed=5))
+        e.run()
+        caches = [st.cache for st in e.protocol.states.values()]
+        assert any(len(route) > 2 for cache in caches for route in cache)
+        for cache in caches:
+            assert len(set(cache)) == len(cache)
+
     def test_delivered_path_matches_source_route(self, tmp_path):
         e = make_engine(tmp_path, LINE3, "dsr")
         delivered = record_deliveries(e)

@@ -609,6 +609,22 @@ class TestEnergyAccounting:
             assert e.protocol.states[n].energy is rec.energy
 
 
+class TestHybRunner:
+    # 0 reaches the sink only through 1 or 2, which it tries in that order
+    POINTS = {0: (0.0, 600.0), 1: (0.0, 300.0), 2: (20.0, 300.0)}
+
+    def test_sender_drained_before_its_busy_retry_drops_asleep(self, tmp_path):
+        e = make_engine(tmp_path, self.POINTS, (0.0, 0.0))
+        e.protocol.configure(0.0)
+        assert e.send_unicast("DATA", 1, BS, 4096, 0.0) == GRANT
+        e.protocol.on_sense(0, "ev0", 0.0)   # 1 is busy: retry toward 2
+        e.charge(0, 100.0)
+        e.drain()
+        drops = [line.split() for line in log_lines(e) if " DROP " in line]
+        assert drops == [[f"{RETRY_GAP:.6f}", "DROP", "0", "-", "ev0", ASLEEP]]
+        assert e.dropped[ASLEEP] == 1
+
+
 class TestJitter:
     @settings(max_examples=200, deadline=None)
     @given(scale=st.floats(0.0, 1e300), seed=st.integers(0, 2**32))

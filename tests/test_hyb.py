@@ -272,6 +272,17 @@ class TestUseCount:
         st.set_row((1,), make_ctx())
         assert st.use_count == {1: 1}
 
+    def test_forward_to_a_neighbour_the_row_dropped_is_counted(self):
+        # a busy-channel retry chosen under one row can run after a refresh
+        # installed a row without its neighbour; the forward still counts,
+        # and the count comes back when the neighbour rejoins the row
+        st = make_state(3, (1, 2))
+        st.set_row((2,), make_ctx())
+        note_forward(st, 1)
+        assert st.use_count == {2: 0, 1: 1}
+        st.set_row((1, 2), make_ctx())
+        assert st.use_count == {1: 1, 2: 0}
+
     def test_alternation_balances_load(self):
         st = make_state(3, (1, 2))
         ctx = make_ctx()
