@@ -60,8 +60,8 @@ class _BaseRunner:
 
     def __init__(self, engine_: "eng.Engine"):
         self.e = engine_
-        # flood key -> mask of the endpoints that have seen the flood
-        self.seen: Dict[Tuple[int, int], int] = {}
+        # flood event id -> mask of the endpoints that have seen the flood
+        self.seen: Dict[str, int] = {}
         self.states = {n: self.node_state() for n in engine_.nodes}
 
     def configure(self, now: float) -> None:
@@ -116,7 +116,7 @@ class _BaseRunner:
 
     def _transmit_data(self, node, rx, pkt, now) -> None:
         self.e.send_unicast(
-            DATA, node, rx, pkt.payload_bits, now,
+            DATA, node, rx, self.e.sc.payload_bits, now,
             event_id=pkt.event_id, defer_jitter=DEFER_JITTER,
             on_result=lambda trans, outcome, t: self._data_result(
                 node, pkt, trans, outcome, t))
@@ -136,7 +136,7 @@ class _BaseRunner:
         st.disc_attempts += 1
         st.rreq_counter += 1
         payload = self._rreq_payload(node, st.rreq_counter)
-        self.seen[payload["key"]] = e._bit[node]
+        self.seen[payload["event_id"]] = e._bit[node]
         self._broadcast_rreq(node, payload, now)
         deadline = now + e.sc.discovery_timeout
         e.schedule(deadline, lambda: self._discovery_timeout(node, deadline))
@@ -168,20 +168,19 @@ class _BaseRunner:
 
     def _rreq_payload(self, node, rreq_id) -> dict:
         """The body of a route request; every copy of the flood shares its
-        duplicate key and its event id."""
-        return {"origin": node, "key": (node, rreq_id),
-                "event_id": f"rq{node}.{rreq_id}"}
+        event id, which is also the flood's key in ``seen``."""
+        return {"origin": node, "event_id": f"rq{node}.{rreq_id}"}
 
     def _first_copy(self, node, payload) -> bool:
         """Record a route request at ``node``; False if it was seen before."""
-        key, bit = payload["key"], self.e._bit[node]
+        key, bit = payload["event_id"], self.e._bit[node]
         mask = self.seen.get(key, 0)
         self.seen[key] = mask | bit
         return not mask & bit
 
     def heard_before(self, trans) -> int:
         """The mask of the endpoints that have seen ``trans``'s flood."""
-        return self.seen.get(trans.payload["key"], 0)
+        return self.seen.get(trans.event_id, 0)
 
     def _broadcast_rreq(self, node, payload, now) -> None:
         self.e.send_broadcast(RREQ, node, self.e.sc.control_bits, now,
@@ -256,7 +255,7 @@ class AodvRunner(_BaseRunner):
         my_len = trans.payload["route_len"] + 1
         if st.route is None or my_len < st.route[1]:
             st.route = (trans.tx, my_len)
-        nxt = None if node == origin else st.reverse.get(origin)
+        nxt = st.reverse.get(origin)
         if nxt is None:
             return None
         return nxt, {"origin": origin, "route_len": my_len}
@@ -319,7 +318,7 @@ class DsrRunner(_BaseRunner):
 
     def on_broadcast_received(self, node, trans, now) -> None:
         record = trans.payload["record"]
-        if node in record or not self._first_copy(node, trans.payload):
+        if not self._first_copy(node, trans.payload):
             return
         if node == BS:
             self._send_rrep(BS, record[-1], {"route": record + (BS,)}, now)

@@ -473,8 +473,7 @@ class Engine:
 
     def new_packet(self, event_id: str, origin: int, now: float) -> DataPacket:
         self.generated += 1
-        return DataPacket(event_id=event_id, origin=origin,
-                          payload_bits=self.sc.payload_bits, created_at=now)
+        return DataPacket(event_id=event_id, origin=origin, created_at=now)
 
     def drop(self, pkt: DataPacket, reason: str, node: object, now: float) -> None:
         if pkt.terminal:
@@ -573,7 +572,7 @@ class HybRunner:
         self.states: Dict[int, HybNodeState] = {}
         for i, rec in engine.nodes.items():
             self.states[i] = HybNodeState(
-                id=i, location=locs.entries[i], energy=rec.energy,  # shared battery
+                id=i, energy=rec.energy,  # shared battery
                 dedup=DedupBuffer(ttl=sc.dedup_ttl))
         # base-station knowledge, fed by residual reports
         self.bs_known_residual: Dict[int, float] = {
@@ -586,7 +585,7 @@ class HybRunner:
         self.ctx = HybContext(
             bs_location=locs.base_station, radio=engine.radio,
             energy_coeff=engine.coeff, location_of=locs.entries.__getitem__,
-            alive=alive, wait_t=sc.wait_t)
+            alive=alive, payload_bits=sc.payload_bits, wait_t=sc.wait_t)
 
     # -------------------------------------------------------------- phases
 
@@ -640,7 +639,7 @@ class HybRunner:
             rx = action.neighbour
             hyb.note_forward(self.states[node], rx)
             pkt.attempted.add(rx)
-        e.send_unicast(DATA, node, rx, pkt.payload_bits, now,
+        e.send_unicast(DATA, node, rx, e.sc.payload_bits, now,
                        event_id=pkt.event_id,
                        on_result=lambda trans, outcome, t: self._result(
                            node, pkt, trans, outcome, t))

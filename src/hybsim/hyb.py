@@ -18,7 +18,6 @@ from .topology import Location, Row
 
 DEFAULT_DEDUP_TTL = 5.0   # s
 DEFAULT_WAIT_T = 0.1      # s, waiting budget before a congested packet dies
-DEFAULT_PAYLOAD_BITS = 4096  # 512-byte data packet
 
 # Action kinds
 SEND_DIRECT = "SEND_DIRECT"
@@ -44,7 +43,6 @@ class Action:
 class DataPacket:
     event_id: str
     origin: int
-    payload_bits: int = DEFAULT_PAYLOAD_BITS
     created_at: float = 0.0
     visited: List[int] = field(init=False)  # the path so far, origin first
     terminal: bool = False                  # delivered or dropped
@@ -87,26 +85,29 @@ class DedupBuffer:
 @dataclass(slots=True)
 class HybNodeState:
     id: int
-    location: Location
     energy: EnergyState
     linked: Tuple[int, ...] = ()   # row members the link reaches, in row order
     use_count: Dict[int, int] = field(default_factory=dict)
     dedup: DedupBuffer = field(default_factory=DedupBuffer)
-    # payload bits -> energy of a direct send, None when the link fails
-    direct_cost: Dict[int, Optional[float]] = field(default_factory=dict)
+    # energy of a direct send to the base station, None when the link fails
+    direct_cost: Optional[float] = None
 
     def set_row(self, row: Row, ctx: "HybContext") -> None:
         """Install a row from the base station.
 
         Locations and the radio never change, so whether the link reaches
-        each member is decided here, once per row. A marker row has none.
+        each member, and the direct send's cost, are decided here, once per
+        row. A marker row has no members.
         """
         members = () if isinstance(row, str) else row
         self.use_count = {v: self.use_count.get(v, 0) for v in members}
-        here = self.location
+        here = ctx.location_of(self.id)
         self.linked = tuple(
             v for v in members
             if link_feasible(ctx.radio, here.dist(ctx.location_of(v))))
+        d = here.dist(ctx.bs_location)
+        self.direct_cost = (tx_energy(ctx.energy_coeff, ctx.payload_bits, d)
+                            if link_feasible(ctx.radio, d) else None)
 
 
 @dataclass(frozen=True)
@@ -118,23 +119,16 @@ class HybContext:
     energy_coeff: EnergyCoefficients
     location_of: Callable[[int], Location]
     alive: Callable[[int], bool]   # liveness oracle for neighbour selection
+    payload_bits: int              # the size of every data frame
     wait_t: float = DEFAULT_WAIT_T
 
 
-def single_hop_feasible(state: HybNodeState, ctx: HybContext,
-                        payload_bits: int = DEFAULT_PAYLOAD_BITS) -> bool:
+def single_hop_feasible(state: HybNodeState) -> bool:
     """Direct delivery is on when the link closes and the battery covers it.
 
-    The link test and the cost depend only on the node's location, so they
-    are worked out once per payload size; the battery is read every time.
+    ``set_row`` decides the link and the cost; the battery is read anew.
     """
-    try:
-        cost = state.direct_cost[payload_bits]
-    except KeyError:
-        d = state.location.dist(ctx.bs_location)
-        cost = (tx_energy(ctx.energy_coeff, payload_bits, d)
-                if link_feasible(ctx.radio, d) else None)
-        state.direct_cost[payload_bits] = cost
+    cost = state.direct_cost
     return (cost is not None
             and state.energy.residual >= state.energy.threshold + cost)
 
@@ -144,14 +138,15 @@ def best_neighbour(state: HybNodeState, packet: DataPacket,
     """Least-used feasible candidate, ties broken by row position.
 
     Candidates out of link range (left out of ``state.linked`` by
-    ``set_row``), already on the packet's path, already attempted at this
-    hop (``packet.attempted``) or dead are skipped.
+    ``set_row``), already attempted at this hop (``packet.attempted``) or
+    dead are skipped. A row lists only nodes strictly closer to the base
+    station than its holder, so no member is on the packet's path.
     """
     best: Optional[int] = None
     best_count = math.inf
-    visited, attempted = packet.visited, packet.attempted
+    attempted = packet.attempted
     for v in state.linked:  # row order encodes proximity to the base station
-        if v in visited or v in attempted or not ctx.alive(v):
+        if v in attempted or not ctx.alive(v):
             continue
         count = state.use_count[v]
         if count < best_count:
@@ -160,7 +155,7 @@ def best_neighbour(state: HybNodeState, packet: DataPacket,
 
 
 def _route(state: HybNodeState, packet: DataPacket, ctx: HybContext) -> Action:
-    if single_hop_feasible(state, ctx, packet.payload_bits):
+    if single_hop_feasible(state):
         return Action(SEND_DIRECT)
     return _forward(state, packet, ctx)
 

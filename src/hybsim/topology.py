@@ -159,30 +159,11 @@ class Grid:
                 yield p, here[k + 1:] + ahead
 
 
-def eligible(locs: LocationTable, params: RegionParams, alive: Set[int],
-             u: int, v: int) -> bool:
-    """Can v appear in u's neighbour row?
-
-    The single-pair definition; ``compute_neighbour_table`` applies the same
-    tests to each pair of the grid sweep, and the two must agree exactly.
-    """
-    if v == u or v not in alive:
-        return False
-    pu, pv, bs = locs.entries[u], locs.entries[v], locs.base_station
-    if abs(pv.x - pu.x) > params.band_halfwidth_M:
-        return False
-    if params.vertical_extent_N is not None and abs(pv.y - pu.y) > params.vertical_extent_N:
-        return False
-    if pv.dist(bs) >= pu.dist(bs):
-        return False
-    return pu.dist(pv) <= params.radio_range
-
-
 def compute_neighbour_table(locs: LocationTable, params: RegionParams,
                             alive: Set[int]) -> NeighbourTable:
     """Build the per-node forwarder rows for every alive node.
 
-    A row holds the K eligible candidates nearest to the base station, in
+    A row holds the K candidates nearest to the base station, in
     non-decreasing distance-to-base-station order (ties by id). A node with
     no candidate is DIRECT when within radio range of the base station,
     ISOLATED otherwise.
@@ -275,7 +256,8 @@ def parse_location_file(text: str) -> LocationTable:
 
 
 def emit_location_file(locs: LocationTable) -> str:
-    lines = [f"{i} , {locs.entries[i].x:g} , {locs.entries[i].y:g}"
+    """`id , x , y` lines; ``repr`` floats parse back to the same values."""
+    lines = [f"{i} , {locs.entries[i].x!r} , {locs.entries[i].y!r}"
              for i in sorted(locs.entries)]
     return "".join(line + "\n" for line in lines)
 

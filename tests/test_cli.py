@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
+from dataclasses import replace
+
 import pytest
 
 from hybsim.cli import EXIT_CHECK, EXIT_OK, EXIT_RUN, EXIT_USAGE, main
+from hybsim.metrics import run_scenario
+from hybsim.scenario import Scenario
 from hybsim.topology import parse_location_file
 
 from test_topology import SAMPLE_TEXT
@@ -186,3 +190,25 @@ class TestGenTopologyCommand:
         assert len(locs.entries) == 12
         for p in locs.entries.values():
             assert 0 <= p.x <= 500 and 0 <= p.y <= 400
+
+    def test_without_out_writes_to_stdout(self, tmp_path, capsys):
+        args = ["gen-topology", "--nodes", "5", "--size", "500x400",
+                "--seed", "6"]
+        assert main(args + ["--out", str(tmp_path / "a.txt")]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().out == (tmp_path / "a.txt").read_text()
+
+    @pytest.mark.parametrize("protocol", ["hyb", "dsr"])
+    def test_file_reproduces_the_uniform_run(self, tmp_path, protocol):
+        nodes = tmp_path / "nodes.txt"
+        assert main(["gen-topology", "--nodes", "40", "--size", "1000x1000",
+                     "--seed", "1", "--out", str(nodes)]) == EXIT_OK
+        uniform = Scenario(protocol=protocol, node_count=40, seed=1,
+                           sim_time=5.0, topology_size=(1000.0, 1000.0),
+                           bs_location=(500.0, 500.0))
+        placed = replace(uniform, placement=str(nodes))
+        (want, want_log), (got, got_log) = (run_scenario(uniform),
+                                            run_scenario(placed))
+        assert got_log == want_log
+        assert got.energy_consumed == want.energy_consumed

@@ -21,9 +21,8 @@ from hypothesis import strategies as st
 from hybsim.engine import BS, Engine
 from hybsim.radio import link_bounds, link_feasible, RadioParams
 from hybsim.scenario import Scenario
-from hybsim.topology import (DIRECT, ISOLATED, Grid, Location, LocationTable,
-                             RegionParams, compute_neighbour_table, eligible,
-                             refresh_table)
+from hybsim.topology import (Grid, Location, LocationTable, RegionParams,
+                             compute_neighbour_table, refresh_table)
 
 from oracles import brute_force_rows
 
@@ -213,6 +212,19 @@ class TestEngineReachability:
             want = [n for n in ids if hypot(pts[n], where) <= sensing]
             assert eng.sensors(Location(*where)) == want
 
+    def test_pair_between_the_bounds_that_fails_the_link_is_not_linked(self):
+        # between inner and outer only link_feasible decides; a pair a few
+        # ulps past the radio range, where it fails, hears nothing
+        radio = RadioParams()
+        inner, outer = link_bounds(radio)
+        d = radio.radio_range
+        while link_feasible(radio, d):
+            d = math.nextafter(d, math.inf)
+        assert inner < d < outer
+        eng = make_engine([(0.0, 0.0), (d, 0.0)], (5000.0, 5000.0))
+        assert members(eng, eng._hears[0]) == set()
+        assert members(eng, eng._hears[1]) == set()
+
     def test_link_bounds_bracket_the_edge(self):
         for params in (RadioParams(), RadioParams(radio_range=1.5),
                        RadioParams(radio_range=123.456, path_loss_exponent=3.7,
@@ -255,20 +267,15 @@ class TestNeighbourTable:
     @SETTINGS
     @given(case=table_cases(), data=st.data())
     def test_rows_hold_exactly_the_eligible_nodes(self, case, data):
-        # with K above the node count a row is every node eligible() admits
+        # with K above the node count a row is every node the rules admit
         r, pts, bs, params = case
         params = replace(params, max_neighbours_K=len(pts))
         locs = _locs(pts, bs)
         alive = data.draw(st.sets(st.sampled_from(range(len(pts))), min_size=1))
         rows = compute_neighbour_table(locs, params, alive).rows
-        to_bs = {v: hypot(pts[v], bs) for v in alive}
-        for u in alive:
-            want = sorted((v for v in alive if eligible(locs, params, alive, u, v)),
-                          key=lambda v: (to_bs[v], v))
-            if want:
-                assert rows[u] == tuple(want)
-            else:
-                assert rows[u] in (DIRECT, ISOLATED)
+        assert rows == brute_force_rows(
+            dict(enumerate(pts)), bs, params.band_halfwidth_M,
+            params.vertical_extent_N, len(pts), r, alive)
 
     def test_band_extent_and_range_bounds_are_inclusive(self):
         # 1 is exactly N above 0 and R away; 2 is exactly M across and R away
@@ -277,8 +284,8 @@ class TestNeighbourTable:
                               max_neighbours_K=3, radio_range=300.0)
         locs = _locs(pts, (0.0, 1000.0))
         alive = {0, 1, 2}
-        assert eligible(locs, params, alive, 0, 1)
-        assert eligible(locs, params, alive, 0, 2)
+        assert brute_force_rows(dict(enumerate(pts)), (0.0, 1000.0), 180.0,
+                                300.0, 3, 300.0)[0] == (1, 2)
         assert compute_neighbour_table(locs, params, alive).rows[0] == (1, 2)
 
     @SETTINGS

@@ -1,5 +1,7 @@
 """Unit tests for the hybrid protocol's per-node state machine."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,11 +27,11 @@ def make_ctx(dead=(), wait_t=0.1):
         bs_location=BS, radio=RadioParams(),
         energy_coeff=EnergyCoefficients(),
         location_of=POINTS.__getitem__,
-        alive=lambda v: v not in dead, wait_t=wait_t)
+        alive=lambda v: v not in dead, payload_bits=4096, wait_t=wait_t)
 
 
 def make_state(node, row, residual=10.0):
-    st = HybNodeState(id=node, location=POINTS[node],
+    st = HybNodeState(id=node,
                       energy=EnergyState(residual=residual, initial=10.0))
     st.set_row(row, make_ctx())
     return st
@@ -86,39 +88,53 @@ class TestDedupBuffer:
 
 class TestSingleHopFeasible:
     def test_in_range_with_energy(self):
-        assert single_hop_feasible(make_state(1, DIRECT), make_ctx())
+        assert single_hop_feasible(make_state(1, DIRECT))
 
     def test_out_of_range(self):
-        assert not single_hop_feasible(make_state(3, (1, 2)), make_ctx())
+        assert not single_hop_feasible(make_state(3, (1, 2)))
 
     def test_battery_must_cover_the_send(self):
         ctx = make_ctx()
         cost = tx_energy(ctx.energy_coeff, 4096, POINTS[1].dist(BS))
         thr = 1e-6
-        rich = HybNodeState(id=1, location=POINTS[1],
-                            energy=EnergyState(residual=thr + cost,
-                                               threshold=thr, initial=10.0))
-        poor = HybNodeState(id=1, location=POINTS[1],
-                            energy=EnergyState(residual=thr + cost * 0.99,
-                                               threshold=thr, initial=10.0))
-        assert single_hop_feasible(rich, ctx)
-        assert not single_hop_feasible(poor, ctx)
-
+        rich = HybNodeState(id=1, energy=EnergyState(
+            residual=thr + cost, threshold=thr, initial=10.0))
+        poor = HybNodeState(id=1, energy=EnergyState(
+            residual=thr + cost * 0.99, threshold=thr, initial=10.0))
+        for st in (rich, poor):
+            st.set_row(DIRECT, ctx)
+        assert single_hop_feasible(rich)
+        assert not single_hop_feasible(poor)
 
     def test_decision_follows_a_battery_drained_after_caching(self):
         st = make_state(1, DIRECT)
         ctx = make_ctx()
-        assert single_hop_feasible(st, ctx)
-        cost = st.direct_cost[4096]
+        assert single_hop_feasible(st)
+        cost = st.direct_cost
         assert cost == tx_energy(ctx.energy_coeff, 4096, POINTS[1].dist(BS))
         st.energy.residual = st.energy.threshold + cost / 2
-        assert not single_hop_feasible(st, ctx)
-        assert st.direct_cost == {4096: cost}
+        assert not single_hop_feasible(st)
+        assert st.direct_cost == cost
 
     def test_out_of_range_is_cached_as_no_link(self):
         st = make_state(3, (1, 2))
-        assert not single_hop_feasible(st, make_ctx())
-        assert st.direct_cost == {4096: None}
+        assert st.direct_cost is None
+        assert not single_hop_feasible(st)
+
+    def test_cost_uses_the_contexts_payload_size(self):
+        ctx = replace(make_ctx(), payload_bits=8192)
+        st = make_state(1, DIRECT)
+        st.set_row(DIRECT, ctx)
+        assert st.direct_cost == tx_energy(ctx.energy_coeff, 8192,
+                                           POINTS[1].dist(BS))
+
+    def test_link_test_is_hyb_link_feasible(self, monkeypatch):
+        # the direct link, like the row's, is decided by the module's own
+        # link_feasible; 1 is 300 m from the base station
+        monkeypatch.setattr(hyb, "link_feasible", lambda radio, d: d < 290.0)
+        st = make_state(1, DIRECT)
+        assert st.direct_cost is None
+        assert not single_hop_feasible(st)
 
 
 class TestBestNeighbour:
@@ -130,12 +146,6 @@ class TestBestNeighbour:
     def test_tie_broken_by_row_order(self):
         st = make_state(3, (1, 2))
         assert best_neighbour(st, make_packet(3), make_ctx()) == 1
-
-    def test_visited_skipped(self):
-        st = make_state(3, (1, 2))
-        pkt = make_packet(3)
-        pkt.visited.append(1)
-        assert best_neighbour(st, pkt, make_ctx()) == 2
 
     def test_excluded_skipped(self):
         st = make_state(3, (1, 2))

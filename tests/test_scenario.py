@@ -52,6 +52,9 @@ class TestParse:
         ("refresh_period = -5\n", "refresh_period"),
         ("refresh_period = nan\n", "refresh_period"),
         ("topology_size = infx100\n", "topology_size"),
+        ("topology_size = 100xinf\n", "topology_size"),
+        ("topology_size = 0x100\n", "topology_size"),
+        ("topology_size = 100x0\n", "topology_size"),
         ("bs_location = 10,nan\n", "bs_location"),
         ("bandwidth = 0\n", "bandwidth"),
         ("radio_range = 1\n", "radio_range"),

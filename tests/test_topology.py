@@ -3,11 +3,13 @@
 import math
 import random
 
+from dataclasses import replace
+
 import pytest
 
 from hybsim.topology import (DIRECT, ISOLATED, Location, LocationTable,
                              NeighbourTable, RegionParams, TopologyError,
-                             compute_neighbour_table, eligible,
+                             compute_neighbour_table,
                              emit_location_file, emit_neighbour_table,
                              parse_location_file, refresh_table)
 
@@ -35,17 +37,24 @@ class TestLocation:
             Location(-1.0, 5.0)
 
 
+def members(locs, params, alive, u):
+    """u's row built with K above the node count: every node u may list."""
+    wide = replace(params, max_neighbours_K=len(locs.entries))
+    row = compute_neighbour_table(locs, wide, alive).rows[u]
+    return () if row in (DIRECT, ISOLATED) else row
+
+
 class TestEligibility:
     def test_band_and_progress(self):
         locs = sample_table()
         params = RegionParams(band_halfwidth_M=100.0)
         alive = set(locs.entries)
         # 5 is inside 2's band and strictly closer to the base station
-        assert eligible(locs, params, alive, 2, 5)
+        assert 5 in members(locs, params, alive, 2)
         # 3 is 53 m right of 2 but farther from the base station
-        assert not eligible(locs, params, alive, 2, 3)
+        assert 3 not in members(locs, params, alive, 2)
         # nothing is its own neighbour
-        assert not eligible(locs, params, alive, 2, 2)
+        assert 2 not in members(locs, params, alive, 2)
 
     def test_band_halfwidth_cut(self):
         locs = sample_table()
@@ -53,26 +62,26 @@ class TestEligibility:
         wide = RegionParams(band_halfwidth_M=200.0)
         narrow = RegionParams(band_halfwidth_M=100.0)
         # |dx| between 3 and 0 is 158: inside the wide band, outside narrow
-        assert eligible(locs, wide, alive, 3, 0)
-        assert not eligible(locs, narrow, alive, 3, 0)
+        assert 0 in members(locs, wide, alive, 3)
+        assert 0 not in members(locs, narrow, alive, 3)
 
     def test_vertical_extent_cut(self):
         locs = sample_table()
         alive = set(locs.entries)
         bounded = RegionParams(band_halfwidth_M=100.0, vertical_extent_N=30.0)
         # |dy| between 2 and 5 is 35, above the 30 m extent
-        assert not eligible(locs, bounded, alive, 2, 5)
+        assert 5 not in members(locs, bounded, alive, 2)
 
     def test_dead_nodes_excluded(self):
         locs = sample_table()
         params = RegionParams(band_halfwidth_M=100.0)
-        assert not eligible(locs, params, {2}, 2, 5)
+        assert 5 not in members(locs, params, {2}, 2)
 
     def test_radio_range_cut(self):
         locs = LocationTable(entries={0: Location(0, 0), 1: Location(300, 0)},
                              base_station=Location(600, 0))
         params = RegionParams(band_halfwidth_M=500.0, radio_range=250.0)
-        assert not eligible(locs, params, {0, 1}, 0, 1)
+        assert 1 not in members(locs, params, {0, 1}, 0)
 
 
 class TestComputeTable:
@@ -172,6 +181,13 @@ class TestLocationFile:
 
     def test_round_trip(self):
         locs = parse_location_file(SAMPLE_TEXT)
+        assert parse_location_file(emit_location_file(locs)).entries == locs.entries
+
+    def test_round_trip_keeps_fractional_coordinates_exactly(self):
+        # 7 significant digits and more, and a value one ulp above 100
+        locs = LocationTable(entries={
+            0: Location(123.4567891, 0.1 + 0.2),
+            1: Location(math.nextafter(100.0, math.inf), 999.9999999999)})
         assert parse_location_file(emit_location_file(locs)).entries == locs.entries
 
     def test_blank_lines_skipped(self):
