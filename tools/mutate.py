@@ -90,10 +90,13 @@ def generate(source: str, path: str) -> List[Mutant]:
     skip = _in_fstring(tree)
     out: List[Mutant] = []
 
-    def emit(node: ast.AST, new: ast.AST, change: str, text: str = "") -> None:
+    def emit(node: ast.AST, replacement: str, change: str) -> None:
         out.append(Mutant(path, node.lineno, node.col_offset, node.end_lineno,
-                          node.end_col_offset,
-                          text or f"({ast.unparse(new)})", change))
+                          node.end_col_offset, replacement, change))
+
+    def swap(op: ast.AST):
+        new = SWAPS[type(op)]()
+        return new, f"{SYMBOLS[type(op)]} -> {SYMBOLS[type(new)]}"
 
     for node in ast.walk(tree):
         if id(node) in skip:
@@ -102,23 +105,22 @@ def generate(source: str, path: str) -> List[Mutant]:
             for k, op in enumerate(node.ops):
                 if type(op) in SWAPS:
                     ops = list(node.ops)
-                    ops[k] = SWAPS[type(op)]()
+                    ops[k], change = swap(op)
+                    if len(ops) > 1:
+                        change += f" at comparison {k + 1}"
                     new = ast.Compare(node.left, ops, node.comparators)
-                    at = f" at comparison {k + 1}" if len(ops) > 1 else ""
-                    emit(node, new, f"{SYMBOLS[type(op)]} -> "
-                                    f"{SYMBOLS[type(ops[k])]}{at}")
+                    emit(node, f"({ast.unparse(new)})", change)
         elif isinstance(node, ast.BoolOp):
-            new = ast.BoolOp(SWAPS[type(node.op)](), node.values)
-            emit(node, new, f"{SYMBOLS[type(node.op)]} -> "
-                            f"{SYMBOLS[type(new.op)]}")
+            op, change = swap(node.op)
+            emit(node, f"({ast.unparse(ast.BoolOp(op, node.values))})", change)
         elif isinstance(node, ast.If):
-            emit(node.test, None, "if test -> True", "True")
+            emit(node.test, "True", "if test -> True")
         elif (isinstance(node, ast.BinOp) and type(node.op) in (ast.Add, ast.Sub)
               and isinstance(node.right, ast.Constant)
               and type(node.right.value) is int and node.right.value == 1):
-            new = ast.BinOp(node.left, SWAPS[type(node.op)](), node.right)
-            emit(node, new, f"{SYMBOLS[type(node.op)]} -> "
-                            f"{SYMBOLS[type(new.op)]}")
+            op, change = swap(node.op)
+            new = ast.BinOp(node.left, op, node.right)
+            emit(node, f"({ast.unparse(new)})", change)
     out.sort(key=order)
     return out
 
