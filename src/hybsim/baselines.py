@@ -116,8 +116,8 @@ class _BaseRunner:
 
     def _transmit_data(self, node, rx, pkt, now) -> None:
         self.e.send_unicast(
-            DATA, node, rx, self.e.sc.payload_bits, now,
-            event_id=pkt.event_id, defer_jitter=DEFER_JITTER,
+            DATA, node, rx, now, event_id=pkt.event_id,
+            defer_jitter=DEFER_JITTER,
             on_result=lambda trans, outcome, t: self._data_result(
                 node, pkt, trans, outcome, t))
 
@@ -183,8 +183,8 @@ class _BaseRunner:
         return self.seen.get(trans.event_id, 0)
 
     def _broadcast_rreq(self, node, payload, now) -> None:
-        self.e.send_broadcast(RREQ, node, self.e.sc.control_bits, now,
-                              payload=payload, event_id=payload["event_id"])
+        self.e.send_broadcast(RREQ, node, now, payload=payload,
+                              event_id=payload["event_id"])
 
     def _rebroadcast(self, node, payload, now) -> None:
         retry = now + self.e.jitter(5e-3)
@@ -193,8 +193,8 @@ class _BaseRunner:
     # --------------------------------------------------------------- replies
 
     def _send_rrep(self, frm, to, payload, now) -> None:
-        self.e.send_unicast(RREP, frm, to, self.e.sc.control_bits, now,
-                            payload=payload, on_result=self._rrep_result,
+        self.e.send_unicast(RREP, frm, to, now, payload=payload,
+                            on_result=self._rrep_result,
                             defer_jitter=DEFER_JITTER)
 
     def _rrep_result(self, trans, outcome, now) -> None:

@@ -70,7 +70,7 @@ def _build_parser() -> _Parser:
 
 def _report_text(report: metrics.MetricsReport) -> str:
     lines = [f"{f.name} = {getattr(report, f.name)}"
-             for f in fields(report) if f.name not in ("dropped", "wall_clock")]
+             for f in fields(report) if f.name != "dropped"]
     for reason in sorted(report.dropped):
         lines.append(f"dropped_{reason.lower()} = {report.dropped[reason]}")
     return "".join(line + "\n" for line in lines)

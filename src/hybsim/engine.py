@@ -89,7 +89,6 @@ class Transmission:
     kind: str
     tx: object                 # node id or BS
     rx: object                 # node id, BS or BROADCAST
-    bits: int
     start: float
     end: float
     event_id: str = "-"
@@ -126,9 +125,6 @@ class TextBuffer:
         text = "".join(self._blocks)
         self._blocks = [text]
         return text
-
-    def close(self) -> None:
-        self._blocks, self._pending = [], []
 
 
 @dataclass(slots=True)
@@ -192,8 +188,15 @@ class Engine:
         # the OR of t.reach over active: whom a frame on the air reaches,
         # its senders included
         self._on_air = 0
-        # frame size -> (transmit, receive) energy of one broadcast
-        self._broadcast_cost: Dict[int, Tuple[float, float]] = {}
+        # a frame's size follows from its kind: DATA frames carry the
+        # payload, every other frame is a control frame
+        control = scenario.control_bits
+        self._frame_bits = dict.fromkeys(FRAME_KINDS, control)
+        self._frame_bits[DATA] = scenario.payload_bits
+        # (transmit, receive) energy of a broadcast, a control frame always
+        self._broadcast_cost = (
+            tx_energy(self.coeff, control, self.radio.radio_range),
+            rx_energy(self.coeff, control))
 
         self.generated = 0
         self.delivered = 0
@@ -321,11 +324,11 @@ class Engine:
         self._on_air |= trans.reach
         self.schedule(end, lambda: self._frame_end(trans))
 
-    def send_unicast(self, kind: str, tx: object, rx: object, bits: int,
-                     now: float, event_id: str = "-", payload=None,
+    def send_unicast(self, kind: str, tx: object, rx: object, now: float, *,
+                     event_id: str = "-", payload=None,
                      on_result: Optional[Callable] = None,
                      defer_jitter: float = 0.0) -> str:
-        """Send one frame from ``tx`` to ``rx`` at ``now``.
+        """Send one frame of ``kind`` from ``tx`` to ``rx`` at ``now``.
 
         A drained ``tx`` sends nothing (ASLEEP). A node holds one frame at a
         time, so while ``tx`` is on the air the send waits until RETRY_GAP
@@ -347,24 +350,25 @@ class Engine:
             if defer_jitter:
                 retry += self.jitter(defer_jitter)
             self.schedule(retry, lambda: self.send_unicast(
-                kind, tx, rx, bits, retry, event_id, payload, on_result,
-                defer_jitter))
+                kind, tx, rx, retry, event_id=event_id, payload=payload,
+                on_result=on_result, defer_jitter=defer_jitter))
             return DEFERRED
         verdict = self.arbitrate(tx, rx, now)
         if verdict in (BUSY, NO_RX):
             if on_result is not None:
                 on_result(None, verdict, now)
             return verdict
-        air = frame_airtime(self.radio, bits)
-        self._begin(Transmission(kind, tx, rx, bits, now, now + air, event_id,
+        air = frame_airtime(self.radio, self._frame_bits[kind])
+        self._begin(Transmission(kind, tx, rx, now, now + air, event_id,
                                  payload, on_result))
         return GRANT
 
-    def send_broadcast(self, kind: str, tx: object, bits: int, now: float,
+    def send_broadcast(self, kind: str, tx: object, now: float, *,
                        payload=None, event_id: str = "-") -> None:
-        """Carrier-sense broadcast: defers while the transmitter hears an
-        ongoing transmission, then occupies the channel; copies are handed
-        to the protocol per receiver at frame end."""
+        """Carrier-sense broadcast of a control frame: defers while the
+        transmitter hears an ongoing transmission, then occupies the
+        channel; copies are handed to the protocol per receiver at frame
+        end."""
         if tx not in self.awake:
             return  # the node drained while the frame was pending
         mine = self._bit[tx]
@@ -375,10 +379,10 @@ class Engine:
                     busy_until = t.end
             retry = busy_until + self.jitter(1e-3)
             self.schedule(retry, lambda: self.send_broadcast(
-                kind, tx, bits, retry, payload, event_id))
+                kind, tx, retry, payload=payload, event_id=event_id))
             return
-        air = frame_airtime(self.radio, bits)
-        self._begin(Transmission(kind, tx, BROADCAST, bits, now, now + air,
+        air = frame_airtime(self.radio, self._frame_bits[kind])
+        self._begin(Transmission(kind, tx, BROADCAST, now, now + air,
                                  event_id, payload))
 
     def send_oob_control(self, kind: str, tx: object, rx: object,
@@ -391,7 +395,7 @@ class Engine:
         """
         if tx not in self.awake:
             return
-        bits = self.sc.control_bits
+        bits = self._frame_bits[kind]
         self.charge(tx, tx_energy(self.coeff, bits, self.dist(tx, rx)))
         self.charge(rx, rx_energy(self.coeff, bits))
         self.log(now, kind, tx, rx, "-", OK)
@@ -424,14 +428,9 @@ class Engine:
         self._remove(trans)
         # transmit cost is charged on completion; a cancelled reservation
         # never put energy on the air
-        tx, r, bits = trans.tx, trans.rx, trans.bits
+        tx, r = trans.tx, trans.rx
         if r == BROADCAST:
-            costs = self._broadcast_cost.get(bits)
-            if costs is None:
-                costs = self._broadcast_cost[bits] = (
-                    tx_energy(self.coeff, bits, self.radio.radio_range),
-                    rx_energy(self.coeff, bits))
-            tx_cost, cost = costs
+            tx_cost, cost = self._broadcast_cost
             self.charge(tx, tx_cost)
             # the SENT record and each COLL record: the bytes log() writes
             stamp, event_id = f"{trans.start:.6f} ", trans.event_id
@@ -458,6 +457,7 @@ class Engine:
                         received(r, trans, end)
             return
 
+        bits = self._frame_bits[trans.kind]
         self.charge(tx, tx_energy(self.coeff, bits, self.dist(tx, r)))
         collided = self._interfered(trans, r)
         trans.overlaps = None
@@ -511,9 +511,7 @@ class Engine:
             self._feed(sensed, jitter, 0, self._seq, 0)
         self._seq += len(sensed) + len(jitter)
         self.drain()
-        text = self.log_buffer.getvalue()
-        self.log_buffer.close()  # the returned text is the only copy
-        return text
+        return self.log_buffer.getvalue()
 
     def sensors(self, where: Location) -> List[int]:
         """Nodes within sensing radius of ``where``, in ascending id order
@@ -639,8 +637,7 @@ class HybRunner:
             rx = action.neighbour
             hyb.note_forward(self.states[node], rx)
             pkt.attempted.add(rx)
-        e.send_unicast(DATA, node, rx, e.sc.payload_bits, now,
-                       event_id=pkt.event_id,
+        e.send_unicast(DATA, node, rx, now, event_id=pkt.event_id,
                        on_result=lambda trans, outcome, t: self._result(
                            node, pkt, trans, outcome, t))
 

@@ -16,9 +16,6 @@ from .radio import (EnergyState, RadioParams, EnergyCoefficients,
                     is_alive, link_feasible, tx_energy)
 from .topology import Location, Row
 
-DEFAULT_DEDUP_TTL = 5.0   # s
-DEFAULT_WAIT_T = 0.1      # s, waiting budget before a congested packet dies
-
 # Action kinds
 SEND_DIRECT = "SEND_DIRECT"
 FORWARD = "FORWARD"
@@ -67,7 +64,7 @@ class DedupBuffer:
     purge at each ``record`` pops expired entries from the front only.
     """
 
-    ttl: float = DEFAULT_DEDUP_TTL
+    ttl: float
     entries: Dict[str, float] = field(default_factory=dict)  # insertion order
 
     def contains(self, event_id: str, now: float) -> bool:
@@ -86,9 +83,9 @@ class DedupBuffer:
 class HybNodeState:
     id: int
     energy: EnergyState
+    dedup: DedupBuffer
     linked: Tuple[int, ...] = ()   # row members the link reaches, in row order
     use_count: Dict[int, int] = field(default_factory=dict)
-    dedup: DedupBuffer = field(default_factory=DedupBuffer)
     # energy of a direct send to the base station, None when the link fails
     direct_cost: Optional[float] = None
 
@@ -120,7 +117,7 @@ class HybContext:
     location_of: Callable[[int], Location]
     alive: Callable[[int], bool]   # liveness oracle for neighbour selection
     payload_bits: int              # the size of every data frame
-    wait_t: float = DEFAULT_WAIT_T
+    wait_t: float                  # s, waiting budget of a congested packet
 
 
 def single_hop_feasible(state: HybNodeState) -> bool:

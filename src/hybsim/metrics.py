@@ -9,7 +9,6 @@ of one base scenario and aggregates mean and min-max spread per cell.
 
 import csv
 import statistics
-import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,7 +45,6 @@ class MetricsReport:
     dropped: Dict[str, int] = field(default_factory=dict)
     unique_events_delivered: int = 0
     energy_consumed: float = 0.0
-    wall_clock: float = 0.0
 
     def dropped_total(self) -> int:
         return sum(self.dropped.values())
@@ -118,10 +116,8 @@ def collect(log_text: str) -> MetricsReport:
 
 def run_scenario(scenario: Scenario) -> Tuple[MetricsReport, str]:
     """Execute one run and return its report plus the full event log."""
-    start = time.perf_counter()
     engine = Engine(scenario)
     log = engine.run()
-    wall = time.perf_counter() - start
     report = collect(log)
     # cross-check the log-derived tallies against the engine's own counters
     for name in ("generated", "delivered", "dropped"):
@@ -131,7 +127,6 @@ def run_scenario(scenario: Scenario) -> Tuple[MetricsReport, str]:
                                f"{counted}")
     report.energy_consumed = sum(rec.energy.initial - rec.energy.residual
                                  for rec in engine.nodes.values())
-    report.wall_clock = wall
     return report, log
 
 

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hybsim.engine import (BROADCAST, BS, BUSY, COLLISION, CONFIG, DEFERRED,
-                           GRANT, NO_RX, OK, REPORT, RETRY_GAP, Engine,
-                           Transmission, generate_events, place_nodes,
-                           substream)
+from hybsim.engine import (BROADCAST, BS, BUSY, COLLISION, CONFIG, DATA,
+                           DEFERRED, GRANT, NO_RX, OK, REPORT, RETRY_GAP, RREP,
+                           RREQ, Engine, Transmission, generate_events,
+                           place_nodes, substream)
 from hybsim.hyb import ASLEEP
 from hybsim.metrics import collect
 from hybsim.radio import RadioParams, frame_airtime, link_feasible
@@ -109,24 +109,24 @@ class TestArbitration:
     def test_grant_on_idle_channel(self, tmp_path):
         e = self.make(tmp_path)
         rec = Recorder()
-        assert e.send_unicast("DATA", 0, 2, 4096, 0.0, on_result=rec) == GRANT
+        assert e.send_unicast("DATA", 0, 2, 0.0, on_result=rec) == GRANT
         e.drain()
         assert rec.results == [(OK, pytest.approx(2.048e-3))]
 
     def test_busy_when_receiver_transmitting(self, tmp_path):
         e = self.make(tmp_path)
-        assert e.send_unicast("DATA", 2, 3, 4096, 0.0) == GRANT
+        assert e.send_unicast("DATA", 2, 3, 0.0) == GRANT
         rec = Recorder()
-        e.schedule(1e-3, lambda: e.send_unicast("DATA", 0, 2, 4096, 1e-3,
+        e.schedule(1e-3, lambda: e.send_unicast("DATA", 0, 2, 1e-3,
                                                 on_result=rec))
         e.drain()
         assert rec.results == [(BUSY, 1e-3)]
 
     def test_busy_when_receiver_hears_ongoing_frame(self, tmp_path):
         e = self.make(tmp_path)
-        assert e.send_unicast("DATA", 1, 2, 4096, 0.0) == GRANT
+        assert e.send_unicast("DATA", 1, 2, 0.0) == GRANT
         rec = Recorder()
-        e.schedule(1e-3, lambda: e.send_unicast("DATA", 3, 0, 4096, 1e-3,
+        e.schedule(1e-3, lambda: e.send_unicast("DATA", 3, 0, 1e-3,
                                                 on_result=rec))
         e.drain()
         # 0 hears 1's ongoing frame (dist 145 m), so the grab fails
@@ -135,8 +135,8 @@ class TestArbitration:
     def test_same_instant_power_contest(self, tmp_path):
         e = self.make(tmp_path)
         weak, strong = Recorder(), Recorder()
-        assert e.send_unicast("DATA", 0, 2, 4096, 0.0, on_result=weak) == GRANT
-        assert e.send_unicast("DATA", 1, 2, 4096, 0.0, on_result=strong) == GRANT
+        assert e.send_unicast("DATA", 0, 2, 0.0, on_result=weak) == GRANT
+        assert e.send_unicast("DATA", 1, 2, 0.0, on_result=strong) == GRANT
         e.drain()
         assert weak.results == [(BUSY, 0.0)]        # cancelled by the winner
         assert strong.results[0][0] == OK
@@ -144,8 +144,8 @@ class TestArbitration:
     def test_same_instant_weaker_loses_without_preempting(self, tmp_path):
         e = self.make(tmp_path)
         strong, weak = Recorder(), Recorder()
-        assert e.send_unicast("DATA", 1, 2, 4096, 0.0, on_result=strong) == GRANT
-        assert e.send_unicast("DATA", 0, 2, 4096, 0.0, on_result=weak) == BUSY
+        assert e.send_unicast("DATA", 1, 2, 0.0, on_result=strong) == GRANT
+        assert e.send_unicast("DATA", 0, 2, 0.0, on_result=weak) == BUSY
         e.drain()
         assert weak.results == [(BUSY, 0.0)]
         assert strong.results[0][0] == OK
@@ -155,8 +155,8 @@ class TestArbitration:
         e = make_engine(tmp_path, {0: (0.0, 0.0), 1: (200.0, 0.0),
                                    2: (100.0, 0.0)}, (1500.0, 1500.0))
         first, second = Recorder(), Recorder()
-        assert e.send_unicast("DATA", 0, 2, 4096, 0.0, on_result=first) == GRANT
-        assert e.send_unicast("DATA", 1, 2, 4096, 0.0, on_result=second) == BUSY
+        assert e.send_unicast("DATA", 0, 2, 0.0, on_result=first) == GRANT
+        assert e.send_unicast("DATA", 1, 2, 0.0, on_result=second) == BUSY
         e.drain()
         assert second.results == [(BUSY, 0.0)]
         assert first.results[0][0] == OK
@@ -165,27 +165,27 @@ class TestArbitration:
         e = self.make(tmp_path)
         e.charge(2, 10.0)
         rec = Recorder()
-        assert e.send_unicast("DATA", 0, 2, 4096, 0.0, on_result=rec) == NO_RX
+        assert e.send_unicast("DATA", 0, 2, 0.0, on_result=rec) == NO_RX
         assert rec.results == [(NO_RX, 0.0)]
 
     def test_transmitter_channel_exclusivity_enforced(self, tmp_path):
         e = self.make(tmp_path)
-        assert e.send_unicast("DATA", 0, 2, 4096, 0.0) == GRANT
+        assert e.send_unicast("DATA", 0, 2, 0.0) == GRANT
         own = list(e.active.values())[0]
-        assert e.send_unicast("DATA", 0, 3, 4096, 0.0) == DEFERRED
+        assert e.send_unicast("DATA", 0, 3, 0.0) == DEFERRED
         assert list(e.active.values()) == [own]  # the second frame waits
         with pytest.raises(RuntimeError, match="already holds the channel"):
-            e._begin(Transmission(kind="DATA", tx=0, rx=3, bits=4096,
-                                  start=0.0, end=1.0))
+            e._begin(Transmission(kind="DATA", tx=0, rx=3, start=0.0,
+                                  end=1.0))
 
     def test_send_while_on_air_starts_after_own_frame(self, tmp_path):
         e = self.make(tmp_path)
-        assert e.send_unicast("DATA", 0, 2, 4096, 0.0) == GRANT
+        assert e.send_unicast("DATA", 0, 2, 0.0) == GRANT
         own_end = list(e.active.values())[0].end
         rng_state = e.rng_jitter.getstate()
         starts = []
         assert e.send_unicast(
-            "DATA", 0, 3, 4096, 0.0,
+            "DATA", 0, 3, 0.0,
             on_result=lambda trans, outcome, t: starts.append(
                 (trans.start, outcome))) == DEFERRED
         e.drain()
@@ -195,11 +195,11 @@ class TestArbitration:
     def test_deferral_jitter_bounds_the_start(self, tmp_path):
         e = self.make(tmp_path)
         j = 1e-3
-        assert e.send_unicast("DATA", 0, 2, 4096, 0.0) == GRANT
+        assert e.send_unicast("DATA", 0, 2, 0.0) == GRANT
         earliest = list(e.active.values())[0].end + RETRY_GAP
         starts = []
         assert e.send_unicast(
-            "DATA", 0, 3, 4096, 0.0, defer_jitter=j,
+            "DATA", 0, 3, 0.0, defer_jitter=j,
             on_result=lambda trans, outcome, t: starts.append(trans.start)) == DEFERRED
         e.drain()
         assert len(starts) == 1
@@ -209,7 +209,7 @@ class TestArbitration:
         e = self.make(tmp_path)
         e.charge(0, 10.0)
         rec = Recorder()
-        assert e.send_unicast("DATA", 0, 2, 4096, 0.0, on_result=rec) == ASLEEP
+        assert e.send_unicast("DATA", 0, 2, 0.0, on_result=rec) == ASLEEP
         assert rec.results == [(ASLEEP, 0.0)]
         assert list(e.active.values()) == []
         e.drain()
@@ -252,8 +252,8 @@ class TestHiddenTerminal:
     def test_simultaneous_frames_all_lost(self, tmp_path):
         e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0))
         a, b = Recorder(), Recorder()
-        assert e.send_unicast("DATA", 0, 1, 4096, 0.0, on_result=a) == GRANT
-        assert e.send_unicast("DATA", 2, 3, 4096, 0.0, on_result=b) == GRANT
+        assert e.send_unicast("DATA", 0, 1, 0.0, on_result=a) == GRANT
+        assert e.send_unicast("DATA", 2, 3, 0.0, on_result=b) == GRANT
         e.drain()
         assert a.results[0][0] == COLLISION
         assert b.results[0][0] == COLLISION
@@ -268,10 +268,10 @@ class TestInterference:
 
     def test_answer_follows_frames_begun_between_calls(self, tmp_path):
         e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0))
-        assert e.send_unicast("DATA", 0, 1, 4096, 0.0) == GRANT
+        assert e.send_unicast("DATA", 0, 1, 0.0) == GRANT
         first = list(e.active.values())[0]
         assert not e._interfered(first, 1)
-        e.send_broadcast("RREQ", 2, 320, 1e-3)   # 2 does not hear 0
+        e.send_broadcast("RREQ", 2, 1e-3)   # 2 does not hear 0
         assert len(e.active) == 2
         assert e._interfered(first, 1)
         assert not e._interfered(first, 0)       # 0 does not hear 2
@@ -283,9 +283,9 @@ class TestInterference:
         points = {0: (0.0, 100.0), 1: (300.0, 100.0), 2: (600.0, 100.0),
                   3: (900.0, 100.0), 4: (1000.0, 100.0)}
         e = make_engine(tmp_path, points, (1500.0, 1500.0))
-        assert e.send_unicast("DATA", 0, 1, 4096, 0.0) == GRANT
+        assert e.send_unicast("DATA", 0, 1, 0.0) == GRANT
         first = list(e.active.values())[0]
-        assert e.send_unicast("DATA", 2, 3, 320, 1e-3) == GRANT
+        assert e.send_unicast("RREP", 2, 3, 1e-3) == GRANT
         jammer = list(e.active.values())[1]
         assert e._interfered(first, 1)
         assert e.arbitrate(4, 3, 1e-3) == GRANT
@@ -309,21 +309,25 @@ FULL = Scenario().initial_energy
 def frame_scripts(draw):
     """A few nodes, a base station and the frames they try to send.
 
-    Each send is (start, broadcast?, tx, rx, bits); senders and receivers
-    may be the base station. Sends are scheduled in list order, so several
-    at one start time contend in that order. Every node starts with the
-    same battery; below a full one, nodes die mid-script: a broadcast costs
-    its sender ~4 mJ, a received 4096-bit frame 0.2 mJ, a 320-bit one
-    0.016 mJ.
+    Each send is (start, kind, tx, rx): an RREQ is broadcast by ``tx``, a
+    DATA or RREP frame unicast to ``rx``. Senders and receivers may be the
+    base station. Sends are scheduled in list order, so several at one
+    start time contend in that order. A frame's size follows from its kind:
+    DATA frames are 4096 bits, control frames 320 bits or, with zero
+    airtime, 0. Every node starts with the same battery; below a full one,
+    nodes die mid-script: a broadcast costs its sender ~4 mJ, a received
+    4096-bit frame 0.2 mJ, a 320-bit one 0.016 mJ.
     """
     n = draw(st.integers(2, 6))
     pts = [(draw(COORD), draw(COORD)) for _ in range(n)]
     who = st.sampled_from(list(range(n)) + [BS])
-    sends = draw(st.lists(st.tuples(st.sampled_from(STARTS), st.booleans(),
-                                    who, who, st.sampled_from([0, 320, 4096])),
+    sends = draw(st.lists(st.tuples(st.sampled_from(STARTS),
+                                    st.sampled_from([RREQ, DATA, RREP]),
+                                    who, who),
                           min_size=1, max_size=12))
     battery = draw(st.sampled_from([FULL, 5e-3, 3e-4, 5e-5]))
-    return pts, (draw(COORD), draw(COORD)), sends, battery
+    control_bits = draw(st.sampled_from([320, 0]))
+    return pts, (draw(COORD), draw(COORD)), sends, battery, control_bits
 
 
 class TestInterferenceOracle:
@@ -339,48 +343,46 @@ class TestInterferenceOracle:
     @given(case=frame_scripts())
     # coincident starts: both broadcasts reach 1 together
     @example(case=([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)], (300.0, 300.0),
-                   [(0.0, True, 0, 0, 320), (0.0, True, 2, 2, 320)], FULL))
+                   [(0.0, RREQ, 0, 0), (0.0, RREQ, 2, 2)], FULL, 320))
     # 1 starts a frame of its own as 0's broadcast begins to reach it
     @example(case=([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)], (300.0, 300.0),
-                   [(0.0, True, 0, 0, 320), (0.0, False, 1, 2, 4096)], FULL))
+                   [(0.0, RREQ, 0, 0), (0.0, DATA, 1, 2)], FULL, 320))
     # 2 begins exactly when 0's frame ends: no overlap at 1
     @example(case=([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)], (300.0, 300.0),
-                   [(0.0, True, 0, 0, 320), (AIRTIMES[0], True, 2, 2, 320)],
-                   FULL))
+                   [(0.0, RREQ, 0, 0), (AIRTIMES[0], RREQ, 2, 2)], FULL, 320))
     # the base station as sender: its broadcast jams 2's frame at 1; as
     # receiver: 1's broadcast and 0's frame to it jam each other there
     @example(case=([(350.0, 0.0), (350.0, 600.0), (650.0, 600.0)],
                    (350.0, 300.0),
-                   [(0.0, True, BS, BS, 320), (0.0, False, 2, 1, 4096),
-                    (2 * AIRTIMES[1], False, 0, BS, 4096),
-                    (2 * AIRTIMES[1], True, 1, 1, 320)], FULL))
+                   [(0.0, RREQ, BS, BS), (0.0, DATA, 2, 1),
+                    (2 * AIRTIMES[1], DATA, 0, BS),
+                    (2 * AIRTIMES[1], RREQ, 1, 1)], FULL, 320))
     # 2 wins the same-instant contest for 1 and cancels 0's frame, which
     # must not jam 4, the one receiver of 3's broadcast that hears 0
     @example(case=([(300.0, 0.0), (500.0, 0.0), (600.0, 0.0), (100.0, 300.0),
                     (100.0, 0.0)], (1500.0, 1500.0),
-                   [(0.0, True, 3, 3, 320), (0.0, False, 0, 1, 4096),
-                    (0.0, False, 2, 1, 4096)], FULL))
+                   [(0.0, RREQ, 3, 3), (0.0, DATA, 0, 1), (0.0, DATA, 2, 1)],
+                   FULL, 320))
     # a 0-bit broadcast begins while 0's frame is on the air: both jam 1
     @example(case=([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)], (300.0, 300.0),
-                   [(0.0, True, 0, 0, 320), (AIRTIMES[0] / 2, True, 2, 2, 0)],
-                   FULL))
-    # 2's 0-bit broadcast ends at the instant 0's begins, while both are on
-    # the air: no overlap, and 1 receives both
+                   [(0.0, DATA, 0, 1), (AIRTIMES[1] / 2, RREQ, 2, 2)],
+                   FULL, 0))
+    # 2's 0-bit broadcast ends at the instant 0's frame begins, while both
+    # are on the air: no overlap, and 1 receives both
     @example(case=([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)], (300.0, 300.0),
-                   [(0.0, True, 2, 2, 0), (0.0, True, 0, 0, 320)], FULL))
+                   [(0.0, RREQ, 2, 2), (0.0, DATA, 0, 1)], FULL, 0))
     # 1 dies sending a data frame to 0 and 0 receiving it; the base
     # station's second broadcast, whose receivers were listed at its first,
     # must reach neither
     @example(case=([(0.0, 0.0), (300.0, 0.0)], (0.0, 300.0),
-                   [(0.0, True, BS, BS, 320),
-                    (2 * AIRTIMES[0], False, 1, 0, 4096),
-                    (2 * AIRTIMES[0] + 2 * AIRTIMES[1], True, BS, BS, 320)],
-                   2e-4))
+                   [(0.0, RREQ, BS, BS), (2 * AIRTIMES[0], DATA, 1, 0),
+                    (2 * AIRTIMES[0] + 2 * AIRTIMES[1], RREQ, BS, BS)],
+                   2e-4, 320))
     def test_every_answer_matches_brute_force(self, case):
-        pts, bs, sends, battery = case
+        pts, bs, sends, battery, control_bits = case
         with tempfile.TemporaryDirectory() as tmp:
             e = make_engine(Path(tmp), dict(enumerate(pts)), bs,
-                            initial_energy=battery)
+                            initial_energy=battery, control_bits=control_bits)
         received = []  # hyb has no broadcast handler of its own
         e.protocol.on_broadcast_received = (
             lambda node, trans, now: received.append(node))
@@ -428,13 +430,12 @@ class TestInterferenceOracle:
 
         e._begin, e._interfered = recording_begin, checked_interfered
         e._frame_end = checked_frame_end
-        for t, broadcast, tx, rx, bits in sends:
-            if broadcast:
-                e.schedule(t, lambda t=t, tx=tx, bits=bits:
-                           e.send_broadcast("RREQ", tx, bits, t))
+        for t, kind, tx, rx in sends:
+            if kind == RREQ:
+                e.schedule(t, lambda t=t, tx=tx: e.send_broadcast(RREQ, tx, t))
             elif rx != tx:
-                e.schedule(t, lambda t=t, tx=tx, rx=rx, bits=bits:
-                           e.send_unicast("DATA", tx, rx, bits, t))
+                e.schedule(t, lambda t=t, kind=kind, tx=tx, rx=rx:
+                           e.send_unicast(kind, tx, rx, t))
         e.drain()
         assert all(t.overlaps is None for t in frames)
 
@@ -462,7 +463,7 @@ class TestBroadcast:
         e.protocol.on_broadcast_received = (
             lambda node, trans, now: heard.append(node))
         e.protocol.heard_before = lambda trans: 0
-        e.send_broadcast("RREQ", 0, 320, 0.0)
+        e.send_broadcast("RREQ", 0, 0.0)
         e.drain()
         assert sorted(heard) == [1, 2]   # 300 m away is still in range
 
@@ -473,7 +474,7 @@ class TestBroadcast:
         e.protocol.on_broadcast_received = (
             lambda node, trans, now: heard.append(node))
         e.protocol.heard_before = lambda trans: 0
-        e.send_broadcast("RREQ", BS, 320, 0.0)
+        e.send_broadcast("RREQ", BS, 0.0)
         e.drain()
         assert heard == [0, 1]
         assert not any(" COLL BS BS " in line for line in log_lines(e))
@@ -482,8 +483,8 @@ class TestBroadcast:
         e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0))
         e.protocol.on_broadcast_received = lambda *a: None
         e.protocol.heard_before = lambda trans: 0
-        assert e.send_unicast("DATA", 1, 2, 4096, 0.0) == GRANT
-        e.send_broadcast("RREQ", 0, 320, 0.0)   # 0 hears 1: must defer
+        assert e.send_unicast("DATA", 1, 2, 0.0) == GRANT
+        e.send_broadcast("RREQ", 0, 0.0)   # 0 hears 1: must defer
         e.drain()
         sent = [l for l in log_lines(e) if " RREQ " in l and l.endswith("SENT")]
         assert len(sent) == 1
@@ -495,8 +496,8 @@ class TestBroadcast:
         e = make_engine(tmp_path, points, (1500.0, 1500.0))
         e.protocol.on_broadcast_received = lambda *a: None
         e.protocol.heard_before = lambda trans: 0
-        e.send_broadcast("RREQ", 0, 320, 0.0)
-        e.send_broadcast("RREQ", 2, 320, 0.0)
+        e.send_broadcast("RREQ", 0, 0.0)
+        e.send_broadcast("RREQ", 2, 0.0)
         e.drain()
         coll = [l for l in log_lines(e) if " COLL 0 1 " in l or " COLL 2 1 " in l]
         assert len(coll) == 2
@@ -510,15 +511,15 @@ class TestBroadcast:
         e.protocol.on_broadcast_received = (
             lambda node, trans, now: heard.append(node))
         e.protocol.heard_before = lambda trans: 0
-        e.send_broadcast("RREQ", 0, 320, 0.0)
+        e.send_broadcast("RREQ", 0, 0.0)
         e.drain()
         assert heard == [1, 3]
         e.charge(1, 100.0)
         heard.clear()
         mark = len(e.log_buffer.getvalue())
         # had 1 lived, both copies would have collided there
-        e.send_broadcast("RREQ", 0, 320, 1.0)
-        e.send_broadcast("RREQ", 2, 320, 1.0)
+        e.send_broadcast("RREQ", 0, 1.0)
+        e.send_broadcast("RREQ", 2, 1.0)
         e.drain()
         assert heard == [3]
         assert " COLL " not in e.log_buffer.getvalue()[mark:]
@@ -616,7 +617,7 @@ class TestHybRunner:
     def test_sender_drained_before_its_busy_retry_drops_asleep(self, tmp_path):
         e = make_engine(tmp_path, self.POINTS, (0.0, 0.0))
         e.protocol.configure(0.0)
-        assert e.send_unicast("DATA", 1, BS, 4096, 0.0) == GRANT
+        assert e.send_unicast("DATA", 1, BS, 0.0) == GRANT
         e.protocol.on_sense(0, "ev0", 0.0)   # 1 is busy: retry toward 2
         e.charge(0, 100.0)
         e.drain()

@@ -32,7 +32,8 @@ def make_ctx(dead=(), wait_t=0.1):
 
 def make_state(node, row, residual=10.0):
     st = HybNodeState(id=node,
-                      energy=EnergyState(residual=residual, initial=10.0))
+                      energy=EnergyState(residual=residual, initial=10.0),
+                      dedup=DedupBuffer(ttl=5.0))
     st.set_row(row, make_ctx())
     return st
 
@@ -98,9 +99,11 @@ class TestSingleHopFeasible:
         cost = tx_energy(ctx.energy_coeff, 4096, POINTS[1].dist(BS))
         thr = 1e-6
         rich = HybNodeState(id=1, energy=EnergyState(
-            residual=thr + cost, threshold=thr, initial=10.0))
+            residual=thr + cost, threshold=thr, initial=10.0),
+            dedup=DedupBuffer(ttl=5.0))
         poor = HybNodeState(id=1, energy=EnergyState(
-            residual=thr + cost * 0.99, threshold=thr, initial=10.0))
+            residual=thr + cost * 0.99, threshold=thr, initial=10.0),
+            dedup=DedupBuffer(ttl=5.0))
         for st in (rich, poor):
             st.set_row(DIRECT, ctx)
         assert single_hop_feasible(rich)
