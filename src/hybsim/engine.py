@@ -22,9 +22,9 @@ from .hyb import (ASLEEP, CONGESTION, DROP, DROP_REASONS, SEND_DIRECT, Action,
                   DataPacket, DedupBuffer, HybContext, HybNodeState)
 from .radio import (EnergyState, frame_airtime, is_alive, link_bounds,
                     link_feasible, received_power, rx_energy, tx_energy)
-from .scenario import Scenario, ScenarioError
+from .scenario import Scenario, read_placement
 from .topology import (Grid, Location, LocationTable, compute_neighbour_table,
-                       parse_location_file, refresh_table)
+                       refresh_table)
 
 BS = "BS"          # base station pseudo-id in logs and addressing
 BROADCAST = "*"
@@ -60,10 +60,7 @@ def substream(seed: int, name: str) -> random.Random:
 def place_nodes(scenario: Scenario) -> LocationTable:
     """Node placement: location file when configured, else seeded uniform."""
     if scenario.placement != "uniform":
-        with open(scenario.placement, "r", encoding="utf-8") as fh:
-            locs = parse_location_file(fh.read())
-        if not locs.entries:
-            raise ScenarioError("location file holds no nodes")
+        locs = read_placement(scenario.placement)
     else:
         rng = substream(scenario.seed, "placement")
         w, h = scenario.topology_size

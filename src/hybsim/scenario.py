@@ -14,7 +14,8 @@ from .radio import (RadioParams, EnergyCoefficients, EnergyState,
                     DEFAULT_ELEC, DEFAULT_AMP,
                     DEFAULT_INITIAL_ENERGY, DEFAULT_ENERGY_THRESHOLD,
                     CONTROL_FRAME_BITS, frame_airtime)
-from .topology import Location, RegionParams
+from .topology import (Location, LocationTable, RegionParams,
+                       parse_location_file)
 
 PROTOCOLS = ("hyb", "aodv", "dsr")
 
@@ -86,6 +87,17 @@ class Scenario:
         w, h = self.topology_size
         if not (0 < w < math.inf and 0 < h < math.inf):
             raise ScenarioError("topology_size must be positive and finite")
+        if self.placement != "uniform":
+            nodes = read_placement(self.placement).entries
+            if not nodes:
+                raise ScenarioError("location file holds no nodes")
+            if len(nodes) != self.node_count:
+                raise ScenarioError(f"node_count is {self.node_count}, but the "
+                                    f"location file holds {len(nodes)} nodes")
+            for n, p in nodes.items():  # coordinates are finite and >= 0
+                if p.x > w or p.y > h:
+                    raise ScenarioError(f"node {n} at {p.x!r},{p.y!r} lies "
+                                        f"outside topology_size {w!r}x{h!r}")
         if self.node_count < 1:
             raise ScenarioError("node_count must be >= 1")
         for name in ("sim_time", "packet_rate", "refresh_period"):
@@ -166,6 +178,15 @@ class Scenario:
         return Location(*self.bs_location)
 
 
+def read_placement(path: str) -> LocationTable:
+    """The nodes of a location file, as ``parse_location_file`` reads them."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_location_file(fh.read())
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"placement {path!r}: {exc}") from exc
+
+
 # key -> annotated type; int, str and float values convert with that type
 _TYPES = {f.name: f.type for f in fields(Scenario)}
 _PAIR_KEYS = {"topology_size": "x", "bs_location": ","}
@@ -190,6 +211,9 @@ def parse_scenario(text: str) -> Scenario:
             values[key] = _convert(key, val)
         except (ValueError, TypeError) as exc:
             raise ScenarioError(f"line {lineno}: bad value for {key}: {val!r}") from exc
+    placement = values.get("placement", "uniform")
+    if placement != "uniform" and "node_count" not in values:
+        values["node_count"] = len(read_placement(placement).entries)
     return Scenario(**values)
 
 

@@ -153,6 +153,56 @@ class TestCompareCommand:
         assert "check failed" in capsys.readouterr().err
 
 
+class TestPlacementFile:
+    """A location file is checked against the scenario before any run."""
+
+    def placed(self, tmp_path, extra=""):
+        nodes = tmp_path / "nodes.txt"
+        assert main(["gen-topology", "--nodes", "40", "--size", "1000x1000",
+                     "--seed", "1", "--out", str(nodes)]) == EXIT_OK
+        path = tmp_path / "placed.scn"
+        path.write_text("sim_time = 2\ntopology_size = 1000x1000\n"
+                        f"bs_location = 500,500\nplacement = {nodes}\n{extra}")
+        return str(path), nodes
+
+    def test_node_count_is_the_files(self, tmp_path, capsys):
+        path, _ = self.placed(tmp_path)
+        out = tmp_path / "cmp"
+        assert main(["compare", path, "--nodes", "40", "--protocols", "dsr",
+                     "--out", str(out)]) == EXIT_OK
+        rows = (out / "runs.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["40"]
+
+    def test_compare_with_another_node_count_refused(self, tmp_path, capsys):
+        path, _ = self.placed(tmp_path)
+        out = tmp_path / "cmp"
+        assert main(["compare", path, "--nodes", "10,40", "--protocols", "dsr",
+                     "--out", str(out)]) == EXIT_RUN
+        assert ("node_count is 10, but the location file holds 40 nodes"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_explicit_node_count_mismatch_refused(self, tmp_path, capsys):
+        path, _ = self.placed(tmp_path, "node_count = 25\n")
+        assert main(["run", path]) == EXIT_RUN
+        assert ("node_count is 25, but the location file holds 40 nodes"
+                in capsys.readouterr().err)
+
+    def test_node_outside_the_field_refused(self, tmp_path, capsys):
+        path, nodes = self.placed(tmp_path)
+        with open(nodes, "a", encoding="utf-8") as fh:
+            fh.write("40 , 1500.0 , 1500.0\n")
+        assert main(["run", path]) == EXIT_RUN
+        assert ("node 40 at 1500.0,1500.0 lies outside topology_size "
+                "1000.0x1000.0" in capsys.readouterr().err)
+
+    def test_empty_file_refused(self, tmp_path, capsys):
+        path, nodes = self.placed(tmp_path)
+        nodes.write_text("")
+        assert main(["run", path]) == EXIT_RUN
+        assert "location file holds no nodes" in capsys.readouterr().err
+
+
 class TestNeighboursCommand:
     def test_sample_table(self, tmp_path, capsys):
         path = tmp_path / "nodes.txt"

@@ -226,14 +226,19 @@ class TestEngineReachability:
         assert members(eng, eng._hears[1]) == set()
 
     def test_link_bounds_bracket_the_edge(self):
+        # the last calibration rounds the power comparison down at its
+        # range, so the inner bound moves inwards
+        rounds_down = RadioParams(path_loss_exponent=4.69,
+                                  reception_threshold=-48.4, radio_range=646.0)
         for params in (RadioParams(), RadioParams(radio_range=1.5),
                        RadioParams(radio_range=123.456, path_loss_exponent=3.7,
                                    reception_threshold=-91.3),
-                       RadioParams(reception_threshold=1e12)):
+                       RadioParams(reception_threshold=1e12), rounds_down):
             inner, outer = link_bounds(params)
             assert inner <= params.radio_range <= outer
             assert link_feasible(params, inner)
             assert not link_feasible(params, outer)
+        assert link_bounds(rounds_down)[0] < rounds_down.radio_range
 
 
 @st.composite

@@ -35,6 +35,8 @@ MALFORMED = [
     ("0.1 DELIVER 1 BS ev0 fast\n", "bad DELIVER outcome"),
     ("0.1 DROP 1 - ev0 TIRED\n", "unknown drop reason"),
     ("0.1 DATA 1 2 ev0 OK\n0.2 BEEP 1 2 ev0 OK\n", "line 2"),
+    # an unknown kind is refused even with a drop reason as its outcome
+    ("0.000000 FOO 1 BS ev0 ASLEEP\n", "unknown record kind"),
 ]
 
 
@@ -230,6 +232,25 @@ class TestDominanceCheck:
     def test_missing_hyb_reported(self):
         table = ComparisonTable(runs=[RunRow("aodv", 50, 1, MetricsReport())])
         assert check_dominance(table) == ["no hyb runs in table"]
+
+    def test_hop_count_violation_reported(self):
+        table = synthetic_table()
+        for row in table.runs:
+            if row.protocol == "hyb" and row.node_count == 50:
+                row.report.avg_hop_count = 5.0
+        assert check_dominance(table) == [
+            "mean avg_hop_count hyb !<= aodv at 50 nodes"]
+
+    def test_node_count_without_baseline_runs_skipped(self):
+        # aodv has no run at 75 nodes: that cell is neither summarised
+        # nor compared
+        table = synthetic_table()
+        table.runs = [r for r in table.runs
+                      if r.protocol == "hyb" or r.node_count == 50]
+        assert check_dominance(table) == []
+        rows = summary_csv(table).splitlines()[1:]
+        assert [tuple(r.split(",")[:2]) for r in rows[::7]] == [
+            ("hyb", "50"), ("aodv", "50"), ("hyb", "75")]
 
     def test_violation_reported(self):
         table = synthetic_table()

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from hybsim.engine import Engine
 from hybsim.metrics import collect
-from hybsim.scenario import (MAX_EVENTS, MAX_RETRIES, PROTOCOLS, Scenario,
-                             ScenarioError, emit_scenario, parse_scenario)
+from hybsim.scenario import (MAX_DELAY, MAX_EVENTS, MAX_RETRIES, PROTOCOLS,
+                             Scenario, ScenarioError, emit_scenario,
+                             parse_scenario)
 
 
 class TestParse:
@@ -112,6 +113,7 @@ class TestParse:
          "airtime"),
         ("discovery_retries = 101\n", "discovery_retries"),
         ("data_retries = 1100\n", "data_retries"),
+        ("packet_size = 0\n", "packet_size"),
     ])
     def test_rejects(self, bad, fragment):
         with pytest.raises(ScenarioError, match=fragment):
@@ -130,6 +132,9 @@ class TestParse:
         sc = parse_scenario("packet_size = 512\nbandwidth = 512\n"
                             "refresh_period = 8\n")
         assert sc.payload_bits / sc.bandwidth == sc.refresh_period
+        # one retry waits the backoff itself, exactly MAX_DELAY here
+        sc = parse_scenario("retry_backoff = 1e30\ndata_retries = 1\n")
+        assert sc.retry_backoff * 2 ** (sc.data_retries - 1) == MAX_DELAY
 
 
 def _number():
@@ -166,6 +171,34 @@ def scenario_entries(draw):
     chosen = draw(st.lists(st.sampled_from(fields(Scenario)),
                            unique_by=lambda f: f.name, max_size=6))
     return {f.name: draw(_value(f)) for f in chosen}
+
+
+class TestPlacementFile:
+    """Every node of a location file lies in [0, w] x [0, h], and the file
+    sets node_count unless the scenario names the same count."""
+
+    def write(self, tmp_path, points):
+        path = tmp_path / "nodes.txt"
+        path.write_text("".join(f"{i} , {x!r} , {y!r}\n"
+                                for i, (x, y) in enumerate(points)))
+        return str(path)
+
+    def test_nodes_on_the_field_edge_accepted(self, tmp_path):
+        path = self.write(tmp_path, [(0.0, 0.0), (800.0, 600.0)])
+        sc = parse_scenario(f"topology_size = 800x600\nplacement = {path}\n")
+        assert sc.node_count == 2
+        assert Scenario(topology_size=(800.0, 600.0), placement=path,
+                        node_count=2) == sc
+
+    @pytest.mark.parametrize("outside", [(800.5, 0.0), (0.0, 600.5)])
+    def test_node_past_one_edge_refused(self, tmp_path, outside):
+        path = self.write(tmp_path, [(0.0, 0.0), outside])
+        with pytest.raises(ScenarioError, match="node 1 at .* lies outside"):
+            parse_scenario(f"topology_size = 800x600\nplacement = {path}\n")
+
+    def test_unreadable_file_refused(self, tmp_path):
+        with pytest.raises(ScenarioError, match="placement"):
+            parse_scenario(f"placement = {tmp_path / 'missing.txt'}\n")
 
 
 class TestRoundTrip:
