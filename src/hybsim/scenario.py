@@ -179,7 +179,8 @@ class Scenario:
 
 
 def read_placement(path: str) -> LocationTable:
-    """The nodes of a location file, as ``parse_location_file`` reads them."""
+    """The nodes of a location file, as ``parse_location_file`` reads them;
+    a file that cannot be read or parsed is a ScenarioError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_location_file(fh.read())

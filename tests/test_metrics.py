@@ -233,13 +233,17 @@ class TestDominanceCheck:
         table = ComparisonTable(runs=[RunRow("aodv", 50, 1, MetricsReport())])
         assert check_dominance(table) == ["no hyb runs in table"]
 
-    def test_hop_count_violation_reported(self):
+    @pytest.mark.parametrize("attr,value,problem", [
+        ("avg_hop_count", 5.0, "mean avg_hop_count hyb !<= aodv at 50 nodes"),
+        # strictly lower: a mean equal to aodv's is no win
+        ("energy_consumed", 1.0,
+         "mean energy_consumed hyb !< aodv at 50 nodes")])
+    def test_mean_violation_reported(self, attr, value, problem):
         table = synthetic_table()
         for row in table.runs:
             if row.protocol == "hyb" and row.node_count == 50:
-                row.report.avg_hop_count = 5.0
-        assert check_dominance(table) == [
-            "mean avg_hop_count hyb !<= aodv at 50 nodes"]
+                setattr(row.report, attr, value)
+        assert check_dominance(table) == [problem]
 
     def test_node_count_without_baseline_runs_skipped(self):
         # aodv has no run at 75 nodes: that cell is neither summarised

@@ -67,6 +67,7 @@ class TestParse:
         ("reception_threshold = nan\n", "reception_threshold"),
         ("bandwidth = nan\n", "bandwidth"),
         ("elec = 0\n", "energy coefficients"),
+        ("amp = 0\n", "energy coefficients"),
         ("initial_energy = -1\n", "residual"),
         ("energy_threshold = -1\n", "threshold"),
         ("max_neighbours_K = 0\n", "max_neighbours_K"),
@@ -253,7 +254,8 @@ LOCATION_FILE = "<location file>"
 _RUN_VALUES = {
     "topology_size": ["2000x2000", "500x300", "1x1", "0x100", "-1x5",
                       "infx1", "nanx1", "12"],
-    "node_count": ["1", "7", "20", "500", "0", "-2", "2.5"],
+    # 12 is the location file's count, so a placed run can name it
+    "node_count": ["1", "7", "12", "20", "500", "0", "-2", "2.5"],
     "placement": ["uniform", LOCATION_FILE],
     "bs_location": ["1000,1000", "0,0", "5000,5000", "-1,0", "nan,1", "1,inf"],
     "sim_time": ["2", "0.5", "300", "1e-3", "0", "-1", "nan", "inf"],
