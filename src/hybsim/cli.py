@@ -12,9 +12,8 @@ from dataclasses import fields, replace
 from . import metrics
 from .engine import place_nodes
 from .scenario import PROTOCOLS, Scenario, parse_scenario
-from .topology import (Location, RegionParams, compute_neighbour_table,
-                       emit_location_file, emit_neighbour_table,
-                       parse_location_file)
+from .topology import (Location, compute_neighbour_table, emit_location_file,
+                       emit_neighbour_table, parse_location_file)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,12 +52,12 @@ def _build_parser() -> _Parser:
     nb = sub.add_parser("neighbours", help="print a neighbour table")
     nb.add_argument("location_file")
     nb.add_argument("--bs", required=True, help="base station as X,Y")
-    region = RegionParams()
-    nb.add_argument("--M", type=float, default=region.band_halfwidth_M)
-    nb.add_argument("--N", type=float, default=region.vertical_extent_N)
-    nb.add_argument("--K", type=int, default=region.max_neighbours_K)
+    default = Scenario()
+    nb.add_argument("--M", type=float, default=default.band_halfwidth_M)
+    nb.add_argument("--N", type=float, default=default.vertical_extent_N)
+    nb.add_argument("--K", type=int, default=default.max_neighbours_K)
     nb.add_argument("--range", dest="radio_range", type=float,
-                    default=region.radio_range)
+                    default=default.radio_range)
 
     gen = sub.add_parser("gen-topology", help="emit a random location file")
     gen.add_argument("--nodes", type=int, required=True)
@@ -126,11 +125,11 @@ def _cmd_neighbours(args) -> int:
         locs = parse_location_file(fh.read())
     bx, _, by = args.bs.partition(",")
     locs.base_station = Location(float(bx), float(by))
-    params = RegionParams(band_halfwidth_M=args.M, vertical_extent_N=args.N,
-                          max_neighbours_K=args.K,
-                          radio_range=args.radio_range)
-    table = compute_neighbour_table(locs, params, locs.entries.keys())
-    sys.stdout.write(emit_neighbour_table(table, k=args.K))
+    sc = Scenario(band_halfwidth_M=args.M, vertical_extent_N=args.N,
+                  max_neighbours_K=args.K, radio_range=args.radio_range)
+    table = compute_neighbour_table(locs, sc.region_params(),
+                                    locs.entries.keys())
+    sys.stdout.write(emit_neighbour_table(table, sc.max_neighbours_K))
     return EXIT_OK
 
 

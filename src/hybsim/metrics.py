@@ -125,7 +125,7 @@ def run_scenario(scenario: Scenario) -> Tuple[MetricsReport, str]:
         if logged != counted:
             raise MetricsError(f"{name}: log says {logged}, engine counted "
                                f"{counted}")
-    report.energy_consumed = sum(rec.energy.initial - rec.energy.residual
+    report.energy_consumed = sum(scenario.initial_energy - rec.energy.residual
                                  for rec in engine.nodes.values())
     return report, log
 

@@ -9,20 +9,6 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-DEFAULT_RADIO_RANGE = 350.0          # m
-DEFAULT_RECEPTION_THRESHOLD = -80.0  # dBm
-DEFAULT_BANDWIDTH = 2_000_000.0      # bits/s
-DEFAULT_PATH_LOSS_EXPONENT = 2.0
-DEFAULT_REFERENCE_DISTANCE = 1.0     # m
-
-DEFAULT_ELEC = 50e-9     # J/bit
-DEFAULT_AMP = 100e-12    # J/bit/m^2
-
-DEFAULT_INITIAL_ENERGY = 10.0   # J
-DEFAULT_ENERGY_THRESHOLD = 1e-6  # J (0.001 mJ)
-
-CONTROL_FRAME_BITS = 320  # 40-byte control frame (RREQ/RREP/report/config)
-
 
 @dataclass(frozen=True)
 class RadioParams:
@@ -33,11 +19,11 @@ class RadioParams:
     threshold) therefore stay mutually consistent.
     """
 
-    path_loss_exponent: float = DEFAULT_PATH_LOSS_EXPONENT
-    reference_distance: float = DEFAULT_REFERENCE_DISTANCE
-    reception_threshold: float = DEFAULT_RECEPTION_THRESHOLD
-    radio_range: float = DEFAULT_RADIO_RANGE
-    bandwidth: float = DEFAULT_BANDWIDTH
+    path_loss_exponent: float
+    reference_distance: float   # m
+    reception_threshold: float  # dBm
+    radio_range: float          # m
+    bandwidth: float            # bits/s
 
     def __post_init__(self):
         # a non-finite calibration makes every power NaN or infinite, and
@@ -113,8 +99,8 @@ def frame_airtime(params: RadioParams, bits: int) -> float:
 class EnergyCoefficients:
     """First-order radio model coefficients."""
 
-    elec: float = DEFAULT_ELEC  # J/bit, electronics (both tx and rx)
-    amp: float = DEFAULT_AMP    # J/bit/m^2, amplifier
+    elec: float  # J/bit, electronics (both tx and rx)
+    amp: float   # J/bit/m^2, amplifier
 
     def __post_init__(self):
         if not (0 < self.elec < math.inf and 0 < self.amp < math.inf):  # NaN too
@@ -139,13 +125,12 @@ def rx_energy(coeff: EnergyCoefficients, bits: int) -> float:
 class EnergyState:
     """One node's battery. Below ``threshold`` the node is asleep for good."""
 
-    residual: float = DEFAULT_INITIAL_ENERGY
-    threshold: float = DEFAULT_ENERGY_THRESHOLD
-    initial: float = DEFAULT_INITIAL_ENERGY
+    residual: float   # J
+    threshold: float  # J
 
     def __post_init__(self):
-        if not (0 <= self.residual <= self.initial):
-            raise ValueError("require 0 <= residual <= initial")
+        if not 0 <= self.residual < math.inf:  # NaN too
+            raise ValueError("residual must be non-negative and finite")
         if not 0 <= self.threshold < math.inf:  # NaN too
             raise ValueError("threshold must be non-negative and finite")
 

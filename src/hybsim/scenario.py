@@ -3,7 +3,9 @@
 Every radio/energy/topology knob has a key whose default is the headline
 parameter set (2000 m x 2000 m field, 25 nodes, 8 packets/s of 512-byte
 CBR traffic, 350 m radio range at -80 dBm, 10 J batteries, 0.001 mJ sleep
-threshold). Unknown keys are rejected so typos fail loudly.
+threshold). Unknown keys are rejected so typos fail loudly. These field
+defaults are the only ones: the radio, energy and region types have none,
+and are built from a scenario.
 """
 
 import math
@@ -11,9 +13,7 @@ from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from .radio import (RadioParams, EnergyCoefficients, EnergyState,
-                    DEFAULT_ELEC, DEFAULT_AMP,
-                    DEFAULT_INITIAL_ENERGY, DEFAULT_ENERGY_THRESHOLD,
-                    CONTROL_FRAME_BITS, frame_airtime)
+                    frame_airtime)
 from .topology import (Location, LocationTable, RegionParams,
                        parse_location_file)
 
@@ -50,18 +50,18 @@ class Scenario:
     seed: int = 1
 
     # radio
-    radio_range: float = 350.0
-    reception_threshold: float = -80.0
-    bandwidth: float = 2_000_000.0
+    radio_range: float = 350.0          # m
+    reception_threshold: float = -80.0  # dBm
+    bandwidth: float = 2_000_000.0      # bits/s
     path_loss_exponent: float = 2.0
-    reference_distance: float = 1.0
+    reference_distance: float = 1.0     # m
 
     # energy
-    elec: float = DEFAULT_ELEC
-    amp: float = DEFAULT_AMP
-    initial_energy: float = DEFAULT_INITIAL_ENERGY
-    energy_threshold: float = DEFAULT_ENERGY_THRESHOLD
-    control_bits: int = CONTROL_FRAME_BITS
+    elec: float = 50e-9                 # J/bit
+    amp: float = 100e-12                # J/bit/m^2
+    initial_energy: float = 10.0        # J
+    energy_threshold: float = 1e-6      # J (0.001 mJ)
+    control_bits: int = 320             # bits, a 40-byte control frame
 
     # neighbourhood region
     band_halfwidth_M: float = 250.0
@@ -163,8 +163,7 @@ class Scenario:
     def battery(self) -> EnergyState:
         """A full battery for one node."""
         return EnergyState(residual=self.initial_energy,
-                           threshold=self.energy_threshold,
-                           initial=self.initial_energy)
+                           threshold=self.energy_threshold)
 
     def region_params(self) -> RegionParams:
         return RegionParams(

@@ -57,10 +57,10 @@ class RegionParams:
     node-to-neighbour link distance.
     """
 
-    band_halfwidth_M: float = 250.0
-    vertical_extent_N: Optional[float] = None
-    max_neighbours_K: int = 3
-    radio_range: float = 350.0
+    band_halfwidth_M: float             # m
+    vertical_extent_N: Optional[float]  # m
+    max_neighbours_K: int
+    radio_range: float                  # m
 
     def __post_init__(self):
         if not 0 < self.band_halfwidth_M < math.inf:  # NaN too
@@ -262,7 +262,7 @@ def emit_location_file(locs: LocationTable) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def emit_neighbour_table(table: NeighbourTable, k: int = 3) -> str:
+def emit_neighbour_table(table: NeighbourTable, k: int) -> str:
     """Render a table as tab-separated text, one line per node.
 
     DIRECT rows emit k zeros, ISOLATED rows k dashes; short rows are padded

@@ -20,7 +20,7 @@ from hybsim.topology import (DIRECT, Location, LocationTable, RegionParams,
 
 from oracles import (brute_force_rows, record_charges, record_deliveries,
                      replay_energy_ledger)
-from test_topology import SAMPLE_POINTS, SAMPLE_TEXT
+from test_topology import SAMPLE_POINTS, SAMPLE_TEXT, region
 
 NODE_COUNTS = (25, 50, 75)
 PROTOCOLS = ("hyb", "aodv", "dsr")
@@ -60,7 +60,7 @@ def sweep() -> List[SweepRun]:
                 wall = time.perf_counter() - start
                 report = collect(log)
                 report.energy_consumed = sum(
-                    rec.energy.initial - rec.energy.residual
+                    sc.initial_energy - rec.energy.residual
                     for rec in engine.nodes.values())
                 runs.append(SweepRun(protocol, n, seed, engine, report, wall,
                                      log, charges, deliveries))
@@ -189,7 +189,7 @@ def test_criterion_08_energy_properties(sweep, tmp_path):
     # (a) every node's charge ledger replays exactly to its residual
     for r in sweep:
         for node, rec in r.engine.nodes.items():
-            replayed = replay_energy_ledger(rec.energy.initial,
+            replayed = replay_energy_ledger(r.engine.sc.initial_energy,
                                             r.charges[node])
             assert replayed == rec.energy.residual, \
                 f"{r.protocol}/{r.node_count}/{r.seed}: node {node} ledger drift"
@@ -255,7 +255,7 @@ def test_criterion_11_golden_files():
     locs = parse_location_file(SAMPLE_TEXT)
     assert {i: (p.x, p.y) for i, p in locs.entries.items()} == SAMPLE_POINTS
     locs.base_station = Location(60.0, 230.0)
-    table = compute_neighbour_table(locs, RegionParams(band_halfwidth_M=100.0),
+    table = compute_neighbour_table(locs, region(band_halfwidth_M=100.0),
                                     set(locs.entries))
     direct = {n for n, row in table.rows.items() if row == DIRECT}
     assert direct == {0, 5}

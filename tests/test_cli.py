@@ -7,7 +7,8 @@ import pytest
 from hybsim.cli import EXIT_CHECK, EXIT_OK, EXIT_RUN, EXIT_USAGE, main
 from hybsim.metrics import run_scenario
 from hybsim.scenario import Scenario
-from hybsim.topology import parse_location_file
+from hybsim.topology import (Location, compute_neighbour_table,
+                             emit_neighbour_table, parse_location_file)
 
 from test_topology import SAMPLE_TEXT
 
@@ -217,6 +218,20 @@ class TestNeighboursCommand:
         path = tmp_path / "nodes.txt"
         path.write_text(SAMPLE_TEXT)
         assert main(["neighbours", str(path)]) == EXIT_USAGE
+
+    def test_region_defaults_are_the_scenario_defaults(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "nodes.txt"
+        assert main(["gen-topology", "--nodes", "60", "--size", "1000x1000",
+                     "--seed", "2", "--out", str(path)]) == EXIT_OK
+        assert main(["neighbours", str(path), "--bs", "500,500"]) == EXIT_OK
+        locs = parse_location_file(path.read_text())
+        locs.base_station = Location(500.0, 500.0)
+        sc = Scenario()
+        table = compute_neighbour_table(locs, sc.region_params(),
+                                        locs.entries.keys())
+        assert capsys.readouterr().out == emit_neighbour_table(
+            table, sc.max_neighbours_K)
 
     @pytest.mark.parametrize("bad", ["nan", "0", "-5"])
     def test_bad_range_is_run_error(self, tmp_path, capsys, bad):

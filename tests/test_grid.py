@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hybsim.engine import BS, Engine
-from hybsim.radio import link_bounds, link_feasible, RadioParams
+from hybsim.radio import link_bounds, link_feasible
 from hybsim.scenario import Scenario
 from hybsim.topology import (Grid, Location, LocationTable, RegionParams,
                              compute_neighbour_table, refresh_table)
@@ -215,7 +215,7 @@ class TestEngineReachability:
     def test_pair_between_the_bounds_that_fails_the_link_is_not_linked(self):
         # between inner and outer only link_feasible decides; a pair a few
         # ulps past the radio range, where it fails, hears nothing
-        radio = RadioParams()
+        radio = Scenario().radio_params()
         inner, outer = link_bounds(radio)
         d = radio.radio_range
         while link_feasible(radio, d):
@@ -228,12 +228,14 @@ class TestEngineReachability:
     def test_link_bounds_bracket_the_edge(self):
         # the last calibration rounds the power comparison down at its
         # range, so the inner bound moves inwards
-        rounds_down = RadioParams(path_loss_exponent=4.69,
-                                  reception_threshold=-48.4, radio_range=646.0)
-        for params in (RadioParams(), RadioParams(radio_range=1.5),
-                       RadioParams(radio_range=123.456, path_loss_exponent=3.7,
-                                   reception_threshold=-91.3),
-                       RadioParams(reception_threshold=1e12), rounds_down):
+        radio = Scenario().radio_params()
+        rounds_down = replace(radio, path_loss_exponent=4.69,
+                              reception_threshold=-48.4, radio_range=646.0)
+        for params in (radio, replace(radio, radio_range=1.5),
+                       replace(radio, radio_range=123.456,
+                               path_loss_exponent=3.7,
+                               reception_threshold=-91.3),
+                       replace(radio, reception_threshold=1e12), rounds_down):
             inner, outer = link_bounds(params)
             assert inner <= params.radio_range <= outer
             assert link_feasible(params, inner)

@@ -12,27 +12,28 @@ from hybsim.hyb import (ASLEEP, CONGESTION, DROP, DUPLICATE, FORWARD,
                         HybContext, HybNodeState, best_neighbour, note_forward,
                         on_busy_channel, on_receive, on_sense,
                         single_hop_feasible)
-from hybsim.radio import (EnergyCoefficients, EnergyState, RadioParams,
-                          tx_energy)
+from hybsim.radio import EnergyState, tx_energy
+from hybsim.scenario import Scenario
 from hybsim.topology import DIRECT, ISOLATED, Location
 
 BS = Location(0.0, 0.0)
 # a west-east line: 1 and 2 are relays between 3 and the base station
 POINTS = {1: Location(300.0, 0.0), 2: Location(320.0, 40.0),
           3: Location(600.0, 0.0), 4: Location(900.0, 0.0)}
+SCENARIO = Scenario()
 
 
 def make_ctx(dead=(), wait_t=0.1):
     return HybContext(
-        bs_location=BS, radio=RadioParams(),
-        energy_coeff=EnergyCoefficients(),
+        bs_location=BS, radio=SCENARIO.radio_params(),
+        energy_coeff=SCENARIO.energy_coefficients(),
         location_of=POINTS.__getitem__,
         alive=lambda v: v not in dead, payload_bits=4096, wait_t=wait_t)
 
 
 def make_state(node, row, residual=10.0):
     st = HybNodeState(id=node,
-                      energy=EnergyState(residual=residual, initial=10.0),
+                      energy=replace(SCENARIO.battery(), residual=residual),
                       dedup=DedupBuffer(ttl=5.0))
     st.set_row(row, make_ctx())
     return st
@@ -99,10 +100,10 @@ class TestSingleHopFeasible:
         cost = tx_energy(ctx.energy_coeff, 4096, POINTS[1].dist(BS))
         thr = 1e-6
         rich = HybNodeState(id=1, energy=EnergyState(
-            residual=thr + cost, threshold=thr, initial=10.0),
+            residual=thr + cost, threshold=thr),
             dedup=DedupBuffer(ttl=5.0))
         poor = HybNodeState(id=1, energy=EnergyState(
-            residual=thr + cost * 0.99, threshold=thr, initial=10.0),
+            residual=thr + cost * 0.99, threshold=thr),
             dedup=DedupBuffer(ttl=5.0))
         for st in (rich, poor):
             st.set_row(DIRECT, ctx)

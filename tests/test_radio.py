@@ -1,19 +1,26 @@
 """Propagation, airtime and energy model unit tests."""
 
 import math
+import sys
+from dataclasses import replace
 
 import pytest
 
 from hybsim.engine import Engine
-from hybsim.radio import (CONTROL_FRAME_BITS, EnergyCoefficients, EnergyState,
-                          RadioParams, frame_airtime, is_alive,
-                          link_feasible, received_power, rx_energy, tx_energy)
+from hybsim.radio import (EnergyCoefficients, EnergyState, RadioParams,
+                          frame_airtime, is_alive, link_feasible,
+                          received_power, rx_energy, tx_energy)
 from hybsim.scenario import Scenario
 
 
 @pytest.fixture
 def params():
-    return RadioParams()
+    return Scenario().radio_params()
+
+
+@pytest.fixture
+def coeff():
+    return Scenario().energy_coefficients()
 
 
 class TestPropagation:
@@ -48,17 +55,17 @@ class TestPropagation:
 
     def test_higher_exponent_shrinks_nothing_at_range(self):
         # the calibration keeps the range boundary exact for any exponent
-        p = RadioParams(path_loss_exponent=3.5)
+        p = Scenario(path_loss_exponent=3.5).radio_params()
         assert link_feasible(p, p.radio_range)
         assert not link_feasible(p, p.radio_range + 0.01)
 
-    def test_invalid_params(self):
+    def test_invalid_params(self, params):
         with pytest.raises(ValueError):
-            RadioParams(path_loss_exponent=1.5)
+            replace(params, path_loss_exponent=1.5)
         with pytest.raises(ValueError):
-            RadioParams(radio_range=0.5, reference_distance=1.0)
+            replace(params, radio_range=0.5, reference_distance=1.0)
         with pytest.raises(ValueError):
-            RadioParams(bandwidth=0.0)
+            replace(params, bandwidth=0.0)
 
 
 class TestAirtime:
@@ -66,7 +73,8 @@ class TestAirtime:
         assert frame_airtime(params, 4096) == pytest.approx(2.048e-3)
 
     def test_control_airtime(self, params):
-        assert frame_airtime(params, CONTROL_FRAME_BITS) == pytest.approx(1.6e-4)
+        bits = Scenario().control_bits
+        assert frame_airtime(params, bits) == pytest.approx(1.6e-4)
 
     def test_zero_bits(self, params):
         assert frame_airtime(params, 0) == 0.0
@@ -77,23 +85,19 @@ class TestAirtime:
 
 
 class TestEnergyModel:
-    def test_tx_energy_formula(self):
-        coeff = EnergyCoefficients()
+    def test_tx_energy_formula(self, coeff):
         assert tx_energy(coeff, 4096, 100.0) == pytest.approx(
             50e-9 * 4096 + 100e-12 * 4096 * 100.0 ** 2)
 
-    def test_tx_equals_rx_at_zero_distance(self):
-        coeff = EnergyCoefficients()
+    def test_tx_equals_rx_at_zero_distance(self, coeff):
         assert tx_energy(coeff, 4096, 0.0) == rx_energy(coeff, 4096)
 
-    def test_tx_energy_grows_with_distance(self):
-        coeff = EnergyCoefficients()
+    def test_tx_energy_grows_with_distance(self, coeff):
         costs = [tx_energy(coeff, 4096, d) for d in (0, 50, 150, 350)]
         assert costs == sorted(costs)
         assert costs[0] < costs[-1]
 
-    def test_invalid_inputs(self):
-        coeff = EnergyCoefficients()
+    def test_invalid_inputs(self, coeff):
         with pytest.raises(ValueError):
             tx_energy(coeff, -1, 10.0)
         with pytest.raises(ValueError):
@@ -101,12 +105,12 @@ class TestEnergyModel:
         with pytest.raises(ValueError):
             rx_energy(coeff, -5)
         with pytest.raises(ValueError):
-            EnergyCoefficients(elec=0.0)
+            replace(coeff, elec=0.0)
 
 
 class TestEnergyState:
     def test_alive_at_threshold_boundary(self):
-        st = EnergyState(residual=1e-6, threshold=1e-6, initial=10.0)
+        st = EnergyState(residual=1e-6, threshold=1e-6)
         assert is_alive(st)
         st.residual -= 1e-9
         assert not is_alive(st)
@@ -119,10 +123,21 @@ class TestEnergyState:
         assert e.nodes[node].energy.residual == 0.0
         e.charge(node, 1.0)
         assert e.nodes[node].energy.residual == 0.0
-        assert e.nodes[node].energy.initial == 1e-4
 
     def test_invalid_state(self):
+        battery = Scenario().battery()
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="residual"):
+                replace(battery, residual=bad)
         with pytest.raises(ValueError):
-            EnergyState(residual=11.0, initial=10.0)
-        with pytest.raises(ValueError):
-            EnergyState(threshold=-1.0)
+            replace(battery, threshold=-1.0)
+
+    def test_residual_bounds_are_zero_and_the_largest_float(self):
+        for edge in (0.0, math.ulp(0.0), sys.float_info.max):
+            assert EnergyState(residual=edge, threshold=0.0).residual == edge
+
+    def test_types_have_no_defaults(self):
+        # Scenario owns every default; each type is built from its fields
+        for cls in (RadioParams, EnergyCoefficients, EnergyState):
+            with pytest.raises(TypeError):
+                cls()

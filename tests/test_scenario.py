@@ -7,8 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hybsim.engine import Engine
-from hybsim.metrics import collect
+from hybsim.metrics import run_scenario
 from hybsim.scenario import (MAX_DELAY, MAX_EVENTS, MAX_RETRIES, PROTOCOLS,
                              Scenario, ScenarioError, emit_scenario,
                              parse_scenario)
@@ -69,6 +68,8 @@ class TestParse:
         ("elec = 0\n", "energy coefficients"),
         ("amp = 0\n", "energy coefficients"),
         ("initial_energy = -1\n", "residual"),
+        # every run would report energy_consumed = inf - inf = nan
+        ("initial_energy = inf\n", "residual"),
         ("energy_threshold = -1\n", "threshold"),
         ("max_neighbours_K = 0\n", "max_neighbours_K"),
         ("band_halfwidth_M = 0\n", "band_halfwidth_M"),
@@ -271,8 +272,8 @@ _RUN_VALUES = {
     "reference_distance": ["1", "10", "0", "-1", "nan"],
     "elec": ["5e-8", "1e-3", "0", "nan", "inf"],
     "amp": ["1e-10", "1e-6", "0", "nan", "inf"],
-    "initial_energy": ["10", "0.05", "0.01", "1e-6", "0", "-1", "nan"],
-    "energy_threshold": ["1e-6", "0", "0.02", "20", "-1", "nan"],
+    "initial_energy": ["10", "0.05", "0.01", "1e-6", "0", "-1", "nan", "inf"],
+    "energy_threshold": ["1e-6", "0", "0.02", "20", "-1", "nan", "inf"],
     "control_bits": ["320", "0", "4096", "-1", "1.5"],
     "band_halfwidth_M": ["250", "50", "0", "-5", "nan", "inf"],
     "vertical_extent_N": ["unbounded", "None", "100", "0", "nan", "inf"],
@@ -323,17 +324,21 @@ _DELAY_VALUES = {key: _accepted_alone(key) for key in _DELAY_KEYS}
 
 
 def _rejected_or_runs(text):
+    """The report of the run ``text`` describes, capped at 20 nodes and 2 s,
+    or None when ``text`` is rejected at parse time."""
     try:
         sc = parse_scenario(text)
     except ScenarioError:
-        return
-    e = Engine(replace(sc, node_count=min(sc.node_count, 20),
-                       sim_time=min(sc.sim_time, 2.0)))
-    log = e.run()  # a packet resolved twice raises here
-    assert e.generated == e.delivered + sum(e.dropped.values())
+        return None
+    # a packet resolved twice raises in the run; run_scenario then checks
+    # the log's generated, delivered and dropped counts against the engine's
+    report, log = run_scenario(replace(sc, node_count=min(sc.node_count, 20),
+                                       sim_time=min(sc.sim_time, 2.0)))
     assert all(math.isfinite(float(line.split(" ", 1)[0]))
                for line in log.splitlines())
-    assert math.isfinite(collect(log).execution_time)
+    assert math.isfinite(report.execution_time)
+    assert math.isfinite(report.energy_consumed)
+    return report
 
 
 class TestEveryParsedScenarioRuns:
@@ -364,3 +369,57 @@ class TestEveryParsedScenarioRuns:
         _rejected_or_runs("".join(
             f"{key} = {data.draw(st.sampled_from(values))}\n"
             for key, values in _DELAY_VALUES.items()))
+
+
+_FIELD_COORD = st.one_of(st.floats(0.0, 1000.0).map(repr),
+                         st.sampled_from(["0", "-0.0", "1000"]))
+_BAD_COORDS = ["1000.5", "1e308", "-1", "-inf", "inf", "nan"]
+
+
+@st.composite
+def location_files(draw):
+    """``(lines, valid)``: the ``[id, x, y]`` texts of up to 20 nodes on the
+    1000 m x 1000 m field, and whether they obey every placement rule. Up to
+    two faults are put into a valid file: a duplicate id, a negative id or a
+    coordinate outside the field or not finite."""
+    n = draw(st.integers(0, 18))
+    ids = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n,
+                        unique=True))
+    lines = [[str(i), draw(_FIELD_COORD), draw(_FIELD_COORD)] for i in ids]
+    faults = draw(st.lists(st.sampled_from(["duplicate", "negative",
+                                            "coordinate"]),
+                           max_size=2 if lines else 0))
+    for fault in faults:
+        line = lines[draw(st.integers(0, n - 1))]
+        if fault == "duplicate":
+            lines.append([line[0], draw(_FIELD_COORD), draw(_FIELD_COORD)])
+        elif fault == "negative":
+            line[0] = "-1"
+        else:
+            line[draw(st.sampled_from([1, 2]))] = draw(
+                st.sampled_from(_BAD_COORDS))
+    return lines, bool(lines) and not faults
+
+
+class TestEveryDrawnLocationFileRuns:
+    """A placement file is refused at parse time exactly when it breaks a
+    rule (it is empty, an id is negative or repeated, a coordinate is not
+    finite or lies outside the field, or node_count names another count);
+    otherwise it runs to completion with every packet resolved exactly
+    once."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(file=location_files(), extra=st.sampled_from([None, 0, 1]),
+           protocol=st.sampled_from(PROTOCOLS))
+    def test_refused_or_runs(self, tmp_path_factory, file, extra, protocol):
+        lines, valid = file
+        path = tmp_path_factory.mktemp("drawn") / "nodes.txt"
+        path.write_text("".join(" , ".join(line) + "\n" for line in lines))
+        text = (f"protocol = {protocol}\nsim_time = 2\n"
+                "topology_size = 1000x1000\nbs_location = 500,500\n"
+                f"placement = {path}\n")
+        if extra is not None:  # node_count: the file's own count, or one more
+            text += f"node_count = {len(lines) + extra}\n"
+            valid = valid and extra == 0
+        assert (_rejected_or_runs(text) is not None) == valid

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from hybsim.scenario import Scenario
 from hybsim.topology import (DIRECT, ISOLATED, Location, LocationTable,
                              NeighbourTable, RegionParams, TopologyError,
                              compute_neighbour_table,
@@ -20,6 +21,11 @@ SAMPLE_POINTS = {0: (58.0, 258.0), 1: (160.0, 275.0), 2: (163.0, 192.0),
                  3: (216.0, 202.0), 4: (205.0, 166.0), 5: (167.0, 227.0)}
 SAMPLE_TEXT = "".join(f"{i} , {x:g} , {y:g}\n"
                       for i, (x, y) in SAMPLE_POINTS.items())
+
+
+def region(**knobs):
+    """The scenario's region parameters, with ``knobs`` overriding its keys."""
+    return Scenario(**knobs).region_params()
 
 
 def sample_table(bs=(60.0, 230.0)):
@@ -47,7 +53,7 @@ def members(locs, params, alive, u):
 class TestEligibility:
     def test_band_and_progress(self):
         locs = sample_table()
-        params = RegionParams(band_halfwidth_M=100.0)
+        params = region(band_halfwidth_M=100.0)
         alive = set(locs.entries)
         # 5 is inside 2's band and strictly closer to the base station
         assert 5 in members(locs, params, alive, 2)
@@ -59,8 +65,8 @@ class TestEligibility:
     def test_band_halfwidth_cut(self):
         locs = sample_table()
         alive = set(locs.entries)
-        wide = RegionParams(band_halfwidth_M=200.0)
-        narrow = RegionParams(band_halfwidth_M=100.0)
+        wide = region(band_halfwidth_M=200.0)
+        narrow = region(band_halfwidth_M=100.0)
         # |dx| between 3 and 0 is 158: inside the wide band, outside narrow
         assert 0 in members(locs, wide, alive, 3)
         assert 0 not in members(locs, narrow, alive, 3)
@@ -68,33 +74,33 @@ class TestEligibility:
     def test_vertical_extent_cut(self):
         locs = sample_table()
         alive = set(locs.entries)
-        bounded = RegionParams(band_halfwidth_M=100.0, vertical_extent_N=30.0)
+        bounded = region(band_halfwidth_M=100.0, vertical_extent_N=30.0)
         # |dy| between 2 and 5 is 35, above the 30 m extent
         assert 5 not in members(locs, bounded, alive, 2)
 
     def test_dead_nodes_excluded(self):
         locs = sample_table()
-        params = RegionParams(band_halfwidth_M=100.0)
+        params = region(band_halfwidth_M=100.0)
         assert 5 not in members(locs, params, {2}, 2)
 
     def test_radio_range_cut(self):
         locs = LocationTable(entries={0: Location(0, 0), 1: Location(300, 0)},
                              base_station=Location(600, 0))
-        params = RegionParams(band_halfwidth_M=500.0, radio_range=250.0)
+        params = region(band_halfwidth_M=500.0, radio_range=250.0)
         assert 1 not in members(locs, params, {0, 1}, 0)
 
 
 class TestComputeTable:
     def test_sample_layout_golden(self):
         table = compute_neighbour_table(sample_table(),
-                                        RegionParams(band_halfwidth_M=100.0),
+                                        region(band_halfwidth_M=100.0),
                                         {0, 1, 2, 3, 4, 5})
         assert table.rows == {0: DIRECT, 1: (5,), 2: (5, 1), 3: (5, 1, 2),
                               4: (5, 1, 2), 5: DIRECT}
 
     def test_rows_ordered_by_distance_to_bs(self):
         table = compute_neighbour_table(sample_table(),
-                                        RegionParams(band_halfwidth_M=100.0),
+                                        region(band_halfwidth_M=100.0),
                                         {0, 1, 2, 3, 4, 5})
         locs = sample_table()
         bs = locs.base_station
@@ -107,23 +113,23 @@ class TestComputeTable:
     def test_isolated_marker(self):
         locs = LocationTable(entries={0: Location(1900.0, 1900.0)},
                              base_station=Location(0.0, 0.0))
-        table = compute_neighbour_table(locs, RegionParams(), {0})
+        table = compute_neighbour_table(locs, region(), {0})
         assert table.rows[0] == ISOLATED
 
     def test_k_caps_row_length(self):
         table = compute_neighbour_table(sample_table(),
-                                        RegionParams(band_halfwidth_M=100.0,
-                                                     max_neighbours_K=1),
+                                        region(band_halfwidth_M=100.0,
+                                               max_neighbours_K=1),
                                         {0, 1, 2, 3, 4, 5})
         assert table.rows[3] == (5,)
 
     def test_unknown_alive_id_rejected(self):
         with pytest.raises(TopologyError):
-            compute_neighbour_table(sample_table(), RegionParams(), {0, 99})
+            compute_neighbour_table(sample_table(), region(), {0, 99})
 
     def test_empty_table_rejected(self):
         with pytest.raises(TopologyError):
-            compute_neighbour_table(LocationTable(), RegionParams(), set())
+            compute_neighbour_table(LocationTable(), region(), set())
 
     def test_against_brute_force_oracle(self):
         rng = random.Random(20250823)
@@ -148,7 +154,7 @@ class TestComputeTable:
 
 class TestRefresh:
     def test_dead_node_leaves_all_rows(self):
-        params = RegionParams(band_halfwidth_M=100.0)
+        params = region(band_halfwidth_M=100.0)
         table = compute_neighbour_table(sample_table(), params,
                                         {0, 1, 2, 3, 4, 5})
         refreshed = refresh_table(table, sample_table(), params, {5})
@@ -157,7 +163,7 @@ class TestRefresh:
             assert isinstance(row, str) or 5 not in row
 
     def test_refresh_matches_oracle(self):
-        params = RegionParams(band_halfwidth_M=100.0)
+        params = region(band_halfwidth_M=100.0)
         table = compute_neighbour_table(sample_table(), params,
                                         {0, 1, 2, 3, 4, 5})
         refreshed = refresh_table(table, sample_table(), params, {5})
@@ -166,7 +172,7 @@ class TestRefresh:
         assert refreshed.rows == want
 
     def test_unknown_dead_id_rejected(self):
-        params = RegionParams(band_halfwidth_M=100.0)
+        params = region(band_halfwidth_M=100.0)
         table = compute_neighbour_table(sample_table(), params, {0, 1})
         with pytest.raises(TopologyError):
             refresh_table(table, sample_table(), params, {42})
@@ -246,13 +252,14 @@ def parse_neighbour_table(text: str) -> NeighbourTable:
 class TestNeighbourTableText:
     def test_emit_markers(self):
         table = NeighbourTable(rows={0: DIRECT, 1: (5,), 2: ISOLATED})
-        text = emit_neighbour_table(table, k=3)
+        text = emit_neighbour_table(table, 3)
         assert text.splitlines() == ["0\t0\t0\t0", "1\t5\t-\t-", "2\t-\t-\t-"]
 
     def test_round_trip(self):
         table = NeighbourTable(rows={0: DIRECT, 1: (5,), 2: (5, 1),
                                      3: (5, 1, 2), 4: ISOLATED})
-        assert parse_neighbour_table(emit_neighbour_table(table)).rows == table.rows
+        text = emit_neighbour_table(table, 3)
+        assert parse_neighbour_table(text).rows == table.rows
 
     def test_parse_errors(self):
         with pytest.raises(TopologyError, match="line 1"):
@@ -264,11 +271,16 @@ class TestNeighbourTableText:
 class TestRegionParams:
     def test_invalid(self):
         with pytest.raises(TopologyError):
-            RegionParams(band_halfwidth_M=0.0)
+            replace(region(), band_halfwidth_M=0.0)
         with pytest.raises(TopologyError):
-            RegionParams(max_neighbours_K=0)
+            replace(region(), max_neighbours_K=0)
         with pytest.raises(TopologyError):
-            RegionParams(vertical_extent_N=0.0)
+            replace(region(), vertical_extent_N=0.0)
         for bad in (0.0, -5.0, math.nan, math.inf):
             with pytest.raises(TopologyError, match="radio_range"):
-                RegionParams(radio_range=bad)
+                replace(region(), radio_range=bad)
+
+    def test_no_defaults(self):
+        # Scenario owns every default; RegionParams is built from its fields
+        with pytest.raises(TypeError):
+            RegionParams()
