@@ -54,6 +54,17 @@ has a test that shows it reaches what it is there for:
 
 On every case of that table a further test checks, after each frame
 enters or leaves the air, each frame's ``reach`` and the on-air mask.
+
+A seventh table pins hyb's busy-channel path (500 nodes in a 1000 m x
+1000 m field, the density of 2000 nodes in the default field; seed 1,
+10 s). Every sensing node of an event contends for the same few relays at
+once, so nearly every channel grab returns BUSY: with the base station at
+the default (1000, 1000), a corner of this field, 18,246 grabs are BUSY
+against 445 granted, and each BUSY picks the packet's next candidate and
+schedules its retry. Packets end as NO_ROUTE when their candidates run out
+and as CONGESTION past the waiting budget. With the base station at the
+field's centre some relays also see an event twice and drop it as a
+DUPLICATE. A test below counts the grabs.
 """
 
 import hashlib
@@ -106,6 +117,11 @@ REPORTED = {
     1.0: "f06de042cc4a01c340933a823a3d4dc7aaf1bc6c599d6e238b4d58d809bd12cb",
 }
 
+# bs_location -> digest, hyb at 500 nodes in 1000 m x 1000 m, seed 1, 10 s
+BUSY_STORM = {
+    (1000.0, 1000.0): "325b2d2d0d66e0259c9600aa20a9eae598fc34dcdd80a450c6a9624efbb956cd",
+    (500.0, 500.0): "777270204a9ff26ae6205a41ce87aac125f29b2721c74d043f5f306a339bf5bb",
+}
 
 
 def _up(v):
@@ -327,3 +343,35 @@ def test_dense_case_has_longer_overlap_lists():
     e.run()
     # the 125-node storm averages ~8 overlapping frames per frame
     assert sum(overlaps.values()) / len(overlaps) > 10
+
+
+def _busy_storm_engine(bs):
+    return Engine(Scenario(protocol="hyb", node_count=500, seed=1,
+                           topology_size=(1000.0, 1000.0), bs_location=bs,
+                           sim_time=10.0))
+
+
+@pytest.mark.parametrize("bs", sorted(BUSY_STORM))
+def test_busy_storm_log_digest(bs):
+    log = _busy_storm_engine(bs).run()
+    assert hashlib.sha256(log.encode()).hexdigest() == BUSY_STORM[bs]
+
+
+def test_busy_storm_case_retries_far_more_than_it_sends():
+    e = _busy_storm_engine((1000.0, 1000.0))
+    verdicts, arbitrate = Counter(), e.arbitrate
+
+    def counting(tx, rx, now):
+        verdict = arbitrate(tx, rx, now)
+        verdicts[verdict] += 1
+        return verdict
+    e.arbitrate = counting
+    e.run()
+    assert verdicts == {engine.BUSY: 18246, engine.GRANT: 445}
+    assert e.dropped["NO_ROUTE"] > 5000 and e.dropped["CONGESTION"] > 100
+
+
+def test_busy_storm_centre_case_drops_duplicates():
+    e = _busy_storm_engine((500.0, 500.0))
+    e.run()
+    assert e.dropped["DUPLICATE"] > 0
