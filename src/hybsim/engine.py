@@ -15,6 +15,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from . import hyb
@@ -22,9 +23,9 @@ from .hyb import (ASLEEP, CONGESTION, DROP, DROP_REASONS, SEND_DIRECT, Action,
                   DataPacket, DedupBuffer, HybContext, HybNodeState)
 from .radio import (EnergyState, frame_airtime, is_alive, link_bounds,
                     link_feasible, received_power, rx_energy, tx_energy)
-from .scenario import Scenario, read_placement
-from .topology import (Grid, Location, LocationTable, compute_neighbour_table,
-                       refresh_table)
+from .scenario import Scenario
+from .topology import (Grid, Location, LocationTable, Row,
+                       compute_neighbour_table, refresh_table)
 
 BS = "BS"          # base station pseudo-id in logs and addressing
 BROADCAST = "*"
@@ -60,7 +61,7 @@ def substream(seed: int, name: str) -> random.Random:
 def place_nodes(scenario: Scenario) -> LocationTable:
     """Node placement: location file when configured, else seeded uniform."""
     if scenario.placement != "uniform":
-        locs = read_placement(scenario.placement)
+        locs = scenario.placed_nodes()
     else:
         rng = substream(scenario.seed, "placement")
         w, h = scenario.topology_size
@@ -255,7 +256,7 @@ class Engine:
     # ------------------------------------------------------------------ channel
 
     def transmitting(self, node: object) -> Optional[Transmission]:
-        return self.active.get(node)
+        return self.active.get(node)  # unused here; perfbench/tracer.py wraps it
 
     def arbitrate(self, tx: object, rx: object, now: float) -> str:
         """Receiver-side channel grab for a unicast starting at ``now``.
@@ -341,7 +342,7 @@ class Engine:
             if on_result is not None:
                 on_result(None, ASLEEP, now)
             return ASLEEP
-        own = self.transmitting(tx)
+        own = self.active.get(tx)
         if own is not None:
             retry = own.end + RETRY_GAP
             if defer_jitter:
@@ -470,7 +471,7 @@ class Engine:
 
     def new_packet(self, event_id: str, origin: int, now: float) -> DataPacket:
         self.generated += 1
-        return DataPacket(event_id=event_id, origin=origin, created_at=now)
+        return DataPacket(event_id, origin, now)
 
     def drop(self, pkt: DataPacket, reason: str, node: object, now: float) -> None:
         if pkt.terminal:
@@ -532,10 +533,11 @@ class Engine:
         t, event_id, nodes = sensed[k]
 
         def fire() -> None:
-            heap = self._heap
+            heap, sense = self._heap, self.protocol.on_sense
             for i, n in enumerate(nodes):
-                heapq.heappush(heap, (t + jitter[j + i], seq + 1 + i,
-                                      self._make_sense(n, event_id)))
+                at = t + jitter[j + i]
+                heapq.heappush(heap, (at, seq + 1 + i,
+                                      partial(sense, n, event_id, at)))
             if k + 1 < len(sensed):
                 self._feed(sensed, jitter, k + 1, seq + len(nodes) + 1,
                            j + len(nodes))
@@ -550,9 +552,6 @@ class Engine:
                 raise RuntimeError("queue time went backwards")
             self.now = time
             fn()
-
-    def _make_sense(self, node: int, event_id: str) -> Callable:
-        return lambda: self.protocol.on_sense(node, event_id, self.now)
 
 
 class HybRunner:
@@ -591,7 +590,7 @@ class HybRunner:
             e.send_oob_control(CONFIG, n, BS, now)
         alive = {n for n in e.nodes if n in e.awake}
         self.neighbour_table = compute_neighbour_table(e.locs, self.region, alive)
-        self._install(now)
+        self._install(now, {})
         e.schedule(now + e.sc.refresh_period, self._bs_refresh)
 
     def _bs_alive(self, node: int) -> bool:
@@ -603,17 +602,18 @@ class HybRunner:
         e = self.e
         now = e.now
         dead = {n for n in self.bs_known_residual if not self._bs_alive(n)}
-        self.neighbour_table = refresh_table(
-            self.neighbour_table, e.locs, self.region, dead)
-        self._install(now)
+        old = self.neighbour_table
+        self.neighbour_table = refresh_table(old, e.locs, self.region, dead)
+        self._install(now, old.rows)
         if e._heap:  # keep refreshing only while work remains
             e.schedule(now + e.sc.refresh_period, self._bs_refresh)
 
-    def _install(self, now: float) -> None:
-        # every row goes to its node's state; every awake node gets a CONFIG
+    def _install(self, now: float, old: Dict[int, Row]) -> None:
+        # changed rows go to their states; every awake node gets a CONFIG
         e, rows = self.e, self.neighbour_table.rows
         for n in sorted(rows):
-            self.states[n].set_row(rows[n], self.ctx)
+            if rows[n] != old.get(n):
+                self.states[n].set_row(rows[n], self.ctx)
             if n in e.awake:
                 e.send_oob_control(CONFIG, BS, n, now)
 
@@ -625,23 +625,30 @@ class HybRunner:
         self._act(node, pkt, action, now)
 
     def _act(self, node: int, pkt: DataPacket, action: Action, now: float) -> None:
-        e = self.e
-        if action.kind == DROP:
-            e.drop(pkt, action.reason, node, now)
+        kind, rx, reason = action
+        if kind == DROP:
+            self.e.drop(pkt, reason, node, now)
             return
-        rx = BS
-        if action.kind != SEND_DIRECT:
-            rx = action.neighbour
+        if kind == SEND_DIRECT:
+            rx = BS
+        else:
             hyb.note_forward(self.states[node], rx)
             pkt.attempted.add(rx)
-        e.send_unicast(DATA, node, rx, now, event_id=pkt.event_id,
-                       on_result=lambda trans, outcome, t: self._result(
-                           node, pkt, trans, outcome, t))
+        self.e.send_unicast(DATA, node, rx, now, event_id=pkt.event_id,
+                            on_result=partial(self._result, node, pkt))
 
     def _result(self, node: int, pkt: DataPacket, trans, outcome: str,
                 now: float) -> None:
         e = self.e
-        if outcome == OK:
+        if outcome == BUSY or outcome == NO_RX:
+            # the next candidate is picked now, counted when its retry runs
+            action = hyb.on_busy_channel(self.states[node], pkt, self.ctx, now)
+            if action.kind == DROP:
+                e.drop(pkt, action.reason, node, now)
+            else:
+                retry = now + RETRY_GAP
+                e.schedule(retry, partial(self._act, node, pkt, action, retry))
+        elif outcome == OK:
             if trans.rx == BS:
                 e.deliver(pkt, node, now)
                 # every awake node on the path reports its residual
@@ -651,21 +658,8 @@ class HybRunner:
                         self.bs_known_residual[n] = e.nodes[n].energy.residual
             else:
                 self._relay(trans.rx, pkt, now)
-            return
-        if outcome == ASLEEP:
-            e.drop(pkt, ASLEEP, node, now)
-            return
-        if outcome == COLLISION:
-            # the model never retransmits a frame lost on the air
-            e.drop(pkt, CONGESTION, node, now)
-            return
-        # BUSY / NO_RX: move on to the next candidate
-        action = hyb.on_busy_channel(self.states[node], pkt, self.ctx, now)
-        if action.kind == DROP:
-            e.drop(pkt, action.reason, node, now)
-            return
-        retry = now + RETRY_GAP
-        e.schedule(retry, lambda: self._act(node, pkt, action, retry))
+        else:  # ASLEEP, or a COLLISION: no frame lost on the air is resent
+            e.drop(pkt, ASLEEP if outcome == ASLEEP else CONGESTION, node, now)
 
     def _relay(self, node: int, pkt: DataPacket, now: float) -> None:
         pkt.attempted = set()

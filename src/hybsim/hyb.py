@@ -10,7 +10,7 @@ candidate until candidates or the waiting budget run out.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .radio import (EnergyState, RadioParams, EnergyCoefficients,
                     is_alive, link_feasible, tx_energy)
@@ -29,11 +29,15 @@ CONGESTION = "CONGESTION"
 DROP_REASONS = (ASLEEP, DUPLICATE, NO_ROUTE, CONGESTION)
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     kind: str
     neighbour: Optional[int] = None
     reason: Optional[str] = None
+
+
+# every decision but a FORWARD; HybContext.forwards holds those
+_DIRECT = Action(SEND_DIRECT)
+_DROPS = {reason: Action(DROP, reason=reason) for reason in DROP_REASONS}
 
 
 @dataclass(slots=True)
@@ -109,7 +113,8 @@ class HybNodeState:
 
 @dataclass(frozen=True)
 class HybContext:
-    """Engine-side facts the state machine needs but does not own."""
+    """Engine-side facts the state machine needs but does not own, and the
+    run's FORWARD decisions, one per neighbour, built when first made."""
 
     bs_location: Location
     radio: RadioParams
@@ -118,6 +123,7 @@ class HybContext:
     alive: Callable[[int], bool]   # liveness oracle for neighbour selection
     payload_bits: int              # the size of every data frame
     wait_t: float                  # s, waiting budget of a congested packet
+    forwards: Dict[int, Action] = field(default_factory=dict, compare=False)
 
 
 def single_hop_feasible(state: HybNodeState) -> bool:
@@ -141,11 +147,11 @@ def best_neighbour(state: HybNodeState, packet: DataPacket,
     """
     best: Optional[int] = None
     best_count = math.inf
-    attempted = packet.attempted
+    attempted, alive, use = packet.attempted, ctx.alive, state.use_count
     for v in state.linked:  # row order encodes proximity to the base station
-        if v in attempted or not ctx.alive(v):
+        if v in attempted or not alive(v):
             continue
-        count = state.use_count[v]
+        count = use[v]
         if count < best_count:
             best, best_count = v, count
     return best
@@ -153,7 +159,7 @@ def best_neighbour(state: HybNodeState, packet: DataPacket,
 
 def _route(state: HybNodeState, packet: DataPacket, ctx: HybContext) -> Action:
     if single_hop_feasible(state):
-        return Action(SEND_DIRECT)
+        return _DIRECT
     return _forward(state, packet, ctx)
 
 
@@ -161,8 +167,10 @@ def _forward(state: HybNodeState, packet: DataPacket,
              ctx: HybContext) -> Action:
     nxt = best_neighbour(state, packet, ctx)
     if nxt is None:
-        return Action(DROP, reason=NO_ROUTE)
-    return Action(FORWARD, neighbour=nxt)
+        return _DROPS[NO_ROUTE]
+    if nxt not in ctx.forwards:
+        ctx.forwards[nxt] = Action(FORWARD, nxt)
+    return ctx.forwards[nxt]
 
 
 def _gate(state: HybNodeState, packet: DataPacket,
@@ -171,9 +179,9 @@ def _gate(state: HybNodeState, packet: DataPacket,
     must not handle the packet, else None, with the event recorded. The
     gate reads the node's own battery, whatever ``ctx.alive`` believes."""
     if not is_alive(state.energy):
-        return Action(DROP, reason=ASLEEP)
+        return _DROPS[ASLEEP]
     if state.dedup.contains(packet.event_id, now):
-        return Action(DROP, reason=DUPLICATE)
+        return _DROPS[DUPLICATE]
     state.dedup.record(packet.event_id, now)
     return None
 
@@ -207,7 +215,7 @@ def on_busy_channel(state: HybNodeState, packet: DataPacket, ctx: HybContext,
     CONGESTION, before that with no candidate left as NO_ROUTE.
     """
     if now - packet.created_at >= ctx.wait_t:
-        return Action(DROP, reason=CONGESTION)
+        return _DROPS[CONGESTION]
     return _forward(state, packet, ctx)
 
 

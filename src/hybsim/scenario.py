@@ -88,7 +88,9 @@ class Scenario:
         if not (0 < w < math.inf and 0 < h < math.inf):
             raise ScenarioError("topology_size must be positive and finite")
         if self.placement != "uniform":
-            nodes = read_placement(self.placement).entries
+            # the one read of the file per scenario; see placed_nodes
+            self._placed = read_placement(self.placement)
+            nodes = self._placed.entries
             if not nodes:
                 raise ScenarioError("location file holds no nodes")
             if len(nodes) != self.node_count:
@@ -175,6 +177,10 @@ class Scenario:
 
     def bs(self) -> Location:
         return Location(*self.bs_location)
+
+    def placed_nodes(self) -> LocationTable:
+        """A copy of the location file's nodes, as ``validate`` read them."""
+        return LocationTable(dict(self._placed.entries))
 
 
 def read_placement(path: str) -> LocationTable:

@@ -12,6 +12,7 @@ which pairs are checked; the exact predicates decide, so every table is the
 one an all-pairs scan would build.
 """
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import (Dict, Iterator, List, Mapping, Optional, Set, Tuple,
@@ -197,11 +198,12 @@ def compute_neighbour_table(locs: LocationTable, params: RegionParams,
                 elif da < db:
                     cands[b].append(a)
     rows: Dict[int, Row] = {}
+    key = {v: (d, v) for v, d in to_bs.items()}.__getitem__
     for u in sorted(alive):
         row = cands[u]
         if row:
-            row.sort(key=lambda v: (to_bs[v], v))
-            rows[u] = tuple(row[: params.max_neighbours_K])
+            rows[u] = tuple(heapq.nsmallest(params.max_neighbours_K, row,
+                                            key=key))
         else:
             rows[u] = DIRECT if to_bs[u] <= reach else ISOLATED
     return NeighbourTable(rows=rows)

@@ -14,7 +14,7 @@ from hybsim.engine import (BROADCAST, BS, BUSY, COLLISION, CONFIG, DATA,
                            DEFERRED, GRANT, NO_RX, OK, REPORT, RETRY_GAP, RREP,
                            RREQ, Engine, Transmission, generate_events,
                            place_nodes, substream)
-from hybsim.hyb import ASLEEP
+from hybsim.hyb import ASLEEP, HybNodeState
 from hybsim.metrics import collect
 from hybsim.radio import frame_airtime, link_feasible
 from hybsim.scenario import Scenario
@@ -627,6 +627,103 @@ class TestHybRunner:
         assert drops == [[f"{RETRY_GAP:.6f}", "DROP", "0", "-", "ev0", ASLEEP]]
         assert e.dropped[ASLEEP] == 1
 
+    # 0's row is (1, 2, 3). While 1 sends to the sink, 1 is busy and 2 and
+    # 3 hear its frame, so every grab 0 makes returns BUSY until it ends.
+    ROW3 = {0: (0.0, 600.0), 1: (0.0, 300.0), 2: (20.0, 300.0),
+            3: (40.0, 300.0)}
+
+    def busy_row(self, tmp_path):
+        e = make_engine(tmp_path, self.ROW3, (0.0, 0.0))
+        e.protocol.configure(0.0)
+        assert e.protocol.neighbour_table.rows[0] == (1, 2, 3)
+        assert e.send_unicast(DATA, 1, BS, 0.0) == GRANT
+        grabs, arbitrate = [], e.arbitrate
+
+        def recording(tx, rx, now):
+            verdict = arbitrate(tx, rx, now)
+            grabs.append((rx, now, verdict,
+                          dict(e.protocol.states[tx].use_count)))
+            return verdict
+        e.arbitrate = recording
+        return e, grabs
+
+    def test_busy_retry_candidate_is_picked_at_the_busy_instant(self, tmp_path):
+        # ev1 is decided between ev0's BUSY and ev0's retry. It sees ev0's
+        # next candidate, 2, still uncounted, and picks it. ev0's retry then
+        # goes to 2 as picked at the BUSY, though 3 is by then less used.
+        e, grabs = self.busy_row(tmp_path)
+        sense = e.protocol.on_sense
+        half = RETRY_GAP / 2
+        e.schedule(0.0, lambda: sense(0, "ev0", 0.0))
+        e.schedule(half, lambda: sense(0, "ev1", half))
+        e.drain()
+        assert [(rx, now) for rx, now, _, _ in grabs] == [
+            (1, 0.0), (2, half), (2, RETRY_GAP), (3, half + RETRY_GAP),
+            (3, RETRY_GAP + RETRY_GAP), (1, half + RETRY_GAP + RETRY_GAP)]
+        assert {verdict for _, _, verdict, _ in grabs} == {BUSY}
+        assert e.protocol.states[0].use_count == {1: 2, 2: 2, 3: 2}
+
+    def test_busy_retry_candidate_is_counted_when_the_retry_runs(self, tmp_path):
+        e, grabs = self.busy_row(tmp_path)
+        e.protocol.on_sense(0, "ev0", 0.0)
+        # 1 was tried and counted; 2 is picked but not yet counted
+        assert e.protocol.states[0].use_count == {1: 1, 2: 0, 3: 0}
+        e.drain()
+        # each grab sees its own candidate counted, and no later one
+        assert [(rx, now, counts) for rx, now, _, counts in grabs] == [
+            (1, 0.0, {1: 1, 2: 0, 3: 0}),
+            (2, RETRY_GAP, {1: 1, 2: 1, 3: 0}),
+            (3, RETRY_GAP + RETRY_GAP, {1: 1, 2: 1, 3: 1})]
+
+    def test_each_busy_schedules_one_heap_entry(self, tmp_path):
+        e, _ = self.busy_row(tmp_path)
+        send, steps = e.send_unicast, []
+
+        def recording(kind, tx, rx, now, **kw):
+            before, seq = list(e._heap), e._seq
+            verdict = send(kind, tx, rx, now, **kw)
+            kept = {id(entry) for entry in before}
+            steps.append((verdict, e._seq - seq, [
+                entry[0] for entry in e._heap if id(entry) not in kept]))
+            return verdict
+        e.send_unicast = recording
+        e.protocol.on_sense(0, "ev0", 0.0)
+        e.drain()
+        # the last BUSY leaves no candidate: the packet drops, unscheduled
+        assert steps == [(BUSY, 1, [RETRY_GAP]),
+                         (BUSY, 1, [RETRY_GAP + RETRY_GAP]),
+                         (BUSY, 0, [])]
+        assert e.dropped["NO_ROUTE"] == 1
+
+    def test_refresh_installs_only_changed_rows(self, monkeypatch):
+        e = Engine(Scenario(protocol="hyb", node_count=75, seed=1,
+                            sim_time=1.0))
+        hyb_runner = e.protocol
+        hyb_runner.configure(0.0)
+        installed, set_row = [], HybNodeState.set_row
+
+        def recording(state, row, ctx):
+            installed.append(state.id)
+            set_row(state, row, ctx)
+        monkeypatch.setattr(HybNodeState, "set_row", recording)
+
+        def configs():
+            return sum(1 for line in log_lines(e) if f" {CONFIG} BS " in line)
+        sent = configs()
+        hyb_runner._bs_refresh()  # no node has died: every row is the same
+        assert installed == []
+        assert configs() == sent + len(e.nodes)
+        old = dict(hyb_runner.neighbour_table.rows)
+        victim = next(n for n, row in old.items()
+                      if any(isinstance(other, tuple) and n in other
+                             for other in old.values()))
+        hyb_runner.bs_known_residual[victim] = 0.0
+        hyb_runner._bs_refresh()
+        new = hyb_runner.neighbour_table.rows
+        assert installed == [n for n in sorted(new) if new[n] != old[n]]
+        assert 0 < len(installed) < len(new)
+        assert configs() == sent + 2 * len(e.nodes) - 1
+
 
 class TestJitter:
     @settings(max_examples=200, deadline=None)
@@ -733,6 +830,24 @@ class TestLazySensing:
         assert refreshes == pytest.approx(
             [period * (k + 1) for k in range(len(refreshes))])
         assert not e._heap
+
+    def test_callback_tied_with_a_refresh_runs_after_it(self):
+        # every sense jitter equals refresh_period, so each sensing
+        # callback of the event at 0 falls on the first refresh's instant.
+        # configure queued that refresh before any callback, so it runs
+        # first, as in the eager schedule.
+        sc = Scenario(protocol="hyb", node_count=3, seed=1, packet_rate=1.0,
+                      sim_time=1.0, topology_size=(600.0, 600.0),
+                      bs_location=(300.0, 300.0), sensing_radius=1000.0,
+                      packet_size=8, refresh_period=5e-4)
+        lazy, eager = Engine(sc), Engine(sc)
+        for e in (lazy, eager):
+            e.jitter = lambda scale: sc.refresh_period
+        log = lazy.run()
+        assert log == eager_run(eager, generate_events(sc))
+        at = [line.split()[1] for line in log.splitlines()
+              if line.startswith(f"{sc.refresh_period:.6f} ")]
+        assert at.index("DATA") > at.index("CONFIG") == 0
 
 
 class TestPacketResolution:

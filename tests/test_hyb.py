@@ -272,6 +272,46 @@ class TestOnBusyChannel:
         assert (action.kind, action.reason) == (DROP, NO_ROUTE)
 
 
+class TestAction:
+    """Every decision is an immutable record with ``kind``, ``neighbour``
+    and ``reason``: the runner reads all three, and a benchmark tracer
+    that wraps the decision functions reads ``kind``."""
+
+    def decisions(self):
+        ctx = make_ctx()
+        forward = on_sense(make_state(3, (1, 2)), make_packet(3), ctx, 0.0)
+        direct = on_sense(make_state(1, DIRECT), make_packet(1), ctx, 0.0)
+        no_route = on_sense(make_state(3, ISOLATED), make_packet(3), ctx, 0.0)
+        return forward, direct, no_route
+
+    def test_fields(self):
+        forward, direct, no_route = self.decisions()
+        assert (forward.kind, forward.neighbour, forward.reason) == (
+            FORWARD, 1, None)
+        assert (direct.kind, direct.neighbour, direct.reason) == (
+            SEND_DIRECT, None, None)
+        assert (no_route.kind, no_route.neighbour, no_route.reason) == (
+            DROP, None, NO_ROUTE)
+
+    @pytest.mark.parametrize("field", ["kind", "neighbour", "reason"])
+    def test_immutable(self, field):
+        for action in self.decisions():
+            with pytest.raises(AttributeError):
+                setattr(action, field, None)
+        assert self.decisions() == self.decisions()
+
+    def test_one_forward_per_neighbour_per_context(self):
+        # a run builds each neighbour's FORWARD once, in its context
+        ctx = make_ctx()
+        first = on_sense(make_state(3, (1, 2)), make_packet(3), ctx, 0.0)
+        second = on_receive(make_state(3, (1,)), make_packet(4), ctx, 0.0)
+        other = on_sense(make_state(3, (1, 2)), make_packet(3), make_ctx(),
+                         0.0)
+        assert first.neighbour == second.neighbour == other.neighbour == 1
+        assert first is second
+        assert other is not first and other == first
+
+
 class TestUseCount:
     def test_note_forward_increments(self):
         st = make_state(3, (1, 2))

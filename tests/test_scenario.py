@@ -7,7 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hybsim.metrics import run_scenario
+from hybsim import scenario
+from hybsim.engine import Engine
+from hybsim.metrics import compare, run_scenario
 from hybsim.scenario import (MAX_DELAY, MAX_EVENTS, MAX_RETRIES, PROTOCOLS,
                              Scenario, ScenarioError, emit_scenario,
                              parse_scenario)
@@ -201,6 +203,31 @@ class TestPlacementFile:
     def test_unreadable_file_refused(self, tmp_path):
         with pytest.raises(ScenarioError, match="placement"):
             parse_scenario(f"placement = {tmp_path / 'missing.txt'}\n")
+
+    @pytest.mark.parametrize("count_line,parse_reads",
+                             [("", 2), ("node_count = 6\n", 1)])
+    def test_file_read_once_per_run(self, tmp_path, monkeypatch, count_line,
+                                    parse_reads):
+        # parsing reads the file to count its nodes unless the scenario
+        # names the count, and once to validate; each run of compare
+        # validates its own scenario, and its engine places the nodes that
+        # read found. Every read_placement call, whoever makes it, parses
+        # the text it read once.
+        path = self.write(tmp_path, [(100.0 * i, 50.0 * i) for i in range(6)])
+        reads, parse = [], scenario.parse_location_file
+
+        def counting(text):
+            reads.append(text)
+            return parse(text)
+        monkeypatch.setattr(scenario, "parse_location_file", counting)
+        sc = parse_scenario(f"topology_size = 800x600\nplacement = {path}\n"
+                            f"sim_time = 2\n{count_line}")
+        assert len(reads) == parse_reads
+        table = compare(sc, ["hyb", "aodv"], [1, 2])
+        assert len(table.runs) == 4
+        assert len(reads) == parse_reads + 4
+        Engine(sc)
+        assert len(reads) == parse_reads + 4
 
 
 class TestRoundTrip:
