@@ -676,23 +676,28 @@ class TestHybRunner:
             (3, RETRY_GAP + RETRY_GAP, {1: 1, 2: 1, 3: 1})]
 
     def test_each_busy_schedules_one_heap_entry(self, tmp_path):
+        # a BUSY's one effect is its retry's heap entry: the candidate the
+        # retry will try is not counted yet
         e, _ = self.busy_row(tmp_path)
         send, steps = e.send_unicast, []
+        counts = e.protocol.states[0].use_count
 
         def recording(kind, tx, rx, now, **kw):
             before, seq = list(e._heap), e._seq
             verdict = send(kind, tx, rx, now, **kw)
             kept = {id(entry) for entry in before}
             steps.append((verdict, e._seq - seq, [
-                entry[0] for entry in e._heap if id(entry) not in kept]))
+                entry[0] for entry in e._heap if id(entry) not in kept],
+                dict(counts)))
             return verdict
         e.send_unicast = recording
         e.protocol.on_sense(0, "ev0", 0.0)
         e.drain()
         # the last BUSY leaves no candidate: the packet drops, unscheduled
-        assert steps == [(BUSY, 1, [RETRY_GAP]),
-                         (BUSY, 1, [RETRY_GAP + RETRY_GAP]),
-                         (BUSY, 0, [])]
+        assert steps == [
+            (BUSY, 1, [RETRY_GAP], {1: 1, 2: 0, 3: 0}),
+            (BUSY, 1, [RETRY_GAP + RETRY_GAP], {1: 1, 2: 1, 3: 0}),
+            (BUSY, 0, [], {1: 1, 2: 1, 3: 1})]
         assert e.dropped["NO_ROUTE"] == 1
 
     def test_refresh_installs_only_changed_rows(self, monkeypatch):
