@@ -12,6 +12,7 @@ retransmissions for comparison.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from .hyb import ASLEEP, CONGESTION, NO_ROUTE, DataPacket
@@ -36,16 +37,15 @@ class _BaseRunner:
 
     The engine calls a runner only through ``configure(now)``, once at
     t = 0; ``on_sense(node, event_id, now)``, per node sensing an event;
-    per broadcast frame that ends on the air, ``heard_before(trans)``, the
-    ``_bit`` mask of the endpoints holding its flood, then
-    ``on_broadcast_received(node, trans, now)`` per awake receiver neither
-    jammed nor in it; and the callbacks a runner hands to ``send_unicast``
-    and ``schedule``. A runner reads the engine's ``sc``, ``nodes``,
-    ``awake`` and ``now`` (the hybrid one also ``locs``, ``radio`` and
-    ``coeff``) and calls only ``schedule``, ``jitter``, ``new_packet``,
-    ``drop``, ``deliver`` and the three ``send_*`` methods. Two private
-    reads remain as debts: the hybrid refresh reads ``_heap`` to stop once
-    no other work is queued, and the seen masks here read ``_bit``.
+    ``on_broadcast_received(node, trans, now)``, per awake receiver of a
+    broadcast frame that is not jammed there and holds no copy of the
+    frame's flood ``trans.event_id``: the engine keeps each flood's mask,
+    the endpoints that sent a frame of it or were handed a copy; and the
+    callbacks a runner hands to ``send_unicast`` and ``schedule``. A runner
+    reads only the engine's ``sc``, ``nodes``, ``awake``, ``now`` and
+    ``pending`` (the hybrid one also ``locs``, ``radio`` and ``coeff``), no
+    private member, and calls only ``schedule``, ``jitter``, ``new_packet``,
+    ``drop``, ``deliver`` and the three ``send_*`` methods.
 
     A baseline supplies its ``node_state`` class and two hooks:
     ``_best_route(node)``, the route to the sink known at ``node`` or None,
@@ -54,14 +54,12 @@ class _BaseRunner:
     to ``node`` and returns ``(next_hop, payload)`` for the reply's next
     hop, or None where the reply path ends. ``_send_data`` (re)transmits a
     packet toward its next hop, ``_give_up`` ends one out of retries,
-    ``_relay`` passes on a received one and ``_rreq_payload(node,
-    rreq_id)`` builds the body of a route request.
+    ``_relay`` passes on a received one and ``_rreq_payload(node)`` builds
+    the body of a route request ``node`` originates.
     """
 
     def __init__(self, engine_: "eng.Engine"):
         self.e = engine_
-        # flood event id -> mask of the endpoints that have seen the flood
-        self.seen: Dict[str, int] = {}
         self.states = {n: self.node_state() for n in engine_.nodes}
 
     def configure(self, now: float) -> None:
@@ -135,9 +133,8 @@ class _BaseRunner:
         st = self.states[node]
         st.disc_attempts += 1
         st.rreq_counter += 1
-        payload = self._rreq_payload(node, st.rreq_counter)
-        self.seen[payload["event_id"]] = e._bit[node]
-        self._broadcast_rreq(node, payload, now)
+        e.send_broadcast(RREQ, node, now, payload=self._rreq_payload(node),
+                         event_id=f"rq{node}.{st.rreq_counter}")
         deadline = now + e.sc.discovery_timeout
         e.schedule(deadline, lambda: self._discovery_timeout(node, deadline))
 
@@ -166,29 +163,15 @@ class _BaseRunner:
             pkt.route = route
             self._send_data(node, pkt, now)
 
-    def _rreq_payload(self, node, rreq_id) -> dict:
-        """The body of a route request; every copy of the flood shares its
-        event id, which is also the flood's key in ``seen``."""
-        return {"origin": node, "event_id": f"rq{node}.{rreq_id}"}
+    def _rreq_payload(self, node):
+        """The body of a route request ``node`` originates: its origin."""
+        return node
 
-    def _first_copy(self, node, payload) -> bool:
-        """Record a route request at ``node``; False if it was seen before."""
-        key, bit = payload["event_id"], self.e._bit[node]
-        mask = self.seen.get(key, 0)
-        self.seen[key] = mask | bit
-        return not mask & bit
-
-    def heard_before(self, trans) -> int:
-        """The mask of the endpoints that have seen ``trans``'s flood."""
-        return self.seen.get(trans.event_id, 0)
-
-    def _broadcast_rreq(self, node, payload, now) -> None:
-        self.e.send_broadcast(RREQ, node, now, payload=payload,
-                              event_id=payload["event_id"])
-
-    def _rebroadcast(self, node, payload, now) -> None:
-        retry = now + self.e.jitter(5e-3)
-        self.e.schedule(retry, lambda: self._broadcast_rreq(node, payload, retry))
+    def _rebroadcast(self, node, trans, payload, now) -> None:
+        e = self.e
+        retry = now + e.jitter(5e-3)
+        e.schedule(retry, partial(e.send_broadcast, RREQ, node, retry,
+                                  payload=payload, event_id=trans.event_id))
 
     # --------------------------------------------------------------- replies
 
@@ -240,25 +223,23 @@ class AodvRunner(_BaseRunner):
         self.e.drop(pkt, CONGESTION, node, now)
 
     def on_broadcast_received(self, node, trans, now) -> None:
-        origin = trans.payload["origin"]
-        if not self._first_copy(node, trans.payload):
-            return
+        origin = trans.payload
         if node == BS:
-            self._send_rrep(BS, trans.tx, {"origin": origin, "route_len": 0}, now)
+            self._send_rrep(BS, trans.tx, (origin, 0), now)
             return
         self.states[node].reverse[origin] = trans.tx
-        self._rebroadcast(node, trans.payload, now)
+        self._rebroadcast(node, trans, origin, now)
 
     def _learn_route(self, node, trans):
-        origin = trans.payload["origin"]
+        origin, route_len = trans.payload
         st = self.states[node]
-        my_len = trans.payload["route_len"] + 1
+        my_len = route_len + 1
         if st.route is None or my_len < st.route[1]:
             st.route = (trans.tx, my_len)
         nxt = st.reverse.get(origin)
         if nxt is None:
             return None
-        return nxt, {"origin": origin, "route_len": my_len}
+        return nxt, (origin, my_len)
 
 
 @dataclass
@@ -298,8 +279,8 @@ class DsrRunner(_BaseRunner):
 
     # ---------------------------------------------------------------- data
 
-    def _rreq_payload(self, node, rreq_id) -> dict:
-        return dict(super()._rreq_payload(node, rreq_id), record=(node,))
+    def _rreq_payload(self, node) -> Tuple[object, ...]:
+        return (node,)  # the route record
 
     def _send_data(self, node, pkt, now) -> None:
         self._transmit_data(node, pkt.route[1], pkt, now)
@@ -317,16 +298,14 @@ class DsrRunner(_BaseRunner):
     # ------------------------------------------------------------ discovery
 
     def on_broadcast_received(self, node, trans, now) -> None:
-        record = trans.payload["record"]
-        if not self._first_copy(node, trans.payload):
-            return
+        record = trans.payload
         if node == BS:
-            self._send_rrep(BS, record[-1], {"route": record + (BS,)}, now)
+            self._send_rrep(BS, record[-1], record + (BS,), now)
             return
-        self._rebroadcast(node, dict(trans.payload, record=record + (node,)), now)
+        self._rebroadcast(node, trans, record + (node,), now)
 
     def _learn_route(self, node, trans):
-        route = trans.payload["route"]
+        route = trans.payload
         idx = route.index(node)
         self._cache(node, route[idx:])
         if idx == 0:

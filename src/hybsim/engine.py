@@ -186,6 +186,8 @@ class Engine:
         # the OR of t.reach over active: whom a frame on the air reaches,
         # its senders included
         self._on_air = 0
+        # flood event id -> mask of the endpoints holding it; see _frame_end
+        self._flooded: Dict[str, int] = {}
         # a frame's size follows from its kind: DATA frames carry the
         # payload, every other frame is a control frame
         control = scenario.control_bits
@@ -214,6 +216,11 @@ class Engine:
             raise RuntimeError(f"event scheduled in the past: {time} < {self.now}")
         heapq.heappush(self._heap, (time, self._seq, fn))
         self._seq += 1
+
+    @property
+    def pending(self) -> int:
+        """The number of queued events not yet run."""
+        return len(self._heap)
 
     def jitter(self, scale: float) -> float:
         # bit for bit what rng_jitter.uniform(0.0, scale) returns
@@ -362,11 +369,12 @@ class Engine:
         return GRANT
 
     def send_broadcast(self, kind: str, tx: object, now: float, *,
-                       payload=None, event_id: str = "-") -> None:
+                       payload, event_id: str) -> None:
         """Carrier-sense broadcast of a control frame: defers while the
         transmitter hears an ongoing transmission, then occupies the
         channel; copies are handed to the protocol per receiver at frame
-        end."""
+        end. Each copy carries ``payload``. ``event_id`` names the frame's
+        flood: no endpoint is handed a flood it sent or was handed before."""
         if tx not in self.awake:
             return  # the node drained while the frame was pending
         mine = self._bit[tx]
@@ -434,14 +442,13 @@ class Engine:
             stamp, event_id = f"{trans.start:.6f} ", trans.event_id
             write = self.log_buffer.write
             write(f"{stamp}{trans.kind} {tx} {BROADCAST} {event_id} {SENT}\n")
-            # One jammed mask serves every receiver. A frame that a
+            # One jammed mask serves every receiver: a frame that a
             # receiver's handler begins, or cancels, starts at trans.end,
-            # so it never overlaps trans. So does one heard-before mask: a
-            # fresh copy's handler marks only its own receiver, and a copy
-            # heard before is charged but needs no handler.
+            # so it never overlaps trans. A copy of a flood its receiver
+            # holds is charged but needs no handler.
             jammed = self._jam_mask(trans)
             trans.overlaps = None
-            skip = self.protocol.heard_before(trans)
+            held = self._flooded.get(event_id, 0) | self._bit[tx]
             head = f"{stamp}{COLL} {tx} "
             tail = f" {event_id} {COLLISION}\n"
             end, charge = trans.end, self.charge
@@ -451,8 +458,10 @@ class Engine:
                     write(f"{head}{r}{tail}")
                 else:
                     charge(r, cost)
-                    if not bit & skip:
+                    if not bit & held:
+                        held |= bit
                         received(r, trans, end)
+            self._flooded[event_id] = held
             return
 
         bits = self._frame_bits[trans.kind]
@@ -605,7 +614,7 @@ class HybRunner:
         old = self.neighbour_table
         self.neighbour_table = refresh_table(old, e.locs, self.region, dead)
         self._install(now, old.rows)
-        if e._heap:  # keep refreshing only while work remains
+        if e.pending:  # keep refreshing only while work remains
             e.schedule(now + e.sc.refresh_period, self._bs_refresh)
 
     def _install(self, now: float, old: Dict[int, Row]) -> None:

@@ -221,10 +221,19 @@ class TestPacketConservation:
         assert report.delivered + report.dropped_total() == report.generated
 
 
+class Forgetful(dict):
+    """A flood-mask table that keeps nothing, so the engine hands every
+    clean receiver its copy."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 class TestHeardBeforeSkip:
     """``_frame_end`` hands a broadcast copy only to the receivers outside
-    the flood's heard-before mask. A copy inside it would change nothing, so
-    handing every clean receiver its copy must write the same log."""
+    its flood's mask. With the engine's mask disabled, a first-copy filter
+    the test owns, keyed by event id and counting each frame's sender as
+    holding the flood, must write the same log."""
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -248,7 +257,16 @@ class TestHeardBeforeSkip:
         def run(skip):
             e = Engine(sc)
             if not skip:
-                e.protocol.heard_before = lambda trans: 0
+                e._flooded = Forgetful()
+                handler, holders = e.protocol.on_broadcast_received, {}
+
+                def first_copy(node, trans, now):
+                    held = holders.setdefault(trans.event_id, set())
+                    held.add(trans.tx)
+                    if node not in held:
+                        held.add(node)
+                        handler(node, trans, now)
+                e.protocol.on_broadcast_received = first_copy
             log = e.run()
             assert e.generated == e.delivered + sum(e.dropped.values())
             return log

@@ -271,7 +271,8 @@ class TestInterference:
         assert e.send_unicast("DATA", 0, 1, 0.0) == GRANT
         first = list(e.active.values())[0]
         assert not e._interfered(first, 1)
-        e.send_broadcast("RREQ", 2, 1e-3)   # 2 does not hear 0
+        # 2 does not hear 0
+        e.send_broadcast("RREQ", 2, 1e-3, payload=None, event_id="f0")
         assert len(e.active) == 2
         assert e._interfered(first, 1)
         assert not e._interfered(first, 0)       # 0 does not hear 2
@@ -387,7 +388,6 @@ class TestInterferenceOracle:
         received = []  # hyb has no broadcast handler of its own
         e.protocol.on_broadcast_received = (
             lambda node, trans, now: received.append(node))
-        e.protocol.heard_before = lambda trans: 0
         where = dict(enumerate(pts))
         where[BS] = bs
 
@@ -431,9 +431,10 @@ class TestInterferenceOracle:
 
         e._begin, e._interfered = recording_begin, checked_interfered
         e._frame_end = checked_frame_end
-        for t, kind, tx, rx in sends:
-            if kind == RREQ:
-                e.schedule(t, lambda t=t, tx=tx: e.send_broadcast(RREQ, tx, t))
+        for i, (t, kind, tx, rx) in enumerate(sends):
+            if kind == RREQ:  # each broadcast a flood of its own
+                e.schedule(t, lambda t=t, tx=tx, i=i: e.send_broadcast(
+                    RREQ, tx, t, payload=None, event_id=f"f{i}"))
             elif rx != tx:
                 e.schedule(t, lambda t=t, kind=kind, tx=tx, rx=rx:
                            e.send_unicast(kind, tx, rx, t))
@@ -463,8 +464,7 @@ class TestBroadcast:
         heard = []
         e.protocol.on_broadcast_received = (
             lambda node, trans, now: heard.append(node))
-        e.protocol.heard_before = lambda trans: 0
-        e.send_broadcast("RREQ", 0, 0.0)
+        e.send_broadcast("RREQ", 0, 0.0, payload=None, event_id="f0")
         e.drain()
         assert sorted(heard) == [1, 2]   # 300 m away is still in range
 
@@ -474,8 +474,7 @@ class TestBroadcast:
         heard = []
         e.protocol.on_broadcast_received = (
             lambda node, trans, now: heard.append(node))
-        e.protocol.heard_before = lambda trans: 0
-        e.send_broadcast("RREQ", BS, 0.0)
+        e.send_broadcast("RREQ", BS, 0.0, payload=None, event_id="f0")
         e.drain()
         assert heard == [0, 1]
         assert not any(" COLL BS BS " in line for line in log_lines(e))
@@ -483,9 +482,9 @@ class TestBroadcast:
     def test_carrier_sense_defers_behind_active_frame(self, tmp_path):
         e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0))
         e.protocol.on_broadcast_received = lambda *a: None
-        e.protocol.heard_before = lambda trans: 0
         assert e.send_unicast("DATA", 1, 2, 0.0) == GRANT
-        e.send_broadcast("RREQ", 0, 0.0)   # 0 hears 1: must defer
+        # 0 hears 1: must defer
+        e.send_broadcast("RREQ", 0, 0.0, payload=None, event_id="f0")
         e.drain()
         sent = [l for l in log_lines(e) if " RREQ " in l and l.endswith("SENT")]
         assert len(sent) == 1
@@ -496,9 +495,8 @@ class TestBroadcast:
         points = {0: (0.0, 100.0), 1: (350.0, 100.0), 2: (700.0, 100.0)}
         e = make_engine(tmp_path, points, (1500.0, 1500.0))
         e.protocol.on_broadcast_received = lambda *a: None
-        e.protocol.heard_before = lambda trans: 0
-        e.send_broadcast("RREQ", 0, 0.0)
-        e.send_broadcast("RREQ", 2, 0.0)
+        e.send_broadcast("RREQ", 0, 0.0, payload=None, event_id="f0")
+        e.send_broadcast("RREQ", 2, 0.0, payload=None, event_id="f1")
         e.drain()
         coll = [l for l in log_lines(e) if " COLL 0 1 " in l or " COLL 2 1 " in l]
         assert len(coll) == 2
@@ -511,19 +509,82 @@ class TestBroadcast:
         heard = []
         e.protocol.on_broadcast_received = (
             lambda node, trans, now: heard.append(node))
-        e.protocol.heard_before = lambda trans: 0
-        e.send_broadcast("RREQ", 0, 0.0)
+        e.send_broadcast("RREQ", 0, 0.0, payload=None, event_id="f0")
         e.drain()
         assert heard == [1, 3]
         e.charge(1, 100.0)
         heard.clear()
         mark = len(e.log_buffer.getvalue())
         # had 1 lived, both copies would have collided there
-        e.send_broadcast("RREQ", 0, 1.0)
-        e.send_broadcast("RREQ", 2, 1.0)
+        e.send_broadcast("RREQ", 0, 1.0, payload=None, event_id="f1")
+        e.send_broadcast("RREQ", 2, 1.0, payload=None, event_id="f2")
         e.drain()
         assert heard == [3]
         assert " COLL " not in e.log_buffer.getvalue()[mark:]
+
+    # the engine's flood rule: each endpoint is handed a flood at most once,
+    # and never a flood it sent a frame of
+
+    LINE = {0: (0.0, 100.0), 1: (350.0, 100.0), 2: (700.0, 100.0)}
+
+    def record_copies(self, e):
+        """Stub the broadcast handler; returns the (receiver, sender,
+        flood) of every copy handed to it."""
+        heard = []
+        e.protocol.on_broadcast_received = (
+            lambda node, trans, now: heard.append(
+                (node, trans.tx, trans.event_id)))
+        return heard
+
+    def test_two_frames_of_one_flood_hand_one_copy(self, tmp_path):
+        # 1 hears 0 and 2, whose frames do not overlap
+        e = make_engine(tmp_path, self.LINE, (1500.0, 1500.0))
+        heard = self.record_copies(e)
+        e.send_broadcast("RREQ", 0, 0.0, payload=None, event_id="q")
+        e.drain()
+        e.send_broadcast("RREQ", 2, 1.0, payload=None, event_id="q")
+        e.drain()
+        assert heard == [(1, 0, "q")]
+        assert len([l for l in log_lines(e) if l.endswith(" q SENT")]) == 2
+
+    def test_flood_never_returns_to_its_sender(self, tmp_path):
+        # 1 passes 0's flood on once, to 0 and 2
+        e = make_engine(tmp_path, self.LINE, (1500.0, 1500.0))
+        heard, relayed = [], []
+
+        def relay(node, trans, now):
+            heard.append((node, trans.tx))
+            if node == 1 and not relayed:
+                relayed.append(now)
+                e.send_broadcast("RREQ", 1, now, payload=None,
+                                 event_id=trans.event_id)
+        e.protocol.on_broadcast_received = relay
+        e.send_broadcast("RREQ", 0, 0.0, payload=None, event_id="q")
+        e.drain()
+        assert heard == [(1, 0), (2, 1)]
+
+    def test_jammed_receiver_takes_a_later_clean_frame(self, tmp_path):
+        # 0's and 2's frames collide at 1; 2's later frame of 0's flood
+        # reaches 1 alone
+        e = make_engine(tmp_path, self.LINE, (1500.0, 1500.0))
+        heard = self.record_copies(e)
+        e.send_broadcast("RREQ", 0, 0.0, payload=None, event_id="q")
+        e.send_broadcast("RREQ", 2, 0.0, payload=None, event_id="x")
+        e.drain()
+        assert heard == []
+        assert len([l for l in log_lines(e) if " COLL " in l]) == 2
+        e.send_broadcast("RREQ", 2, 1.0, payload=None, event_id="q")
+        e.drain()
+        assert heard == [(1, 2, "q")]
+
+    def test_floods_do_not_mask_each_other(self, tmp_path):
+        e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0))
+        heard = self.record_copies(e)
+        e.send_broadcast("RREQ", 0, 0.0, payload=None, event_id="q")
+        e.drain()
+        e.send_broadcast("RREQ", 0, 1.0, payload=None, event_id="r")
+        e.drain()
+        assert heard == [(1, 0, "q"), (2, 0, "q"), (1, 0, "r"), (2, 0, "r")]
 
 
 class TestEnergyAccounting:
