@@ -41,7 +41,11 @@ class _BaseRunner:
     broadcast frame that is not jammed there and holds no copy of the
     frame's flood ``trans.event_id``: the engine keeps each flood's mask,
     the endpoints that sent a frame of it or were handed a copy; and the
-    callbacks a runner hands to ``send_unicast`` and ``schedule``. A runner
+    callbacks a runner hands to ``send_unicast`` and ``schedule``. Every
+    ``send_unicast`` call, which returns nothing, fires its ``on_result``
+    exactly once: ASLEEP, BUSY or NO_RX at once with ``trans`` None, BUSY
+    with the frame a stronger grab cancelled, or OK, COLLISION or NO_RX at
+    frame end; a deferred send reports only when its retry resolves. A runner
     reads only the engine's ``sc``, ``nodes``, ``awake``, ``now`` and
     ``pending`` (the hybrid one also ``locs``, ``radio`` and ``coeff``), no
     private member, and calls only ``schedule``, ``jitter``, ``new_packet``,

@@ -44,7 +44,6 @@ GRANT = "GRANT"
 BUSY = "BUSY"
 COLLISION = "COLLISION"
 NO_RX = "NO_RX"
-DEFERRED = "DEFERRED"
 OK = "OK"
 SENT = "SENT"
 
@@ -305,8 +304,7 @@ class Engine:
     def _cancel(self, trans: Transmission) -> None:
         trans.cancelled = True
         self._remove(trans)
-        if trans.on_result is not None:
-            trans.on_result(trans, BUSY, self.now)
+        trans.on_result(trans, BUSY, self.now)
 
     def _begin(self, trans: Transmission) -> None:
         # Pair the frame with every frame on the air that shares air time
@@ -330,25 +328,24 @@ class Engine:
         self.schedule(end, lambda: self._frame_end(trans))
 
     def send_unicast(self, kind: str, tx: object, rx: object, now: float, *,
-                     event_id: str = "-", payload=None,
-                     on_result: Optional[Callable] = None,
-                     defer_jitter: float = 0.0) -> str:
-        """Send one frame of ``kind`` from ``tx`` to ``rx`` at ``now``.
+                     on_result: Callable, event_id: str = "-", payload=None,
+                     defer_jitter: float = 0.0) -> None:
+        """Send one frame of ``kind`` from ``tx`` to ``rx`` at ``now``. The
+        one report of its fate is ``on_result(trans, outcome, t)``, fired
+        exactly once: ASLEEP, BUSY or NO_RX at once with ``trans`` None;
+        BUSY with ``trans`` itself when a stronger same-instant grab for
+        ``rx`` cancels the frame; OK, COLLISION or NO_RX at frame end.
 
         A drained ``tx`` sends nothing (ASLEEP). A node holds one frame at a
         time, so while ``tx`` is on the air the send waits until RETRY_GAP
         after its own frame ends, plus up to ``defer_jitter`` s when that is
-        non-zero (DEFERRED). Otherwise the receiver arbitrates; a grant
-        occupies the channel for the frame airtime. ``on_result(trans,
-        outcome, t)`` fires exactly once: OK / COLLISION / NO_RX at frame
-        end; at once, with ``trans`` None, ASLEEP / BUSY / NO_RX; or BUSY
-        with ``trans`` itself when a stronger same-instant grab for ``rx``
-        cancels the frame before it ends.
+        non-zero, and reports only when that retry resolves. Otherwise the
+        receiver arbitrates; a grant occupies the channel for the frame
+        airtime.
         """
         if tx not in self.awake:
-            if on_result is not None:
-                on_result(None, ASLEEP, now)
-            return ASLEEP
+            on_result(None, ASLEEP, now)
+            return
         own = self.active.get(tx)
         if own is not None:
             retry = own.end + RETRY_GAP
@@ -357,16 +354,14 @@ class Engine:
             self.schedule(retry, lambda: self.send_unicast(
                 kind, tx, rx, retry, event_id=event_id, payload=payload,
                 on_result=on_result, defer_jitter=defer_jitter))
-            return DEFERRED
+            return
         verdict = self.arbitrate(tx, rx, now)
-        if verdict in (BUSY, NO_RX):
-            if on_result is not None:
-                on_result(None, verdict, now)
-            return verdict
+        if verdict != GRANT:
+            on_result(None, verdict, now)
+            return
         air = frame_airtime(self.radio, self._frame_bits[kind])
         self._begin(Transmission(kind, tx, rx, now, now + air, event_id,
                                  payload, on_result))
-        return GRANT
 
     def send_broadcast(self, kind: str, tx: object, now: float, *,
                        payload, event_id: str) -> None:
@@ -473,8 +468,7 @@ class Engine:
         self.log(trans.start, trans.kind, tx, r, trans.event_id, outcome)
         if outcome == OK:
             self.charge(r, rx_energy(self.coeff, bits))
-        if trans.on_result is not None:
-            trans.on_result(trans, outcome, trans.end)
+        trans.on_result(trans, outcome, trans.end)
 
     # ------------------------------------------------------------------ packets
 

@@ -26,6 +26,7 @@ _REPORT_COLUMNS = (("execution_time_s", "execution_time"),
                    ("generated", "generated"),
                    ("delivered", "delivered"))
 _DROP_COLUMNS = [f"dropped_{reason.lower()}" for reason in DROP_REASONS]
+BASELINES = ("aodv", "dsr")  # the protocols check_dominance holds hyb against
 CSV_COLUMNS = ["protocol", "node_count", "seed",
                *(column for column, _ in _REPORT_COLUMNS), *_DROP_COLUMNS]
 
@@ -210,8 +211,7 @@ def summary_csv(table: ComparisonTable) -> str:
     return buf.getvalue()
 
 
-def check_dominance(table: ComparisonTable,
-                    baselines: Sequence[str] = ("aodv", "dsr")) -> List[str]:
+def check_dominance(table: ComparisonTable) -> List[str]:
     """Check the comparative trends the hybrid protocol is expected to show.
 
     Returns a list of violation descriptions; empty means all trends held.
@@ -220,11 +220,10 @@ def check_dominance(table: ComparisonTable,
     strictly lower for a majority of seeds at node counts of 50 and up.
     """
     problems = []
-    present = [b for b in baselines if any(r.protocol == b for r in table.runs)]
     if not any(r.protocol == "hyb" for r in table.runs):
         return ["no hyb runs in table"]
     for n in table.node_counts():
-        for b in present:
+        for b in BASELINES:
             if not table.cell(b, n) or not table.cell("hyb", n):
                 continue
             for attr in ("execution_time", "signals", "energy_consumed"):

@@ -246,5 +246,7 @@ def emit_scenario(sc: Scenario) -> str:
             v = f"{v[0]!r}{_PAIR_KEYS[f.name]}{v[1]!r}"
         elif f.name == "vertical_extent_N":
             v = "unbounded" if v is None else repr(v)
+        elif f.name == "placement" and ("#" in v or v.strip().splitlines() != [v]):
+            raise ScenarioError(f"placement {v!r} cannot be written to a file")
         lines.append(f"{f.name} = {v}")
     return "".join(line + "\n" for line in lines)

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hybsim.engine import (BROADCAST, BS, BUSY, COLLISION, CONFIG, DATA,
-                           DEFERRED, GRANT, NO_RX, OK, REPORT, RETRY_GAP, RREP,
+                           GRANT, NO_RX, OK, REPORT, RETRY_GAP, RREP,
                            RREQ, Engine, Transmission, generate_events,
                            place_nodes, substream)
 from hybsim.hyb import ASLEEP, HybNodeState
@@ -49,6 +49,18 @@ class Recorder:
 
     def __call__(self, trans, outcome, t):
         self.results.append((outcome, t))
+
+
+def ignore(trans, outcome, t):
+    """A unicast result callback that keeps nothing."""
+
+
+def granted(e, tx, rx):
+    """The frame on the air from ``tx``, asserted to go to ``rx``: what a
+    granted unicast leaves behind."""
+    trans = e.active[tx]
+    assert trans.rx == rx
+    return trans
 
 
 class TestSubstream:
@@ -109,13 +121,16 @@ class TestArbitration:
     def test_grant_on_idle_channel(self, tmp_path):
         e = self.make(tmp_path)
         rec = Recorder()
-        assert e.send_unicast("DATA", 0, 2, 0.0, on_result=rec) == GRANT
+        e.send_unicast("DATA", 0, 2, 0.0, on_result=rec)
+        granted(e, 0, 2)
+        assert rec.results == []
         e.drain()
         assert rec.results == [(OK, pytest.approx(2.048e-3))]
 
     def test_busy_when_receiver_transmitting(self, tmp_path):
         e = self.make(tmp_path)
-        assert e.send_unicast("DATA", 2, 3, 0.0) == GRANT
+        e.send_unicast("DATA", 2, 3, 0.0, on_result=ignore)
+        granted(e, 2, 3)
         rec = Recorder()
         e.schedule(1e-3, lambda: e.send_unicast("DATA", 0, 2, 1e-3,
                                                 on_result=rec))
@@ -124,7 +139,8 @@ class TestArbitration:
 
     def test_busy_when_receiver_hears_ongoing_frame(self, tmp_path):
         e = self.make(tmp_path)
-        assert e.send_unicast("DATA", 1, 2, 0.0) == GRANT
+        e.send_unicast("DATA", 1, 2, 0.0, on_result=ignore)
+        granted(e, 1, 2)
         rec = Recorder()
         e.schedule(1e-3, lambda: e.send_unicast("DATA", 3, 0, 1e-3,
                                                 on_result=rec))
@@ -135,17 +151,24 @@ class TestArbitration:
     def test_same_instant_power_contest(self, tmp_path):
         e = self.make(tmp_path)
         weak, strong = Recorder(), Recorder()
-        assert e.send_unicast("DATA", 0, 2, 0.0, on_result=weak) == GRANT
-        assert e.send_unicast("DATA", 1, 2, 0.0, on_result=strong) == GRANT
-        e.drain()
+        e.send_unicast("DATA", 0, 2, 0.0, on_result=weak)
+        first = granted(e, 0, 2)           # on the air before the strong grab
+        assert weak.results == []
+        e.send_unicast("DATA", 1, 2, 0.0, on_result=strong)
+        granted(e, 1, 2)
+        assert first.cancelled and 0 not in e.active
         assert weak.results == [(BUSY, 0.0)]        # cancelled by the winner
+        e.drain()
+        assert weak.results == [(BUSY, 0.0)]        # and nothing more
         assert strong.results[0][0] == OK
 
     def test_same_instant_weaker_loses_without_preempting(self, tmp_path):
         e = self.make(tmp_path)
         strong, weak = Recorder(), Recorder()
-        assert e.send_unicast("DATA", 1, 2, 0.0, on_result=strong) == GRANT
-        assert e.send_unicast("DATA", 0, 2, 0.0, on_result=weak) == BUSY
+        e.send_unicast("DATA", 1, 2, 0.0, on_result=strong)
+        granted(e, 1, 2)
+        e.send_unicast("DATA", 0, 2, 0.0, on_result=weak)
+        assert weak.results == [(BUSY, 0.0)] and 0 not in e.active
         e.drain()
         assert weak.results == [(BUSY, 0.0)]
         assert strong.results[0][0] == OK
@@ -155,8 +178,10 @@ class TestArbitration:
         e = make_engine(tmp_path, {0: (0.0, 0.0), 1: (200.0, 0.0),
                                    2: (100.0, 0.0)}, (1500.0, 1500.0))
         first, second = Recorder(), Recorder()
-        assert e.send_unicast("DATA", 0, 2, 0.0, on_result=first) == GRANT
-        assert e.send_unicast("DATA", 1, 2, 0.0, on_result=second) == BUSY
+        e.send_unicast("DATA", 0, 2, 0.0, on_result=first)
+        granted(e, 0, 2)
+        e.send_unicast("DATA", 1, 2, 0.0, on_result=second)
+        assert second.results == [(BUSY, 0.0)] and 1 not in e.active
         e.drain()
         assert second.results == [(BUSY, 0.0)]
         assert first.results[0][0] == OK
@@ -165,42 +190,49 @@ class TestArbitration:
         e = self.make(tmp_path)
         e.charge(2, 10.0)
         rec = Recorder()
-        assert e.send_unicast("DATA", 0, 2, 0.0, on_result=rec) == NO_RX
-        assert rec.results == [(NO_RX, 0.0)]
+        e.send_unicast("DATA", 0, 2, 0.0, on_result=rec)
+        assert rec.results == [(NO_RX, 0.0)] and e.active == {}
 
     def test_transmitter_channel_exclusivity_enforced(self, tmp_path):
         e = self.make(tmp_path)
-        assert e.send_unicast("DATA", 0, 2, 0.0) == GRANT
-        own = list(e.active.values())[0]
-        assert e.send_unicast("DATA", 0, 3, 0.0) == DEFERRED
+        e.send_unicast("DATA", 0, 2, 0.0, on_result=ignore)
+        own = granted(e, 0, 2)
+        rec = Recorder()
+        e.send_unicast("DATA", 0, 3, 0.0, on_result=rec)
         assert list(e.active.values()) == [own]  # the second frame waits
+        assert rec.results == []
         with pytest.raises(RuntimeError, match="already holds the channel"):
             e._begin(Transmission(kind="DATA", tx=0, rx=3, start=0.0,
                                   end=1.0))
+        e.drain()
+        assert [outcome for outcome, _ in rec.results] == [OK]
 
     def test_send_while_on_air_starts_after_own_frame(self, tmp_path):
         e = self.make(tmp_path)
-        assert e.send_unicast("DATA", 0, 2, 0.0) == GRANT
-        own_end = list(e.active.values())[0].end
+        e.send_unicast("DATA", 0, 2, 0.0, on_result=ignore)
+        own = granted(e, 0, 2)
         rng_state = e.rng_jitter.getstate()
         starts = []
-        assert e.send_unicast(
+        e.send_unicast(
             "DATA", 0, 3, 0.0,
             on_result=lambda trans, outcome, t: starts.append(
-                (trans.start, outcome))) == DEFERRED
+                (trans.start, outcome)))
+        assert list(e.active.values()) == [own] and starts == []
         e.drain()
-        assert starts == [(own_end + RETRY_GAP, OK)]
+        assert starts == [(own.end + RETRY_GAP, OK)]
         assert e.rng_jitter.getstate() == rng_state   # no jitter drawn
 
     def test_deferral_jitter_bounds_the_start(self, tmp_path):
         e = self.make(tmp_path)
         j = 1e-3
-        assert e.send_unicast("DATA", 0, 2, 0.0) == GRANT
-        earliest = list(e.active.values())[0].end + RETRY_GAP
+        e.send_unicast("DATA", 0, 2, 0.0, on_result=ignore)
+        own = granted(e, 0, 2)
+        earliest = own.end + RETRY_GAP
         starts = []
-        assert e.send_unicast(
+        e.send_unicast(
             "DATA", 0, 3, 0.0, defer_jitter=j,
-            on_result=lambda trans, outcome, t: starts.append(trans.start)) == DEFERRED
+            on_result=lambda trans, outcome, t: starts.append(trans.start))
+        assert list(e.active.values()) == [own] and starts == []
         e.drain()
         assert len(starts) == 1
         assert earliest <= starts[0] < earliest + j
@@ -209,7 +241,7 @@ class TestArbitration:
         e = self.make(tmp_path)
         e.charge(0, 10.0)
         rec = Recorder()
-        assert e.send_unicast("DATA", 0, 2, 0.0, on_result=rec) == ASLEEP
+        e.send_unicast("DATA", 0, 2, 0.0, on_result=rec)
         assert rec.results == [(ASLEEP, 0.0)]
         assert list(e.active.values()) == []
         e.drain()
@@ -252,8 +284,10 @@ class TestHiddenTerminal:
     def test_simultaneous_frames_all_lost(self, tmp_path):
         e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0))
         a, b = Recorder(), Recorder()
-        assert e.send_unicast("DATA", 0, 1, 0.0, on_result=a) == GRANT
-        assert e.send_unicast("DATA", 2, 3, 0.0, on_result=b) == GRANT
+        e.send_unicast("DATA", 0, 1, 0.0, on_result=a)
+        e.send_unicast("DATA", 2, 3, 0.0, on_result=b)
+        granted(e, 0, 1)
+        granted(e, 2, 3)
         e.drain()
         assert a.results[0][0] == COLLISION
         assert b.results[0][0] == COLLISION
@@ -268,8 +302,8 @@ class TestInterference:
 
     def test_answer_follows_frames_begun_between_calls(self, tmp_path):
         e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0))
-        assert e.send_unicast("DATA", 0, 1, 0.0) == GRANT
-        first = list(e.active.values())[0]
+        e.send_unicast("DATA", 0, 1, 0.0, on_result=ignore)
+        first = granted(e, 0, 1)
         assert not e._interfered(first, 1)
         # 2 does not hear 0
         e.send_broadcast("RREQ", 2, 1e-3, payload=None, event_id="f0")
@@ -284,10 +318,10 @@ class TestInterference:
         points = {0: (0.0, 100.0), 1: (300.0, 100.0), 2: (600.0, 100.0),
                   3: (900.0, 100.0), 4: (1000.0, 100.0)}
         e = make_engine(tmp_path, points, (1500.0, 1500.0))
-        assert e.send_unicast("DATA", 0, 1, 0.0) == GRANT
-        first = list(e.active.values())[0]
-        assert e.send_unicast("RREP", 2, 3, 1e-3) == GRANT
-        jammer = list(e.active.values())[1]
+        e.send_unicast("DATA", 0, 1, 0.0, on_result=ignore)
+        first = granted(e, 0, 1)
+        e.send_unicast("RREP", 2, 3, 1e-3, on_result=ignore)
+        jammer = granted(e, 2, 3)
         assert e._interfered(first, 1)
         assert e.arbitrate(4, 3, 1e-3) == GRANT
         assert jammer.cancelled and e.active == {0: first}
@@ -437,7 +471,7 @@ class TestInterferenceOracle:
                     RREQ, tx, t, payload=None, event_id=f"f{i}"))
             elif rx != tx:
                 e.schedule(t, lambda t=t, kind=kind, tx=tx, rx=rx:
-                           e.send_unicast(kind, tx, rx, t))
+                           e.send_unicast(kind, tx, rx, t, on_result=ignore))
         e.drain()
         assert all(t.overlaps is None for t in frames)
 
@@ -482,7 +516,8 @@ class TestBroadcast:
     def test_carrier_sense_defers_behind_active_frame(self, tmp_path):
         e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0))
         e.protocol.on_broadcast_received = lambda *a: None
-        assert e.send_unicast("DATA", 1, 2, 0.0) == GRANT
+        e.send_unicast("DATA", 1, 2, 0.0, on_result=ignore)
+        granted(e, 1, 2)
         # 0 hears 1: must defer
         e.send_broadcast("RREQ", 0, 0.0, payload=None, event_id="f0")
         e.drain()
@@ -680,7 +715,8 @@ class TestHybRunner:
     def test_sender_drained_before_its_busy_retry_drops_asleep(self, tmp_path):
         e = make_engine(tmp_path, self.POINTS, (0.0, 0.0))
         e.protocol.configure(0.0)
-        assert e.send_unicast("DATA", 1, BS, 0.0) == GRANT
+        e.send_unicast("DATA", 1, BS, 0.0, on_result=ignore)
+        granted(e, 1, BS)
         e.protocol.on_sense(0, "ev0", 0.0)   # 1 is busy: retry toward 2
         e.charge(0, 100.0)
         e.drain()
@@ -697,7 +733,8 @@ class TestHybRunner:
         e = make_engine(tmp_path, self.ROW3, (0.0, 0.0))
         e.protocol.configure(0.0)
         assert e.protocol.neighbour_table.rows[0] == (1, 2, 3)
-        assert e.send_unicast(DATA, 1, BS, 0.0) == GRANT
+        e.send_unicast(DATA, 1, BS, 0.0, on_result=ignore)
+        granted(e, 1, BS)
         grabs, arbitrate = [], e.arbitrate
 
         def recording(tx, rx, now):
@@ -743,22 +780,25 @@ class TestHybRunner:
         send, steps = e.send_unicast, []
         counts = e.protocol.states[0].use_count
 
-        def recording(kind, tx, rx, now, **kw):
-            before, seq = list(e._heap), e._seq
-            verdict = send(kind, tx, rx, now, **kw)
+        def recording(kind, tx, rx, now, *, on_result, **kw):
+            before, seq, fired = list(e._heap), e._seq, []
+
+            def reported(trans, outcome, t):
+                fired.append(outcome)
+                on_result(trans, outcome, t)
+            send(kind, tx, rx, now, on_result=reported, **kw)
             kept = {id(entry) for entry in before}
-            steps.append((verdict, e._seq - seq, [
+            steps.append((fired, e._seq - seq, [
                 entry[0] for entry in e._heap if id(entry) not in kept],
                 dict(counts)))
-            return verdict
         e.send_unicast = recording
         e.protocol.on_sense(0, "ev0", 0.0)
         e.drain()
         # the last BUSY leaves no candidate: the packet drops, unscheduled
         assert steps == [
-            (BUSY, 1, [RETRY_GAP], {1: 1, 2: 0, 3: 0}),
-            (BUSY, 1, [RETRY_GAP + RETRY_GAP], {1: 1, 2: 1, 3: 0}),
-            (BUSY, 0, [], {1: 1, 2: 1, 3: 1})]
+            ([BUSY], 1, [RETRY_GAP], {1: 1, 2: 0, 3: 0}),
+            ([BUSY], 1, [RETRY_GAP + RETRY_GAP], {1: 1, 2: 1, 3: 0}),
+            ([BUSY], 0, [], {1: 1, 2: 1, 3: 1})]
         assert e.dropped["NO_ROUTE"] == 1
 
     def test_refresh_installs_only_changed_rows(self, monkeypatch):
@@ -789,6 +829,57 @@ class TestHybRunner:
         assert installed == [n for n in sorted(new) if new[n] != old[n]]
         assert 0 < len(installed) < len(new)
         assert configs() == sent + 2 * len(e.nodes) - 1
+
+
+class EngineProxy:
+    """Stands in for the engine a runner holds. It records the name of each
+    engine member the runner reads, and wraps the result callback of each
+    unicast the runner sends so as to count its reports."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        self.read = set()
+        self.reports = []  # per send_unicast call, its on_result's firings
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        if name == "send_unicast":
+            return self._send_unicast
+        return getattr(self._engine, name)
+
+    def _send_unicast(self, *args, on_result, **kw):
+        fired = [0]
+        self.reports.append(fired)
+
+        def counted(trans, outcome, t):
+            fired[0] += 1
+            on_result(trans, outcome, t)
+        self._engine.send_unicast(*args, on_result=counted, **kw)
+
+
+class TestRunnerContract:
+    """The runner contract of ``baselines._BaseRunner``, held by every
+    runner over whole runs: the engine members it reads, and one report
+    per unicast."""
+
+    # the members _BaseRunner's docstring lets a runner read or call
+    ALLOWED = {"sc", "nodes", "awake", "now", "pending", "locs", "radio",
+               "coeff", "schedule", "jitter", "new_packet", "drop", "deliver",
+               "send_unicast", "send_broadcast", "send_oob_control"}
+
+    @pytest.mark.parametrize("protocol,battery,liveness", [
+        *((p, b, "ground_truth") for p in ("hyb", "aodv", "dsr")
+          for b in (FULL, 0.05)),
+        ("hyb", 0.05, "reported")])
+    def test_runner_keeps_the_contract(self, protocol, battery, liveness):
+        e = Engine(Scenario(protocol=protocol, node_count=60, sim_time=20,
+                            seed=1, initial_energy=battery,
+                            liveness=liveness))
+        proxy = e.protocol.e = EngineProxy(e)
+        e.run()
+        assert proxy.read <= self.ALLOWED, proxy.read - self.ALLOWED
+        assert proxy.reports
+        assert [n for [n] in proxy.reports if n != 1] == []
 
 
 class TestJitter:

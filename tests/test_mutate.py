@@ -1,7 +1,10 @@
-"""tools/mutate.py's mutant generation, on literal snippets; no suite runs."""
+"""tools/mutate.py's mutant generation, on literal snippets, and the test
+order of its suite runs."""
 
 import ast
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -65,3 +68,24 @@ def test_changed_lines_reads_the_new_side_of_a_diff():
             "@@ -10 +11 @@\n@@ -20,4 +22,0 @@\n"
             "--- a/src/y.py\n+++ /dev/null\n@@ -1,5 +0,0 @@\n")
     assert mutate.changed_lines(diff) == {"src/x.py": {3, 4, 5, 11}}
+
+
+def test_conftest_collects_the_golden_digests_first(tmp_path):
+    # a tree of three test files: the digests move ahead, the rest keep
+    # their collected order, and no test is added or lost
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    for name, count in (("test_a.py", 2), ("test_golden_logs.py", 2),
+                        ("test_z.py", 1)):
+        (tests / name).write_text("".join(
+            f"def test_{k}():\n    pass\n" for k in range(count)))
+    (tmp_path / "conftest.py").write_text(mutate.CONFTEST)
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "-p", "no:cacheprovider"], cwd=tmp_path, capture_output=True,
+        text=True, check=True).stdout
+    assert [line for line in out.splitlines() if "::" in line] == [
+        "tests/test_golden_logs.py::test_0", "tests/test_golden_logs.py::test_1",
+        "tests/test_a.py::test_0", "tests/test_a.py::test_1",
+        "tests/test_z.py::test_0"]
+    assert (Path(__file__).parents[1] / mutate.FIRST).is_file()

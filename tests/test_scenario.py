@@ -246,6 +246,29 @@ class TestRoundTrip:
                       bs_location=(0.1 + 0.2, 1e-7), vertical_extent_N=1 / 3)
         assert parse_scenario(emit_scenario(sc)) == sc
 
+    @staticmethod
+    def two_nodes(tmp_path, name):
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("0 , 10.0 , 20.0\n1 , 30.0 , 40.0\n")
+        return str(path)
+
+    def test_placement_path_with_inner_spaces_round_trips(self, tmp_path):
+        sc = Scenario(placement=self.two_nodes(tmp_path, "my nodes/n.txt"),
+                      node_count=2)
+        assert parse_scenario(emit_scenario(sc)) == sc
+
+    # the file format cuts each line at '#' and at line breaks, and strips it
+    @pytest.mark.parametrize("name", ["p#q/n.txt", "p\nq/n.txt", "p\rq/n.txt",
+                                      "n.txt ", "n.txt\n", " n.txt"])
+    def test_placement_the_file_cannot_carry_refused(self, tmp_path,
+                                                     monkeypatch, name):
+        self.two_nodes(tmp_path, name)
+        monkeypatch.chdir(tmp_path)  # a relative path may begin with a space
+        sc = Scenario(placement=name, node_count=2)
+        with pytest.raises(ScenarioError, match="cannot be written"):
+            emit_scenario(sc)
+
     @settings(max_examples=300, deadline=None)
     @given(entries=scenario_entries())
     def test_parse_emit_parse_round_trips(self, entries):

@@ -7,9 +7,12 @@ source span of the node it changes. Mutants run one at a time, in a
 temporary copy of the tree, as ``python -m pytest -x -q -p no:cacheprovider``
 with a limit of TIMEOUT seconds and of MEMORY bytes of address space per
 process, since a mutant can keep ``drain`` from ending while its log grows.
-A run past its time is ended with every process it started. A mutant the
-suite fails on is killed; one it passes survives. The working tree is never
-written, and the copy is removed. It needs a POSIX system.
+A run past its time is ended with every process it started. A
+``conftest.py`` written to the copy's root runs the golden log digests
+first: they take seconds and fail on most mutants, among them many that
+make a longer test run endless. A mutant the suite fails on is killed; one
+it passes survives. The working tree is never written, and the copy is
+removed. It needs a POSIX system.
 
     python tools/mutate.py                       # every mutant
     python tools/mutate.py --since HEAD~1        # lines changed since a rev
@@ -40,6 +43,13 @@ PACKAGE = Path("src") / "hybsim"
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
 TIMEOUT = 180.0  # s per suite run; an unmutated tier-1 run takes ~35 s
 MEMORY = 1 << 30  # address space per process; tier-1 peaks at ~120 MB RSS
+FIRST = "tests/test_golden_logs.py"
+# appended to the copy's root conftest.py: FIRST's tests move ahead of the
+# rest, and the set of tests and their order otherwise stay as collected
+CONFTEST = f"""
+def pytest_collection_modifyitems(items):
+    items.sort(key=lambda item: not item.nodeid.startswith("{FIRST}::"))
+"""
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
                                  ".pytest_cache", "*.egg-info", "out")
 
@@ -205,6 +215,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=IGNORED)
+        with open(tree / "conftest.py", "a", encoding="utf-8") as fh:
+            fh.write(CONFTEST)
         if mutants and run_suite(tree) != "passed":
             print("the unmutated suite does not pass; no mutant was run")
             return 0
