@@ -35,21 +35,24 @@ class _BaseRunner:
     """Shared discovery/retransmission skeleton for both baselines, and
     the runner contract, written once.
 
-    The engine calls a runner only through ``configure(now)``, once at
-    t = 0; ``on_sense(node, event_id, now)``, per node sensing an event;
-    ``on_broadcast_received(node, trans, now)``, per awake receiver of a
+    The engine calls a runner only through ``configure()``, once at t = 0;
+    ``on_sense(node, event_id)``, per node sensing an event;
+    ``on_broadcast_received(node, trans)``, per awake receiver of a
     broadcast frame that is not jammed there and holds no copy of the
     frame's flood ``trans.event_id``: the engine keeps each flood's mask,
     the endpoints that sent a frame of it or were handed a copy; and the
-    callbacks a runner hands to ``send_unicast`` and ``schedule``. Every
-    ``send_unicast`` call, which returns nothing, fires its ``on_result``
-    exactly once: ASLEEP, BUSY or NO_RX at once with ``trans`` None, BUSY
-    with the frame a stronger grab cancelled, or OK, COLLISION or NO_RX at
-    frame end; a deferred send reports only when its retry resolves. A runner
-    reads only the engine's ``sc``, ``nodes``, ``awake``, ``now`` and
-    ``pending`` (the hybrid one also ``locs``, ``radio`` and ``coeff``), no
-    private member, and calls only ``schedule``, ``jitter``, ``new_packet``,
-    ``drop``, ``deliver`` and the three ``send_*`` methods.
+    callbacks a runner hands to ``send_unicast`` and ``schedule``. No call
+    carries the current time: ``Engine.now`` is the one clock, handlers
+    read it, and every send, drop and delivery happens at it. Every
+    ``send_unicast`` call, which returns nothing, fires its
+    ``on_result(trans, outcome)`` exactly once: ASLEEP, BUSY or NO_RX at
+    once with ``trans`` None, BUSY with the frame a stronger grab
+    cancelled, or OK, COLLISION or NO_RX at frame end; a deferred send
+    reports only when its retry resolves. A runner reads only the engine's
+    ``sc``, ``nodes``, ``awake``, ``now`` and ``pending`` (the hybrid one
+    also ``locs``, ``radio`` and ``coeff``), no private member, and calls
+    only ``schedule``, ``jitter``, ``new_packet``, ``drop``, ``deliver``
+    and the three ``send_*`` methods.
 
     A baseline supplies its ``node_state`` class and two hooks:
     ``_best_route(node)``, the route to the sink known at ``node`` or None,
@@ -66,98 +69,96 @@ class _BaseRunner:
         self.e = engine_
         self.states = {n: self.node_state() for n in engine_.nodes}
 
-    def configure(self, now: float) -> None:
+    def configure(self) -> None:
         pass  # on-demand protocols have no configuration phase
 
     # ---------------------------------------------------------------- origin
 
-    def on_sense(self, node, event_id: str, now: float) -> None:
+    def on_sense(self, node, event_id: str) -> None:
         e = self.e
-        pkt = e.new_packet(event_id, node, now)
+        pkt = e.new_packet(event_id, node)
         if node not in e.awake:
-            e.drop(pkt, ASLEEP, node, now)
+            e.drop(pkt, ASLEEP, node)
             return
         pkt.route = self._best_route(node)
         if pkt.route is None:
-            self._await_route(node, pkt, now)
+            self._await_route(node, pkt)
         else:
-            self._send_data(node, pkt, now)
+            self._send_data(node, pkt)
 
     # ---------------------------------------------------------------- data
 
-    def on_data_received(self, node, pkt, now) -> None:
+    def on_data_received(self, node, pkt) -> None:
         if node in pkt.visited:
-            self.e.drop(pkt, NO_ROUTE, node, now)  # routing loop guard
+            self.e.drop(pkt, NO_ROUTE, node)  # routing loop guard
             return
         pkt.visited.append(node)
         pkt.retry_count = 0
-        self._relay(node, pkt, now)
+        self._relay(node, pkt)
 
-    def _relay(self, node, pkt, now) -> None:
-        self._send_data(node, pkt, now)
+    def _relay(self, node, pkt) -> None:
+        self._send_data(node, pkt)
 
-    def _data_result(self, node, pkt, trans, outcome, now) -> None:
+    def _data_result(self, node, pkt, trans, outcome) -> None:
         e = self.e
         if outcome == OK:
             if trans.rx == BS:
-                e.deliver(pkt, node, now)
+                e.deliver(pkt, node)
             else:
-                self.on_data_received(trans.rx, pkt, now)
+                self.on_data_received(trans.rx, pkt)
             return
         if outcome == ASLEEP:
-            e.drop(pkt, ASLEEP, node, now)
+            e.drop(pkt, ASLEEP, node)
             return
         # BUSY / COLLISION / NO_RX: bounded retransmission with backoff
         pkt.retry_count += 1
         if pkt.retry_count <= e.sc.data_retries:
             delay = e.sc.retry_backoff * (2 ** (pkt.retry_count - 1))
-            retry = now + delay + e.jitter(1e-3)
-            e.schedule(retry, lambda: self._send_data(node, pkt, retry))
+            e.schedule(e.now + delay + e.jitter(1e-3),
+                       partial(self._send_data, node, pkt))
         else:
-            self._give_up(node, pkt, now)
+            self._give_up(node, pkt)
 
-    def _transmit_data(self, node, rx, pkt, now) -> None:
-        self.e.send_unicast(
-            DATA, node, rx, now, event_id=pkt.event_id,
-            defer_jitter=DEFER_JITTER,
-            on_result=lambda trans, outcome, t: self._data_result(
-                node, pkt, trans, outcome, t))
+    def _transmit_data(self, node, rx, pkt) -> None:
+        self.e.send_unicast(DATA, node, rx, event_id=pkt.event_id,
+                            defer_jitter=DEFER_JITTER,
+                            on_result=partial(self._data_result, node, pkt))
 
     # ------------------------------------------------------------ discovery
 
-    def _await_route(self, node, pkt, now) -> None:
+    def _await_route(self, node, pkt) -> None:
         """Queue a packet at its origin; flood unless a discovery runs."""
         st = self.states[node]
         st.pending.append(pkt)
         if not st.disc_attempts:
-            self._flood(node, now)
+            self._flood(node)
 
-    def _flood(self, node, now) -> None:
+    def _flood(self, node) -> None:
         e = self.e
         st = self.states[node]
         st.disc_attempts += 1
         st.rreq_counter += 1
-        e.send_broadcast(RREQ, node, now, payload=self._rreq_payload(node),
+        e.send_broadcast(RREQ, node, payload=self._rreq_payload(node),
                          event_id=f"rq{node}.{st.rreq_counter}")
-        deadline = now + e.sc.discovery_timeout
-        e.schedule(deadline, lambda: self._discovery_timeout(node, deadline))
+        e.schedule(e.now + e.sc.discovery_timeout,
+                   partial(self._discovery_timeout, node))
 
-    def _discovery_timeout(self, node, now) -> None:
+    def _discovery_timeout(self, node) -> None:
         st = self.states[node]
         if not st.disc_attempts:
             return  # its discovery has ended
         if self._best_route(node) is not None:
-            self._route_available(node, now)
+            self._route_available(node)
             return
         if st.disc_attempts <= self.e.sc.discovery_retries:
-            self._flood(node, now)
+            self._flood(node)
             return
         st.disc_attempts = 0
         for pkt in st.pending:
-            self.e.drop(pkt, NO_ROUTE, node, now)
+            self.e.drop(pkt, NO_ROUTE, node)
         st.pending = []
 
-    def _route_available(self, node, now) -> None:
+    def _route_available(self, node) -> None:
         """Flush queued packets once a route to the sink exists."""
         st = self.states[node]
         route = self._best_route(node)
@@ -165,33 +166,33 @@ class _BaseRunner:
         pending, st.pending = st.pending, []
         for pkt in pending:
             pkt.route = route
-            self._send_data(node, pkt, now)
+            self._send_data(node, pkt)
 
     def _rreq_payload(self, node):
         """The body of a route request ``node`` originates: its origin."""
         return node
 
-    def _rebroadcast(self, node, trans, payload, now) -> None:
+    def _rebroadcast(self, node, trans, payload) -> None:
         e = self.e
-        retry = now + e.jitter(5e-3)
-        e.schedule(retry, partial(e.send_broadcast, RREQ, node, retry,
-                                  payload=payload, event_id=trans.event_id))
+        e.schedule(e.now + e.jitter(5e-3),
+                   partial(e.send_broadcast, RREQ, node, payload=payload,
+                           event_id=trans.event_id))
 
     # --------------------------------------------------------------- replies
 
-    def _send_rrep(self, frm, to, payload, now) -> None:
-        self.e.send_unicast(RREP, frm, to, now, payload=payload,
+    def _send_rrep(self, frm, to, payload) -> None:
+        self.e.send_unicast(RREP, frm, to, payload=payload,
                             on_result=self._rrep_result,
                             defer_jitter=DEFER_JITTER)
 
-    def _rrep_result(self, trans, outcome, now) -> None:
+    def _rrep_result(self, trans, outcome) -> None:
         if outcome != OK:
             return  # a lost reply is recovered by the discovery retry
         node = trans.rx
         onward = self._learn_route(node, trans)
-        self._route_available(node, now)
+        self._route_available(node)
         if onward is not None:
-            self._send_rrep(node, *onward, now)
+            self._send_rrep(node, *onward)
 
 
 @dataclass
@@ -211,28 +212,28 @@ class AodvRunner(_BaseRunner):
     def _best_route(self, node) -> Optional[Tuple[object, int]]:
         return self.states[node].route
 
-    def _send_data(self, node, pkt, now) -> None:
+    def _send_data(self, node, pkt) -> None:
         # the next hop is read per attempt, never from pkt.route
         st = self.states[node]
         if st.route is None:
             if node == pkt.origin:
-                self._await_route(node, pkt, now)
+                self._await_route(node, pkt)
             else:
-                self.e.drop(pkt, NO_ROUTE, node, now)
+                self.e.drop(pkt, NO_ROUTE, node)
             return
-        self._transmit_data(node, st.route[0], pkt, now)
+        self._transmit_data(node, st.route[0], pkt)
 
-    def _give_up(self, node, pkt, now) -> None:
+    def _give_up(self, node, pkt) -> None:
         self.states[node].route = None  # the link is deemed broken
-        self.e.drop(pkt, CONGESTION, node, now)
+        self.e.drop(pkt, CONGESTION, node)
 
-    def on_broadcast_received(self, node, trans, now) -> None:
+    def on_broadcast_received(self, node, trans) -> None:
         origin = trans.payload
         if node == BS:
-            self._send_rrep(BS, trans.tx, (origin, 0), now)
+            self._send_rrep(BS, trans.tx, (origin, 0))
             return
         self.states[node].reverse[origin] = trans.tx
-        self._rebroadcast(node, trans, origin, now)
+        self._rebroadcast(node, trans, origin)
 
     def _learn_route(self, node, trans):
         origin, route_len = trans.payload
@@ -286,27 +287,27 @@ class DsrRunner(_BaseRunner):
     def _rreq_payload(self, node) -> Tuple[object, ...]:
         return (node,)  # the route record
 
-    def _send_data(self, node, pkt, now) -> None:
-        self._transmit_data(node, pkt.route[1], pkt, now)
+    def _send_data(self, node, pkt) -> None:
+        self._transmit_data(node, pkt.route[1], pkt)
 
-    def _give_up(self, node, pkt, now) -> None:
+    def _give_up(self, node, pkt) -> None:
         self._purge(node, pkt.route[1])
-        self.e.drop(pkt, CONGESTION, node, now)
+        self.e.drop(pkt, CONGESTION, node)
 
-    def _relay(self, node, pkt, now) -> None:
+    def _relay(self, node, pkt) -> None:
         # forwarding is stateless; snoop the tail of the carried route
         pkt.route = pkt.route[1:]
         self._cache(node, pkt.route)
-        self._send_data(node, pkt, now)
+        self._send_data(node, pkt)
 
     # ------------------------------------------------------------ discovery
 
-    def on_broadcast_received(self, node, trans, now) -> None:
+    def on_broadcast_received(self, node, trans) -> None:
         record = trans.payload
         if node == BS:
-            self._send_rrep(BS, record[-1], record + (BS,), now)
+            self._send_rrep(BS, record[-1], record + (BS,))
             return
-        self._rebroadcast(node, trans, record + (node,), now)
+        self._rebroadcast(node, trans, record + (node,))
 
     def _learn_route(self, node, trans):
         route = trans.payload

@@ -28,6 +28,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _entries(item, choices=()):
+    """An argparse type: comma-separated, distinct ``item(entry)`` values,
+    each one of ``choices`` when there are any."""
+    def parse(text):
+        values = [item(entry.strip()) for entry in text.split(",")]
+        if len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"repeated entry in {text!r}")
+        if choices and not set(values) <= set(choices):
+            raise argparse.ArgumentTypeError(f"unknown entry in {text!r}")
+        return values
+    parse.__name__ = f"{item.__name__} list"  # argparse names it in errors
+    return parse
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="hybsim",
                 description="Wireless sensor network routing simulator")
@@ -42,9 +56,11 @@ def _build_parser() -> _Parser:
 
     cmp_ = sub.add_parser("compare", help="run a protocol comparison")
     cmp_.add_argument("scenario")
-    cmp_.add_argument("--protocols", default="hyb,aodv,dsr")
-    cmp_.add_argument("--seeds", default="1")
-    cmp_.add_argument("--nodes", help="comma-separated node counts to sweep")
+    cmp_.add_argument("--protocols", type=_entries(str, PROTOCOLS),
+                      default="hyb,aodv,dsr")
+    cmp_.add_argument("--seeds", type=_entries(int), default="1")
+    cmp_.add_argument("--nodes", type=_entries(int),
+                      help="comma-separated node counts to sweep")
     cmp_.add_argument("--out", required=True, help="output directory")
     cmp_.add_argument("--check", action="store_true",
                       help="exit 3 unless the hybrid protocol dominates")
@@ -67,6 +83,15 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _write(path, text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout without one."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _report_text(report: metrics.MetricsReport) -> str:
     lines = [f"{f.name} = {getattr(report, f.name)}"
              for f in fields(report) if f.name != "dropped"]
@@ -84,32 +109,20 @@ def _cmd_run(args) -> int:
         sc = replace(sc, seed=args.seed)
     report, log = metrics.run_scenario(sc)
     if args.log:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            fh.write(log)
-    text = _report_text(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        _write(args.log, log)
+    _write(args.out, _report_text(report))
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
     with open(args.scenario, "r", encoding="utf-8") as fh:
         sc = parse_scenario(fh.read())
-    protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    nodes = None
-    if args.nodes:
-        nodes = [int(n) for n in args.nodes.split(",") if n.strip()]
-    table = metrics.compare(sc, protocols, seeds, node_counts=nodes)
+    table = metrics.compare(sc, args.protocols, args.seeds,
+                            node_counts=args.nodes)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "runs.csv"), "w", encoding="utf-8") as fh:
-        fh.write(metrics.runs_csv(table))
+    _write(os.path.join(args.out, "runs.csv"), metrics.runs_csv(table))
     summary = metrics.summary_csv(table)
-    with open(os.path.join(args.out, "summary.csv"), "w", encoding="utf-8") as fh:
-        fh.write(summary)
+    _write(os.path.join(args.out, "summary.csv"), summary)
     sys.stdout.write(summary)
     if args.check:
         problems = metrics.check_dominance(table)
@@ -137,12 +150,7 @@ def _cmd_gen_topology(args) -> int:
     w, _, h = args.size.partition("x")
     sc = Scenario(node_count=args.nodes,
                   topology_size=(float(w), float(h)), seed=args.seed)
-    text = emit_location_file(place_nodes(sc))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, emit_location_file(place_nodes(sc)))
     return EXIT_OK
 
 

@@ -304,7 +304,7 @@ class Engine:
     def _cancel(self, trans: Transmission) -> None:
         trans.cancelled = True
         self._remove(trans)
-        trans.on_result(trans, BUSY, self.now)
+        trans.on_result(trans, BUSY)
 
     def _begin(self, trans: Transmission) -> None:
         # Pair the frame with every frame on the air that shares air time
@@ -327,11 +327,11 @@ class Engine:
         self._on_air |= trans.reach
         self.schedule(end, lambda: self._frame_end(trans))
 
-    def send_unicast(self, kind: str, tx: object, rx: object, now: float, *,
+    def send_unicast(self, kind: str, tx: object, rx: object, *,
                      on_result: Callable, event_id: str = "-", payload=None,
                      defer_jitter: float = 0.0) -> None:
         """Send one frame of ``kind`` from ``tx`` to ``rx`` at ``now``. The
-        one report of its fate is ``on_result(trans, outcome, t)``, fired
+        one report of its fate is ``on_result(trans, outcome)``, fired
         exactly once: ASLEEP, BUSY or NO_RX at once with ``trans`` None;
         BUSY with ``trans`` itself when a stronger same-instant grab for
         ``rx`` cancels the frame; OK, COLLISION or NO_RX at frame end.
@@ -344,27 +344,27 @@ class Engine:
         airtime.
         """
         if tx not in self.awake:
-            on_result(None, ASLEEP, now)
+            on_result(None, ASLEEP)
             return
         own = self.active.get(tx)
         if own is not None:
             retry = own.end + RETRY_GAP
             if defer_jitter:
                 retry += self.jitter(defer_jitter)
-            self.schedule(retry, lambda: self.send_unicast(
-                kind, tx, rx, retry, event_id=event_id, payload=payload,
-                on_result=on_result, defer_jitter=defer_jitter))
+            self.schedule(retry, partial(
+                self.send_unicast, kind, tx, rx, on_result=on_result,
+                event_id=event_id, payload=payload, defer_jitter=defer_jitter))
             return
-        verdict = self.arbitrate(tx, rx, now)
+        verdict = self.arbitrate(tx, rx, self.now)
         if verdict != GRANT:
-            on_result(None, verdict, now)
+            on_result(None, verdict)
             return
-        air = frame_airtime(self.radio, self._frame_bits[kind])
+        now, air = self.now, frame_airtime(self.radio, self._frame_bits[kind])
         self._begin(Transmission(kind, tx, rx, now, now + air, event_id,
                                  payload, on_result))
 
-    def send_broadcast(self, kind: str, tx: object, now: float, *,
-                       payload, event_id: str) -> None:
+    def send_broadcast(self, kind: str, tx: object, *, payload,
+                       event_id: str) -> None:
         """Carrier-sense broadcast of a control frame: defers while the
         transmitter hears an ongoing transmission, then occupies the
         channel; copies are handed to the protocol per receiver at frame
@@ -379,15 +379,14 @@ class Engine:
                 if t.reach & mine and t.end > busy_until:
                     busy_until = t.end
             retry = busy_until + self.jitter(1e-3)
-            self.schedule(retry, lambda: self.send_broadcast(
-                kind, tx, retry, payload=payload, event_id=event_id))
+            self.schedule(retry, partial(self.send_broadcast, kind, tx,
+                                         payload=payload, event_id=event_id))
             return
-        air = frame_airtime(self.radio, self._frame_bits[kind])
+        now, air = self.now, frame_airtime(self.radio, self._frame_bits[kind])
         self._begin(Transmission(kind, tx, BROADCAST, now, now + air,
                                  event_id, payload))
 
-    def send_oob_control(self, kind: str, tx: object, rx: object,
-                         now: float) -> None:
+    def send_oob_control(self, kind: str, tx: object, rx: object) -> None:
         """Zero-airtime control frame (residual reports, configuration).
 
         Charged and counted as a signal but never contends for the channel.
@@ -399,7 +398,7 @@ class Engine:
         bits = self._frame_bits[kind]
         self.charge(tx, tx_energy(self.coeff, bits, self.dist(tx, rx)))
         self.charge(rx, rx_energy(self.coeff, bits))
-        self.log(now, kind, tx, rx, "-", OK)
+        self.log(self.now, kind, tx, rx, "-", OK)
 
     def _jam_mask(self, trans: Transmission) -> int:
         # every other frame that shares air time with trans and was not
@@ -446,7 +445,7 @@ class Engine:
             held = self._flooded.get(event_id, 0) | self._bit[tx]
             head = f"{stamp}{COLL} {tx} "
             tail = f" {event_id} {COLLISION}\n"
-            end, charge = trans.end, self.charge
+            charge = self.charge
             received = self.protocol.on_broadcast_received
             for r, bit in self._receivers(tx):
                 if bit & jammed:
@@ -455,7 +454,7 @@ class Engine:
                     charge(r, cost)
                     if not bit & held:
                         held |= bit
-                        received(r, trans, end)
+                        received(r, trans)
             self._flooded[event_id] = held
             return
 
@@ -468,27 +467,27 @@ class Engine:
         self.log(trans.start, trans.kind, tx, r, trans.event_id, outcome)
         if outcome == OK:
             self.charge(r, rx_energy(self.coeff, bits))
-        trans.on_result(trans, outcome, trans.end)
+        trans.on_result(trans, outcome)
 
     # ------------------------------------------------------------------ packets
 
-    def new_packet(self, event_id: str, origin: int, now: float) -> DataPacket:
+    def new_packet(self, event_id: str, origin: int) -> DataPacket:
         self.generated += 1
-        return DataPacket(event_id, origin, now)
+        return DataPacket(event_id, origin, self.now)
 
-    def drop(self, pkt: DataPacket, reason: str, node: object, now: float) -> None:
+    def drop(self, pkt: DataPacket, reason: str, node: object) -> None:
         if pkt.terminal:
             raise RuntimeError("packet already resolved")
         pkt.terminal = True
         self.dropped[reason] += 1
-        self.log(now, "DROP", node, "-", pkt.event_id, reason)
+        self.log(self.now, "DROP", node, "-", pkt.event_id, reason)
 
-    def deliver(self, pkt: DataPacket, last_tx: object, now: float) -> None:
+    def deliver(self, pkt: DataPacket, last_tx: object) -> None:
         if pkt.terminal:
             raise RuntimeError("packet already resolved")
         pkt.terminal = True
         self.delivered += 1
-        self.log(now, "DELIVER", last_tx, BS, pkt.event_id, f"hops={pkt.hops}")
+        self.log(self.now, "DELIVER", last_tx, BS, pkt.event_id, f"hops={pkt.hops}")
 
     # ------------------------------------------------------------------ run
 
@@ -501,7 +500,7 @@ class Engine:
         through one feed entry per event, each queued when the one before it
         runs; see ``_feed``.
         """
-        self.protocol.configure(0.0)
+        self.protocol.configure()
         sensed, jitter = [], array("d")
         for t, event_id, where in generate_events(self.sc):
             nodes = self.sensors(where)
@@ -540,7 +539,7 @@ class Engine:
             for i, n in enumerate(nodes):
                 at = t + jitter[j + i]
                 heapq.heappush(heap, (at, seq + 1 + i,
-                                      partial(sense, n, event_id, at)))
+                                      partial(sense, n, event_id)))
             if k + 1 < len(sensed):
                 self._feed(sensed, jitter, k + 1, seq + len(nodes) + 1,
                            j + len(nodes))
@@ -566,11 +565,10 @@ class HybRunner:
         sc = engine.sc
         self.region = sc.region_params()
         locs = engine.locs
-        self.states: Dict[int, HybNodeState] = {}
-        for i, rec in engine.nodes.items():
-            self.states[i] = HybNodeState(
-                id=i, energy=rec.energy,  # shared battery
-                dedup=DedupBuffer(ttl=sc.dedup_ttl))
+        self.states: Dict[int, HybNodeState] = {
+            i: HybNodeState(id=i, energy=rec.energy,  # shared battery
+                            dedup=DedupBuffer(ttl=sc.dedup_ttl))
+            for i, rec in engine.nodes.items()}
         # base-station knowledge, fed by residual reports
         self.bs_known_residual: Dict[int, float] = {
             i: sc.initial_energy for i in engine.nodes}
@@ -586,15 +584,15 @@ class HybRunner:
 
     # -------------------------------------------------------------- phases
 
-    def configure(self, now: float) -> None:
+    def configure(self) -> None:
         """Location upload, table computation, table dissemination."""
         e = self.e
         for n in sorted(e.nodes):
-            e.send_oob_control(CONFIG, n, BS, now)
+            e.send_oob_control(CONFIG, n, BS)
         alive = {n for n in e.nodes if n in e.awake}
         self.neighbour_table = compute_neighbour_table(e.locs, self.region, alive)
-        self._install(now, {})
-        e.schedule(now + e.sc.refresh_period, self._bs_refresh)
+        self._install({})
+        e.schedule(e.now + e.sc.refresh_period, self._bs_refresh)
 
     def _bs_alive(self, node: int) -> bool:
         # the base station's belief: the last residual node reported
@@ -603,68 +601,67 @@ class HybRunner:
 
     def _bs_refresh(self) -> None:
         e = self.e
-        now = e.now
         dead = {n for n in self.bs_known_residual if not self._bs_alive(n)}
         old = self.neighbour_table
         self.neighbour_table = refresh_table(old, e.locs, self.region, dead)
-        self._install(now, old.rows)
+        self._install(old.rows)
         if e.pending:  # keep refreshing only while work remains
-            e.schedule(now + e.sc.refresh_period, self._bs_refresh)
+            e.schedule(e.now + e.sc.refresh_period, self._bs_refresh)
 
-    def _install(self, now: float, old: Dict[int, Row]) -> None:
+    def _install(self, old: Dict[int, Row]) -> None:
         # changed rows go to their states; every awake node gets a CONFIG
         e, rows = self.e, self.neighbour_table.rows
         for n in sorted(rows):
             if rows[n] != old.get(n):
                 self.states[n].set_row(rows[n], self.ctx)
             if n in e.awake:
-                e.send_oob_control(CONFIG, BS, n, now)
+                e.send_oob_control(CONFIG, BS, n)
 
     # -------------------------------------------------------------- traffic
 
-    def on_sense(self, node: int, event_id: str, now: float) -> None:
-        pkt = self.e.new_packet(event_id, node, now)
-        action = hyb.on_sense(self.states[node], pkt, self.ctx, now)
-        self._act(node, pkt, action, now)
+    def on_sense(self, node: int, event_id: str) -> None:
+        pkt = self.e.new_packet(event_id, node)
+        action = hyb.on_sense(self.states[node], pkt, self.ctx, self.e.now)
+        self._act(node, pkt, action)
 
-    def _act(self, node: int, pkt: DataPacket, action: Action, now: float) -> None:
+    def _act(self, node: int, pkt: DataPacket, action: Action) -> None:
         kind, rx, reason = action
         if kind == DROP:
-            self.e.drop(pkt, reason, node, now)
+            self.e.drop(pkt, reason, node)
             return
         if kind == SEND_DIRECT:
             rx = BS
         else:
             hyb.note_forward(self.states[node], rx)
             pkt.attempted.add(rx)
-        self.e.send_unicast(DATA, node, rx, now, event_id=pkt.event_id,
+        self.e.send_unicast(DATA, node, rx, event_id=pkt.event_id,
                             on_result=partial(self._result, node, pkt))
 
-    def _result(self, node: int, pkt: DataPacket, trans, outcome: str,
-                now: float) -> None:
+    def _result(self, node: int, pkt: DataPacket, trans, outcome: str) -> None:
         e = self.e
         if outcome == BUSY or outcome == NO_RX:
             # the next candidate is picked now, counted when its retry runs
-            action = hyb.on_busy_channel(self.states[node], pkt, self.ctx, now)
+            action = hyb.on_busy_channel(self.states[node], pkt, self.ctx,
+                                         e.now)
             if action.kind == DROP:
-                e.drop(pkt, action.reason, node, now)
+                e.drop(pkt, action.reason, node)
             else:
-                retry = now + RETRY_GAP
-                e.schedule(retry, partial(self._act, node, pkt, action, retry))
+                e.schedule(e.now + RETRY_GAP,
+                           partial(self._act, node, pkt, action))
         elif outcome == OK:
             if trans.rx == BS:
-                e.deliver(pkt, node, now)
+                e.deliver(pkt, node)
                 # every awake node on the path reports its residual
                 for n in pkt.visited:
                     if n in e.awake:
-                        e.send_oob_control(REPORT, n, BS, now)
+                        e.send_oob_control(REPORT, n, BS)
                         self.bs_known_residual[n] = e.nodes[n].energy.residual
             else:
-                self._relay(trans.rx, pkt, now)
+                self._relay(trans.rx, pkt)
         else:  # ASLEEP, or a COLLISION: no frame lost on the air is resent
-            e.drop(pkt, ASLEEP if outcome == ASLEEP else CONGESTION, node, now)
+            e.drop(pkt, ASLEEP if outcome == ASLEEP else CONGESTION, node)
 
-    def _relay(self, node: int, pkt: DataPacket, now: float) -> None:
+    def _relay(self, node: int, pkt: DataPacket) -> None:
         pkt.attempted = set()
-        action = hyb.on_receive(self.states[node], pkt, self.ctx, now)
-        self._act(node, pkt, action, now)
+        action = hyb.on_receive(self.states[node], pkt, self.ctx, self.e.now)
+        self._act(node, pkt, action)

@@ -151,11 +151,7 @@ class ComparisonTable:
         return sorted({r.node_count for r in self.runs})
 
     def protocols(self) -> List[str]:
-        out = []
-        for r in self.runs:
-            if r.protocol not in out:
-                out.append(r.protocol)
-        return out
+        return list(dict.fromkeys(r.protocol for r in self.runs))
 
     def mean(self, protocol: str, node_count: int, attr: str) -> float:
         return statistics.fmean(getattr(rep, attr)
@@ -168,19 +164,18 @@ class ComparisonTable:
 
 def compare(scenario: Scenario, protocols: Sequence[str], seeds: Sequence[int],
             node_counts: Optional[Sequence[int]] = None) -> ComparisonTable:
-    """Run every (protocol, node count, seed) combination of one scenario."""
+    """Run every (protocol, node count, seed) combination of one scenario.
+    Every run's scenario is built, and so validated, before the first run."""
     if not protocols or not seeds:
         raise MetricsError("need at least one protocol and one seed")
     counts = list(node_counts) if node_counts else [scenario.node_count]
-    table = ComparisonTable()
-    for n in counts:
-        for protocol in protocols:
-            for seed in seeds:
-                sc = replace(scenario, protocol=protocol, seed=seed,
-                             node_count=n)
-                report, _ = run_scenario(sc)
-                table.runs.append(RunRow(protocol, n, seed, report))
-    return table
+    for axis in (protocols, seeds, counts):
+        if len(set(axis)) < len(axis):
+            raise MetricsError(f"repeated entry in {list(axis)}")
+    runs = [replace(scenario, protocol=protocol, seed=seed, node_count=n)
+            for n in counts for protocol in protocols for seed in seeds]
+    return ComparisonTable([RunRow(sc.protocol, sc.node_count, sc.seed,
+                                   run_scenario(sc)[0]) for sc in runs])
 
 
 def runs_csv(table: ComparisonTable) -> str:

@@ -259,9 +259,8 @@ def parse_location_file(text: str) -> LocationTable:
 
 def emit_location_file(locs: LocationTable) -> str:
     """`id , x , y` lines; ``repr`` floats parse back to the same values."""
-    lines = [f"{i} , {locs.entries[i].x!r} , {locs.entries[i].y!r}"
-             for i in sorted(locs.entries)]
-    return "".join(line + "\n" for line in lines)
+    return "".join(f"{i} , {p.x!r} , {p.y!r}\n"
+                   for i, p in sorted(locs.entries.items()))
 
 
 def emit_neighbour_table(table: NeighbourTable, k: int) -> str:

@@ -75,9 +75,9 @@ def record_deliveries(engine):
     delivered = []
     deliver = engine.deliver
 
-    def recording(pkt, last_tx, now):
+    def recording(pkt, last_tx):
         delivered.append((pkt.event_id, list(pkt.visited)))
-        deliver(pkt, last_tx, now)
+        deliver(pkt, last_tx)
     engine.deliver = recording
     return delivered
 
@@ -118,14 +118,13 @@ def eager_run(engine, events):
     order, and each gets a sense jitter and a scheduled callback; only
     then does the heap drain. Returns the event log text.
     """
-    engine.protocol.configure(0.0)
+    engine.protocol.configure()
     radius = engine.sc.sensing_radius
     for t, event_id, where in events:
         for n in sorted(engine.nodes):
             if engine.locs.entries[n].dist(where) <= radius:
                 engine.schedule(t + engine.jitter(1e-3),
                                 lambda n=n, event_id=event_id:
-                                engine.protocol.on_sense(n, event_id,
-                                                         engine.now))
+                                engine.protocol.on_sense(n, event_id))
     engine.drain()
     return engine.log_buffer.getvalue()

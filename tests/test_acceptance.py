@@ -18,6 +18,7 @@ from hybsim.scenario import Scenario
 from hybsim.topology import (DIRECT, Location, LocationTable, RegionParams,
                              compute_neighbour_table, parse_location_file)
 
+from helpers import write_points
 from oracles import (brute_force_rows, record_charges, record_deliveries,
                      replay_energy_ledger)
 from test_topology import SAMPLE_POINTS, SAMPLE_TEXT, region
@@ -71,13 +72,6 @@ def sweep() -> List[SweepRun]:
 def table(sweep) -> ComparisonTable:
     return ComparisonTable(runs=[
         RunRow(r.protocol, r.node_count, r.seed, r.report) for r in sweep])
-
-
-def write_points(tmp_path, points):
-    path = tmp_path / "nodes.txt"
-    path.write_text("".join(f"{i} , {x:g} , {y:g}\n"
-                            for i, (x, y) in sorted(points.items())))
-    return str(path)
 
 
 def test_criterion_01_execution_time_trend(table, sweep):
@@ -206,7 +200,7 @@ def test_criterion_08_energy_properties(sweep, tmp_path):
     sc = Scenario(node_count=12, seed=4)
     engine = Engine(sc)
     hyb = engine.protocol
-    hyb.configure(0.0)
+    hyb.configure()
     victim = next(n for n, row in hyb.neighbour_table.rows.items()
                   if any(isinstance(other, tuple) and n in other
                          for other in hyb.neighbour_table.rows.values()))

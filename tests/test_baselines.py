@@ -1,6 +1,7 @@
 """Route discovery and data forwarding tests for the two baselines."""
 
 import math
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -10,8 +11,9 @@ from hybsim.engine import BS, Engine
 from hybsim.metrics import collect
 from hybsim.scenario import MAX_RETRIES, Scenario
 
+from helpers import write_points
 from oracles import record_deliveries
-from test_engine import log_lines, write_points
+from test_engine import log_lines, run_at
 
 
 def make_engine(tmp_path, points, protocol, bs=(0.0, 0.0), **kw):
@@ -40,7 +42,7 @@ class TestDiscoveryAndDelivery:
     def test_two_hop_delivery(self, tmp_path, protocol):
         e = make_engine(tmp_path, LINE2, protocol)
         delivered = record_deliveries(e)
-        e.protocol.on_sense(0, "ev0", 0.0)
+        e.protocol.on_sense(0, "ev0")
         e.drain()
         assert e.delivered == 1
         assert delivered == [("ev0", [0, 1])]
@@ -49,7 +51,7 @@ class TestDiscoveryAndDelivery:
     def test_flood_suppression(self, tmp_path, protocol):
         # every node rebroadcasts a given route request at most once
         e = make_engine(tmp_path, LINE3, protocol)
-        e.protocol.on_sense(0, "ev0", 0.0)
+        e.protocol.on_sense(0, "ev0")
         e.drain()
         sent = lines(e, "RREQ", "SENT")
         pairs = [(p[2], p[4]) for p in sent]
@@ -58,17 +60,16 @@ class TestDiscoveryAndDelivery:
 
     def test_route_reused_without_new_flood(self, tmp_path, protocol):
         e = make_engine(tmp_path, LINE2, protocol)
-        e.protocol.on_sense(0, "ev0", 0.0)
+        e.protocol.on_sense(0, "ev0")
         e.drain()
         floods = len(lines(e, "RREQ", "SENT"))
-        e.protocol.on_sense(0, "ev1", e.now + 1.0)
-        e.drain()
+        run_at(e, e.now + 1.0, partial(e.protocol.on_sense, 0, "ev1"))
         assert len(lines(e, "RREQ", "SENT")) == floods
         assert e.delivered == 2
 
     def test_unreachable_origin_drops_no_route(self, tmp_path, protocol):
         e = make_engine(tmp_path, {0: (600.0, 0.0)}, protocol)
-        e.protocol.on_sense(0, "ev0", 0.0)
+        e.protocol.on_sense(0, "ev0")
         e.drain()
         assert e.dropped["NO_ROUTE"] == 1
         # initial flood plus the configured number of retries
@@ -88,7 +89,7 @@ class TestDiscoveryAndDelivery:
                 st0.route = None
             else:
                 st0.cache = []
-        e.protocol.on_sense(0, "ev0", 0.0)
+        e.protocol.on_sense(0, "ev0")
         e.schedule(e.sc.discovery_timeout / 2, forget_route)
         e.drain()
         assert e.now >= e.sc.discovery_timeout  # the timeout has fired
@@ -98,42 +99,42 @@ class TestDiscoveryAndDelivery:
     def test_fresh_flood_after_retries_run_out(self, tmp_path, protocol):
         e = make_engine(tmp_path, {0: (600.0, 0.0)}, protocol)
         floods = 1 + e.sc.discovery_retries
-        e.protocol.on_sense(0, "ev0", 0.0)
+        e.protocol.on_sense(0, "ev0")
         e.drain()
         assert e.dropped["NO_ROUTE"] == 1
         assert e.protocol.states[0].disc_attempts == 0
-        e.protocol.on_sense(0, "ev1", e.now + 1.0)
-        assert e.protocol.states[0].disc_attempts == 1
-        e.drain()
+
+        def sense():
+            e.protocol.on_sense(0, "ev1")
+            return e.protocol.states[0].disc_attempts
+        assert run_at(e, e.now + 1.0, sense) == 1
         assert e.dropped["NO_ROUTE"] == 2
         sent = [p[4] for p in lines(e, "RREQ", "SENT") if p[2] == "0"]
         assert sent == [f"rq0.{k}" for k in range(1, 2 * floods + 1)]
 
     def test_dead_next_hop_exhausts_retries(self, tmp_path, protocol):
         e = make_engine(tmp_path, LINE2, protocol)
-        e.protocol.on_sense(0, "ev0", 0.0)
+        e.protocol.on_sense(0, "ev0")
         e.drain()
         assert e.delivered == 1
         e.charge(1, 100.0)
-        e.protocol.on_sense(0, "ev1", e.now + 1.0)
-        e.drain()
+        run_at(e, e.now + 1.0, partial(e.protocol.on_sense, 0, "ev1"))
         assert e.dropped["CONGESTION"] == 1
 
     def test_dead_next_hop_at_the_retry_cap(self, tmp_path, protocol):
         # the backoff doubles per retry; past 1024 retries 2 ** k overflowed
         e = make_engine(tmp_path, LINE2, protocol, data_retries=MAX_RETRIES)
-        e.protocol.on_sense(0, "ev0", 0.0)
+        e.protocol.on_sense(0, "ev0")
         e.drain()
         e.charge(1, 100.0)
-        e.protocol.on_sense(0, "ev1", e.now + 1.0)
-        e.drain()
+        run_at(e, e.now + 1.0, partial(e.protocol.on_sense, 0, "ev1"))
         assert e.dropped["CONGESTION"] == 1
         assert math.isfinite(e.now)
 
     def test_loop_free_paths(self, tmp_path, protocol):
         e = make_engine(tmp_path, LINE3, protocol)
         delivered = record_deliveries(e)
-        e.protocol.on_sense(0, "ev0", 0.0)
+        e.protocol.on_sense(0, "ev0")
         e.drain()
         for _, path in delivered:
             assert len(path) == len(set(path))
@@ -142,7 +143,7 @@ class TestDiscoveryAndDelivery:
 class TestAodvState:
     def test_routes_point_toward_sink(self, tmp_path):
         e = make_engine(tmp_path, LINE3, "aodv")
-        e.protocol.on_sense(0, "ev0", 0.0)
+        e.protocol.on_sense(0, "ev0")
         e.drain()
         st = e.protocol.states
         assert st[2].route[0] == BS
@@ -151,26 +152,25 @@ class TestAodvState:
 
     def test_reverse_routes_recorded(self, tmp_path):
         e = make_engine(tmp_path, LINE3, "aodv")
-        e.protocol.on_sense(0, "ev0", 0.0)
+        e.protocol.on_sense(0, "ev0")
         e.drain()
         assert e.protocol.states[1].reverse[0] == 0
         assert e.protocol.states[2].reverse[0] == 1
 
     def test_give_up_invalidates_route(self, tmp_path):
         e = make_engine(tmp_path, LINE2, "aodv")
-        e.protocol.on_sense(0, "ev0", 0.0)
+        e.protocol.on_sense(0, "ev0")
         e.drain()
         assert e.protocol.states[0].route is not None
         e.charge(1, 100.0)
-        e.protocol.on_sense(0, "ev1", e.now + 1.0)
-        e.drain()
+        run_at(e, e.now + 1.0, partial(e.protocol.on_sense, 0, "ev1"))
         assert e.protocol.states[0].route is None
 
 
 class TestDsrState:
     def test_reply_path_fills_caches(self, tmp_path):
         e = make_engine(tmp_path, LINE3, "dsr")
-        e.protocol.on_sense(0, "ev0", 0.0)
+        e.protocol.on_sense(0, "ev0")
         e.drain()
         st = e.protocol.states
         assert (0, 1, 2, BS) in st[0].cache
@@ -185,12 +185,11 @@ class TestDsrState:
 
     def test_give_up_purges_routes_through_dead_hop(self, tmp_path):
         e = make_engine(tmp_path, LINE2, "dsr")
-        e.protocol.on_sense(0, "ev0", 0.0)
+        e.protocol.on_sense(0, "ev0")
         e.drain()
         assert e.protocol._best_route(0) is not None
         e.charge(1, 100.0)
-        e.protocol.on_sense(0, "ev1", e.now + 1.0)
-        e.drain()
+        run_at(e, e.now + 1.0, partial(e.protocol.on_sense, 0, "ev1"))
         assert e.protocol._best_route(0) is None
 
     def test_no_cache_holds_a_route_twice(self):
@@ -205,7 +204,7 @@ class TestDsrState:
     def test_delivered_path_matches_source_route(self, tmp_path):
         e = make_engine(tmp_path, LINE3, "dsr")
         delivered = record_deliveries(e)
-        e.protocol.on_sense(0, "ev0", 0.0)
+        e.protocol.on_sense(0, "ev0")
         e.drain()
         assert delivered == [("ev0", [0, 1, 2])]
 
@@ -260,12 +259,12 @@ class TestHeardBeforeSkip:
                 e._flooded = Forgetful()
                 handler, holders = e.protocol.on_broadcast_received, {}
 
-                def first_copy(node, trans, now):
+                def first_copy(node, trans):
                     held = holders.setdefault(trans.event_id, set())
                     held.add(trans.tx)
                     if node not in held:
                         held.add(node)
-                        handler(node, trans, now)
+                        handler(node, trans)
                 e.protocol.on_broadcast_received = first_copy
             log = e.run()
             assert e.generated == e.delivered + sum(e.dropped.values())

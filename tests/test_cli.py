@@ -10,6 +10,7 @@ from hybsim.scenario import Scenario
 from hybsim.topology import (Location, compute_neighbour_table,
                              emit_neighbour_table, parse_location_file)
 
+from helpers import count_engines
 from test_topology import SAMPLE_TEXT
 
 TINY_SCENARIO = """\
@@ -146,6 +147,31 @@ class TestCompareCommand:
         rows = (out / "runs.csv").read_text().splitlines()[1:]
         assert [r.split(",")[1] for r in rows] == ["5", "10"]
 
+    @pytest.mark.parametrize("option,value", [
+        ("--seeds", "x"), ("--seeds", ","), ("--seeds", "1,"),
+        ("--seeds", "1,2,1"), ("--protocols", "hyb,foo"),
+        ("--protocols", "hyb,,aodv"), ("--protocols", ""),
+        ("--protocols", "aodv,aodv"), ("--nodes", "5,x"), ("--nodes", "5,5")])
+    def test_malformed_list_is_usage_error(self, tmp_path, scenario_file,
+                                           capsys, monkeypatch, option,
+                                           value):
+        engines = count_engines(monkeypatch)
+        out = tmp_path / "cmp"
+        assert main(["compare", scenario_file, option, value,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert f"argument {option}" in capsys.readouterr().err
+        assert engines == [] and not out.exists()
+
+    def test_refused_node_count_fails_before_any_run(self, tmp_path,
+                                                     scenario_file, capsys,
+                                                     monkeypatch):
+        engines = count_engines(monkeypatch)
+        out = tmp_path / "cmp"
+        assert main(["compare", scenario_file, "--nodes", "5,0",
+                     "--out", str(out)]) == EXIT_RUN
+        assert "node_count must be >= 1" in capsys.readouterr().err
+        assert engines == [] and not out.exists()
+
     def test_check_fails_without_hyb(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "cmp"
         code = main(["compare", scenario_file, "--protocols", "aodv",
@@ -173,6 +199,17 @@ class TestPlacementFile:
                      "--out", str(out)]) == EXIT_OK
         rows = (out / "runs.csv").read_text().splitlines()[1:]
         assert [r.split(",")[1] for r in rows] == ["40"]
+
+    def test_later_node_count_refused_before_any_run(self, tmp_path, capsys,
+                                                     monkeypatch):
+        path, _ = self.placed(tmp_path)
+        engines = count_engines(monkeypatch)
+        out = tmp_path / "cmp"
+        assert main(["compare", path, "--nodes", "40,10", "--protocols", "dsr",
+                     "--out", str(out)]) == EXIT_RUN
+        assert ("node_count is 10, but the location file holds 40 nodes"
+                in capsys.readouterr().err)
+        assert engines == [] and not out.exists()
 
     def test_compare_with_another_node_count_refused(self, tmp_path, capsys):
         path, _ = self.placed(tmp_path)

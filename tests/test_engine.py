@@ -4,7 +4,7 @@ import math
 import random
 import struct
 import tempfile
-from pathlib import Path
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -19,15 +19,9 @@ from hybsim.metrics import collect
 from hybsim.radio import frame_airtime, link_feasible
 from hybsim.scenario import Scenario
 
+from helpers import write_points
 from oracles import (brute_force_interfered, eager_run, record_charges,
                      record_deliveries)
-
-
-def write_points(tmp_path, points):
-    path = tmp_path / "nodes.txt"
-    path.write_text("".join(f"{i} , {x!r} , {y!r}\n"
-                            for i, (x, y) in sorted(points.items())))
-    return str(path)
 
 
 def make_engine(tmp_path, points, bs, **kw):
@@ -41,17 +35,30 @@ def log_lines(engine):
     return engine.log_buffer.getvalue().splitlines()
 
 
-class Recorder:
-    """Collects (outcome, time) pairs from unicast result callbacks."""
+def run_at(engine, time, fn):
+    """Run ``fn`` as an event at simulated ``time``, then drain the queue;
+    returns what ``fn`` returned. Calls made at a time other than 0 take
+    this path, the one a run takes, so the engine's clock reads ``time``
+    while ``fn`` runs."""
+    out = []
+    engine.schedule(time, lambda: out.append(fn()))
+    engine.drain()
+    return out[0]
 
-    def __init__(self):
+
+class Recorder:
+    """Collects (outcome, time) pairs from unicast result callbacks, the
+    time read from the engine's clock."""
+
+    def __init__(self, engine):
+        self.engine = engine
         self.results = []
 
-    def __call__(self, trans, outcome, t):
-        self.results.append((outcome, t))
+    def __call__(self, trans, outcome):
+        self.results.append((outcome, self.engine.now))
 
 
-def ignore(trans, outcome, t):
+def ignore(trans, outcome):
     """A unicast result callback that keeps nothing."""
 
 
@@ -120,8 +127,8 @@ class TestArbitration:
 
     def test_grant_on_idle_channel(self, tmp_path):
         e = self.make(tmp_path)
-        rec = Recorder()
-        e.send_unicast("DATA", 0, 2, 0.0, on_result=rec)
+        rec = Recorder(e)
+        e.send_unicast("DATA", 0, 2, on_result=rec)
         granted(e, 0, 2)
         assert rec.results == []
         e.drain()
@@ -129,20 +136,20 @@ class TestArbitration:
 
     def test_busy_when_receiver_transmitting(self, tmp_path):
         e = self.make(tmp_path)
-        e.send_unicast("DATA", 2, 3, 0.0, on_result=ignore)
+        e.send_unicast("DATA", 2, 3, on_result=ignore)
         granted(e, 2, 3)
-        rec = Recorder()
-        e.schedule(1e-3, lambda: e.send_unicast("DATA", 0, 2, 1e-3,
+        rec = Recorder(e)
+        e.schedule(1e-3, lambda: e.send_unicast("DATA", 0, 2,
                                                 on_result=rec))
         e.drain()
         assert rec.results == [(BUSY, 1e-3)]
 
     def test_busy_when_receiver_hears_ongoing_frame(self, tmp_path):
         e = self.make(tmp_path)
-        e.send_unicast("DATA", 1, 2, 0.0, on_result=ignore)
+        e.send_unicast("DATA", 1, 2, on_result=ignore)
         granted(e, 1, 2)
-        rec = Recorder()
-        e.schedule(1e-3, lambda: e.send_unicast("DATA", 3, 0, 1e-3,
+        rec = Recorder(e)
+        e.schedule(1e-3, lambda: e.send_unicast("DATA", 3, 0,
                                                 on_result=rec))
         e.drain()
         # 0 hears 1's ongoing frame (dist 145 m), so the grab fails
@@ -150,11 +157,11 @@ class TestArbitration:
 
     def test_same_instant_power_contest(self, tmp_path):
         e = self.make(tmp_path)
-        weak, strong = Recorder(), Recorder()
-        e.send_unicast("DATA", 0, 2, 0.0, on_result=weak)
+        weak, strong = Recorder(e), Recorder(e)
+        e.send_unicast("DATA", 0, 2, on_result=weak)
         first = granted(e, 0, 2)           # on the air before the strong grab
         assert weak.results == []
-        e.send_unicast("DATA", 1, 2, 0.0, on_result=strong)
+        e.send_unicast("DATA", 1, 2, on_result=strong)
         granted(e, 1, 2)
         assert first.cancelled and 0 not in e.active
         assert weak.results == [(BUSY, 0.0)]        # cancelled by the winner
@@ -164,10 +171,10 @@ class TestArbitration:
 
     def test_same_instant_weaker_loses_without_preempting(self, tmp_path):
         e = self.make(tmp_path)
-        strong, weak = Recorder(), Recorder()
-        e.send_unicast("DATA", 1, 2, 0.0, on_result=strong)
+        strong, weak = Recorder(e), Recorder(e)
+        e.send_unicast("DATA", 1, 2, on_result=strong)
         granted(e, 1, 2)
-        e.send_unicast("DATA", 0, 2, 0.0, on_result=weak)
+        e.send_unicast("DATA", 0, 2, on_result=weak)
         assert weak.results == [(BUSY, 0.0)] and 0 not in e.active
         e.drain()
         assert weak.results == [(BUSY, 0.0)]
@@ -177,10 +184,10 @@ class TestArbitration:
         # two senders 100 m either side of the receiver: a tie keeps the first
         e = make_engine(tmp_path, {0: (0.0, 0.0), 1: (200.0, 0.0),
                                    2: (100.0, 0.0)}, (1500.0, 1500.0))
-        first, second = Recorder(), Recorder()
-        e.send_unicast("DATA", 0, 2, 0.0, on_result=first)
+        first, second = Recorder(e), Recorder(e)
+        e.send_unicast("DATA", 0, 2, on_result=first)
         granted(e, 0, 2)
-        e.send_unicast("DATA", 1, 2, 0.0, on_result=second)
+        e.send_unicast("DATA", 1, 2, on_result=second)
         assert second.results == [(BUSY, 0.0)] and 1 not in e.active
         e.drain()
         assert second.results == [(BUSY, 0.0)]
@@ -189,16 +196,16 @@ class TestArbitration:
     def test_no_rx_when_receiver_asleep(self, tmp_path):
         e = self.make(tmp_path)
         e.charge(2, 10.0)
-        rec = Recorder()
-        e.send_unicast("DATA", 0, 2, 0.0, on_result=rec)
+        rec = Recorder(e)
+        e.send_unicast("DATA", 0, 2, on_result=rec)
         assert rec.results == [(NO_RX, 0.0)] and e.active == {}
 
     def test_transmitter_channel_exclusivity_enforced(self, tmp_path):
         e = self.make(tmp_path)
-        e.send_unicast("DATA", 0, 2, 0.0, on_result=ignore)
+        e.send_unicast("DATA", 0, 2, on_result=ignore)
         own = granted(e, 0, 2)
-        rec = Recorder()
-        e.send_unicast("DATA", 0, 3, 0.0, on_result=rec)
+        rec = Recorder(e)
+        e.send_unicast("DATA", 0, 3, on_result=rec)
         assert list(e.active.values()) == [own]  # the second frame waits
         assert rec.results == []
         with pytest.raises(RuntimeError, match="already holds the channel"):
@@ -209,13 +216,13 @@ class TestArbitration:
 
     def test_send_while_on_air_starts_after_own_frame(self, tmp_path):
         e = self.make(tmp_path)
-        e.send_unicast("DATA", 0, 2, 0.0, on_result=ignore)
+        e.send_unicast("DATA", 0, 2, on_result=ignore)
         own = granted(e, 0, 2)
         rng_state = e.rng_jitter.getstate()
         starts = []
         e.send_unicast(
-            "DATA", 0, 3, 0.0,
-            on_result=lambda trans, outcome, t: starts.append(
+            "DATA", 0, 3,
+            on_result=lambda trans, outcome: starts.append(
                 (trans.start, outcome)))
         assert list(e.active.values()) == [own] and starts == []
         e.drain()
@@ -225,13 +232,13 @@ class TestArbitration:
     def test_deferral_jitter_bounds_the_start(self, tmp_path):
         e = self.make(tmp_path)
         j = 1e-3
-        e.send_unicast("DATA", 0, 2, 0.0, on_result=ignore)
+        e.send_unicast("DATA", 0, 2, on_result=ignore)
         own = granted(e, 0, 2)
         earliest = own.end + RETRY_GAP
         starts = []
         e.send_unicast(
-            "DATA", 0, 3, 0.0, defer_jitter=j,
-            on_result=lambda trans, outcome, t: starts.append(trans.start))
+            "DATA", 0, 3, defer_jitter=j,
+            on_result=lambda trans, outcome: starts.append(trans.start))
         assert list(e.active.values()) == [own] and starts == []
         e.drain()
         assert len(starts) == 1
@@ -240,8 +247,8 @@ class TestArbitration:
     def test_drained_sender_sends_nothing(self, tmp_path):
         e = self.make(tmp_path)
         e.charge(0, 10.0)
-        rec = Recorder()
-        e.send_unicast("DATA", 0, 2, 0.0, on_result=rec)
+        rec = Recorder(e)
+        e.send_unicast("DATA", 0, 2, on_result=rec)
         assert rec.results == [(ASLEEP, 0.0)]
         assert list(e.active.values()) == []
         e.drain()
@@ -251,8 +258,8 @@ class TestArbitration:
         e = self.make(tmp_path)
         e.charge(0, 10.0)
         residual = {n: rec.energy.residual for n, rec in e.nodes.items()}
-        e.send_oob_control(CONFIG, 0, BS, 0.0)
-        e.send_oob_control(REPORT, 0, 2, 0.0)
+        e.send_oob_control(CONFIG, 0, BS)
+        e.send_oob_control(REPORT, 0, 2)
         assert log_lines(e) == []
         assert {n: rec.energy.residual
                 for n, rec in e.nodes.items()} == residual
@@ -283,9 +290,9 @@ class TestHiddenTerminal:
 
     def test_simultaneous_frames_all_lost(self, tmp_path):
         e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0))
-        a, b = Recorder(), Recorder()
-        e.send_unicast("DATA", 0, 1, 0.0, on_result=a)
-        e.send_unicast("DATA", 2, 3, 0.0, on_result=b)
+        a, b = Recorder(e), Recorder(e)
+        e.send_unicast("DATA", 0, 1, on_result=a)
+        e.send_unicast("DATA", 2, 3, on_result=b)
         granted(e, 0, 1)
         granted(e, 2, 3)
         e.drain()
@@ -302,14 +309,18 @@ class TestInterference:
 
     def test_answer_follows_frames_begun_between_calls(self, tmp_path):
         e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0))
-        e.send_unicast("DATA", 0, 1, 0.0, on_result=ignore)
+        e.protocol.on_broadcast_received = lambda *a: None
+        e.send_unicast("DATA", 0, 1, on_result=ignore)
         first = granted(e, 0, 1)
         assert not e._interfered(first, 1)
-        # 2 does not hear 0
-        e.send_broadcast("RREQ", 2, 1e-3, payload=None, event_id="f0")
-        assert len(e.active) == 2
-        assert e._interfered(first, 1)
-        assert not e._interfered(first, 0)       # 0 does not hear 2
+
+        def broadcast():
+            # 2 does not hear 0
+            e.send_broadcast("RREQ", 2, payload=None, event_id="f0")
+            assert len(e.active) == 2
+            assert e._interfered(first, 1)
+            return e._interfered(first, 0)
+        assert run_at(e, 1e-3, broadcast) is False  # 0 does not hear 2
 
     def test_cancelled_frame_stops_jamming_between_calls(self, tmp_path):
         # 0 -> 1 is on the air; 2 -> 3 overlaps it and 1 hears 2. A
@@ -318,15 +329,18 @@ class TestInterference:
         points = {0: (0.0, 100.0), 1: (300.0, 100.0), 2: (600.0, 100.0),
                   3: (900.0, 100.0), 4: (1000.0, 100.0)}
         e = make_engine(tmp_path, points, (1500.0, 1500.0))
-        e.send_unicast("DATA", 0, 1, 0.0, on_result=ignore)
+        e.send_unicast("DATA", 0, 1, on_result=ignore)
         first = granted(e, 0, 1)
-        e.send_unicast("RREP", 2, 3, 1e-3, on_result=ignore)
-        jammer = granted(e, 2, 3)
-        assert e._interfered(first, 1)
-        assert e.arbitrate(4, 3, 1e-3) == GRANT
-        assert jammer.cancelled and e.active == {0: first}
-        assert first.overlaps == [jammer]
-        assert not e._interfered(first, 1)
+
+        def jam_then_cancel():
+            e.send_unicast("RREP", 2, 3, on_result=ignore)
+            jammer = granted(e, 2, 3)
+            assert e._interfered(first, 1)
+            assert e.arbitrate(4, 3, 1e-3) == GRANT
+            assert jammer.cancelled and e.active == {0: first}
+            assert first.overlaps == [jammer]
+            return e._interfered(first, 1)
+        assert run_at(e, 1e-3, jam_then_cancel) is False
 
 
 # start times that are exact sums of frame airtimes, so that some frames end
@@ -417,11 +431,11 @@ class TestInterferenceOracle:
     def test_every_answer_matches_brute_force(self, case):
         pts, bs, sends, battery, control_bits = case
         with tempfile.TemporaryDirectory() as tmp:
-            e = make_engine(Path(tmp), dict(enumerate(pts)), bs,
+            e = make_engine(tmp, dict(enumerate(pts)), bs,
                             initial_energy=battery, control_bits=control_bits)
         received = []  # hyb has no broadcast handler of its own
         e.protocol.on_broadcast_received = (
-            lambda node, trans, now: received.append(node))
+            lambda node, trans: received.append(node))
         where = dict(enumerate(pts))
         where[BS] = bs
 
@@ -467,11 +481,11 @@ class TestInterferenceOracle:
         e._frame_end = checked_frame_end
         for i, (t, kind, tx, rx) in enumerate(sends):
             if kind == RREQ:  # each broadcast a flood of its own
-                e.schedule(t, lambda t=t, tx=tx, i=i: e.send_broadcast(
-                    RREQ, tx, t, payload=None, event_id=f"f{i}"))
+                e.schedule(t, partial(e.send_broadcast, RREQ, tx,
+                                      payload=None, event_id=f"f{i}"))
             elif rx != tx:
-                e.schedule(t, lambda t=t, kind=kind, tx=tx, rx=rx:
-                           e.send_unicast(kind, tx, rx, t, on_result=ignore))
+                e.schedule(t, partial(e.send_unicast, kind, tx, rx,
+                                      on_result=ignore))
         e.drain()
         assert all(t.overlaps is None for t in frames)
 
@@ -497,8 +511,8 @@ class TestBroadcast:
         e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0))
         heard = []
         e.protocol.on_broadcast_received = (
-            lambda node, trans, now: heard.append(node))
-        e.send_broadcast("RREQ", 0, 0.0, payload=None, event_id="f0")
+            lambda node, trans: heard.append(node))
+        e.send_broadcast("RREQ", 0, payload=None, event_id="f0")
         e.drain()
         assert sorted(heard) == [1, 2]   # 300 m away is still in range
 
@@ -507,8 +521,8 @@ class TestBroadcast:
         e = make_engine(tmp_path, self.POINTS, (100.0, 300.0))
         heard = []
         e.protocol.on_broadcast_received = (
-            lambda node, trans, now: heard.append(node))
-        e.send_broadcast("RREQ", BS, 0.0, payload=None, event_id="f0")
+            lambda node, trans: heard.append(node))
+        e.send_broadcast("RREQ", BS, payload=None, event_id="f0")
         e.drain()
         assert heard == [0, 1]
         assert not any(" COLL BS BS " in line for line in log_lines(e))
@@ -516,10 +530,10 @@ class TestBroadcast:
     def test_carrier_sense_defers_behind_active_frame(self, tmp_path):
         e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0))
         e.protocol.on_broadcast_received = lambda *a: None
-        e.send_unicast("DATA", 1, 2, 0.0, on_result=ignore)
+        e.send_unicast("DATA", 1, 2, on_result=ignore)
         granted(e, 1, 2)
         # 0 hears 1: must defer
-        e.send_broadcast("RREQ", 0, 0.0, payload=None, event_id="f0")
+        e.send_broadcast("RREQ", 0, payload=None, event_id="f0")
         e.drain()
         sent = [l for l in log_lines(e) if " RREQ " in l and l.endswith("SENT")]
         assert len(sent) == 1
@@ -530,8 +544,8 @@ class TestBroadcast:
         points = {0: (0.0, 100.0), 1: (350.0, 100.0), 2: (700.0, 100.0)}
         e = make_engine(tmp_path, points, (1500.0, 1500.0))
         e.protocol.on_broadcast_received = lambda *a: None
-        e.send_broadcast("RREQ", 0, 0.0, payload=None, event_id="f0")
-        e.send_broadcast("RREQ", 2, 0.0, payload=None, event_id="f1")
+        e.send_broadcast("RREQ", 0, payload=None, event_id="f0")
+        e.send_broadcast("RREQ", 2, payload=None, event_id="f1")
         e.drain()
         coll = [l for l in log_lines(e) if " COLL 0 1 " in l or " COLL 2 1 " in l]
         assert len(coll) == 2
@@ -543,17 +557,17 @@ class TestBroadcast:
         e = make_engine(tmp_path, points, (1500.0, 1500.0))
         heard = []
         e.protocol.on_broadcast_received = (
-            lambda node, trans, now: heard.append(node))
-        e.send_broadcast("RREQ", 0, 0.0, payload=None, event_id="f0")
+            lambda node, trans: heard.append(node))
+        e.send_broadcast("RREQ", 0, payload=None, event_id="f0")
         e.drain()
         assert heard == [1, 3]
         e.charge(1, 100.0)
         heard.clear()
         mark = len(e.log_buffer.getvalue())
         # had 1 lived, both copies would have collided there
-        e.send_broadcast("RREQ", 0, 1.0, payload=None, event_id="f1")
-        e.send_broadcast("RREQ", 2, 1.0, payload=None, event_id="f2")
-        e.drain()
+        run_at(e, 1.0, lambda: (
+            e.send_broadcast("RREQ", 0, payload=None, event_id="f1"),
+            e.send_broadcast("RREQ", 2, payload=None, event_id="f2")))
         assert heard == [3]
         assert " COLL " not in e.log_buffer.getvalue()[mark:]
 
@@ -567,7 +581,7 @@ class TestBroadcast:
         flood) of every copy handed to it."""
         heard = []
         e.protocol.on_broadcast_received = (
-            lambda node, trans, now: heard.append(
+            lambda node, trans: heard.append(
                 (node, trans.tx, trans.event_id)))
         return heard
 
@@ -575,10 +589,10 @@ class TestBroadcast:
         # 1 hears 0 and 2, whose frames do not overlap
         e = make_engine(tmp_path, self.LINE, (1500.0, 1500.0))
         heard = self.record_copies(e)
-        e.send_broadcast("RREQ", 0, 0.0, payload=None, event_id="q")
+        e.send_broadcast("RREQ", 0, payload=None, event_id="q")
         e.drain()
-        e.send_broadcast("RREQ", 2, 1.0, payload=None, event_id="q")
-        e.drain()
+        run_at(e, 1.0, partial(e.send_broadcast, "RREQ", 2, payload=None,
+                               event_id="q"))
         assert heard == [(1, 0, "q")]
         assert len([l for l in log_lines(e) if l.endswith(" q SENT")]) == 2
 
@@ -587,14 +601,14 @@ class TestBroadcast:
         e = make_engine(tmp_path, self.LINE, (1500.0, 1500.0))
         heard, relayed = [], []
 
-        def relay(node, trans, now):
+        def relay(node, trans):
             heard.append((node, trans.tx))
             if node == 1 and not relayed:
-                relayed.append(now)
-                e.send_broadcast("RREQ", 1, now, payload=None,
+                relayed.append(e.now)
+                e.send_broadcast("RREQ", 1, payload=None,
                                  event_id=trans.event_id)
         e.protocol.on_broadcast_received = relay
-        e.send_broadcast("RREQ", 0, 0.0, payload=None, event_id="q")
+        e.send_broadcast("RREQ", 0, payload=None, event_id="q")
         e.drain()
         assert heard == [(1, 0), (2, 1)]
 
@@ -603,22 +617,22 @@ class TestBroadcast:
         # reaches 1 alone
         e = make_engine(tmp_path, self.LINE, (1500.0, 1500.0))
         heard = self.record_copies(e)
-        e.send_broadcast("RREQ", 0, 0.0, payload=None, event_id="q")
-        e.send_broadcast("RREQ", 2, 0.0, payload=None, event_id="x")
+        e.send_broadcast("RREQ", 0, payload=None, event_id="q")
+        e.send_broadcast("RREQ", 2, payload=None, event_id="x")
         e.drain()
         assert heard == []
         assert len([l for l in log_lines(e) if " COLL " in l]) == 2
-        e.send_broadcast("RREQ", 2, 1.0, payload=None, event_id="q")
-        e.drain()
+        run_at(e, 1.0, partial(e.send_broadcast, "RREQ", 2, payload=None,
+                               event_id="q"))
         assert heard == [(1, 2, "q")]
 
     def test_floods_do_not_mask_each_other(self, tmp_path):
         e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0))
         heard = self.record_copies(e)
-        e.send_broadcast("RREQ", 0, 0.0, payload=None, event_id="q")
+        e.send_broadcast("RREQ", 0, payload=None, event_id="q")
         e.drain()
-        e.send_broadcast("RREQ", 0, 1.0, payload=None, event_id="r")
-        e.drain()
+        run_at(e, 1.0, partial(e.send_broadcast, "RREQ", 0, payload=None,
+                               event_id="r"))
         assert heard == [(1, 0, "q"), (2, 0, "q"), (1, 0, "r"), (2, 0, "r")]
 
 
@@ -714,10 +728,10 @@ class TestHybRunner:
 
     def test_sender_drained_before_its_busy_retry_drops_asleep(self, tmp_path):
         e = make_engine(tmp_path, self.POINTS, (0.0, 0.0))
-        e.protocol.configure(0.0)
-        e.send_unicast("DATA", 1, BS, 0.0, on_result=ignore)
+        e.protocol.configure()
+        e.send_unicast("DATA", 1, BS, on_result=ignore)
         granted(e, 1, BS)
-        e.protocol.on_sense(0, "ev0", 0.0)   # 1 is busy: retry toward 2
+        e.protocol.on_sense(0, "ev0")   # 1 is busy: retry toward 2
         e.charge(0, 100.0)
         e.drain()
         drops = [line.split() for line in log_lines(e) if " DROP " in line]
@@ -731,9 +745,9 @@ class TestHybRunner:
 
     def busy_row(self, tmp_path):
         e = make_engine(tmp_path, self.ROW3, (0.0, 0.0))
-        e.protocol.configure(0.0)
+        e.protocol.configure()
         assert e.protocol.neighbour_table.rows[0] == (1, 2, 3)
-        e.send_unicast(DATA, 1, BS, 0.0, on_result=ignore)
+        e.send_unicast(DATA, 1, BS, on_result=ignore)
         granted(e, 1, BS)
         grabs, arbitrate = [], e.arbitrate
 
@@ -752,8 +766,8 @@ class TestHybRunner:
         e, grabs = self.busy_row(tmp_path)
         sense = e.protocol.on_sense
         half = RETRY_GAP / 2
-        e.schedule(0.0, lambda: sense(0, "ev0", 0.0))
-        e.schedule(half, lambda: sense(0, "ev1", half))
+        e.schedule(0.0, lambda: sense(0, "ev0"))
+        e.schedule(half, lambda: sense(0, "ev1"))
         e.drain()
         assert [(rx, now) for rx, now, _, _ in grabs] == [
             (1, 0.0), (2, half), (2, RETRY_GAP), (3, half + RETRY_GAP),
@@ -763,7 +777,7 @@ class TestHybRunner:
 
     def test_busy_retry_candidate_is_counted_when_the_retry_runs(self, tmp_path):
         e, grabs = self.busy_row(tmp_path)
-        e.protocol.on_sense(0, "ev0", 0.0)
+        e.protocol.on_sense(0, "ev0")
         # 1 was tried and counted; 2 is picked but not yet counted
         assert e.protocol.states[0].use_count == {1: 1, 2: 0, 3: 0}
         e.drain()
@@ -780,19 +794,19 @@ class TestHybRunner:
         send, steps = e.send_unicast, []
         counts = e.protocol.states[0].use_count
 
-        def recording(kind, tx, rx, now, *, on_result, **kw):
+        def recording(kind, tx, rx, *, on_result, **kw):
             before, seq, fired = list(e._heap), e._seq, []
 
-            def reported(trans, outcome, t):
+            def reported(trans, outcome):
                 fired.append(outcome)
-                on_result(trans, outcome, t)
-            send(kind, tx, rx, now, on_result=reported, **kw)
+                on_result(trans, outcome)
+            send(kind, tx, rx, on_result=reported, **kw)
             kept = {id(entry) for entry in before}
             steps.append((fired, e._seq - seq, [
                 entry[0] for entry in e._heap if id(entry) not in kept],
                 dict(counts)))
         e.send_unicast = recording
-        e.protocol.on_sense(0, "ev0", 0.0)
+        e.protocol.on_sense(0, "ev0")
         e.drain()
         # the last BUSY leaves no candidate: the packet drops, unscheduled
         assert steps == [
@@ -805,7 +819,7 @@ class TestHybRunner:
         e = Engine(Scenario(protocol="hyb", node_count=75, seed=1,
                             sim_time=1.0))
         hyb_runner = e.protocol
-        hyb_runner.configure(0.0)
+        hyb_runner.configure()
         installed, set_row = [], HybNodeState.set_row
 
         def recording(state, row, ctx):
@@ -851,9 +865,9 @@ class EngineProxy:
         fired = [0]
         self.reports.append(fired)
 
-        def counted(trans, outcome, t):
+        def counted(trans, outcome):
             fired[0] += 1
-            on_result(trans, outcome, t)
+            on_result(trans, outcome)
         self._engine.send_unicast(*args, on_result=counted, **kw)
 
 
@@ -962,9 +976,9 @@ class TestLazySensing:
         order = []
         on_sense = e.protocol.on_sense
 
-        def recording(node, event_id, now):
+        def recording(node, event_id):
             order.append(int(event_id[2:]))
-            on_sense(node, event_id, now)
+            on_sense(node, event_id)
         e.protocol.on_sense = recording
         e.run()
         assert order != sorted(order)
@@ -1015,9 +1029,9 @@ class TestPacketResolution:
     @pytest.mark.parametrize("second", ["drop", "deliver"])
     def test_second_resolution_raises(self, tmp_path, first, second):
         e = make_engine(tmp_path, {0: (1000.0, 1200.0)}, (1000.0, 1000.0))
-        ctx = e.new_packet("ev0", 0, 0.0)
-        resolve = {"drop": lambda: e.drop(ctx, ASLEEP, 0, 0.0),
-                   "deliver": lambda: e.deliver(ctx, 0, 0.0)}
+        ctx = e.new_packet("ev0", 0)
+        resolve = {"drop": lambda: e.drop(ctx, ASLEEP, 0),
+                   "deliver": lambda: e.deliver(ctx, 0)}
         resolve[first]()
         with pytest.raises(RuntimeError, match="already resolved"):
             resolve[second]()

@@ -13,7 +13,6 @@ points, the base station in a corner, and zero or tiny radii.
 import math
 import tempfile
 from dataclasses import replace
-from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,6 +23,7 @@ from hybsim.scenario import Scenario
 from hybsim.topology import (Grid, Location, LocationTable, RegionParams,
                              compute_neighbour_table, refresh_table)
 
+from helpers import write_points
 from oracles import brute_force_rows
 
 RANGES = (1.5, 100.0, 350.0)
@@ -70,10 +70,8 @@ def base_station(r):
 
 def make_engine(points, bs, **kw):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "nodes.txt"
-        path.write_text("".join(f"{i} , {x!r} , {y!r}\n"
-                                for i, (x, y) in enumerate(points)))
-        return Engine(Scenario(placement=str(path), node_count=len(points),
+        path = write_points(tmp, dict(enumerate(points)))
+        return Engine(Scenario(placement=path, node_count=len(points),
                                bs_location=bs, **kw))
 
 

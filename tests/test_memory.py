@@ -85,8 +85,8 @@ def test_first_pop_sees_only_configure_and_the_first_event(monkeypatch,
     configured = []
     configure = e.protocol.configure
 
-    def counting_configure(now):
-        configure(now)
+    def counting_configure():
+        configure()
         configured.append(len(e._heap))
     e.protocol.configure = counting_configure
 

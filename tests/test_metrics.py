@@ -14,7 +14,9 @@ from hybsim.metrics import (CSV_COLUMNS, ComparisonTable, MetricsError,
                             MetricsReport, RunRow, check_dominance, collect,
                             compare, run_scenario, runs_csv, summary_csv)
 from hybsim.hyb import ASLEEP, DROP_REASONS
-from hybsim.scenario import Scenario
+from hybsim.scenario import Scenario, ScenarioError
+
+from helpers import count_engines
 
 SAMPLE_LOG = """\
 0.001000 DATA 3 1 ev0 OK
@@ -174,6 +176,33 @@ class TestComparison:
     def test_compare_rejects_empty_axes(self):
         with pytest.raises(MetricsError):
             compare(Scenario(), [], [1])
+
+    def test_one_engine_per_run_in_grid_order(self, monkeypatch):
+        engines = count_engines(monkeypatch)
+        table = compare(Scenario(node_count=5, sim_time=2.0), ["dsr", "hyb"],
+                        [2, 1], node_counts=[8, 5])
+        keys = [(n, p, s) for n in (8, 5) for p in ("dsr", "hyb")
+                for s in (2, 1)]
+        assert [(r.node_count, r.protocol, r.seed) for r in table.runs] == keys
+        assert [(sc.node_count, sc.protocol, sc.seed)
+                for sc in engines] == keys
+
+    @pytest.mark.parametrize("protocols,seeds,counts,error,message", [
+        (["hyb", "aodv", "foo"], [1], None, ScenarioError,
+         "unknown protocol 'foo'"),
+        (["hyb", "aodv"], [1], [5, 0], ScenarioError,
+         "node_count must be >= 1"),
+        # a repeated axis entry would put its runs in one cell twice
+        (["hyb", "hyb", "aodv"], [1, 2], None, MetricsError, "repeated"),
+        (["hyb"], [1, 2, 1], None, MetricsError, "repeated"),
+        (["hyb"], [1], [5, 8, 5], MetricsError, "repeated")])
+    def test_bad_axis_refused_before_any_run(self, monkeypatch, protocols,
+                                             seeds, counts, error, message):
+        engines = count_engines(monkeypatch)
+        with pytest.raises(error, match=message):
+            compare(Scenario(node_count=5, sim_time=2.0), protocols, seeds,
+                    node_counts=counts)
+        assert engines == []
 
     def test_runs_csv_round_trip(self):
         table = synthetic_table()

@@ -16,3 +16,51 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert SOURCES and not found, found
+
+
+def _defs(tree):
+    """Every function, method and lambda in ``tree``, nested ones too."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+
+
+def _params(fn):
+    args = fn.args
+    every = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+             args.vararg, args.kwarg]
+    return {arg.arg for arg in every if arg is not None}
+
+
+def _members(tree, cls):
+    """name -> FunctionDef of each method of class ``cls`` in ``tree``."""
+    [body] = [node.body for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == cls]
+    return {node.name: node for node in body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_the_engine_clock_is_the_only_time_source():
+    # Engine.now is the one owner of the current time: no runner handler,
+    # callback or deferred retry, and no send or packet method of the
+    # engine, takes the time as an argument
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in SOURCES}
+    engine = trees["engine.py"]
+    methods = _members(engine, "Engine")
+    checked = [*_defs(trees["baselines.py"]),
+               *(fn for method in _members(engine, "HybRunner").values()
+                 for fn in _defs(method)),
+               *(methods[name] for name in (
+                   "send_unicast", "send_broadcast", "send_oob_control",
+                   "new_packet", "drop", "deliver"))]
+    timed = [f"{getattr(fn, 'name', 'lambda')}:{fn.lineno}"
+             for fn in checked if _params(fn) & {"now", "t"}]
+    assert len(checked) > 40 and not timed, timed
+    # what keeps a time argument: the tracer's arbitrate observer, records
+    # stamped with their frame's start, the queue, and hyb's pure decisions
+    kept = {"arbitrate": "now", "log": "time", "schedule": "time"}
+    assert all(time in _params(methods[name]) for name, time in kept.items())
+    decisions = {node.name: node for node in trees["hyb.py"].body
+                 if isinstance(node, ast.FunctionDef)}
+    assert all("now" in _params(decisions[name])
+               for name in ("on_sense", "on_receive", "on_busy_channel"))
