@@ -42,6 +42,18 @@ def _entries(item, choices=()):
     return parse
 
 
+def _pair(sep, form):
+    """An argparse type: two floats joined by ``sep``, as in ``form``."""
+    def parse(text):
+        try:
+            first, second = map(float, text.split(sep))
+        except ValueError:  # a missing, extra or non-numeric part
+            raise argparse.ArgumentTypeError(
+                f"expected {form}, got {text!r}") from None
+        return first, second
+    return parse
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="hybsim",
                 description="Wireless sensor network routing simulator")
@@ -67,7 +79,8 @@ def _build_parser() -> _Parser:
 
     nb = sub.add_parser("neighbours", help="print a neighbour table")
     nb.add_argument("location_file")
-    nb.add_argument("--bs", required=True, help="base station as X,Y")
+    nb.add_argument("--bs", type=_pair(",", "X,Y"), required=True,
+                    help="base station as X,Y")
     default = Scenario()
     nb.add_argument("--M", type=float, default=default.band_halfwidth_M)
     nb.add_argument("--N", type=float, default=default.vertical_extent_N)
@@ -77,7 +90,8 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("gen-topology", help="emit a random location file")
     gen.add_argument("--nodes", type=int, required=True)
-    gen.add_argument("--size", required=True, help="field as WxH metres")
+    gen.add_argument("--size", type=_pair("x", "WxH"), required=True,
+                     help="field as WxH metres")
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", help="output file (default stdout)")
     return p
@@ -136,8 +150,7 @@ def _cmd_compare(args) -> int:
 def _cmd_neighbours(args) -> int:
     with open(args.location_file, "r", encoding="utf-8") as fh:
         locs = parse_location_file(fh.read())
-    bx, _, by = args.bs.partition(",")
-    locs.base_station = Location(float(bx), float(by))
+    locs.base_station = Location(*args.bs)
     sc = Scenario(band_halfwidth_M=args.M, vertical_extent_N=args.N,
                   max_neighbours_K=args.K, radio_range=args.radio_range)
     table = compute_neighbour_table(locs, sc.region_params(),
@@ -147,9 +160,8 @@ def _cmd_neighbours(args) -> int:
 
 
 def _cmd_gen_topology(args) -> int:
-    w, _, h = args.size.partition("x")
-    sc = Scenario(node_count=args.nodes,
-                  topology_size=(float(w), float(h)), seed=args.seed)
+    sc = Scenario(node_count=args.nodes, topology_size=args.size,
+                  seed=args.seed)
     _write(args.out, emit_location_file(place_nodes(sc)))
     return EXIT_OK
 

@@ -256,6 +256,13 @@ class TestNeighboursCommand:
         path.write_text(SAMPLE_TEXT)
         assert main(["neighbours", str(path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("bs", ["5", "5,5,5", "x,5", ""])
+    def test_malformed_bs_is_usage_error(self, tmp_path, capsys, bs):
+        path = tmp_path / "nodes.txt"
+        path.write_text(SAMPLE_TEXT)
+        assert main(["neighbours", str(path), "--bs", bs]) == EXIT_USAGE
+        assert "argument --bs" in capsys.readouterr().err
+
     def test_region_defaults_are_the_scenario_defaults(self, tmp_path,
                                                        capsys):
         path = tmp_path / "nodes.txt"
@@ -292,6 +299,14 @@ class TestGenTopologyCommand:
         assert len(locs.entries) == 12
         for p in locs.entries.values():
             assert 0 <= p.x <= 500 and 0 <= p.y <= 400
+
+    @pytest.mark.parametrize("size", ["100", "100x100x3", "100,100", "x"])
+    def test_malformed_size_is_usage_error(self, tmp_path, capsys, size):
+        out = tmp_path / "a.txt"
+        assert main(["gen-topology", "--nodes", "5", "--size", size,
+                     "--seed", "6", "--out", str(out)]) == EXIT_USAGE
+        assert "argument --size" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_without_out_writes_to_stdout(self, tmp_path, capsys):
         args = ["gen-topology", "--nodes", "5", "--size", "500x400",
