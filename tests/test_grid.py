@@ -87,6 +87,41 @@ def members(eng, mask):
     return out
 
 
+def assert_reach_is_all_pairs(eng, pts, bs):
+    """Every endpoint's mask, the base station's included, holds exactly
+    the other endpoints link_feasible admits."""
+    where = [*pts, bs]
+    for a, x in enumerate(eng._ids):
+        want = {eng._ids[b] for b, q in enumerate(where)
+                if b != a and link_feasible(eng.radio, hypot(where[a], q))}
+        assert members(eng, eng._hears[x]) == want, x
+
+
+def boundary_ring(centre, dists, turns=16):
+    """Points around ``centre`` at each of ``dists``, in ``turns`` directions;
+    the four axis directions keep the distance exact."""
+    cx, cy = centre
+    out = []
+    for k in range(turns):
+        a = 2 * math.pi * k / turns
+        c, s = (round(math.cos(a)), round(math.sin(a))) if k % (turns // 4) == 0 \
+            else (math.cos(a), math.sin(a))
+        out += [(cx + d * c, cy + d * s) for d in dists]
+    return out
+
+
+def link_edges(radio):
+    """Distances where a reach test can go wrong: either side of inner,
+    of the first distance link_feasible fails at, and of outer."""
+    inner, outer = link_bounds(radio)
+    fail = radio.radio_range
+    while link_feasible(radio, fail):
+        fail = math.nextafter(fail, math.inf)
+    return [math.nextafter(inner, 0.0), inner, math.nextafter(inner, math.inf),
+            math.nextafter(fail, 0.0), fail, math.nextafter(outer, 0.0),
+            outer, math.nextafter(outer, math.inf)]
+
+
 @st.composite
 def engine_cases(draw):
     r = draw(st.sampled_from(RANGES))
@@ -222,6 +257,33 @@ class TestEngineReachability:
         eng = make_engine([(0.0, 0.0), (d, 0.0)], (5000.0, 5000.0))
         assert members(eng, eng._hears[0]) == set()
         assert members(eng, eng._hears[1]) == set()
+
+    def test_boundary_pairs_across_cell_edges(self):
+        # a sender at sixteen offsets within one radio range, each with
+        # partners at every edge distance; the two corners fix the grid's
+        # origin and span, so the offsets cross the cell edges of any
+        # cell width up to the radio range
+        radio = Scenario().radio_params()
+        r, edges = radio.radio_range, link_edges(radio)
+        for k in range(16):
+            centre = (1000.0 + r * k / 16, 1000.0 + r * (k * 7 % 16) / 16)
+            pts = [(0.0, 0.0), (1999.0, 1999.0), centre,
+                   *boundary_ring(centre, edges)]
+            eng = make_engine(pts, centre)
+            assert_reach_is_all_pairs(eng, pts, centre)
+
+    def test_short_range_on_a_wide_field(self):
+        # 1.5 m links on a 1e6 m field: the cell cap makes every cell far
+        # wider than a link, and coordinates near 1e6 round to 1.2e-10 m
+        radio = replace(Scenario().radio_params(), radio_range=1.5)
+        edges = link_edges(radio)
+        pts = [(0.0, 0.0), (1e6, 1e6)]
+        for centre in ((5e5, 5e5), (999_998.0, 3.0), (2.0, 2.0)):
+            pts += [centre, *boundary_ring(centre, edges, turns=8)]
+        bs = (math.nextafter(5e5 + 1.5, math.inf), 5e5)
+        eng = make_engine(pts, bs, radio_range=1.5,
+                          topology_size=(1e6, 1e6))
+        assert_reach_is_all_pairs(eng, pts, bs)
 
     def test_link_bounds_bracket_the_edge(self):
         # the last calibration rounds the power comparison down at its
