@@ -49,6 +49,7 @@ SENT = "SENT"
 
 RETRY_GAP = 1.6e-4  # s between successive channel grabs for one packet
 TEXT_BLOCK = 4096   # writes joined into one block of a TextBuffer
+REACH_CELL = 1 / 3  # reachability grid cell width, as a share of outer
 
 
 def substream(seed: int, name: str) -> random.Random:
@@ -124,6 +125,19 @@ class TextBuffer:
         return text
 
 
+class OnDemand(dict):
+    """A dict that makes the value of a missing key, ``make(key)``, on its
+    first read and keeps it."""
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
+
+
 @dataclass(slots=True)
 class NodeRec:
     energy: EnergyState
@@ -150,28 +164,21 @@ class Engine:
         # static topology: who hears whom, for every node and for BS.
         # _ids lists every endpoint in bit order, ascending node id then BS;
         # _bit[x] is x's bit and _hears[x] the mask of the endpoints x's
-        # frame reaches. The grid sweep, the base station one of its points,
-        # hands over each unordered pair of nearby endpoints once;
-        # link_feasible decides every distance between the bounds that do
-        # not settle it. math.hypot of the negated differences is
-        # bit-identical, so one distance serves both directions.
-        inner, outer = link_bounds(self.radio)
-        hypot, radio = math.hypot, self.radio
+        # frame reaches, each made on its first read (see _reach), so only
+        # endpoints that send hold a mask.
         self._sense_grid = Grid(self.locs.entries, scenario.sensing_radius)
         self._ids: List[object] = [*self.nodes, BS]
-        self._bit: Dict[object, int] = {
-            x: 1 << i for i, x in enumerate(self._ids)}
-        bit = self._bit
-        hears = self._hears = dict.fromkeys(self._ids, 0)
-        points = {**self.locs.entries, BS: self.locs.base_station}
-        for (a, xa, ya), later in Grid(points, outer).sweep():
-            bit_a, mask = bit[a], 0
-            for b, xb, yb in later:
-                d = hypot(xa - xb, ya - yb)
-                if d <= inner or (d < outer and link_feasible(radio, d)):
-                    mask |= bit[b]
-                    hears[b] |= bit_a
-            hears[a] |= mask
+        self._index = {x: i for i, x in enumerate(self._ids)}
+        where = [self.loc(x) for x in self._ids]
+        self._xs = [p.x for p in where]
+        self._ys = [p.y for p in where]
+        self._zeros = b"0" * len(where)  # a mask's binary digits, none set
+        self._link_bounds = link_bounds(self.radio)
+        self._reach_grid = Grid(dict(enumerate(where)),
+                                self._link_bounds[1] * REACH_CELL)
+        self._bit: Dict[object, int] = OnDemand(
+            lambda x: 1 << self._index[x])
+        self._hears: Dict[object, int] = OnDemand(self._reach)
         # BS never sleeps; charge removes a node the moment it dies
         self.awake: Set[object] = {BS, *(n for n, rec in self.nodes.items()
                                          if rec.death_time is None)}
@@ -412,13 +419,41 @@ class Engine:
     def _interfered(self, trans: Transmission, receiver: object) -> bool:
         return bool(self._jam_mask(trans) & self._bit[receiver])
 
+    def _reach(self, x: object) -> int:
+        """The mask of the endpoints x's frame reaches, x itself excluded.
+
+        One query of the reachability grid: its whole cells lie within the
+        inner link bound, so they hold only endpoints x reaches; its edge
+        cells get the exact test; the mask is read once from its members'
+        binary digits."""
+        i = self._index[x]
+        xs, ys, radio = self._xs, self._ys, self.radio
+        xa, ya = xs[i], ys[i]
+        inner, outer = self._link_bounds
+        hypot = math.hypot
+        whole, edge = self._reach_grid.split(xa, ya, inner, outer)
+        digits = bytearray(self._zeros)  # bit j is digits[~j]
+        for j in whole:
+            digits[~j] = 49  # "1"
+        for j in edge:
+            d = hypot(xa - xs[j], ya - ys[j])
+            if d <= inner or (d < outer and link_feasible(radio, d)):
+                digits[~j] = 49
+        digits[~i] = 48  # "0"
+        return int(digits, 2)
+
     def _receivers(self, tx: object) -> List[Tuple[object, int]]:
         # (endpoint, bit) per awake endpoint tx reaches, in bit order; kept
         # from tx's first broadcast until charge records a death
         if tx not in self._heard_by:
-            awake, heard = self.awake, self._hears[tx]
-            self._heard_by[tx] = [(r, 1 << i) for i, r in enumerate(self._ids)
-                                  if heard >> i & 1 and r in awake]
+            awake, ids, found = self.awake, self._ids, []
+            digits = f"{self._hears[tx]:b}"[::-1]  # bit i is digits[i]
+            i = digits.find("1")
+            while i >= 0:
+                if ids[i] in awake:
+                    found.append((ids[i], 1 << i))
+                i = digits.find("1", i + 1)
+            self._heard_by[tx] = found
         return self._heard_by[tx]
 
     def _frame_end(self, trans: Transmission) -> None:
@@ -517,8 +552,14 @@ class Engine:
         """Nodes within sensing radius of ``where``, in ascending id order
         so that the jitter stream is drawn in a fixed order."""
         radius, entries = self.sc.sensing_radius, self.locs.entries
-        return sorted(n for n in self._sense_grid.near(where.x, where.y, radius)
-                      if entries[n].dist(where) <= radius)
+        x, y, hypot = where.x, where.y, math.hypot
+        found = []
+        for n in self._sense_grid.near(x, y, radius):
+            p = entries[n]
+            if hypot(p.x - x, p.y - y) <= radius:  # p.dist(where), inlined
+                found.append(n)
+        found.sort()
+        return found
 
     def _feed(self, sensed: List[Tuple[float, str, List[int]]],
               jitter: array, k: int, seq: int, j: int) -> None:

@@ -93,11 +93,14 @@ class Grid:
     callers apply their exact predicate to it. A grid is built with cells
     at least ``cell`` wide, so a lookup with ``radius <= cell`` visits at
     most 3 x 3 cells, and ``sweep()`` pairs every two points within
-    ``cell`` of each other exactly once. Zero and infinite radii are
-    answered correctly.
+    ``cell`` of each other exactly once. ``split(x, y, inner, outer)``
+    sorts the cells near (x, y) into those wholly within ``inner``, whose
+    points need no test, and those that may hold a point nearer than
+    ``outer``. Zero and infinite radii are answered correctly.
     """
 
     MAX_CELLS = 1024  # per axis; caps the cell count for tiny radii
+    PAD = 1e-9        # cell units; see split
     # half of the eight neighbour cells; the other half pair from their side
     FORWARD = ((1, -1), (1, 0), (1, 1), (0, 1))
 
@@ -138,6 +141,55 @@ class Grid:
         for i in self._span(x, r, self.x0, self.nx):
             for j in self._span(y, r, self.y0, self.ny):
                 out.extend(cells.get((i, j), ()))
+        return out
+
+    def split(self, x: float, y: float, inner: float,
+              outer: float) -> Tuple[List[int], List[int]]:
+        """The points near (x, y), sorted by their cells: ``(whole, edge)``.
+
+        ``whole`` holds the points of every cell that lies wholly within
+        ``inner`` of (x, y), so each of them is at most ``inner`` from it by
+        ``Location.dist``. ``edge`` holds the points of every other cell
+        that may hold a point nearer than ``outer``; callers apply their
+        exact predicate to those. The cells left over hold no point nearer
+        than ``outer``.
+        """
+        # In cell units a point lies in its cell to within a few ulps of
+        # the cell count (at most MAX_CELLS + 1 per axis), far less than
+        # the 1e-9 cell PAD, and every cell bound is moved by PAD the safe
+        # way; the relative 1e-9 on the radii covers math.hypot's rounding.
+        # Rounding can thus only send a cell to edge.
+        size, get = self.size, self.cells.get
+        within = inner / size * (1.0 - 1e-9)
+        reach = outer / size * (1.0 + 1e-9)
+        cols = self._bounds((x - self.x0) / size, reach, self.nx)
+        rows = self._bounds((y - self.y0) / size, reach, self.ny)
+        within, reach = within * within, reach * reach
+        whole: List[int] = []
+        edge: List[int] = []
+        for i, far_x, near_x in cols:
+            for j, far_y, near_y in rows:
+                if far_x + far_y <= within:
+                    whole += get((i, j), ())
+                elif near_x + near_y <= reach:
+                    edge += get((i, j), ())
+        return whole, edge
+
+    @classmethod
+    def _bounds(cls, u: float, reach: float,
+                n: int) -> List[Tuple[int, float, float]]:
+        # (k, far², near²) for every cell index k on one axis within reach
+        # of u, all in cell units: the squared distances from u to the far
+        # and the near bound of cell k, padded outwards and inwards
+        lo, hi = u - reach, u + reach
+        if hi < 0 or lo >= n:
+            return []
+        pad, out = cls.PAD, []
+        for k in range(int(lo) if lo > 0 else 0, int(hi) + 1 if hi < n else n):
+            below, above = u - k, k + 1 - u
+            far = max(below, above) + pad
+            near = max(-below, -above, pad) - pad
+            out.append((k, far * far, near * near))
         return out
 
     def sweep(self) -> Iterator[Tuple[Point, List[Point]]]:

@@ -1021,6 +1021,25 @@ class TestLazySensing:
         assert at.index("DATA") > at.index("CONFIG") == 0
 
 
+class TestLazyReachability:
+    """An endpoint's reach mask is built when it first begins a frame, so
+    a run leaves masks with the endpoints that sent and with no other."""
+
+    def test_only_endpoints_that_began_a_frame_hold_a_mask(self):
+        # 300 nodes at the density of 2000 on the default 2000 m square;
+        # the hybrid protocol puts only DATA frames on the air
+        side = 2000.0 * math.sqrt(300 / 2000)
+        e = Engine(Scenario(protocol="hyb", node_count=300, seed=1,
+                            sim_time=10.0, topology_size=(side, side),
+                            bs_location=(side / 2, side / 2)))
+        assert not e._hears and not e._bit
+        log = e.run()
+        sent = {line.split()[2] for line in log.splitlines()
+                if line.split()[1] == DATA}
+        assert 50 < len(sent) < len(e._ids) / 2
+        assert {str(x) for x in e._hears} == sent
+
+
 class TestPacketResolution:
     """A packet resolves once; the check is an exception, so ``python -O``
     keeps it."""

@@ -81,8 +81,8 @@ def hypot(p, q):
 
 def members(eng, mask):
     """The endpoints an engine reachability mask holds, decoded through its
-    bit map; a set bit that no endpoint owns fails the decode."""
-    out = {x for x, b in eng._bit.items() if mask & b}
+    bit order; a set bit that no endpoint owns fails the decode."""
+    out = {x for x in eng._ids if mask & eng._bit[x]}
     assert mask == sum(eng._bit[x] for x in out), "bit owned by no endpoint"
     return out
 
@@ -169,6 +169,27 @@ class TestGrid:
         close = {frozenset((a, b)) for a in locs for b in locs
                  if a < b and locs[a].dist(locs[b]) <= r}
         assert close <= set(pairs)
+
+    @SETTINGS
+    @given(r=st.sampled_from(RANGES + (0.5, 0.0, 1e-300, math.inf)),
+           share=st.sampled_from([1.0, 0.5, 1 / 3, 0.01]),
+           gap=st.sampled_from([0.0, 1e-9, 0.01, 1.0]), data=st.data())
+    def test_split_takes_whole_only_cells_within_inner(self, r, share, gap,
+                                                        data):
+        # inner = r and outer a little beyond it, as link_bounds gives;
+        # share 0.01 over an 800 m field hits the MAX_CELLS cap
+        pts = data.draw(placements(max(r, 1.0) if r < math.inf else 350.0,
+                                   max_nodes=40))
+        outer = r * (1.0 + gap) if r else gap
+        grid = Grid({i: Location(*p) for i, p in enumerate(pts)},
+                    outer * share)
+        for q in pts + [(0.0, 0.0), (FIELD, 2 * FIELD)]:
+            whole, edge = grid.split(q[0], q[1], r, outer)
+            assert len(whole) + len(edge) == len(set(whole) | set(edge))
+            for i in whole:
+                assert hypot(pts[i], q) <= r
+            near = {i for i, p in enumerate(pts) if hypot(p, q) < outer}
+            assert near <= set(whole) | set(edge)
 
     @staticmethod
     def _check_sweep(pts, r):
@@ -271,6 +292,29 @@ class TestEngineReachability:
                    *boundary_ring(centre, edges)]
             eng = make_engine(pts, centre)
             assert_reach_is_all_pairs(eng, pts, centre)
+
+    def test_whole_cells_end_before_the_link_edge(self):
+        # a partner on the corner of its cell that is farthest from the
+        # sender, a first float past the link edge away: the cell lies
+        # almost wholly within range, yet it must go to the exact test.
+        # The two corner points fix the grid, so a probe gives its cells.
+        radio = Scenario().radio_params()
+        span, bs = [(0.0, 0.0), (1999.0, 1999.0)], (0.0, 0.0)
+        size = make_engine(span, bs)._reach_grid.size
+        step = radio.radio_range / math.sqrt(2)
+        for k in (3, 4, 5):
+            corner = k * size
+            while int(corner / size) < k:
+                corner = math.nextafter(corner, math.inf)
+            partner = (corner, corner)
+            sender = [corner + step, corner + step]
+            while link_feasible(radio, hypot(sender, partner)):
+                sender[0] = math.nextafter(sender[0], math.inf)
+            pts = [*span, partner, tuple(sender)]
+            eng = make_engine(pts, bs)
+            assert eng._reach_grid.size == size
+            assert_reach_is_all_pairs(eng, pts, bs)
+            assert 2 not in members(eng, eng._hears[3])
 
     def test_short_range_on_a_wide_field(self):
         # 1.5 m links on a 1e6 m field: the cell cap makes every cell far
