@@ -21,8 +21,9 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from . import hyb
 from .hyb import (ASLEEP, CONGESTION, DROP, DROP_REASONS, SEND_DIRECT, Action,
                   DataPacket, DedupBuffer, HybContext, HybNodeState)
-from .radio import (EnergyState, frame_airtime, is_alive, link_bounds,
-                    link_feasible, received_power, rx_energy, tx_energy)
+from .radio import (EnergyState, RadioParams, frame_airtime, is_alive,
+                    link_bounds, link_feasible, received_power, rx_energy,
+                    tx_energy)
 from .scenario import Scenario
 from .topology import (Grid, Location, LocationTable, Row,
                        compute_neighbour_table, refresh_table)
@@ -141,6 +142,48 @@ class OnDemand(dict):
         return value
 
 
+class Reachability:
+    """Who hears whom among a run's endpoints, one endpoint at a time.
+
+    ``ids`` lists the endpoints in bit order and ``where`` their locations:
+    endpoint ``ids[i]`` owns bit i of every mask."""
+
+    def __init__(self, ids: List[object], where: List[Location],
+                 radio: RadioParams) -> None:
+        self.index = {x: i for i, x in enumerate(ids)}
+        self.radio = radio
+        self.inner, self.outer = link_bounds(radio)
+        self.xs = [p.x for p in where]
+        self.ys = [p.y for p in where]
+        self.grid = Grid(dict(enumerate(where)), self.outer * REACH_CELL)
+
+    def bit(self, x: object) -> int:
+        return 1 << self.index[x]
+
+    def mask(self, x: object) -> int:
+        """The mask of the endpoints x's frame reaches, x itself excluded.
+
+        One query of the grid: its whole cells lie within the inner link
+        bound, so they hold only endpoints x reaches; its edge cells get
+        the exact test; the mask is read once from its members' binary
+        digits."""
+        i = self.index[x]
+        xs, ys, radio = self.xs, self.ys, self.radio
+        xa, ya = xs[i], ys[i]
+        inner, outer = self.inner, self.outer
+        hypot = math.hypot
+        whole, edge = self.grid.split(xa, ya, inner, outer)
+        digits = bytearray(b"0") * len(xs)  # bit j is digits[~j]
+        for j in whole:
+            digits[~j] = 49  # "1"
+        for j in edge:
+            d = hypot(xa - xs[j], ya - ys[j])
+            if d <= inner or (d < outer and link_feasible(radio, d)):
+                digits[~j] = 49
+        digits[~i] = 48  # "0"
+        return int(digits, 2)
+
+
 @dataclass(slots=True)
 class NodeRec:
     energy: EnergyState
@@ -148,7 +191,10 @@ class NodeRec:
 
 
 class Engine:
-    """Single run of one scenario under one protocol."""
+    """Single run of one scenario under one protocol.
+
+    An engine keeps fewer than 30 instance attributes: from 30 on, CPython
+    3.11 no longer shares their keys, and every ``self.x`` load slows."""
 
     recent = ()  # perfbench/tracer.py reads len(eng.recent); no history kept
 
@@ -167,21 +213,14 @@ class Engine:
         # static topology: who hears whom, for every node and for BS.
         # _ids lists every endpoint in bit order, ascending node id then BS;
         # _bit[x] is x's bit and _hears[x] the mask of the endpoints x's
-        # frame reaches, each made on its first read (see _reach), so only
-        # endpoints that send hold a mask.
+        # frame reaches, each made on its first read, so only endpoints
+        # that send hold a mask.
         self._sense_grid = Grid(self.locs.entries, scenario.sensing_radius)
         self._ids: List[object] = [*self.nodes, BS]
-        self._index = {x: i for i, x in enumerate(self._ids)}
-        where = [self.loc(x) for x in self._ids]
-        self._xs = [p.x for p in where]
-        self._ys = [p.y for p in where]
-        self._zeros = b"0" * len(where)  # a mask's binary digits, none set
-        self._link_bounds = link_bounds(self.radio)
-        self._reach_grid = Grid(dict(enumerate(where)),
-                                self._link_bounds[1] * REACH_CELL)
-        self._bit: Dict[object, int] = OnDemand(
-            lambda x: 1 << self._index[x])
-        self._hears: Dict[object, int] = OnDemand(self._reach)
+        self._reach = Reachability(
+            self._ids, [self.loc(x) for x in self._ids], self.radio)
+        self._bit: Dict[object, int] = OnDemand(self._reach.bit)
+        self._hears: Dict[object, int] = OnDemand(self._reach.mask)
         # BS never sleeps; charge removes a node the moment it dies
         self.awake: Set[object] = {BS, *(n for n, rec in self.nodes.items()
                                          if rec.death_time is None)}
@@ -421,29 +460,6 @@ class Engine:
 
     def _interfered(self, trans: Transmission, receiver: object) -> bool:
         return bool(self._jam_mask(trans) & self._bit[receiver])
-
-    def _reach(self, x: object) -> int:
-        """The mask of the endpoints x's frame reaches, x itself excluded.
-
-        One query of the reachability grid: its whole cells lie within the
-        inner link bound, so they hold only endpoints x reaches; its edge
-        cells get the exact test; the mask is read once from its members'
-        binary digits."""
-        i = self._index[x]
-        xs, ys, radio = self._xs, self._ys, self.radio
-        xa, ya = xs[i], ys[i]
-        inner, outer = self._link_bounds
-        hypot = math.hypot
-        whole, edge = self._reach_grid.split(xa, ya, inner, outer)
-        digits = bytearray(self._zeros)  # bit j is digits[~j]
-        for j in whole:
-            digits[~j] = 49  # "1"
-        for j in edge:
-            d = hypot(xa - xs[j], ya - ys[j])
-            if d <= inner or (d < outer and link_feasible(radio, d)):
-                digits[~j] = 49
-        digits[~i] = 48  # "0"
-        return int(digits, 2)
 
     def _receivers(self, tx: object) -> List[Tuple[object, int]]:
         # (endpoint, bit) per awake endpoint tx reaches, in bit order; kept

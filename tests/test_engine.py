@@ -1040,6 +1040,15 @@ class TestLazyReachability:
         assert {str(x) for x in e._hears} == sent
 
 
+@pytest.mark.parametrize("protocol", ["hyb", "aodv", "dsr"])
+def test_engine_keeps_fewer_than_30_attributes(protocol):
+    # from 30 on, CPython 3.11 stops sharing an instance's attribute keys,
+    # and every self.x load in the engine's hot paths slows
+    e = Engine(Scenario(protocol=protocol, node_count=5, sim_time=1.0))
+    e.run()
+    assert len(vars(e)) < 30, sorted(vars(e))
+
+
 class TestPacketResolution:
     """A packet resolves once; the check is an exception, so ``python -O``
     keeps it."""

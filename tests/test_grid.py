@@ -300,7 +300,7 @@ class TestEngineReachability:
         # The two corner points fix the grid, so a probe gives its cells.
         radio = Scenario().radio_params()
         span, bs = [(0.0, 0.0), (1999.0, 1999.0)], (0.0, 0.0)
-        size = make_engine(span, bs)._reach_grid.size
+        size = make_engine(span, bs)._reach.grid.size
         step = radio.radio_range / math.sqrt(2)
         for k in (3, 4, 5):
             corner = k * size
@@ -312,7 +312,7 @@ class TestEngineReachability:
                 sender[0] = math.nextafter(sender[0], math.inf)
             pts = [*span, partner, tuple(sender)]
             eng = make_engine(pts, bs)
-            assert eng._reach_grid.size == size
+            assert eng._reach.grid.size == size
             assert_reach_is_all_pairs(eng, pts, bs)
             assert 2 not in members(eng, eng._hears[3])
 
