@@ -38,7 +38,7 @@ MAX_HYB_1000_PEAK = 4_000_000
 # Peak traced allocation of Engine(...) alone for hyb at 20,000 nodes over
 # that at 5,000, both at the density of 2000 nodes on 2000 x 2000 m, seed 1.
 # With a reach mask and a bit of n bits for every endpoint, set-up grows
-# with n squared: 9.3 and 93.7 MB, 10.1 x, on Python 3.11. Built on demand,
+# with n squared: 9.7 and 98.2 MB, 10.1 x, on Python 3.11. Built on demand,
 # set-up holds no mask: 4.8 and 19.1 MB, 4.0 x.
 MAX_SET_UP_GROWTH_5K_TO_20K = 5.0
 
