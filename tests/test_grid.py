@@ -104,8 +104,9 @@ def boundary_ring(centre, dists, turns=16):
     out = []
     for k in range(turns):
         a = 2 * math.pi * k / turns
-        c, s = (round(math.cos(a)), round(math.sin(a))) if k % (turns // 4) == 0 \
-            else (math.cos(a), math.sin(a))
+        c, s = math.cos(a), math.sin(a)
+        if k % (turns // 4) == 0:  # cos and sin of a right angle, exactly
+            c, s = round(c), round(s)
         out += [(cx + d * c, cy + d * s) for d in dists]
     return out
 
