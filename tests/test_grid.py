@@ -127,7 +127,7 @@ def link_edges(radio):
 def engine_cases(draw):
     r = draw(st.sampled_from(RANGES))
     return (r, draw(placements(r)), draw(base_station(r)),
-            draw(st.sampled_from([0.0, 1e-300, 0.5, r, 250.0])))
+            draw(st.sampled_from([0.0, 1e-300, 0.5, r, 250.0, math.inf])))
 
 
 class TestGrid:
@@ -189,7 +189,7 @@ class TestGrid:
             assert len(whole) + len(edge) == len(set(whole) | set(edge))
             for i in whole:
                 assert hypot(pts[i], q) <= r
-            near = {i for i, p in enumerate(pts) if hypot(p, q) < outer}
+            near = {i for i, p in enumerate(pts) if hypot(p, q) <= outer}
             assert near <= set(whole) | set(edge)
 
     @staticmethod
@@ -235,12 +235,15 @@ class TestGrid:
         assert grid.nx == Grid.MAX_CELLS + 1
 
     def test_empty_and_degenerate(self):
-        assert Grid({}, 10.0).near(1.0, 1.0, 5.0) == []
+        def near(grid, x, y, r):
+            whole, edge = grid.split(x, y, r, r)
+            return sorted(whole + edge)
+        assert near(Grid({}, 10.0), 1.0, 1.0, 5.0) == []
         one = Grid({7: Location(3.0, 3.0)}, 0.0)
-        assert one.near(3.0, 3.0, 0.0) == [7]
+        assert near(one, 3.0, 3.0, 0.0) == [7]
         far = Grid({1: Location(0.0, 0.0), 2: Location(1e300, 1e300)}, 1e-300)
-        assert far.near(0.0, 0.0, 0.0) == [1]
-        assert sorted(far.near(0.0, 0.0, math.inf)) == [1, 2]
+        assert near(far, 0.0, 0.0, 0.0) == [1]
+        assert near(far, 0.0, 0.0, math.inf) == [1, 2]
         assert list(Grid({}, 10.0).sweep()) == []
         assert list(one.sweep()) == [((7, 3.0, 3.0), [])]
 
@@ -266,6 +269,20 @@ class TestEngineReachability:
         for where in pts + [bs]:
             want = [n for n in ids if hypot(pts[n], where) <= sensing]
             assert eng.sensors(Location(*where)) == want
+
+    def test_sensors_at_the_exact_radius_across_cell_edges(self):
+        # nodes at the sensing radius and one ulp either side of it, around
+        # events at sixteen offsets within one radius; the two corners fix
+        # the sensing grid, so the offsets cross its cell edges
+        r = 250.0
+        dists = [math.nextafter(r, 0.0), r, math.nextafter(r, math.inf)]
+        for k in range(16):
+            centre = (1000.0 + r * k / 16, 1000.0 + r * (k * 7 % 16) / 16)
+            pts = [(0.0, 0.0), (1999.0, 1999.0), centre,
+                   *boundary_ring(centre, dists)]
+            eng = make_engine(pts, (0.0, 0.0), sensing_radius=r)
+            want = [n for n, p in enumerate(pts) if hypot(p, centre) <= r]
+            assert eng.sensors(Location(*centre)) == want
 
     def test_pair_between_the_bounds_that_fails_the_link_is_not_linked(self):
         # between inner and outer only link_feasible decides; a pair a few
