@@ -100,8 +100,8 @@ class Transmission:
     # the frames that share air time with this one, from its _begin to its
     # _frame_end; see Engine._begin
     overlaps: Optional[List["Transmission"]] = None
-    # _hears[tx] | _bit[tx], set by _begin: whom the frame reaches, its
-    # sender included
+    # the sender's reach mask with its own bit, set by _begin: whom the
+    # frame reaches, its sender included
     reach: int = 0
 
 
@@ -129,45 +129,27 @@ class TextBuffer:
         return text
 
 
-class OnDemand(dict):
-    """A dict that makes the value of a missing key, ``make(key)``, on its
-    first read and keeps it."""
-
-    def __init__(self, make: Callable) -> None:
-        super().__init__()
-        self._make = make
-
-    def __missing__(self, key):
-        value = self[key] = self._make(key)
-        return value
-
-
 class Reachability:
     """Who hears whom among a run's endpoints, one endpoint at a time.
 
-    ``ids`` lists the endpoints in bit order and ``where`` their locations:
-    endpoint ``ids[i]`` owns bit i of every mask."""
+    ``where`` lists the endpoints' locations in bit order: endpoint i owns
+    bit i of every mask."""
 
-    def __init__(self, ids: List[object], where: List[Location],
-                 radio: RadioParams) -> None:
-        self.index = {x: i for i, x in enumerate(ids)}
+    def __init__(self, where: List[Location], radio: RadioParams) -> None:
         self.radio = radio
         self.inner, self.outer = link_bounds(radio)
         self.xs = [p.x for p in where]
         self.ys = [p.y for p in where]
         self.grid = Grid(dict(enumerate(where)), self.outer * REACH_CELL)
 
-    def bit(self, x: object) -> int:
-        return 1 << self.index[x]
-
-    def mask(self, x: object) -> int:
-        """The mask of the endpoints x's frame reaches, x itself excluded.
+    def mask(self, i: int) -> int:
+        """The mask of the endpoints that endpoint i's frame reaches, i
+        itself excluded.
 
         One query of the grid: its whole cells lie within the inner link
-        bound, so they hold only endpoints x reaches; its edge cells get
+        bound, so they hold only endpoints i reaches; its edge cells get
         the exact test; the mask is read once from its members' binary
         digits."""
-        i = self.index[x]
         xs, ys, radio = self.xs, self.ys, self.radio
         xa, ya = xs[i], ys[i]
         inner, outer = self.inner, self.outer
@@ -211,16 +193,17 @@ class Engine:
             self.nodes[i] = NodeRec(battery, None if is_alive(battery) else 0.0)
 
         # static topology: who hears whom, for every node and for BS.
-        # _ids lists every endpoint in bit order, ascending node id then BS;
-        # _bit[x] is x's bit and _hears[x] the mask of the endpoints x's
-        # frame reaches, each made on its first read, so only endpoints
-        # that send hold a mask.
+        # _ids lists every endpoint in bit order, ascending node id then BS,
+        # and _index[x] is x's position there, so x owns bit 1 << _index[x].
+        # _hears[i] is the mask of the endpoints endpoint i's frame reaches,
+        # made by _mask on its first read, so only endpoints that send
+        # hold a mask.
         self._sense_grid = Grid(self.locs.entries, scenario.sensing_radius)
         self._ids: List[object] = [*self.nodes, BS]
-        self._reach = Reachability(
-            self._ids, [self.loc(x) for x in self._ids], self.radio)
-        self._bit: Dict[object, int] = OnDemand(self._reach.bit)
-        self._hears: Dict[object, int] = OnDemand(self._reach.mask)
+        self._index = {x: i for i, x in enumerate(self._ids)}
+        self._reach = Reachability([self.loc(x) for x in self._ids],
+                                   self.radio)
+        self._hears: List[Optional[int]] = [None] * len(self._ids)
         # BS never sleeps; charge removes a node the moment it dies
         self.awake: Set[object] = {BS, *(n for n, rec in self.nodes.items()
                                          if rec.death_time is None)}
@@ -325,7 +308,7 @@ class Engine:
             return NO_RX
         if rx in self.active:
             return BUSY
-        mine = self._bit[rx]
+        mine = 1 << self._index[rx]
         if self._on_air & mine:  # rx hears or sends a frame on the air
             for t in self.active.values():
                 if t.start < now and t.reach & mine:
@@ -372,7 +355,8 @@ class Engine:
                 g.overlaps.append(trans)
                 overlaps.append(g)
         active[tx] = trans
-        trans.reach = self._hears[tx] | self._bit[tx]
+        i = self._index[tx]
+        trans.reach = self._mask(i) | 1 << i
         self._on_air |= trans.reach
         self.schedule(end, lambda: self._frame_end(trans))
 
@@ -421,7 +405,7 @@ class Engine:
         flood: no endpoint is handed a flood it sent or was handed before."""
         if tx not in self.awake:
             return  # the node drained while the frame was pending
-        mine = self._bit[tx]
+        mine = 1 << self._index[tx]
         if self._on_air & mine:  # tx sends or hears a frame on the air
             busy_until = 0.0
             for t in self.active.values():
@@ -459,14 +443,22 @@ class Engine:
         return jammed
 
     def _interfered(self, trans: Transmission, receiver: object) -> bool:
-        return bool(self._jam_mask(trans) & self._bit[receiver])
+        return bool(self._jam_mask(trans) & 1 << self._index[receiver])
+
+    def _mask(self, i: int) -> int:
+        # endpoint i's reach mask, built on its first read and kept
+        mask = self._hears[i]
+        if mask is None:
+            mask = self._hears[i] = self._reach.mask(i)
+        return mask
 
     def _receivers(self, tx: object) -> List[Tuple[object, int]]:
         # (endpoint, bit) per awake endpoint tx reaches, in bit order; kept
         # from tx's first broadcast until charge records a death
         if tx not in self._heard_by:
             awake, ids, found = self.awake, self._ids, []
-            digits = f"{self._hears[tx]:b}"[::-1]  # bit i is digits[i]
+            mask = self._mask(self._index[tx])
+            digits = f"{mask:b}"[::-1]  # bit i is digits[i]
             i = digits.find("1")
             while i >= 0:
                 if ids[i] in awake:
@@ -496,7 +488,7 @@ class Engine:
             # holds is charged but needs no handler.
             jammed = self._jam_mask(trans)
             trans.overlaps = None
-            held = self._flooded.get(event_id, 0) | self._bit[tx]
+            held = self._flooded.get(event_id, 0) | 1 << self._index[tx]
             head = f"{stamp}{COLL} {tx} "
             tail = f" {event_id} {COLLISION}\n"
             charge = self.charge
@@ -572,8 +564,9 @@ class Engine:
         so that the jitter stream is drawn in a fixed order."""
         radius, entries = self.sc.sensing_radius, self.locs.entries
         x, y, hypot = where.x, where.y, math.hypot
-        found = []
-        for n in self._sense_grid.near(x, y, radius):
+        # whole cells lie within the radius; edge cells get the exact test
+        found, edge = self._sense_grid.split(x, y, radius, radius)
+        for n in edge:
             p = entries[n]
             if hypot(p.x - x, p.y - y) <= radius:  # p.dist(where), inlined
                 found.append(n)

@@ -88,15 +88,13 @@ Point = Tuple[int, float, float]  # (id, x, y)
 class Grid:
     """Uniform bucket grid over point locations, for lookups by distance.
 
-    ``near(x, y, radius)`` returns, in no particular order, a superset of
-    the points whose ``Location.dist`` to (x, y) is at most ``radius``;
-    callers apply their exact predicate to it. A grid is built with cells
-    at least ``cell`` wide, so a lookup with ``radius <= cell`` visits at
-    most 3 x 3 cells, and ``sweep()`` pairs every two points within
-    ``cell`` of each other exactly once. ``split(x, y, inner, outer)``
-    sorts the cells near (x, y) into those wholly within ``inner``, whose
-    points need no test, and those that may hold a point nearer than
-    ``outer``. Zero and infinite radii are answered correctly.
+    A grid is built with cells at least ``cell`` wide, so ``sweep()`` pairs
+    every two points within ``cell`` of each other exactly once.
+    ``split(x, y, inner, outer)`` sorts the cells near (x, y) into those
+    wholly within ``inner``, whose points need no test, and those that may
+    hold a point at most ``outer`` away, whose points callers apply their
+    exact predicate to; with ``outer <= cell`` it visits at most 4 x 4
+    cells. Zero and infinite radii are answered correctly.
     """
 
     MAX_CELLS = 1024  # per axis; caps the cell count for tiny radii
@@ -123,26 +121,6 @@ class Grid:
             key = (int((p.x - self.x0) / size), int((p.y - self.y0) / size))
             self.cells.setdefault(key, []).append(i)
 
-    def _span(self, c: float, r: float, origin: float, n: int) -> range:
-        # every step is a rounded operation, and rounding never reorders,
-        # so a coordinate inside [c - r, c + r] maps into this index range
-        lo = (c - r - origin) / self.size
-        hi = (c + r - origin) / self.size
-        if hi < 0 or lo >= n:
-            return range(0)
-        return range(int(lo) if lo > 0 else 0, int(hi) + 1 if hi < n else n)
-
-    def near(self, x: float, y: float, radius: float) -> List[int]:
-        # math.hypot and the coordinate differences it is given round by a
-        # few ulps; the relative pad keeps their boundary cases in
-        r = radius * (1.0 + 1e-9)
-        cells = self.cells
-        out: List[int] = []
-        for i in self._span(x, r, self.x0, self.nx):
-            for j in self._span(y, r, self.y0, self.ny):
-                out.extend(cells.get((i, j), ()))
-        return out
-
     def split(self, x: float, y: float, inner: float,
               outer: float) -> Tuple[List[int], List[int]]:
         """The points near (x, y), sorted by their cells: ``(whole, edge)``.
@@ -150,9 +128,9 @@ class Grid:
         ``whole`` holds the points of every cell that lies wholly within
         ``inner`` of (x, y), so each of them is at most ``inner`` from it by
         ``Location.dist``. ``edge`` holds the points of every other cell
-        that may hold a point nearer than ``outer``; callers apply their
-        exact predicate to those. The cells left over hold no point nearer
-        than ``outer``.
+        that may hold a point at most ``outer`` from it; callers apply their
+        exact predicate to those. The cells left over hold no point within
+        ``outer``.
         """
         # In cell units a point lies in its cell to within a few ulps of
         # the cell count (at most MAX_CELLS + 1 per axis), far less than

@@ -1032,12 +1032,13 @@ class TestLazyReachability:
         e = Engine(Scenario(protocol="hyb", node_count=300, seed=1,
                             sim_time=10.0, topology_size=(side, side),
                             bs_location=(side / 2, side / 2)))
-        assert not e._hears and not e._bit
+        assert e._hears == [None] * len(e._ids)
         log = e.run()
         sent = {line.split()[2] for line in log.splitlines()
                 if line.split()[1] == DATA}
         assert 50 < len(sent) < len(e._ids) / 2
-        assert {str(x) for x in e._hears} == sent
+        assert {str(x) for x in e._ids
+                if e._hears[e._index[x]] is not None} == sent
 
 
 @pytest.mark.parametrize("protocol", ["hyb", "aodv", "dsr"])

@@ -243,7 +243,13 @@ def test_flood_keeps_every_reach_and_the_on_air_mask(case):
     # after every change to active, each frame on the air reaches what its
     # sender's masks say, and _on_air is the OR of those reaches
     e = _flood_engine(case)
-    hears, bit, calls = e._hears, e._bit, Counter()
+    calls = Counter()
+
+    def hears(x):
+        return e._hears[e._index[x]]
+
+    def bit(x):
+        return 1 << e._index[x]
 
     def checked(name):
         fn = getattr(e, name)
@@ -252,7 +258,7 @@ def test_flood_keeps_every_reach_and_the_on_air_mask(case):
             fn(trans)
             on_air = 0
             for t in e.active.values():
-                assert t.reach == hears[t.tx] | bit[t.tx]
+                assert t.reach == hears(t.tx) | bit(t.tx)
                 on_air |= t.reach
             assert e._on_air == on_air
             calls[name] += 1
@@ -273,11 +279,16 @@ def test_zero_airtime_case_reaches_the_strict_overlap_edges():
         begin(trans)
     e._begin = recording
     e.run()
-    hears, bit = e._hears, e._bit
+
+    def hears(x):
+        return e._hears[e._index[x]]
+
+    def bit(x):
+        return 1 << e._index[x]
 
     def share_an_endpoint(g, t):
-        return bool((hears[g.tx] | bit[g.tx]) & hears[t.tx]
-                    or (hears[t.tx] | bit[t.tx]) & hears[g.tx])
+        return bool((hears(g.tx) | bit(g.tx)) & hears(t.tx)
+                    or (hears(t.tx) | bit(t.tx)) & hears(g.tx))
 
     ends = defaultdict(list)
     touching = inside = 0

@@ -82,9 +82,18 @@ def hypot(p, q):
 def members(eng, mask):
     """The endpoints an engine reachability mask holds, decoded through its
     bit order; a set bit that no endpoint owns fails the decode."""
-    out = {x for x in eng._ids if mask & eng._bit[x]}
-    assert mask == sum(eng._bit[x] for x in out), "bit owned by no endpoint"
+    out = {x for x in eng._ids if mask & 1 << eng._index[x]}
+    assert mask == sum(1 << eng._index[x] for x in out), (
+        "bit owned by no endpoint")
     return out
+
+
+def hears(eng, x):
+    """Endpoint x's reach mask, built through the engine's accessor."""
+    i = eng._index[x]
+    mask = eng._mask(i)
+    assert eng._hears[i] == mask
+    return mask
 
 
 def assert_reach_is_all_pairs(eng, pts, bs):
@@ -94,7 +103,7 @@ def assert_reach_is_all_pairs(eng, pts, bs):
     for a, x in enumerate(eng._ids):
         want = {eng._ids[b] for b, q in enumerate(where)
                 if b != a and link_feasible(eng.radio, hypot(where[a], q))}
-        assert members(eng, eng._hears[x]) == want, x
+        assert members(eng, hears(eng, x)) == want, x
 
 
 def boundary_ring(centre, dists, turns=16):
@@ -132,23 +141,6 @@ def engine_cases(draw):
 
 class TestGrid:
     @SETTINGS
-    @given(r=st.sampled_from(RANGES + (0.0, 1e-300, math.inf)),
-           wider=st.sampled_from([1.0, 2.5, math.inf]), data=st.data())
-    def test_near_is_a_superset(self, r, wider, data):
-        pts = data.draw(placements(max(r, 1.0) if r < math.inf else 350.0))
-        cell = r * wider if r else 0.0
-        grid = Grid({i: Location(*p) for i, p in enumerate(pts)}, cell)
-        queries = pts + data.draw(st.lists(
-            st.tuples(st.floats(0.0, 2 * FIELD), st.floats(0.0, 2 * FIELD)),
-            max_size=5))
-        for q in queries:
-            got = grid.near(q[0], q[1], r)
-            assert len(got) == len(set(got))
-            want = {i for i, p in enumerate(pts)
-                    if Location(*p).dist(Location(*q)) <= r}
-            assert want <= set(got)
-
-    @SETTINGS
     @given(r=st.sampled_from(RANGES + (0.5, 0.0, 1e-300, math.inf)),
            data=st.data())
     def test_sweep_pairs_every_close_pair_once(self, r, data):
@@ -173,18 +165,22 @@ class TestGrid:
 
     @SETTINGS
     @given(r=st.sampled_from(RANGES + (0.5, 0.0, 1e-300, math.inf)),
-           share=st.sampled_from([1.0, 0.5, 1 / 3, 0.01]),
+           share=st.sampled_from([1.0, 0.5, 1 / 3, 0.01, 2.5, math.inf]),
            gap=st.sampled_from([0.0, 1e-9, 0.01, 1.0]), data=st.data())
     def test_split_takes_whole_only_cells_within_inner(self, r, share, gap,
                                                         data):
-        # inner = r and outer a little beyond it, as link_bounds gives;
-        # share 0.01 over an 800 m field hits the MAX_CELLS cap
+        # inner = r and outer a little beyond it, as link_bounds gives, or
+        # both equal, as sensing asks; share 0.01 over an 800 m field hits
+        # the MAX_CELLS cap, and 2.5 and inf make cells wider than outer
         pts = data.draw(placements(max(r, 1.0) if r < math.inf else 350.0,
                                    max_nodes=40))
         outer = r * (1.0 + gap) if r else gap
         grid = Grid({i: Location(*p) for i, p in enumerate(pts)},
-                    outer * share)
-        for q in pts + [(0.0, 0.0), (FIELD, 2 * FIELD)]:
+                    outer * share if outer else 0.0)
+        queries = data.draw(st.lists(
+            st.tuples(st.floats(0.0, 2 * FIELD), st.floats(0.0, 2 * FIELD)),
+            max_size=5))
+        for q in pts + queries + [(0.0, 0.0), (FIELD, 2 * FIELD)]:
             whole, edge = grid.split(q[0], q[1], r, outer)
             assert len(whole) + len(edge) == len(set(whole) | set(edge))
             for i in whole:
@@ -258,14 +254,14 @@ class TestEngineReachability:
         ids = range(len(pts))
         assert eng._ids == [*ids, BS]
         for x in eng._ids:
-            assert eng._bit[x] == 1 << eng._ids.index(x)
+            assert eng._index[x] == eng._ids.index(x)
         reach_bs = {a for a in ids if link_feasible(radio, hypot(pts[a], bs))}
         for a in ids:
             want = {b for b in ids
                     if b != a and link_feasible(radio, hypot(pts[a], pts[b]))}
-            assert members(eng, eng._hears[a]) == (
+            assert members(eng, hears(eng, a)) == (
                 want | {BS} if a in reach_bs else want)
-        assert members(eng, eng._hears[BS]) == reach_bs
+        assert members(eng, hears(eng, BS)) == reach_bs
         for where in pts + [bs]:
             want = [n for n in ids if hypot(pts[n], where) <= sensing]
             assert eng.sensors(Location(*where)) == want
@@ -294,8 +290,8 @@ class TestEngineReachability:
             d = math.nextafter(d, math.inf)
         assert inner < d < outer
         eng = make_engine([(0.0, 0.0), (d, 0.0)], (5000.0, 5000.0))
-        assert members(eng, eng._hears[0]) == set()
-        assert members(eng, eng._hears[1]) == set()
+        assert members(eng, hears(eng, 0)) == set()
+        assert members(eng, hears(eng, 1)) == set()
 
     def test_boundary_pairs_across_cell_edges(self):
         # a sender at sixteen offsets within one radio range, each with
@@ -332,7 +328,7 @@ class TestEngineReachability:
             eng = make_engine(pts, bs)
             assert eng._reach.grid.size == size
             assert_reach_is_all_pairs(eng, pts, bs)
-            assert 2 not in members(eng, eng._hears[3])
+            assert 2 not in members(eng, hears(eng, 3))
 
     def test_short_range_on_a_wide_field(self):
         # 1.5 m links on a 1e6 m field: the cell cap makes every cell far
