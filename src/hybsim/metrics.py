@@ -78,9 +78,9 @@ def collect(log_text: str) -> MetricsReport:
     events_delivered = set()
     last_terminal = 0.0
     for lineno, raw in enumerate(_lines(log_text), start=1):
-        if not raw.strip():
-            continue
         parts = raw.split()
+        if not parts:
+            continue
         if len(parts) != 6:
             raise MetricsError(f"line {lineno}: expected 6 fields, got {raw!r}")
         t_str, kind, _tx, _rx, event_id, outcome = parts
