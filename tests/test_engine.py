@@ -1040,6 +1040,21 @@ class TestLazyReachability:
         assert {str(x) for x in e._ids
                 if e._hears[e._index[x]] is not None} == sent
 
+    def test_each_mask_is_built_once(self):
+        # a flood reads its senders' masks on every frame and broadcast
+        e = Engine(Scenario(protocol="aodv", node_count=60, seed=1,
+                            sim_time=2.0))
+        built, mask = [], e._reach.mask
+
+        def counted(i):
+            built.append(i)
+            return mask(i)
+        e._reach.mask = counted
+        log = e.run()
+        assert log.count(f" {BROADCAST} ") > 2 * len(built) > 0
+        assert sorted(built) == [i for i, m in enumerate(e._hears)
+                                 if m is not None]
+
 
 @pytest.mark.parametrize("protocol", ["hyb", "aodv", "dsr"])
 def test_engine_keeps_fewer_than_30_attributes(protocol):

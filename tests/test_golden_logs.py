@@ -232,6 +232,12 @@ def _flood_engine(case):
     return Engine(Scenario(seed=1, **FLOOD[case][0]))
 
 
+def _mask_and_bit(e, x):
+    """Endpoint x's reach mask, as its first frame built it, and its bit."""
+    i = e._index[x]
+    return e._hears[i], 1 << i
+
+
 @pytest.mark.parametrize("case", sorted(FLOOD))
 def test_flood_edge_log_digest(case):
     log = _flood_engine(case).run()
@@ -245,12 +251,6 @@ def test_flood_keeps_every_reach_and_the_on_air_mask(case):
     e = _flood_engine(case)
     calls = Counter()
 
-    def hears(x):
-        return e._hears[e._index[x]]
-
-    def bit(x):
-        return 1 << e._index[x]
-
     def checked(name):
         fn = getattr(e, name)
 
@@ -258,7 +258,8 @@ def test_flood_keeps_every_reach_and_the_on_air_mask(case):
             fn(trans)
             on_air = 0
             for t in e.active.values():
-                assert t.reach == hears(t.tx) | bit(t.tx)
+                hears, bit = _mask_and_bit(e, t.tx)
+                assert t.reach == hears | bit
                 on_air |= t.reach
             assert e._on_air == on_air
             calls[name] += 1
@@ -280,15 +281,11 @@ def test_zero_airtime_case_reaches_the_strict_overlap_edges():
     e._begin = recording
     e.run()
 
-    def hears(x):
-        return e._hears[e._index[x]]
-
-    def bit(x):
-        return 1 << e._index[x]
-
     def share_an_endpoint(g, t):
-        return bool((hears(g.tx) | bit(g.tx)) & hears(t.tx)
-                    or (hears(t.tx) | bit(t.tx)) & hears(g.tx))
+        (hears_g, bit_g), (hears_t, bit_t) = (_mask_and_bit(e, g.tx),
+                                              _mask_and_bit(e, t.tx))
+        return bool((hears_g | bit_g) & hears_t
+                    or (hears_t | bit_t) & hears_g)
 
     ends = defaultdict(list)
     touching = inside = 0

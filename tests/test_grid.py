@@ -266,20 +266,6 @@ class TestEngineReachability:
             want = [n for n in ids if hypot(pts[n], where) <= sensing]
             assert eng.sensors(Location(*where)) == want
 
-    def test_sensors_at_the_exact_radius_across_cell_edges(self):
-        # nodes at the sensing radius and one ulp either side of it, around
-        # events at sixteen offsets within one radius; the two corners fix
-        # the sensing grid, so the offsets cross its cell edges
-        r = 250.0
-        dists = [math.nextafter(r, 0.0), r, math.nextafter(r, math.inf)]
-        for k in range(16):
-            centre = (1000.0 + r * k / 16, 1000.0 + r * (k * 7 % 16) / 16)
-            pts = [(0.0, 0.0), (1999.0, 1999.0), centre,
-                   *boundary_ring(centre, dists)]
-            eng = make_engine(pts, (0.0, 0.0), sensing_radius=r)
-            want = [n for n, p in enumerate(pts) if hypot(p, centre) <= r]
-            assert eng.sensors(Location(*centre)) == want
-
     def test_pair_between_the_bounds_that_fails_the_link_is_not_linked(self):
         # between inner and outer only link_feasible decides; a pair a few
         # ulps past the radio range, where it fails, hears nothing
@@ -295,17 +281,22 @@ class TestEngineReachability:
 
     def test_boundary_pairs_across_cell_edges(self):
         # a sender at sixteen offsets within one radio range, each with
-        # partners at every edge distance; the two corners fix the grid's
-        # origin and span, so the offsets cross the cell edges of any
-        # cell width up to the radio range
-        radio = Scenario().radio_params()
+        # partners at every edge distance and at the sensing radius and one
+        # ulp either side of it; the two corners fix the grids' origin and
+        # span, so the offsets cross the cell edges of any cell width up
+        # to the radio range, and those of the sensing grid
+        sc = Scenario()
+        radio, s = sc.radio_params(), sc.sensing_radius
         r, edges = radio.radio_range, link_edges(radio)
+        edges += [math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)]
         for k in range(16):
             centre = (1000.0 + r * k / 16, 1000.0 + r * (k * 7 % 16) / 16)
             pts = [(0.0, 0.0), (1999.0, 1999.0), centre,
                    *boundary_ring(centre, edges)]
             eng = make_engine(pts, centre)
             assert_reach_is_all_pairs(eng, pts, centre)
+            want = [n for n, p in enumerate(pts) if hypot(p, centre) <= s]
+            assert eng.sensors(Location(*centre)) == want
 
     def test_whole_cells_end_before_the_link_edge(self):
         # a partner on the corner of its cell that is farthest from the

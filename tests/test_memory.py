@@ -1,6 +1,7 @@
 """Memory held by a run: the event log is held once, in joined blocks, and
-read lazily, reachability is one int per sender, and sensing callbacks
-reach the heap only as the run gets to them."""
+read lazily, reachability is exactly one int per sender (its reach mask;
+no endpoint's bit is stored), and sensing callbacks reach the heap only as
+the run gets to them."""
 
 import heapq
 import math
