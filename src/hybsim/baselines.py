@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from .hyb import ASLEEP, CONGESTION, NO_ROUTE, DataPacket
 from . import engine as eng
-from .engine import BS, DATA, OK, RREP, RREQ
+from .engine import (ASLEEP, BS, CONGESTION, DATA, NO_ROUTE, OK, RREP, RREQ,
+                     DataPacket)
 
 DEFER_JITTER = 1e-3  # s, spread of a send deferred behind the sender's own frame
 
@@ -32,27 +32,8 @@ class DiscoveryState:
 
 
 class _BaseRunner:
-    """Shared discovery/retransmission skeleton for both baselines, and
-    the runner contract, written once.
-
-    The engine calls a runner only through ``configure()``, once at t = 0;
-    ``on_sense(node, event_id)``, per node sensing an event;
-    ``on_broadcast_received(node, trans)``, per awake receiver of a
-    broadcast frame that is not jammed there and holds no copy of the
-    frame's flood ``trans.event_id``: the engine keeps each flood's mask,
-    the endpoints that sent a frame of it or were handed a copy; and the
-    callbacks a runner hands to ``send_unicast`` and ``schedule``. No call
-    carries the current time: ``Engine.now`` is the one clock, handlers
-    read it, and every send, drop and delivery happens at it. Every
-    ``send_unicast`` call, which returns nothing, fires its
-    ``on_result(trans, outcome)`` exactly once: ASLEEP, BUSY or NO_RX at
-    once with ``trans`` None, BUSY with the frame a stronger grab
-    cancelled, or OK, COLLISION or NO_RX at frame end; a deferred send
-    reports only when its retry resolves. A runner reads only the engine's
-    ``sc``, ``nodes``, ``awake``, ``now`` and ``pending`` (the hybrid one
-    also ``locs``, ``radio`` and ``coeff``), no private member, and calls
-    only ``schedule``, ``jitter``, ``new_packet``, ``drop``, ``deliver``
-    and the three ``send_*`` methods.
+    """Shared discovery/retransmission skeleton for both baselines; it
+    keeps the runner contract written in ``engine.Engine``'s docstring.
 
     A baseline supplies its ``node_state`` class and two hooks:
     ``_best_route(node)``, the route to the sink known at ``node`` or None,

@@ -14,19 +14,17 @@ import heapq
 import math
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from . import hyb
-from .hyb import (ASLEEP, CONGESTION, DROP, DROP_REASONS, SEND_DIRECT, Action,
-                  DataPacket, DedupBuffer, HybContext, HybNodeState)
 from .radio import (EnergyState, RadioParams, frame_airtime, is_alive,
                     link_bounds, link_feasible, received_power, rx_energy,
                     tx_energy)
 from .scenario import Scenario
-from .topology import (Grid, Location, LocationTable, Row,
-                       compute_neighbour_table, refresh_table)
+from .topology import Grid, Location, LocationTable
+# perfbench/tracer.py wraps the two table builders here by name
+from .topology import compute_neighbour_table, refresh_table
 
 BS = "BS"          # base station pseudo-id in logs and addressing
 BROADCAST = "*"
@@ -47,6 +45,13 @@ COLLISION = "COLLISION"
 NO_RX = "NO_RX"
 OK = "OK"
 SENT = "SENT"
+
+# Drop reasons: every fate of an undelivered packet, in runs.csv order
+ASLEEP = "ASLEEP"
+DUPLICATE = "DUPLICATE"
+NO_ROUTE = "NO_ROUTE"
+CONGESTION = "CONGESTION"
+DROP_REASONS = (ASLEEP, DUPLICATE, NO_ROUTE, CONGESTION)
 
 RETRY_GAP = 1.6e-4  # s between successive channel grabs for one packet
 TEXT_BLOCK = 4096   # writes joined into one block of a TextBuffer
@@ -84,6 +89,25 @@ def generate_events(scenario: Scenario) -> List[Tuple[float, str, Location]]:
     rate = scenario.packet_rate
     return [(k / rate, f"ev{k}", Location(rng.uniform(0, w), rng.uniform(0, h)))
             for k in range(int(scenario.sim_time * rate))]
+
+
+@dataclass(slots=True)
+class DataPacket:
+    event_id: str
+    origin: int
+    created_at: float = 0.0
+    visited: List[int] = field(init=False)  # the path so far, origin first
+    terminal: bool = False                  # delivered or dropped
+    attempted: Set[int] = field(default_factory=set)  # hyb: tried this hop
+    retry_count: int = 0                    # baselines: retries at this hop
+    route: Optional[Tuple[object, ...]] = None  # dsr: route from the holder on
+
+    def __post_init__(self):
+        self.visited = [self.origin]
+
+    @property
+    def hops(self) -> int:
+        return len(self.visited) - 1
 
 
 @dataclass(slots=True)
@@ -173,7 +197,27 @@ class NodeRec:
 
 
 class Engine:
-    """Single run of one scenario under one protocol.
+    """Single run of one scenario under one protocol, whose runner is
+    ``RUNNERS[scenario.protocol](engine)``. The runner contract:
+
+    The engine calls a runner only through ``configure()``, once at t = 0;
+    ``on_sense(node, event_id)``, per node sensing an event;
+    ``on_broadcast_received(node, trans)``, per awake receiver of a
+    broadcast frame that is not jammed there and holds no copy of the
+    frame's flood ``trans.event_id``: the engine keeps each flood's mask,
+    the endpoints that sent a frame of it or were handed a copy; and the
+    callbacks a runner hands to ``send_unicast`` and ``schedule``. No call
+    carries the current time: ``Engine.now`` is the one clock, handlers
+    read it, and every send, drop and delivery happens at it. Every
+    ``send_unicast`` call, which returns nothing, fires its
+    ``on_result(trans, outcome)`` exactly once: ASLEEP, BUSY or NO_RX at
+    once with ``trans`` None, BUSY with the frame a stronger grab
+    cancelled, or OK, COLLISION or NO_RX at frame end; a deferred send
+    reports only when its retry resolves. A runner reads only the engine's
+    ``sc``, ``nodes``, ``awake``, ``now`` and ``pending`` (the hybrid one
+    also ``locs``, ``radio`` and ``coeff``), no private member, and calls
+    only ``schedule``, ``jitter``, ``new_packet``, ``drop``, ``deliver``
+    and the three ``send_*`` methods.
 
     An engine keeps fewer than 30 instance attributes: from 30 on, CPython
     3.11 no longer shares their keys, and every ``self.x`` load slows."""
@@ -233,12 +277,7 @@ class Engine:
         self.delivered = 0
         self.dropped: Dict[str, int] = dict.fromkeys(DROP_REASONS, 0)
 
-        if scenario.protocol == "hyb":
-            self.protocol = HybRunner(self)
-        else:
-            from .baselines import AodvRunner, DsrRunner
-            cls = AodvRunner if scenario.protocol == "aodv" else DsrRunner
-            self.protocol = cls(self)
+        self.protocol = RUNNERS[scenario.protocol](self)
 
     # ------------------------------------------------------------------ clock
 
@@ -609,112 +648,9 @@ class Engine:
             fn()
 
 
-class HybRunner:
-    """Engine adapter for the hybrid protocol state machine; it keeps the
-    runner contract of ``baselines._BaseRunner`` but never broadcasts."""
 
-    def __init__(self, engine: Engine):
-        self.e = engine
-        sc = engine.sc
-        self.region = sc.region_params()
-        locs = engine.locs
-        self.states: Dict[int, HybNodeState] = {
-            i: HybNodeState(id=i, energy=rec.energy,  # shared battery
-                            dedup=DedupBuffer(ttl=sc.dedup_ttl))
-            for i, rec in engine.nodes.items()}
-        # base-station knowledge, fed by residual reports
-        self.bs_known_residual: Dict[int, float] = {
-            i: sc.initial_energy for i in engine.nodes}
-        self.neighbour_table = None  # configure builds it
-        if sc.liveness == "ground_truth":
-            alive = engine.awake.__contains__
-        else:
-            alive = self._bs_alive
-        self.ctx = HybContext(
-            bs_location=locs.base_station, radio=engine.radio,
-            energy_coeff=engine.coeff, location_of=locs.entries.__getitem__,
-            alive=alive, payload_bits=sc.payload_bits, wait_t=sc.wait_t)
+# each runner module imports this one, so the table follows every class
+from .hyb import HybRunner
+from .baselines import AodvRunner, DsrRunner
 
-    # -------------------------------------------------------------- phases
-
-    def configure(self) -> None:
-        """Location upload, table computation, table dissemination."""
-        e = self.e
-        for n in sorted(e.nodes):
-            e.send_oob_control(CONFIG, n, BS)
-        alive = {n for n in e.nodes if n in e.awake}
-        self.neighbour_table = compute_neighbour_table(e.locs, self.region, alive)
-        self._install({})
-        e.schedule(e.now + e.sc.refresh_period, self._bs_refresh)
-
-    def _bs_alive(self, node: int) -> bool:
-        # the base station's belief: the last residual node reported
-        # is at or above the energy threshold
-        return self.bs_known_residual[node] >= self.e.sc.energy_threshold
-
-    def _bs_refresh(self) -> None:
-        e = self.e
-        dead = {n for n in self.bs_known_residual if not self._bs_alive(n)}
-        old = self.neighbour_table
-        self.neighbour_table = refresh_table(old, e.locs, self.region, dead)
-        self._install(old.rows)
-        if e.pending:  # keep refreshing only while work remains
-            e.schedule(e.now + e.sc.refresh_period, self._bs_refresh)
-
-    def _install(self, old: Dict[int, Row]) -> None:
-        # changed rows go to their states; every awake node gets a CONFIG
-        e, rows = self.e, self.neighbour_table.rows
-        for n in sorted(rows):
-            if rows[n] != old.get(n):
-                self.states[n].set_row(rows[n], self.ctx)
-            if n in e.awake:
-                e.send_oob_control(CONFIG, BS, n)
-
-    # -------------------------------------------------------------- traffic
-
-    def on_sense(self, node: int, event_id: str) -> None:
-        pkt = self.e.new_packet(event_id, node)
-        action = hyb.on_sense(self.states[node], pkt, self.ctx, self.e.now)
-        self._act(node, pkt, action)
-
-    def _act(self, node: int, pkt: DataPacket, action: Action) -> None:
-        kind, rx, reason = action
-        if kind == DROP:
-            self.e.drop(pkt, reason, node)
-            return
-        if kind == SEND_DIRECT:
-            rx = BS
-        else:
-            hyb.note_forward(self.states[node], rx)
-            pkt.attempted.add(rx)
-        self.e.send_unicast(DATA, node, rx, event_id=pkt.event_id,
-                            on_result=partial(self._result, node, pkt))
-
-    def _result(self, node: int, pkt: DataPacket, trans, outcome: str) -> None:
-        e = self.e
-        if outcome == BUSY or outcome == NO_RX:
-            # the next candidate is picked now, counted when its retry runs
-            action = hyb.on_busy_channel(self.states[node], pkt, self.ctx,
-                                         e.now)
-            if action.kind == DROP:
-                e.drop(pkt, action.reason, node)
-            else:
-                e.schedule(e.now + RETRY_GAP,
-                           partial(self._act, node, pkt, action))
-        elif outcome == OK:
-            if trans.rx == BS:
-                e.deliver(pkt, node)
-                # every awake node on the path reports its residual
-                for n in pkt.visited:
-                    if n in e.awake:
-                        e.send_oob_control(REPORT, n, BS)
-                        self.bs_known_residual[n] = e.nodes[n].energy.residual
-            else:
-                self._relay(trans.rx, pkt)
-        else:  # ASLEEP, or a COLLISION: no frame lost on the air is resent
-            e.drop(pkt, ASLEEP if outcome == ASLEEP else CONGESTION, node)
-
-    def _relay(self, node: int, pkt: DataPacket) -> None:
-        pkt.attempted = set()
-        action = hyb.on_receive(self.states[node], pkt, self.ctx, self.e.now)
-        self._act(node, pkt, action)
+RUNNERS = {"hyb": HybRunner, "aodv": AodvRunner, "dsr": DsrRunner}

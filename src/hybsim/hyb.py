@@ -10,8 +10,13 @@ candidate until candidates or the waiting budget run out.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
+from . import engine as eng
+from .engine import (ASLEEP, BS, BUSY, CONFIG, CONGESTION, DATA, DROP_REASONS,
+                     DUPLICATE, NO_ROUTE, NO_RX, OK, REPORT, RETRY_GAP,
+                     DataPacket)
 from .radio import (EnergyState, RadioParams, EnergyCoefficients,
                     is_alive, link_feasible, tx_energy)
 from .topology import Location, Row
@@ -20,13 +25,6 @@ from .topology import Location, Row
 SEND_DIRECT = "SEND_DIRECT"
 FORWARD = "FORWARD"
 DROP = "DROP"
-
-# Drop reasons: every fate of an undelivered packet, in runs.csv order
-ASLEEP = "ASLEEP"
-DUPLICATE = "DUPLICATE"
-NO_ROUTE = "NO_ROUTE"
-CONGESTION = "CONGESTION"
-DROP_REASONS = (ASLEEP, DUPLICATE, NO_ROUTE, CONGESTION)
 
 
 class Action(NamedTuple):
@@ -38,25 +36,6 @@ class Action(NamedTuple):
 # every decision but a FORWARD; HybContext.forwards holds those
 _DIRECT = Action(SEND_DIRECT)
 _DROPS = {reason: Action(DROP, reason=reason) for reason in DROP_REASONS}
-
-
-@dataclass(slots=True)
-class DataPacket:
-    event_id: str
-    origin: int
-    created_at: float = 0.0
-    visited: List[int] = field(init=False)  # the path so far, origin first
-    terminal: bool = False                  # delivered or dropped
-    attempted: Set[int] = field(default_factory=set)  # hyb: tried this hop
-    retry_count: int = 0                    # baselines: retries at this hop
-    route: Optional[Tuple[object, ...]] = None  # dsr: route from the holder on
-
-    def __post_init__(self):
-        self.visited = [self.origin]
-
-    @property
-    def hops(self) -> int:
-        return len(self.visited) - 1
 
 
 @dataclass(slots=True)
@@ -222,3 +201,113 @@ def on_busy_channel(state: HybNodeState, packet: DataPacket, ctx: HybContext,
 def note_forward(state: HybNodeState, neighbour: int) -> None:
     """Record an executed FORWARD for load balancing."""
     state.use_count[neighbour] = state.use_count.get(neighbour, 0) + 1
+
+
+class HybRunner:
+    """Engine adapter for the hybrid protocol state machine; it keeps the
+    runner contract in ``engine.Engine``'s docstring but never broadcasts."""
+
+    def __init__(self, engine: "eng.Engine"):
+        self.e = engine
+        sc = engine.sc
+        self.region = sc.region_params()
+        locs = engine.locs
+        self.states: Dict[int, HybNodeState] = {
+            i: HybNodeState(id=i, energy=rec.energy,  # shared battery
+                            dedup=DedupBuffer(ttl=sc.dedup_ttl))
+            for i, rec in engine.nodes.items()}
+        # base-station knowledge, fed by residual reports
+        self.bs_known_residual: Dict[int, float] = {
+            i: sc.initial_energy for i in engine.nodes}
+        self.neighbour_table = None  # configure builds it
+        if sc.liveness == "ground_truth":
+            alive = engine.awake.__contains__
+        else:
+            alive = self._bs_alive
+        self.ctx = HybContext(
+            bs_location=locs.base_station, radio=engine.radio,
+            energy_coeff=engine.coeff, location_of=locs.entries.__getitem__,
+            alive=alive, payload_bits=sc.payload_bits, wait_t=sc.wait_t)
+
+    # -------------------------------------------------------------- phases
+
+    def configure(self) -> None:
+        """Location upload, table computation, table dissemination."""
+        e = self.e
+        for n in sorted(e.nodes):
+            e.send_oob_control(CONFIG, n, BS)
+        alive = {n for n in e.nodes if n in e.awake}
+        self.neighbour_table = eng.compute_neighbour_table(e.locs, self.region, alive)
+        self._install({})
+        e.schedule(e.now + e.sc.refresh_period, self._bs_refresh)
+
+    def _bs_alive(self, node: int) -> bool:
+        # the base station's belief: the last residual node reported
+        # is at or above the energy threshold
+        return self.bs_known_residual[node] >= self.e.sc.energy_threshold
+
+    def _bs_refresh(self) -> None:
+        e = self.e
+        dead = {n for n in self.bs_known_residual if not self._bs_alive(n)}
+        old = self.neighbour_table
+        self.neighbour_table = eng.refresh_table(old, e.locs, self.region, dead)
+        self._install(old.rows)
+        if e.pending:  # keep refreshing only while work remains
+            e.schedule(e.now + e.sc.refresh_period, self._bs_refresh)
+
+    def _install(self, old: Dict[int, Row]) -> None:
+        # changed rows go to their states; every awake node gets a CONFIG
+        e, rows = self.e, self.neighbour_table.rows
+        for n in sorted(rows):
+            if rows[n] != old.get(n):
+                self.states[n].set_row(rows[n], self.ctx)
+            if n in e.awake:
+                e.send_oob_control(CONFIG, BS, n)
+
+    # -------------------------------------------------------------- traffic
+
+    def on_sense(self, node: int, event_id: str) -> None:
+        pkt = self.e.new_packet(event_id, node)
+        action = on_sense(self.states[node], pkt, self.ctx, self.e.now)
+        self._act(node, pkt, action)
+
+    def _act(self, node: int, pkt: DataPacket, action: Action) -> None:
+        kind, rx, reason = action
+        if kind == DROP:
+            self.e.drop(pkt, reason, node)
+            return
+        if kind == SEND_DIRECT:
+            rx = BS
+        else:
+            note_forward(self.states[node], rx)
+            pkt.attempted.add(rx)
+        self.e.send_unicast(DATA, node, rx, event_id=pkt.event_id,
+                            on_result=partial(self._result, node, pkt))
+
+    def _result(self, node: int, pkt: DataPacket, trans, outcome: str) -> None:
+        e = self.e
+        if outcome == BUSY or outcome == NO_RX:
+            # the next candidate is picked now, counted when its retry runs
+            action = on_busy_channel(self.states[node], pkt, self.ctx, e.now)
+            if action.kind == DROP:
+                e.drop(pkt, action.reason, node)
+            else:
+                e.schedule(e.now + RETRY_GAP,
+                           partial(self._act, node, pkt, action))
+        elif outcome == OK:
+            if trans.rx == BS:
+                e.deliver(pkt, node)
+                # every awake node on the path reports its residual
+                for n in pkt.visited:
+                    if n in e.awake:
+                        e.send_oob_control(REPORT, n, BS)
+                        self.bs_known_residual[n] = e.nodes[n].energy.residual
+            else:
+                self._relay(trans.rx, pkt)
+        else:  # ASLEEP, or a COLLISION: no frame lost on the air is resent
+            e.drop(pkt, ASLEEP if outcome == ASLEEP else CONGESTION, node)
+
+    def _relay(self, node: int, pkt: DataPacket) -> None:
+        pkt.attempted = set()
+        action = on_receive(self.states[node], pkt, self.ctx, self.e.now)
+        self._act(node, pkt, action)

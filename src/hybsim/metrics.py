@@ -12,8 +12,7 @@ import statistics
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import COLL, Engine, FRAME_KINDS, TextBuffer
-from .hyb import DROP_REASONS
+from .engine import COLL, DROP_REASONS, Engine, FRAME_KINDS, TextBuffer
 from .scenario import Scenario
 
 # the runs.csv columns between the run's key (protocol, node count, seed) and

@@ -10,14 +10,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hybsim.engine import (BROADCAST, BS, BUSY, COLLISION, CONFIG, DATA,
-                           GRANT, NO_RX, OK, REPORT, RETRY_GAP, RREP,
+from hybsim.engine import (ASLEEP, BROADCAST, BS, BUSY, COLLISION, CONFIG,
+                           DATA, GRANT, NO_RX, OK, REPORT, RETRY_GAP, RREP,
                            RREQ, Engine, Transmission, generate_events,
                            place_nodes, substream)
-from hybsim.hyb import ASLEEP, HybNodeState
+from hybsim.hyb import HybNodeState
 from hybsim.metrics import collect
 from hybsim.radio import frame_airtime, link_feasible
 from hybsim.scenario import Scenario
+from hybsim.topology import compute_neighbour_table, refresh_table
 
 from helpers import write_points
 from oracles import (brute_force_interfered, eager_run, record_charges,
@@ -844,6 +845,42 @@ class TestHybRunner:
         assert 0 < len(installed) < len(new)
         assert configs() == sent + 2 * len(e.nodes) - 1
 
+    def test_refresh_is_rescheduled_only_while_work_remains(self):
+        e = Engine(Scenario(protocol="hyb", node_count=5, sim_time=1.0))
+        runner = e.protocol
+        runner.configure()
+        e._heap.clear()  # the first refresh, run by hand below
+        runner._bs_refresh()
+        assert e.pending == 0
+        e.schedule(e.now, lambda: None)
+        runner._bs_refresh()
+        assert e.pending == 2
+
+    def test_reported_liveness_holds_a_residual_at_the_threshold(self):
+        # the base station believes a node alive while its last report is
+        # at or above the threshold: the test radio.is_alive applies
+        e = Engine(Scenario(protocol="hyb", node_count=3, sim_time=1.0,
+                            liveness="reported"))
+        runner, threshold = e.protocol, e.sc.energy_threshold
+        runner.bs_known_residual[0] = threshold
+        runner.bs_known_residual[1] = math.nextafter(threshold, 0.0)
+        assert runner.ctx.alive(0) and not runner.ctx.alive(1)
+
+    def test_tables_are_built_through_the_engine_module(self, monkeypatch):
+        # perfbench/tracer.py counts the builds by wrapping these two names
+        # in the engine module, so HybRunner must look them up there
+        calls = []
+        for build in (compute_neighbour_table, refresh_table):
+            def counted(*args, _build=build):
+                calls.append(_build.__name__)
+                return _build(*args)
+            monkeypatch.setattr(f"hybsim.engine.{build.__name__}", counted)
+        e = Engine(Scenario(protocol="hyb", node_count=20, sim_time=2.0,
+                            seed=1, refresh_period=0.5))
+        e.run()
+        assert calls[0] == "compute_neighbour_table"
+        assert calls[1:] and set(calls[1:]) == {"refresh_table"}
+
 
 class EngineProxy:
     """Stands in for the engine a runner holds. It records the name of each
@@ -872,11 +909,11 @@ class EngineProxy:
 
 
 class TestRunnerContract:
-    """The runner contract of ``baselines._BaseRunner``, held by every
+    """The runner contract in ``engine.Engine``'s docstring, held by every
     runner over whole runs: the engine members it reads, and one report
     per unicast."""
 
-    # the members _BaseRunner's docstring lets a runner read or call
+    # the members the contract lets a runner read or call
     ALLOWED = {"sc", "nodes", "awake", "now", "pending", "locs", "radio",
                "coeff", "schedule", "jitter", "new_packet", "drop", "deliver",
                "send_unicast", "send_broadcast", "send_oob_control"}

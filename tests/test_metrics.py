@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybsim import metrics
+from hybsim.engine import ASLEEP, DROP_REASONS
 from hybsim.metrics import (CSV_COLUMNS, ComparisonTable, MetricsError,
                             MetricsReport, RunRow, check_dominance, collect,
                             compare, run_scenario, runs_csv, summary_csv)
-from hybsim.hyb import ASLEEP, DROP_REASONS
 from hybsim.scenario import Scenario, ScenarioError
 
 from helpers import count_engines

@@ -3,7 +3,11 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import hybsim
+from hybsim.engine import RUNNERS, Engine
+from hybsim.scenario import PROTOCOLS, Scenario
 
 SOURCES = sorted(Path(hybsim.__file__).parent.glob("*.py"))
 
@@ -47,9 +51,9 @@ def test_the_engine_clock_is_the_only_time_source():
              for path in SOURCES}
     engine = trees["engine.py"]
     methods = _members(engine, "Engine")
+    hyb_runner = _members(trees["hyb.py"], "HybRunner")
     checked = [*_defs(trees["baselines.py"]),
-               *(fn for method in _members(engine, "HybRunner").values()
-                 for fn in _defs(method)),
+               *(fn for method in hyb_runner.values() for fn in _defs(method)),
                *(methods[name] for name in (
                    "send_unicast", "send_broadcast", "send_oob_control",
                    "new_packet", "drop", "deliver"))]
@@ -64,3 +68,42 @@ def test_the_engine_clock_is_the_only_time_source():
                  if isinstance(node, ast.FunctionDef)}
     assert all("now" in _params(decisions[name])
                for name in ("on_sense", "on_receive", "on_busy_channel"))
+
+
+def test_the_runner_table_lists_every_protocol_in_order():
+    assert tuple(RUNNERS) == PROTOCOLS
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_the_engine_builds_the_runner_its_table_names(protocol):
+    run = Engine(Scenario(protocol=protocol, node_count=5, sim_time=1))
+    assert type(run.protocol) is RUNNERS[protocol]
+
+
+def test_only_the_runner_table_imports_a_protocol_module():
+    # the engine knows no protocol: hyb.py, baselines.py and metrics.py
+    # take the packet and the drop reasons from it, and the one import of
+    # a runner module is the table at the foot of engine.py, after every
+    # class there, since each runner module imports the engine
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in SOURCES}
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = {alias.name.split(".")[-1] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                modules = ({alias.name for alias in node.names}
+                           if node.module in (None, "hybsim")
+                           else {node.module.split(".")[-1]})
+            else:
+                continue
+            if modules & {"hyb", "baselines"}:
+                found.append((name, node.lineno,
+                              [alias.name for alias in node.names]))
+    last_class = max(node.end_lineno for node in trees["engine.py"].body
+                     if isinstance(node, ast.ClassDef))
+    assert sorted(names for _, _, names in found) == [
+        ["AodvRunner", "DsrRunner"], ["HybRunner"]], found
+    assert all(name == "engine.py" and line > last_class
+               for name, line, _ in found), found
