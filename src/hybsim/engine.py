@@ -191,6 +191,17 @@ class Reachability:
 
 
 @dataclass(slots=True)
+class Tally:
+    """The paper's metrics, counted where the engine writes the records
+    that ``metrics.collect`` would tally them from."""
+    signals: int = 0       # frame records: unicast, SENT, CONFIG and REPORT
+    collisions: int = 0    # COLLISION unicasts and COLL records
+    hop_sum: int = 0       # over deliveries
+    last_terminal: float = 0.0  # the latest now of a drop or a delivery
+    delivered_ids: Set[str] = field(default_factory=set)
+
+
+@dataclass(slots=True)
 class NodeRec:
     energy: EnergyState
     death_time: Optional[float] = None  # None exactly while in Engine.awake
@@ -263,11 +274,13 @@ class Engine:
         self._on_air = 0
         # flood event id -> mask of the endpoints holding it; see _frame_end
         self._flooded: Dict[str, int] = {}
-        # a frame's size follows from its kind: DATA frames carry the
-        # payload, every other frame is a control frame
+        # a frame's size, and so its airtime, follows from its kind: DATA
+        # frames carry the payload, every other frame is a control frame
         control = scenario.control_bits
-        self._frame_bits = dict.fromkeys(FRAME_KINDS, control)
-        self._frame_bits[DATA] = scenario.payload_bits
+        self._frames: Dict[str, Tuple[int, float]] = {}  # kind -> (bits, s)
+        for kind in FRAME_KINDS:
+            bits = scenario.payload_bits if kind == DATA else control
+            self._frames[kind] = (bits, frame_airtime(self.radio, bits))
         # (transmit, receive) energy of a broadcast, a control frame always
         self._broadcast_cost = (
             tx_energy(self.coeff, control, self.radio.radio_range),
@@ -276,6 +289,7 @@ class Engine:
         self.generated = 0
         self.delivered = 0
         self.dropped: Dict[str, int] = dict.fromkeys(DROP_REASONS, 0)
+        self.tally = Tally()
 
         self.protocol = RUNNERS[scenario.protocol](self)
 
@@ -431,7 +445,7 @@ class Engine:
         if verdict != GRANT:
             on_result(None, verdict)
             return
-        now, air = self.now, frame_airtime(self.radio, self._frame_bits[kind])
+        now, air = self.now, self._frames[kind][1]
         self._begin(Transmission(kind, tx, rx, now, now + air, event_id,
                                  payload, on_result))
 
@@ -454,7 +468,7 @@ class Engine:
             self.schedule(retry, partial(self.send_broadcast, kind, tx,
                                          payload=payload, event_id=event_id))
             return
-        now, air = self.now, frame_airtime(self.radio, self._frame_bits[kind])
+        now, air = self.now, self._frames[kind][1]
         self._begin(Transmission(kind, tx, BROADCAST, now, now + air,
                                  event_id, payload))
 
@@ -467,10 +481,11 @@ class Engine:
         """
         if tx not in self.awake:
             return
-        bits = self._frame_bits[kind]
+        bits = self._frames[kind][0]
         self.charge(tx, tx_energy(self.coeff, bits, self.dist(tx, rx)))
         self.charge(rx, rx_energy(self.coeff, bits))
         self.log(self.now, kind, tx, rx, "-", OK)
+        self.tally.signals += 1
 
     def _jam_mask(self, trans: Transmission) -> int:
         # every other frame that shares air time with trans and was not
@@ -532,24 +547,33 @@ class Engine:
             tail = f" {event_id} {COLLISION}\n"
             charge = self.charge
             received = self.protocol.on_broadcast_received
+            lost = 0
             for r, bit in self._receivers(tx):
                 if bit & jammed:
                     write(f"{head}{r}{tail}")
+                    lost += 1
                 else:
                     charge(r, cost)
                     if not bit & held:
                         held |= bit
                         received(r, trans)
             self._flooded[event_id] = held
+            tally = self.tally  # the SENT record and each COLL record
+            tally.signals += 1
+            tally.collisions += lost
             return
 
-        bits = self._frame_bits[trans.kind]
+        bits = self._frames[trans.kind][0]
         self.charge(tx, tx_energy(self.coeff, bits, self.dist(tx, r)))
         collided = self._interfered(trans, r)
         trans.overlaps = None
         outcome = (NO_RX if r not in self.awake
                    else COLLISION if collided else OK)
         self.log(trans.start, trans.kind, tx, r, trans.event_id, outcome)
+        tally = self.tally
+        tally.signals += 1
+        if outcome == COLLISION:
+            tally.collisions += 1
         if outcome == OK:
             self.charge(r, rx_energy(self.coeff, bits))
         trans.on_result(trans, outcome)
@@ -560,18 +584,27 @@ class Engine:
         self.generated += 1
         return DataPacket(event_id, origin, self.now)
 
-    def drop(self, pkt: DataPacket, reason: str, node: object) -> None:
+    def _resolve(self, pkt: DataPacket) -> Tally:
+        # mark pkt's one fate; the tally keeps the latest time of any fate,
+        # since drain lets now step back by up to 1e-12 s
         if pkt.terminal:
             raise RuntimeError("packet already resolved")
         pkt.terminal = True
+        tally = self.tally
+        if self.now > tally.last_terminal:
+            tally.last_terminal = self.now
+        return tally
+
+    def drop(self, pkt: DataPacket, reason: str, node: object) -> None:
+        self._resolve(pkt)
         self.dropped[reason] += 1
         self.log(self.now, "DROP", node, "-", pkt.event_id, reason)
 
     def deliver(self, pkt: DataPacket, last_tx: object) -> None:
-        if pkt.terminal:
-            raise RuntimeError("packet already resolved")
-        pkt.terminal = True
+        tally = self._resolve(pkt)
         self.delivered += 1
+        tally.hop_sum += pkt.hops
+        tally.delivered_ids.add(pkt.event_id)
         self.log(self.now, "DELIVER", last_tx, BS, pkt.event_id, f"hops={pkt.hops}")
 
     # ------------------------------------------------------------------ run

@@ -1,15 +1,20 @@
-"""Metric collection from event logs and the multi-protocol comparison.
+"""Run reports, from the engine's counts or from an event log, and the
+multi-protocol comparison.
 
 The four headline metrics are execution time (simulated time of the last
 terminal packet outcome), average hop count over delivered packets,
 collisions, and signals transmitted (every data/discovery/report/config
-frame). A comparison runs every (protocol, seed, node count) combination
-of one base scenario and aggregates mean and min-max spread per cell.
+frame). The engine counts them as it writes each record, and
+``counted_report`` reads those counts; ``collect`` re-derives the same
+report from the log text alone, and ``run_scenario`` holds the two against
+each other. A comparison runs every (protocol, seed, node count)
+combination of one base scenario from the counts and aggregates mean and
+min-max spread per cell.
 """
 
 import csv
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import COLL, DROP_REASONS, Engine, FRAME_KINDS, TextBuffer
@@ -114,19 +119,42 @@ def collect(log_text: str) -> MetricsReport:
     return report
 
 
+def counted_report(engine: Engine) -> MetricsReport:
+    """The report of a finished run, from the counts its engine kept while
+    writing the log: ``collect`` of that log gives every field but
+    ``energy_consumed`` the same value."""
+    tally, delivered = engine.tally, engine.delivered
+    return MetricsReport(
+        # rounded as the log writes it; rounding keeps order, so this is
+        # the latest of the logged times
+        execution_time=float(f"{tally.last_terminal:.6f}"),
+        # the same float as statistics.fmean over the integer hops
+        avg_hop_count=tally.hop_sum / delivered if delivered else 0.0,
+        collisions=tally.collisions,
+        signals=tally.signals,
+        generated=engine.generated,
+        delivered=delivered,
+        dropped=dict(engine.dropped),
+        unique_events_delivered=len(tally.delivered_ids),
+        energy_consumed=sum(engine.sc.initial_energy - rec.energy.residual
+                            for rec in engine.nodes.values()))
+
+
 def run_scenario(scenario: Scenario) -> Tuple[MetricsReport, str]:
-    """Execute one run and return its report plus the full event log."""
+    """Execute one run and return its report plus the full event log. The
+    report counted by the engine must equal the one ``collect`` parses from
+    the log, field by field: MetricsError names every field that differs,
+    in field order."""
     engine = Engine(scenario)
     log = engine.run()
-    report = collect(log)
-    # cross-check the log-derived tallies against the engine's own counters
-    for name in ("generated", "delivered", "dropped"):
-        logged, counted = getattr(report, name), getattr(engine, name)
-        if logged != counted:
-            raise MetricsError(f"{name}: log says {logged}, engine counted "
-                               f"{counted}")
-    report.energy_consumed = sum(scenario.initial_energy - rec.energy.residual
-                                 for rec in engine.nodes.values())
+    report, logged = counted_report(engine), collect(log)
+    logged.energy_consumed = report.energy_consumed  # the log holds none
+    differ = [f"{f.name}: log says {getattr(logged, f.name)}, engine "
+              f"counted {getattr(report, f.name)}"
+              for f in fields(MetricsReport)
+              if getattr(logged, f.name) != getattr(report, f.name)]
+    if differ:
+        raise MetricsError("; ".join(differ))
     return report, log
 
 
@@ -161,10 +189,24 @@ class ComparisonTable:
         return (min(vals), max(vals))
 
 
+def _counted_run(scenario: Scenario) -> MetricsReport:
+    # one run, reported from the engine's counts; its log is not parsed
+    engine = Engine(scenario)
+    engine.run()
+    resolved = engine.delivered + sum(engine.dropped.values())
+    if engine.generated != resolved:
+        raise MetricsError(
+            f"{scenario.protocol}/{scenario.node_count}/seed {scenario.seed}: "
+            f"{engine.generated} packets generated, {resolved} resolved")
+    return counted_report(engine)
+
+
 def compare(scenario: Scenario, protocols: Sequence[str], seeds: Sequence[int],
             node_counts: Optional[Sequence[int]] = None) -> ComparisonTable:
-    """Run every (protocol, node count, seed) combination of one scenario.
-    Every run's scenario is built, and so validated, before the first run."""
+    """Run every (protocol, node count, seed) combination of one scenario,
+    each reported from its engine's counts. Every run's scenario is built,
+    and so validated, before the first run; a run whose packets are not
+    all delivered or dropped raises MetricsError."""
     if not protocols or not seeds:
         raise MetricsError("need at least one protocol and one seed")
     counts = list(node_counts) if node_counts else [scenario.node_count]
@@ -174,7 +216,7 @@ def compare(scenario: Scenario, protocols: Sequence[str], seeds: Sequence[int],
     runs = [replace(scenario, protocol=protocol, seed=seed, node_count=n)
             for n in counts for protocol in protocols for seed in seeds]
     return ComparisonTable([RunRow(sc.protocol, sc.node_count, sc.seed,
-                                   run_scenario(sc)[0]) for sc in runs])
+                                   _counted_run(sc)) for sc in runs])
 
 
 def runs_csv(table: ComparisonTable) -> str:

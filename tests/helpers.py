@@ -1,5 +1,6 @@
 """Building blocks shared by several test modules."""
 
+from dataclasses import replace
 from pathlib import Path
 
 from hybsim import metrics
@@ -13,6 +14,17 @@ def write_points(directory, points):
     path = Path(directory) / "nodes.txt"
     path.write_text(emit_location_file(locs))
     return str(path)
+
+
+def counted_and_parsed(engine):
+    """Run ``engine``; return its log, the report the engine counted and the
+    one ``collect`` parses from the log, which takes the counted energy, as
+    the log holds none."""
+    log = engine.run()
+    counted = metrics.counted_report(engine)
+    parsed = replace(metrics.collect(log),
+                     energy_consumed=counted.energy_consumed)
+    return log, counted, parsed
 
 
 def count_engines(monkeypatch):

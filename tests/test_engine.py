@@ -1117,6 +1117,19 @@ class TestPacketResolution:
         with pytest.raises(RuntimeError, match="already resolved"):
             resolve[second]()
 
+    def test_tally_keeps_the_latest_fate_when_the_clock_steps_back(
+            self, tmp_path):
+        # drain lets now step back by up to 1e-12 s, so the latest terminal
+        # time is a max, not the last fate's time
+        e = make_engine(tmp_path, {0: (1000.0, 1200.0)}, (1000.0, 1000.0))
+        first, second = e.new_packet("ev0", 0), e.new_packet("ev1", 0)
+        e.now = 2.0
+        e.drop(first, ASLEEP, 0)
+        e.now = 2.0 - 1e-12
+        e.deliver(second, 0)
+        assert e.tally.last_terminal == 2.0
+        assert (e.tally.hop_sum, e.tally.delivered_ids) == (0, {"ev1"})
+
 
 class TestSingleNodeRun:
     """One node 300 m from the sink: everything delivers directly."""

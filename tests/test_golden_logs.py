@@ -65,6 +65,11 @@ schedules its retry. Packets end as NO_ROUTE when their candidates run out
 and as CONGESTION past the waiting budget. With the base station at the
 field's centre some relays also see an event twice and drop it as a
 DUPLICATE. A test below counts the grabs.
+
+Every digest test also holds the report the engine counted while writing
+the log against the one ``metrics.collect`` parses from it: they must agree
+field by field, so the counts that ``metrics.compare`` reports from are
+checked on every case above.
 """
 
 import hashlib
@@ -77,7 +82,18 @@ from hybsim import engine
 from hybsim.engine import BROADCAST, Engine
 from hybsim.scenario import Scenario
 
+from helpers import counted_and_parsed
+
 SIM_TIME = 60.0
+
+
+def _digest(e: Engine) -> str:
+    """Run ``e`` and return its log's SHA-256, once the report the engine
+    counted has matched, field by field, the one collect parses from it."""
+    log, counted, parsed = counted_and_parsed(e)
+    assert counted == parsed
+    return hashlib.sha256(log.encode()).hexdigest()
+
 
 GOLDEN = {
     ("hyb", 25, 1): "171716c65757c38af3df2e2a8d99e931a2af6997f4e2a92b750c4dc827918ce2",
@@ -159,16 +175,14 @@ EDGE = {
 def test_event_log_digest(protocol, nodes, seed):
     sc = Scenario(protocol=protocol, node_count=nodes, seed=seed,
                   sim_time=SIM_TIME)
-    log = Engine(sc).run()
-    assert hashlib.sha256(log.encode()).hexdigest() == GOLDEN[protocol, nodes, seed]
+    assert _digest(Engine(sc)) == GOLDEN[protocol, nodes, seed]
 
 
 @pytest.mark.parametrize("protocol,initial_energy", sorted(DRAINED))
 def test_drained_battery_log_digest(protocol, initial_energy):
     sc = Scenario(protocol=protocol, node_count=75, seed=1, sim_time=SIM_TIME,
                   initial_energy=initial_energy)
-    log = Engine(sc).run()
-    assert hashlib.sha256(log.encode()).hexdigest() == DRAINED[protocol, initial_energy]
+    assert _digest(Engine(sc)) == DRAINED[protocol, initial_energy]
 
 
 def test_drained_hyb_case_refreshes_out_dead_rows(monkeypatch):
@@ -186,16 +200,14 @@ def test_drained_hyb_case_refreshes_out_dead_rows(monkeypatch):
 @pytest.mark.parametrize("protocol", sorted(STORM))
 def test_collision_storm_log_digest(protocol):
     sc = Scenario(protocol=protocol, node_count=125, seed=1, sim_time=10.0)
-    log = Engine(sc).run()
-    assert hashlib.sha256(log.encode()).hexdigest() == STORM[protocol]
+    assert _digest(Engine(sc)) == STORM[protocol]
 
 
 @pytest.mark.parametrize("initial_energy", sorted(REPORTED))
 def test_reported_liveness_log_digest(initial_energy):
     sc = Scenario(protocol="hyb", node_count=75, seed=1, sim_time=SIM_TIME,
                   initial_energy=initial_energy, liveness="reported")
-    log = Engine(sc).run()
-    assert hashlib.sha256(log.encode()).hexdigest() == REPORTED[initial_energy]
+    assert _digest(Engine(sc)) == REPORTED[initial_energy]
 
 
 @pytest.mark.parametrize("protocol", sorted(EDGE))
@@ -206,8 +218,7 @@ def test_range_edge_log_digest(protocol, tmp_path):
     sc = Scenario(protocol=protocol, placement=str(path),
                   node_count=len(EDGE_POINTS), bs_location=EDGE_BS,
                   topology_size=(1400.0, 1050.0), sim_time=SIM_TIME)
-    log = Engine(sc).run()
-    assert hashlib.sha256(log.encode()).hexdigest() == EDGE[protocol]
+    assert _digest(Engine(sc)) == EDGE[protocol]
 
 
 # case -> (scenario settings, digest); seed 1
@@ -240,8 +251,7 @@ def _mask_and_bit(e, x):
 
 @pytest.mark.parametrize("case", sorted(FLOOD))
 def test_flood_edge_log_digest(case):
-    log = _flood_engine(case).run()
-    assert hashlib.sha256(log.encode()).hexdigest() == FLOOD[case][1]
+    assert _digest(_flood_engine(case)) == FLOOD[case][1]
 
 
 @pytest.mark.parametrize("case", sorted(FLOOD))
@@ -361,8 +371,7 @@ def _busy_storm_engine(bs):
 
 @pytest.mark.parametrize("bs", sorted(BUSY_STORM))
 def test_busy_storm_log_digest(bs):
-    log = _busy_storm_engine(bs).run()
-    assert hashlib.sha256(log.encode()).hexdigest() == BUSY_STORM[bs]
+    assert _digest(_busy_storm_engine(bs)) == BUSY_STORM[bs]
 
 
 def test_busy_storm_case_retries_far_more_than_it_sends():

@@ -1,8 +1,9 @@
-"""Metric collection, CSV round trips and the dominance check."""
+"""Metric collection, counted and parsed reports, CSV round trips and the
+dominance check."""
 
 import csv
 import io
-from dataclasses import fields
+from dataclasses import fields, replace
 from unittest import mock
 
 import pytest
@@ -10,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybsim import metrics
-from hybsim.engine import ASLEEP, DROP_REASONS
+from hybsim.engine import ASLEEP, DROP_REASONS, Engine
 from hybsim.metrics import (CSV_COLUMNS, ComparisonTable, MetricsError,
                             MetricsReport, RunRow, check_dominance, collect,
-                            compare, run_scenario, runs_csv, summary_csv)
-from hybsim.scenario import Scenario, ScenarioError
+                            compare, counted_report, run_scenario, runs_csv,
+                            summary_csv)
+from hybsim.scenario import PROTOCOLS, Scenario, ScenarioError
 
-from helpers import count_engines
+from helpers import count_engines, counted_and_parsed
 
 SAMPLE_LOG = """\
 0.001000 DATA 3 1 ev0 OK
@@ -128,6 +130,78 @@ class TestRunScenario:
         assert collect(log).signals == report.signals
 
 
+@st.composite
+def small_scenarios(draw):
+    side = draw(st.sampled_from([2000.0, 1000.0, 500.0]))
+    return Scenario(
+        protocol=draw(st.sampled_from(PROTOCOLS)),
+        liveness=draw(st.sampled_from(["ground_truth", "reported"])),
+        node_count=draw(st.integers(1, 30)),
+        topology_size=(side, side),
+        bs_location=draw(st.sampled_from([(side / 2, side / 2), (side, side)])),
+        sim_time=draw(st.floats(0.5, 5.0)),
+        initial_energy=draw(st.one_of(st.floats(0.01, 10.0),
+                                      st.sampled_from([0.01, 0.05, 0.2]))),
+        control_bits=draw(st.sampled_from([0, 320])),
+        seed=draw(st.integers(0, 2 ** 32)))
+
+
+class TestCountedReport:
+    """The engine counts the report's fields as it writes the log;
+    ``collect`` re-derives them from the text alone and must agree."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sc=small_scenarios())
+    def test_counts_equal_the_parsed_log(self, sc):
+        _, counted, parsed = counted_and_parsed(Engine(sc))
+        assert counted == parsed
+
+    def test_a_storm_counts_every_kind_of_record(self):
+        # 120 nodes on 3 s with 0.05 J batteries: COLL records, unicast
+        # collisions, drops, deliveries over several hops and nodes that
+        # die mid-flood all occur
+        sc = Scenario(protocol="aodv", node_count=120, sim_time=3.0,
+                      initial_energy=0.05, seed=1)
+        _, counted, parsed = counted_and_parsed(Engine(sc))
+        assert counted == parsed
+        assert counted.collisions > 0 and counted.avg_hop_count > 0
+        assert counted.unique_events_delivered > 0
+
+    def test_execution_time_is_rounded_as_logged(self):
+        e = Engine(Scenario(node_count=5, sim_time=2.0))
+        e.run()
+        e.tally.last_terminal = 1.2345678
+        assert counted_report(e).execution_time == float("1.234568")
+
+    def test_compare_rows_equal_run_scenario_reports(self):
+        sc = Scenario(sim_time=3.0, initial_energy=0.2)
+        table = compare(sc, ["hyb", "aodv", "dsr"], [1, 2],
+                        node_counts=[10, 30])
+        assert len(table.runs) == 12
+        for row in table.runs:
+            alone = replace(sc, protocol=row.protocol, seed=row.seed,
+                            node_count=row.node_count)
+            assert row.report == run_scenario(alone)[0]
+
+    def test_compare_never_parses_a_log(self, monkeypatch):
+        def refuse(log_text):
+            raise AssertionError("compare parsed a log")
+        monkeypatch.setattr(metrics, "collect", refuse)
+        table = compare(Scenario(node_count=10, sim_time=2.0),
+                        ["hyb", "aodv"], [1])
+        assert [r.report.signals > 0 for r in table.runs] == [True, True]
+
+    def test_compare_refuses_unconserved_packets(self, monkeypatch):
+        class Leaking(metrics.Engine):
+            def run(self):
+                log = super().run()
+                self.generated += 1  # a packet that met no fate
+                return log
+        monkeypatch.setattr(metrics, "Engine", Leaking)
+        with pytest.raises(MetricsError, match="packets generated"):
+            compare(Scenario(node_count=5, sim_time=2.0), ["aodv"], [1])
+
+
 def parse_runs_csv(text: str) -> ComparisonTable:
     """Rebuild a ComparisonTable from runs_csv output (numeric round trip)."""
     reader = csv.reader(io.StringIO(text))
@@ -235,23 +309,38 @@ class TestRunScenarioCrossCheck:
     """The log is checked against the engine's counters with an exception,
     so ``python -O`` keeps the check."""
 
-    @pytest.mark.parametrize("counter", ["generated", "delivered", "dropped"])
+    SCENARIO = Scenario(node_count=30, sim_time=3.0, seed=2)
+    # engine counter, or count of its tally -> the report field it feeds
+    FIELD = {"generated": "generated", "delivered": "delivered",
+             "dropped": "dropped", "signals": "signals",
+             "collisions": "collisions", "hop_sum": "avg_hop_count",
+             "last_terminal": "execution_time",
+             "delivered_ids": "unique_events_delivered"}
+
+    @pytest.mark.parametrize("counter", list(FIELD))
     def test_log_engine_mismatch_raises(self, monkeypatch, counter):
         class Miscounting(metrics.Engine):
             def run(self):
                 log = super().run()
                 if counter == "dropped":
                     self.dropped[ASLEEP] += 1
+                elif counter == "delivered_ids":
+                    self.tally.delivered_ids.add("ev-never")
+                elif hasattr(self.tally, counter):
+                    setattr(self.tally, counter,
+                            getattr(self.tally, counter) + 1)
                 else:
                     setattr(self, counter, getattr(self, counter) + 1)
                 return log
         monkeypatch.setattr(metrics, "Engine", Miscounting)
-        with pytest.raises(MetricsError, match=counter):
-            run_scenario(Scenario(node_count=5, sim_time=2.0))
+        with pytest.raises(MetricsError,
+                           match=rf"(^|; ){self.FIELD[counter]}: log says"):
+            run_scenario(self.SCENARIO)
 
     def test_matching_counters_pass(self):
-        report, log = run_scenario(Scenario(node_count=5, sim_time=2.0))
+        report, log = run_scenario(self.SCENARIO)
         assert report.generated == collect(log).generated > 0
+        assert report.avg_hop_count > 0  # so a miscounted hop sum shows
 
 
 class TestDominanceCheck:

@@ -1,10 +1,11 @@
 """tools/mutate.py's mutant generation, on literal snippets, and the test
-order of its suite runs."""
+order and per-test time limit of its suite runs."""
 
 import ast
 import importlib.util
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -79,7 +80,7 @@ def test_conftest_collects_the_golden_digests_first(tmp_path):
                         ("test_z.py", 1)):
         (tests / name).write_text("".join(
             f"def test_{k}():\n    pass\n" for k in range(count)))
-    (tmp_path / "conftest.py").write_text(mutate.CONFTEST)
+    (tmp_path / "conftest.py").write_text(mutate.conftest())
     out = subprocess.run(
         [sys.executable, "-m", "pytest", "--collect-only", "-q",
          "-p", "no:cacheprovider"], cwd=tmp_path, capture_output=True,
@@ -89,3 +90,28 @@ def test_conftest_collects_the_golden_digests_first(tmp_path):
         "tests/test_a.py::test_0", "tests/test_a.py::test_1",
         "tests/test_z.py::test_0"]
     assert (Path(__file__).parents[1] / mutate.FIRST).is_file()
+
+
+def test_conftest_fails_an_endless_test_and_stops_the_run(tmp_path):
+    # one pytest process, as a mutant's suite run starts it: the endless
+    # test fails at the limit, although it catches every Exception, and -x
+    # ends the run there
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text(
+        "def test_endless():\n"
+        "    while True:\n"
+        "        try:\n"
+        "            pass\n"
+        "        except Exception:\n"
+        "            pass\n\n"
+        "def test_after():\n"
+        "    pass\n")
+    (tmp_path / "conftest.py").write_text(mutate.conftest(limit=0.5))
+    t0 = time.monotonic()
+    run = subprocess.run(mutate.PYTEST, cwd=tmp_path, capture_output=True,
+                         text=True, timeout=60)
+    assert time.monotonic() - t0 < 30
+    assert run.returncode == 1
+    assert "test ran past 0.5 s" in run.stdout
+    assert "1 failed" in run.stdout and "passed" not in run.stdout
+    assert 0 < mutate.TEST_LIMIT < mutate.TIMEOUT

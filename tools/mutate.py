@@ -10,8 +10,11 @@ process, since a mutant can keep ``drain`` from ending while its log grows.
 A run past its time is ended with every process it started. A
 ``conftest.py`` written to the copy's root runs the golden log digests
 first: they take seconds and fail on most mutants, among them many that
-make a longer test run endless. A mutant the suite fails on is killed; one
-it passes survives. The working tree is never written, and the copy is
+make a longer test run endless. It also gives each test TEST_LIMIT seconds,
+set-up and tear-down included, on a real-time timer: a test past its limit
+fails, so a mutant that makes one test endless is killed in that time
+instead of timing the whole run out. A mutant the suite fails on is killed;
+one it passes survives. The working tree is never written, and the copy is
 removed. It needs a POSIX system.
 
     python tools/mutate.py                       # every mutant
@@ -42,14 +45,46 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "hybsim"
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
 TIMEOUT = 180.0  # s per suite run; an unmutated tier-1 run takes ~35 s
+# s per test; the slowest unmutated test takes ~3 s with its set-up
+TEST_LIMIT = 30.0
 MEMORY = 1 << 30  # address space per process; tier-1 peaks at ~120 MB RSS
 FIRST = "tests/test_golden_logs.py"
-# appended to the copy's root conftest.py: FIRST's tests move ahead of the
-# rest, and the set of tests and their order otherwise stay as collected
-CONFTEST = f"""
+
+
+def conftest(limit: float = TEST_LIMIT) -> str:
+    """The text appended to the copy's root conftest.py. FIRST's tests move
+    ahead of the rest, and the set of tests and their order otherwise stay
+    as collected. Each test runs under a SIGALRM ``limit`` seconds away,
+    whose handler raises an error no ``except Exception`` catches."""
+    return f"""
+import signal
+
+import pytest
+
+
 def pytest_collection_modifyitems(items):
     items.sort(key=lambda item: not item.nodeid.startswith("{FIRST}::"))
+
+
+class TimeLimitExceeded(BaseException):
+    pass
+
+
+def _expire(signum, frame):
+    raise TimeLimitExceeded("test ran past {limit!r} s")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, {limit!r})
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 """
+
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
                                  ".pytest_cache", "*.egg-info", "out")
 
@@ -216,7 +251,7 @@ def main(argv=None) -> int:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=IGNORED)
         with open(tree / "conftest.py", "a", encoding="utf-8") as fh:
-            fh.write(CONFTEST)
+            fh.write(conftest())
         if mutants and run_suite(tree) != "passed":
             print("the unmutated suite does not pass; no mutant was run")
             return 0
