@@ -269,9 +269,6 @@ class Engine:
         self._seq = 0
         self.log_buffer = TextBuffer()  # the event log
         self.active: Dict[object, Transmission] = {}  # by transmitter
-        # the OR of t.reach over active: whom a frame on the air reaches,
-        # its senders included
-        self._on_air = 0
         # flood event id -> mask of the endpoints holding it; see _frame_end
         self._flooded: Dict[str, int] = {}
         # a frame's size, and so its airtime, follows from its kind: DATA
@@ -328,7 +325,6 @@ class Engine:
         # not radio.is_alive(battery), inlined
         if battery.residual < battery.threshold and node in self.awake:
             self.awake.remove(node)
-            self._heard_by.clear()  # a list _frame_end is walking stays whole
             rec.death_time = self.now
 
     def loc(self, node: object) -> Location:
@@ -362,10 +358,9 @@ class Engine:
         if rx in self.active:
             return BUSY
         mine = 1 << self._index[rx]
-        if self._on_air & mine:  # rx hears or sends a frame on the air
-            for t in self.active.values():
-                if t.start < now and t.reach & mine:
-                    return BUSY
+        for t in self.active.values():
+            if t.start < now and t.reach & mine:  # rx hears or sends t
+                return BUSY
         # same-instant contest on this receiver: higher power wins
         for t in list(self.active.values()):
             if t.rx != rx or t.start != now:
@@ -378,17 +373,9 @@ class Engine:
                 return BUSY
         return GRANT
 
-    def _remove(self, trans: Transmission) -> None:
-        # take trans off the air and rebuild the on-air mask without it
-        del self.active[trans.tx]
-        on_air = 0
-        for t in self.active.values():
-            on_air |= t.reach
-        self._on_air = on_air
-
     def _cancel(self, trans: Transmission) -> None:
         trans.cancelled = True
-        self._remove(trans)
+        del self.active[trans.tx]
         trans.on_result(trans, BUSY)
 
     def _begin(self, trans: Transmission) -> None:
@@ -410,7 +397,6 @@ class Engine:
         active[tx] = trans
         i = self._index[tx]
         trans.reach = self._mask(i) | 1 << i
-        self._on_air |= trans.reach
         self.schedule(end, lambda: self._frame_end(trans))
 
     def send_unicast(self, kind: str, tx: object, rx: object, *,
@@ -459,11 +445,11 @@ class Engine:
         if tx not in self.awake:
             return  # the node drained while the frame was pending
         mine = 1 << self._index[tx]
-        if self._on_air & mine:  # tx sends or hears a frame on the air
-            busy_until = 0.0
-            for t in self.active.values():
-                if t.reach & mine and t.end > busy_until:
-                    busy_until = t.end
+        busy_until = -1.0  # no frame ends before 0
+        for t in self.active.values():
+            if t.reach & mine and t.end > busy_until:
+                busy_until = t.end
+        if busy_until >= 0.0:  # tx sends or hears a frame on the air
             retry = busy_until + self.jitter(1e-3)
             self.schedule(retry, partial(self.send_broadcast, kind, tx,
                                          payload=payload, event_id=event_id))
@@ -507,16 +493,15 @@ class Engine:
         return mask
 
     def _receivers(self, tx: object) -> List[Tuple[object, int]]:
-        # (endpoint, bit) per awake endpoint tx reaches, in bit order; kept
-        # from tx's first broadcast until charge records a death
+        # (endpoint, bit) per endpoint tx reaches, in bit order, awake or
+        # not; kept from tx's first broadcast on
         if tx not in self._heard_by:
-            awake, ids, found = self.awake, self._ids, []
+            ids, found = self._ids, []
             mask = self._mask(self._index[tx])
             digits = f"{mask:b}"[::-1]  # bit i is digits[i]
             i = digits.find("1")
             while i >= 0:
-                if ids[i] in awake:
-                    found.append((ids[i], 1 << i))
+                found.append((ids[i], 1 << i))
                 i = digits.find("1", i + 1)
             self._heard_by[tx] = found
         return self._heard_by[tx]
@@ -525,7 +510,7 @@ class Engine:
         if trans.cancelled:
             trans.overlaps = None
             return
-        self._remove(trans)
+        del self.active[trans.tx]
         # transmit cost is charged on completion; a cancelled reservation
         # never put energy on the air
         tx, r = trans.tx, trans.rx
@@ -539,16 +524,19 @@ class Engine:
             # One jammed mask serves every receiver: a frame that a
             # receiver's handler begins, or cancels, starts at trans.end,
             # so it never overlaps trans. A copy of a flood its receiver
-            # holds is charged but needs no handler.
+            # holds is charged but needs no handler. A receiver is read
+            # from awake at its turn: no handler here drains another node.
             jammed = self._jam_mask(trans)
             trans.overlaps = None
             held = self._flooded.get(event_id, 0) | 1 << self._index[tx]
             head = f"{stamp}{COLL} {tx} "
             tail = f" {event_id} {COLLISION}\n"
-            charge = self.charge
+            charge, awake = self.charge, self.awake
             received = self.protocol.on_broadcast_received
             lost = 0
             for r, bit in self._receivers(tx):
+                if r not in awake:
+                    continue
                 if bit & jammed:
                     write(f"{head}{r}{tail}")
                     lost += 1

@@ -207,9 +207,10 @@ def compare(scenario: Scenario, protocols: Sequence[str], seeds: Sequence[int],
     each reported from its engine's counts. Every run's scenario is built,
     and so validated, before the first run; a run whose packets are not
     all delivered or dropped raises MetricsError."""
-    if not protocols or not seeds:
-        raise MetricsError("need at least one protocol and one seed")
-    counts = list(node_counts) if node_counts else [scenario.node_count]
+    counts = ([scenario.node_count] if node_counts is None
+              else list(node_counts))
+    if not protocols or not seeds or not counts:
+        raise MetricsError("need at least one protocol, seed and node count")
     for axis in (protocols, seeds, counts):
         if len(set(axis)) < len(axis):
             raise MetricsError(f"repeated entry in {list(axis)}")
@@ -258,6 +259,8 @@ def check_dominance(table: ComparisonTable) -> List[str]:
     problems = []
     if not any(r.protocol == "hyb" for r in table.runs):
         return ["no hyb runs in table"]
+    if not any(r.protocol in BASELINES for r in table.runs):
+        return ["no baseline runs in table"]
     for n in table.node_counts():
         for b in BASELINES:
             if not table.cell(b, n) or not table.cell("hyb", n):

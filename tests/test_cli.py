@@ -179,6 +179,15 @@ class TestCompareCommand:
         assert code == EXIT_CHECK
         assert "check failed" in capsys.readouterr().err
 
+    def test_check_fails_without_baselines(self, tmp_path, scenario_file,
+                                           capsys):
+        out = tmp_path / "cmp"
+        code = main(["compare", scenario_file, "--protocols", "hyb",
+                     "--seeds", "1", "--out", str(out), "--check"])
+        assert code == EXIT_CHECK
+        assert ("check failed: no baseline runs in table"
+                in capsys.readouterr().err)
+
 
 class TestPlacementFile:
     """A location file is checked against the scenario before any run."""

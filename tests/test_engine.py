@@ -540,6 +540,22 @@ class TestBroadcast:
         assert len(sent) == 1
         assert float(sent[0].split()[0]) >= 2.048e-3
 
+    def test_carrier_sense_defers_behind_a_zero_airtime_frame_at_0(
+            self, tmp_path):
+        # a frame that takes no air time still holds the channel until its
+        # end event runs, even when that end is 0.0
+        e = make_engine(tmp_path, self.POINTS, (1500.0, 1500.0),
+                        control_bits=0)
+        e.protocol.on_broadcast_received = lambda *a: None
+        e.send_broadcast("RREQ", 1, payload=None, event_id="f0")
+        assert e.active[1].end == 0.0
+        e.send_broadcast("RREQ", 0, payload=None, event_id="f1")  # 0 hears 1
+        assert list(e.active) == [1]
+        e.drain()
+        sent = [l.split() for l in log_lines(e) if l.endswith("SENT")]
+        assert [(s[2], float(s[0]) > 0.0) for s in sent] == [
+            ("1", False), ("0", True)]
+
     def test_overlapping_broadcast_copy_collides(self, tmp_path):
         # 0 and 2 cannot hear each other; both broadcasts overlap at 1
         points = {0: (0.0, 100.0), 1: (350.0, 100.0), 2: (700.0, 100.0)}

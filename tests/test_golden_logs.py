@@ -45,7 +45,8 @@ has a test that shows it reaches what it is there for:
   still being handed out. The two baselines write the same log there: the
   three packets delivered before the field is drained each go straight
   from their origin to the base station, where AODV's next hop and DSR's
-  source route send the same frame;
+  source route send the same frame. Their receiver lists keep the dead:
+  a receiver is skipped at frame end because it is not in ``awake``;
 - aodv at 200 nodes, 1 s: each frame overlaps ~13 others on average,
   against ~8 in the 125-node storm;
 - dsr at 200 nodes, 1 s: the same dense flood, where a node tests whether
@@ -53,7 +54,7 @@ has a test that shows it reaches what it is there for:
   duplicate.
 
 On every case of that table a further test checks, after each frame
-enters or leaves the air, each frame's ``reach`` and the on-air mask.
+enters or leaves the air, each frame's ``reach``.
 
 A seventh table pins hyb's busy-channel path (500 nodes in a 1000 m x
 1000 m field, the density of 2000 nodes in the default field; seed 1,
@@ -255,9 +256,9 @@ def test_flood_edge_log_digest(case):
 
 
 @pytest.mark.parametrize("case", sorted(FLOOD))
-def test_flood_keeps_every_reach_and_the_on_air_mask(case):
+def test_flood_keeps_every_reach(case):
     # after every change to active, each frame on the air reaches what its
-    # sender's masks say, and _on_air is the OR of those reaches
+    # sender's masks say
     e = _flood_engine(case)
     calls = Counter()
 
@@ -266,19 +267,16 @@ def test_flood_keeps_every_reach_and_the_on_air_mask(case):
 
         def wrapper(trans):
             fn(trans)
-            on_air = 0
             for t in e.active.values():
                 hears, bit = _mask_and_bit(e, t.tx)
                 assert t.reach == hears | bit
-                on_air |= t.reach
-            assert e._on_air == on_air
             calls[name] += 1
         setattr(e, name, wrapper)
-    for name in ("_begin", "_remove", "_cancel"):
+    for name in ("_begin", "_frame_end", "_cancel"):
         checked(name)
     e.run()
     assert calls["_begin"] > 1000
-    assert calls["_remove"] > 1000
+    assert calls["_frame_end"] > 1000
 
 
 def test_zero_airtime_case_reaches_the_strict_overlap_edges():
@@ -343,6 +341,13 @@ def test_drained_case_kills_every_node_mid_flood(case):
     assert len(senders_killed) > len(e.nodes) // 2
     assert all(t.kind == "RREQ" for t in senders_killed)
     assert " COLL " in log
+    # a receiver list keeps every endpoint its sender reaches, the dead
+    # among them: awake alone says who is alive
+    assert e._heard_by
+    for tx, receivers in e._heard_by.items():
+        hears, _ = _mask_and_bit(e, tx)
+        assert receivers == [(x, 1 << i) for i, x in enumerate(e._ids)
+                             if hears >> i & 1]
 
 
 def test_dense_case_has_longer_overlap_lists():

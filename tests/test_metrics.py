@@ -269,7 +269,9 @@ class TestComparison:
         # a repeated axis entry would put its runs in one cell twice
         (["hyb", "hyb", "aodv"], [1, 2], None, MetricsError, "repeated"),
         (["hyb"], [1, 2, 1], None, MetricsError, "repeated"),
-        (["hyb"], [1], [5, 8, 5], MetricsError, "repeated")])
+        (["hyb"], [1], [5, 8, 5], MetricsError, "repeated"),
+        # an empty list is no node count, not the scenario's own
+        (["hyb"], [1], [], MetricsError, "at least one")])
     def test_bad_axis_refused_before_any_run(self, monkeypatch, protocols,
                                              seeds, counts, error, message):
         engines = count_engines(monkeypatch)
@@ -350,6 +352,13 @@ class TestDominanceCheck:
     def test_missing_hyb_reported(self):
         table = ComparisonTable(runs=[RunRow("aodv", 50, 1, MetricsReport())])
         assert check_dominance(table) == ["no hyb runs in table"]
+
+    def test_missing_baselines_reported(self):
+        # hyb alone has nothing to dominate: no vacuous pass
+        table = synthetic_table()
+        table.runs = [r for r in table.runs if r.protocol == "hyb"]
+        assert table.runs
+        assert check_dominance(table) == ["no baseline runs in table"]
 
     @pytest.mark.parametrize("attr,value,problem", [
         ("avg_hop_count", 5.0, "mean avg_hop_count hyb !<= aodv at 50 nodes"),
