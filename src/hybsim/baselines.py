@@ -58,7 +58,7 @@ class _BaseRunner:
     def on_sense(self, node, event_id: str) -> None:
         e = self.e
         pkt = e.new_packet(event_id, node)
-        if node not in e.awake:
+        if node in e.asleep:
             e.drop(pkt, ASLEEP, node)
             return
         pkt.route = self._best_route(node)

@@ -11,7 +11,7 @@ from dataclasses import fields, replace
 
 from . import metrics
 from .engine import place_nodes
-from .scenario import PROTOCOLS, Scenario, parse_scenario
+from .scenario import PROTOCOLS, Scenario, parse_pair, parse_scenario
 from .topology import (Location, compute_neighbour_table, emit_location_file,
                        emit_neighbour_table, parse_location_file)
 
@@ -46,11 +46,10 @@ def _pair(sep, form):
     """An argparse type: two floats joined by ``sep``, as in ``form``."""
     def parse(text):
         try:
-            first, second = map(float, text.split(sep))
-        except ValueError:  # a missing, extra or non-numeric part
+            return parse_pair(text, sep)
+        except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected {form}, got {text!r}") from None
-        return first, second
     return parse
 
 

@@ -201,19 +201,13 @@ class Tally:
     delivered_ids: Set[str] = field(default_factory=set)
 
 
-@dataclass(slots=True)
-class NodeRec:
-    energy: EnergyState
-    death_time: Optional[float] = None  # None exactly while in Engine.awake
-
-
 class Engine:
     """Single run of one scenario under one protocol, whose runner is
     ``RUNNERS[scenario.protocol](engine)``. The runner contract:
 
     The engine calls a runner only through ``configure()``, once at t = 0;
     ``on_sense(node, event_id)``, per node sensing an event;
-    ``on_broadcast_received(node, trans)``, per awake receiver of a
+    ``on_broadcast_received(node, trans)``, per live receiver of a
     broadcast frame that is not jammed there and holds no copy of the
     frame's flood ``trans.event_id``: the engine keeps each flood's mask,
     the endpoints that sent a frame of it or were handed a copy; and the
@@ -225,7 +219,7 @@ class Engine:
     once with ``trans`` None, BUSY with the frame a stronger grab
     cancelled, or OK, COLLISION or NO_RX at frame end; a deferred send
     reports only when its retry resolves. A runner reads only the engine's
-    ``sc``, ``nodes``, ``awake``, ``now`` and ``pending`` (the hybrid one
+    ``sc``, ``nodes``, ``asleep``, ``now`` and ``pending`` (the hybrid one
     also ``locs``, ``radio`` and ``coeff``), no private member, and calls
     only ``schedule``, ``jitter``, ``new_packet``, ``drop``, ``deliver``
     and the three ``send_*`` methods.
@@ -242,10 +236,12 @@ class Engine:
         self.locs = place_nodes(scenario)
         self.rng_jitter = substream(scenario.seed, "jitter")
 
-        self.nodes: Dict[int, NodeRec] = {}
-        for i in sorted(self.locs.entries):
-            battery = scenario.battery()  # one that starts drained died at 0
-            self.nodes[i] = NodeRec(battery, None if is_alive(battery) else 0.0)
+        # each node's battery; asleep maps each node that died, BS never, to
+        # its time of death, in order of death: 0 for one that starts drained
+        self.nodes: Dict[int, EnergyState] = {
+            i: scenario.battery() for i in sorted(self.locs.entries)}
+        self.asleep: Dict[int, float] = {
+            i: 0.0 for i, b in self.nodes.items() if not is_alive(b)}
 
         # static topology: who hears whom, for every node and for BS.
         # _ids lists every endpoint in bit order, ascending node id then BS,
@@ -259,9 +255,6 @@ class Engine:
         self._reach = Reachability([self.loc(x) for x in self._ids],
                                    self.radio)
         self._hears: List[Optional[int]] = [None] * len(self._ids)
-        # BS never sleeps; charge removes a node the moment it dies
-        self.awake: Set[object] = {BS, *(n for n, rec in self.nodes.items()
-                                         if rec.death_time is None)}
         self._heard_by: Dict[object, List[Tuple[object, int]]] = {}
 
         self.now = 0.0
@@ -317,15 +310,13 @@ class Engine:
             return  # the sink is mains powered
         if amount < 0:
             raise ValueError("amount must be non-negative")
-        rec = self.nodes[node]
-        battery = rec.energy
+        battery = self.nodes[node]
         # max(0.0, left) to the bit, NaN included
         left = battery.residual - amount
         battery.residual = left if left > 0.0 else 0.0
         # not radio.is_alive(battery), inlined
-        if battery.residual < battery.threshold and node in self.awake:
-            self.awake.remove(node)
-            rec.death_time = self.now
+        if battery.residual < battery.threshold and node not in self.asleep:
+            self.asleep[node] = self.now
 
     def loc(self, node: object) -> Location:
         return self.locs.base_station if node == BS else self.locs.entries[node]
@@ -353,7 +344,7 @@ class Engine:
         by received power. COLLISION is never returned here: interference
         between granted frames is resolved at frame end.
         """
-        if rx not in self.awake:
+        if rx in self.asleep:
             return NO_RX
         if rx in self.active:
             return BUSY
@@ -415,7 +406,7 @@ class Engine:
         receiver arbitrates; a grant occupies the channel for the frame
         airtime.
         """
-        if tx not in self.awake:
+        if tx in self.asleep:
             on_result(None, ASLEEP)
             return
         own = self.active.get(tx)
@@ -442,7 +433,7 @@ class Engine:
         channel; copies are handed to the protocol per receiver at frame
         end. Each copy carries ``payload``. ``event_id`` names the frame's
         flood: no endpoint is handed a flood it sent or was handed before."""
-        if tx not in self.awake:
+        if tx in self.asleep:
             return  # the node drained while the frame was pending
         mine = 1 << self._index[tx]
         busy_until = -1.0  # no frame ends before 0
@@ -463,9 +454,9 @@ class Engine:
 
         Charged and counted as a signal but never contends for the channel.
         A drained ``tx`` sends nothing, as in ``send_unicast``. Callers send
-        only to awake receivers: ``BS``, or a node just found in ``awake``.
+        only to live receivers: ``BS``, or a node just found not ``asleep``.
         """
-        if tx not in self.awake:
+        if tx in self.asleep:
             return
         bits = self._frames[kind][0]
         self.charge(tx, tx_energy(self.coeff, bits, self.dist(tx, rx)))
@@ -493,7 +484,7 @@ class Engine:
         return mask
 
     def _receivers(self, tx: object) -> List[Tuple[object, int]]:
-        # (endpoint, bit) per endpoint tx reaches, in bit order, awake or
+        # (endpoint, bit) per endpoint tx reaches, in bit order, asleep or
         # not; kept from tx's first broadcast on
         if tx not in self._heard_by:
             ids, found = self._ids, []
@@ -524,18 +515,18 @@ class Engine:
             # One jammed mask serves every receiver: a frame that a
             # receiver's handler begins, or cancels, starts at trans.end,
             # so it never overlaps trans. A copy of a flood its receiver
-            # holds is charged but needs no handler. A receiver is read
-            # from awake at its turn: no handler here drains another node.
+            # holds is charged but needs no handler. A receiver is looked
+            # up in asleep at its turn: no handler here drains another node.
             jammed = self._jam_mask(trans)
             trans.overlaps = None
             held = self._flooded.get(event_id, 0) | 1 << self._index[tx]
             head = f"{stamp}{COLL} {tx} "
             tail = f" {event_id} {COLLISION}\n"
-            charge, awake = self.charge, self.awake
+            charge, asleep = self.charge, self.asleep
             received = self.protocol.on_broadcast_received
             lost = 0
             for r, bit in self._receivers(tx):
-                if r not in awake:
+                if r in asleep:
                     continue
                 if bit & jammed:
                     write(f"{head}{r}{tail}")
@@ -555,7 +546,7 @@ class Engine:
         self.charge(tx, tx_energy(self.coeff, bits, self.dist(tx, r)))
         collided = self._interfered(trans, r)
         trans.overlaps = None
-        outcome = (NO_RX if r not in self.awake
+        outcome = (NO_RX if r in self.asleep
                    else COLLISION if collided else OK)
         self.log(trans.start, trans.kind, tx, r, trans.event_id, outcome)
         tally = self.tally

@@ -99,7 +99,7 @@ class HybContext:
     radio: RadioParams
     energy_coeff: EnergyCoefficients
     location_of: Callable[[int], Location]
-    alive: Callable[[int], bool]   # liveness oracle for neighbour selection
+    asleep: Callable[[int], bool]  # death oracle for neighbour selection
     payload_bits: int              # the size of every data frame
     wait_t: float                  # s, waiting budget of a congested packet
     forwards: Dict[int, Action] = field(default_factory=dict, compare=False)
@@ -126,9 +126,9 @@ def best_neighbour(state: HybNodeState, packet: DataPacket,
     """
     best: Optional[int] = None
     best_count = math.inf
-    attempted, alive, use = packet.attempted, ctx.alive, state.use_count
+    attempted, asleep, use = packet.attempted, ctx.asleep, state.use_count
     for v in state.linked:  # row order encodes proximity to the base station
-        if v in attempted or not alive(v):
+        if v in attempted or asleep(v):
             continue
         count = use[v]
         if count < best_count:
@@ -156,7 +156,7 @@ def _gate(state: HybNodeState, packet: DataPacket,
           now: float) -> Optional[Action]:
     """The energy gate, then the duplicate buffer: the DROP for a node that
     must not handle the packet, else None, with the event recorded. The
-    gate reads the node's own battery, whatever ``ctx.alive`` believes."""
+    gate reads the node's own battery, whatever ``ctx.asleep`` believes."""
     if not is_alive(state.energy):
         return _DROPS[ASLEEP]
     if state.dedup.contains(packet.event_id, now):
@@ -213,21 +213,19 @@ class HybRunner:
         self.region = sc.region_params()
         locs = engine.locs
         self.states: Dict[int, HybNodeState] = {
-            i: HybNodeState(id=i, energy=rec.energy,  # shared battery
+            i: HybNodeState(id=i, energy=battery,  # shared battery
                             dedup=DedupBuffer(ttl=sc.dedup_ttl))
-            for i, rec in engine.nodes.items()}
+            for i, battery in engine.nodes.items()}
         # base-station knowledge, fed by residual reports
         self.bs_known_residual: Dict[int, float] = {
             i: sc.initial_energy for i in engine.nodes}
         self.neighbour_table = None  # configure builds it
-        if sc.liveness == "ground_truth":
-            alive = engine.awake.__contains__
-        else:
-            alive = self._bs_alive
+        asleep = (engine.asleep.__contains__ if sc.liveness == "ground_truth"
+                  else self._bs_asleep)
         self.ctx = HybContext(
             bs_location=locs.base_station, radio=engine.radio,
             energy_coeff=engine.coeff, location_of=locs.entries.__getitem__,
-            alive=alive, payload_bits=sc.payload_bits, wait_t=sc.wait_t)
+            asleep=asleep, payload_bits=sc.payload_bits, wait_t=sc.wait_t)
 
     # -------------------------------------------------------------- phases
 
@@ -236,19 +234,19 @@ class HybRunner:
         e = self.e
         for n in sorted(e.nodes):
             e.send_oob_control(CONFIG, n, BS)
-        alive = {n for n in e.nodes if n in e.awake}
+        alive = e.nodes.keys() - e.asleep.keys()
         self.neighbour_table = eng.compute_neighbour_table(e.locs, self.region, alive)
         self._install({})
         e.schedule(e.now + e.sc.refresh_period, self._bs_refresh)
 
-    def _bs_alive(self, node: int) -> bool:
+    def _bs_asleep(self, node: int) -> bool:
         # the base station's belief: the last residual node reported
-        # is at or above the energy threshold
-        return self.bs_known_residual[node] >= self.e.sc.energy_threshold
+        # is below the energy threshold
+        return self.bs_known_residual[node] < self.e.sc.energy_threshold
 
     def _bs_refresh(self) -> None:
         e = self.e
-        dead = {n for n in self.bs_known_residual if not self._bs_alive(n)}
+        dead = {n for n in self.bs_known_residual if self._bs_asleep(n)}
         old = self.neighbour_table
         self.neighbour_table = eng.refresh_table(old, e.locs, self.region, dead)
         self._install(old.rows)
@@ -256,12 +254,12 @@ class HybRunner:
             e.schedule(e.now + e.sc.refresh_period, self._bs_refresh)
 
     def _install(self, old: Dict[int, Row]) -> None:
-        # changed rows go to their states; every awake node gets a CONFIG
+        # changed rows go to their states; every live node gets a CONFIG
         e, rows = self.e, self.neighbour_table.rows
         for n in sorted(rows):
             if rows[n] != old.get(n):
                 self.states[n].set_row(rows[n], self.ctx)
-            if n in e.awake:
+            if n not in e.asleep:
                 e.send_oob_control(CONFIG, BS, n)
 
     # -------------------------------------------------------------- traffic
@@ -297,11 +295,11 @@ class HybRunner:
         elif outcome == OK:
             if trans.rx == BS:
                 e.deliver(pkt, node)
-                # every awake node on the path reports its residual
+                # every live node on the path reports its residual
                 for n in pkt.visited:
-                    if n in e.awake:
+                    if n not in e.asleep:
                         e.send_oob_control(REPORT, n, BS)
-                        self.bs_known_residual[n] = e.nodes[n].energy.residual
+                        self.bs_known_residual[n] = e.nodes[n].residual
             else:
                 self._relay(trans.rx, pkt)
         else:  # ASLEEP, or a COLLISION: no frame lost on the air is resent

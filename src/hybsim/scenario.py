@@ -223,11 +223,15 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(**values)
 
 
+def parse_pair(text: str, sep: str) -> Tuple[float, float]:
+    """Two floats joined by ``sep``; ValueError on any other text."""
+    first, second = map(float, text.split(sep))
+    return first, second
+
+
 def _convert(key, val):
     if key in _PAIR_KEYS:
-        sep = _PAIR_KEYS[key]
-        a, _, b = val.partition(sep)
-        return (float(a), float(b))
+        return parse_pair(val, _PAIR_KEYS[key])
     if key == "vertical_extent_N":
         return None if val.lower() in ("unbounded", "none") else float(val)
     return _TYPES[key](val)

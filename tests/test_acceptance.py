@@ -61,8 +61,8 @@ def sweep() -> List[SweepRun]:
                 wall = time.perf_counter() - start
                 report = collect(log)
                 report.energy_consumed = sum(
-                    sc.initial_energy - rec.energy.residual
-                    for rec in engine.nodes.values())
+                    sc.initial_energy - battery.residual
+                    for battery in engine.nodes.values())
                 runs.append(SweepRun(protocol, n, seed, engine, report, wall,
                                      log, charges, deliveries))
     return runs
@@ -182,10 +182,10 @@ def test_criterion_07_redundancy_suppression(tmp_path):
 def test_criterion_08_energy_properties(sweep, tmp_path):
     # (a) every node's charge ledger replays exactly to its residual
     for r in sweep:
-        for node, rec in r.engine.nodes.items():
+        for node, battery in r.engine.nodes.items():
             replayed = replay_energy_ledger(r.engine.sc.initial_energy,
                                             r.charges[node])
-            assert replayed == rec.energy.residual, \
+            assert replayed == battery.residual, \
                 f"{r.protocol}/{r.node_count}/{r.seed}: node {node} ledger drift"
     # (b) no frame was ever put on the air by an asleep transmitter
     for r in sweep:
@@ -193,7 +193,7 @@ def test_criterion_08_energy_properties(sweep, tmp_path):
             t, kind, tx, _, _, _ = line.split()
             if kind not in FRAME_KINDS or tx == "BS":
                 continue
-            death = r.engine.nodes[int(tx)].death_time
+            death = r.engine.asleep.get(int(tx))
             assert death is None or float(t) <= death + 1e-9, \
                 f"{r.protocol}: node {tx} transmitted after dying at {death}"
     # (c) a drained node disappears from every row at the next refresh
@@ -215,7 +215,7 @@ def test_criterion_09_load_balance(tmp_path):
     sc = Scenario(node_count=20, sim_time=60.0, seed=11)
     engine = Engine(sc)
     engine.run()
-    assert all(n in engine.awake for n in engine.nodes), \
+    assert not engine.asleep, \
         "load-balance scenario must finish with no deaths"
     checked = 0
     for state in engine.protocol.states.values():

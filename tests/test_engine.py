@@ -258,12 +258,12 @@ class TestArbitration:
     def test_drained_sender_sends_no_control_frame(self, tmp_path):
         e = self.make(tmp_path)
         e.charge(0, 10.0)
-        residual = {n: rec.energy.residual for n, rec in e.nodes.items()}
+        residual = {n: battery.residual for n, battery in e.nodes.items()}
         e.send_oob_control(CONFIG, 0, BS)
         e.send_oob_control(REPORT, 0, 2)
         assert log_lines(e) == []
-        assert {n: rec.energy.residual
-                for n, rec in e.nodes.items()} == residual
+        assert {n: battery.residual
+                for n, battery in e.nodes.items()} == residual
 
     def test_nodes_drained_from_the_start_upload_nothing(self):
         log = Engine(Scenario(node_count=5, sim_time=2,
@@ -276,12 +276,11 @@ class TestArbitration:
     @pytest.mark.parametrize("knob", [{"initial_energy": 0.0},
                                       {"energy_threshold": 20.0}])
     def test_nodes_drained_from_the_start_die_at_zero(self, knob):
-        # death_time is None exactly for the nodes in awake, from t = 0 on
+        # every node is in asleep, stamped 0, from t = 0 on
         e = Engine(Scenario(node_count=5, sim_time=2, **knob))
-        assert e.awake == {BS}
-        assert all(rec.death_time == 0.0 for rec in e.nodes.values())
+        assert e.asleep == dict.fromkeys(e.nodes, 0.0)
         e.run()
-        assert all(rec.death_time == 0.0 for rec in e.nodes.values())
+        assert e.asleep == dict.fromkeys(e.nodes, 0.0)
 
 
 class TestHiddenTerminal:
@@ -385,7 +384,7 @@ class TestInterferenceOracle:
     """Every frame's fate at each receiver against brute force.
 
     A unicast asks ``_interfered``; a broadcast resolves all its receivers
-    at once, so its fate at each awake endpoint that hears it, a ``COLL``
+    at once, so its fate at each live endpoint that hears it, a ``COLL``
     record or an ``on_broadcast_received`` call, is checked instead.
     """
 
@@ -465,7 +464,7 @@ class TestInterferenceOracle:
                 frame_end(trans)
                 return
             ends = sorted(n for n in where if n != BS) + [BS]  # bit order
-            receivers = [r for r in ends if r != trans.tx and r in e.awake
+            receivers = [r for r in ends if r != trans.tx and r not in e.asleep
                          and audible(trans.tx, r)]
             mark = len(e.log_buffer.getvalue())
             received.clear()
@@ -660,39 +659,38 @@ class TestEnergyAccounting:
         charges = record_charges(e)
         cost = 6e-5
         e.charge(0, cost)
-        assert e.nodes[0].death_time is None
+        assert 0 not in e.asleep
         e.now = 2.5
         e.charge(0, cost)
-        assert e.nodes[0].death_time == 2.5
-        assert 0 not in e.awake
+        assert e.asleep == {0: 2.5}
         assert charges[0] == [cost, cost]
-        assert e.nodes[0].energy.residual == 0.0  # clamped, not negative
+        assert e.nodes[0].residual == 0.0  # clamped, not negative
 
     def test_charge_preserves_initial(self, tmp_path):
         e = make_engine(tmp_path, {0: (100.0, 100.0)}, (1500.0, 1500.0))
         e.charge(0, 3.25)
-        assert e.nodes[0].energy.residual == pytest.approx(6.75)
+        assert e.nodes[0].residual == pytest.approx(6.75)
         # energy used is read against the scenario's starting charge
-        assert e.sc.initial_energy - e.nodes[0].energy.residual == 3.25
+        assert e.sc.initial_energy - e.nodes[0].residual == 3.25
 
     def test_negative_charge_rejected(self, tmp_path):
         e = make_engine(tmp_path, {0: (100.0, 100.0)}, (1500.0, 1500.0))
         with pytest.raises(ValueError):
             e.charge(0, -0.1)
-        assert e.nodes[0].energy.residual == 10.0
+        assert e.nodes[0].residual == 10.0
 
     def test_charged_down_to_the_threshold_stays_awake(self, tmp_path):
         e = make_engine(tmp_path, {0: (100.0, 100.0)}, (1500.0, 1500.0),
                         initial_energy=0.75, energy_threshold=0.25)
         e.charge(0, 0.5)
-        assert e.nodes[0].energy.residual == 0.25
-        assert 0 in e.awake and e.nodes[0].death_time is None
+        assert e.nodes[0].residual == 0.25
+        assert e.asleep == {}
         e.now = 1.5
         e.charge(0, 1e-9)
-        assert 0 not in e.awake and e.nodes[0].death_time == 1.5
+        assert e.asleep == {0: 1.5}
         e.now = 2.0
         e.charge(0, 1e-9)   # a dead node dies once
-        assert e.nodes[0].death_time == 1.5
+        assert e.asleep == {0: 1.5}
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -700,8 +698,8 @@ class TestEnergyAccounting:
            nodes=st.integers(2, 15), seed=st.integers(0, 10 ** 6),
            initial=st.sampled_from([2e-4, 1e-3, 4e-3, 2e-2]),
            threshold=st.sampled_from([0.0, 1e-6, 1e-4]))
-    def test_awake_follows_every_charge(self, protocol, nodes, seed,
-                                        initial, threshold):
+    def test_asleep_follows_every_charge(self, protocol, nodes, seed,
+                                         initial, threshold):
         e = Engine(Scenario(protocol=protocol, node_count=nodes, seed=seed,
                             sim_time=1.0, topology_size=(700.0, 700.0),
                             bs_location=(350.0, 350.0),
@@ -710,33 +708,39 @@ class TestEnergyAccounting:
         charge = e.charge
         deaths = []
 
+        # the nodes that start drained died at 0, before any charge
+        deaths = [n for n, battery in e.nodes.items()
+                  if battery.residual < battery.threshold]
+
         def checked_charge(node, amount):
-            before = {n: rec.death_time for n, rec in e.nodes.items()}
+            before = dict(e.asleep)
             charge(node, amount)
-            assert e.awake == {BS} | {
-                n for n, rec in e.nodes.items()
-                if rec.energy.residual >= rec.energy.threshold}
-            for n, rec in e.nodes.items():
-                if rec.death_time != before[n]:
-                    assert before[n] is None and n == node
-                    assert rec.death_time == e.now
-                    deaths.append(n)
+            assert set(e.asleep) == {
+                n for n, battery in e.nodes.items()
+                if battery.residual < battery.threshold}
+            # no stored time ever changes
+            assert {n: e.asleep[n] for n in before} == before
+            new = [n for n in e.asleep if n not in before]
+            if new:
+                assert new == [node] and e.asleep[node] == e.now
+                deaths.append(node)
 
         e.charge = checked_charge
         e.run()
-        assert sorted(deaths) == sorted(set(e.nodes) - e.awake)
+        # asleep lists the nodes in the order charge killed them
+        assert list(e.asleep) == deaths
 
     def test_bs_is_mains_powered(self, tmp_path):
         e = make_engine(tmp_path, {0: (100.0, 100.0)}, (1500.0, 1500.0))
         e.charge(BS, 100.0)  # no-op, never raises
-        assert BS in e.awake
+        assert e.asleep == {}
 
     def test_hyb_states_share_the_engine_battery(self):
         # the hybrid state machine decides on the battery the engine charges
         e = Engine(Scenario(protocol="hyb", node_count=25, sim_time=20.0, seed=1))
         e.run()
-        for n, rec in e.nodes.items():
-            assert e.protocol.states[n].energy is rec.energy
+        for n, battery in e.nodes.items():
+            assert e.protocol.states[n].energy is battery
 
 
 class TestHybRunner:
@@ -880,7 +884,7 @@ class TestHybRunner:
         runner, threshold = e.protocol, e.sc.energy_threshold
         runner.bs_known_residual[0] = threshold
         runner.bs_known_residual[1] = math.nextafter(threshold, 0.0)
-        assert runner.ctx.alive(0) and not runner.ctx.alive(1)
+        assert not runner.ctx.asleep(0) and runner.ctx.asleep(1)
 
     def test_tables_are_built_through_the_engine_module(self, monkeypatch):
         # perfbench/tracer.py counts the builds by wrapping these two names
@@ -930,7 +934,7 @@ class TestRunnerContract:
     per unicast."""
 
     # the members the contract lets a runner read or call
-    ALLOWED = {"sc", "nodes", "awake", "now", "pending", "locs", "radio",
+    ALLOWED = {"sc", "nodes", "asleep", "now", "pending", "locs", "radio",
                "coeff", "schedule", "jitter", "new_packet", "drop", "deliver",
                "send_unicast", "send_broadcast", "send_oob_control"}
 

@@ -46,7 +46,7 @@ has a test that shows it reaches what it is there for:
   three packets delivered before the field is drained each go straight
   from their origin to the base station, where AODV's next hop and DSR's
   source route send the same frame. Their receiver lists keep the dead:
-  a receiver is skipped at frame end because it is not in ``awake``;
+  a receiver is skipped at frame end because it is in ``asleep``;
 - aodv at 200 nodes, 1 s: each frame overlaps ~13 others on average,
   against ~8 in the 125-node storm;
 - dsr at 200 nodes, 1 s: the same dense flood, where a node tests whether
@@ -329,20 +329,20 @@ def test_drained_case_kills_every_node_mid_flood(case):
         current.pop()
 
     def tracking_charge(node, amount):
-        was_awake = node in e.awake
+        was_asleep = node in e.asleep
         charge(node, amount)
-        if (was_awake and node not in e.awake and current
+        if (not was_asleep and node in e.asleep and current
                 and current[-1].rx == BROADCAST and current[-1].tx == node):
             senders_killed.append(current[-1])
     e._frame_end, e.charge = tracking_frame_end, tracking_charge
     log = e.run()
-    assert all(rec.death_time is not None for rec in e.nodes.values())
+    assert set(e.asleep) == set(e.nodes)
     # most die paying for a route request whose copies then go out
     assert len(senders_killed) > len(e.nodes) // 2
     assert all(t.kind == "RREQ" for t in senders_killed)
     assert " COLL " in log
     # a receiver list keeps every endpoint its sender reaches, the dead
-    # among them: awake alone says who is alive
+    # among them: asleep alone says who is dead
     assert e._heard_by
     for tx, receivers in e._heard_by.items():
         hears, _ = _mask_and_bit(e, tx)

@@ -28,7 +28,7 @@ def make_ctx(dead=(), wait_t=0.1):
         bs_location=BS, radio=SCENARIO.radio_params(),
         energy_coeff=SCENARIO.energy_coefficients(),
         location_of=POINTS.__getitem__,
-        alive=lambda v: v not in dead, payload_bits=4096, wait_t=wait_t)
+        asleep=lambda v: v in dead, payload_bits=4096, wait_t=wait_t)
 
 
 def make_state(node, row, residual=10.0):

@@ -120,9 +120,9 @@ class TestEnergyState:
         e = Engine(Scenario(node_count=1, sim_time=1.0, initial_energy=1e-4))
         node = next(iter(e.nodes))
         e.charge(node, 1.0)
-        assert e.nodes[node].energy.residual == 0.0
+        assert e.nodes[node].residual == 0.0
         e.charge(node, 1.0)
-        assert e.nodes[node].energy.residual == 0.0
+        assert e.nodes[node].residual == 0.0
 
     def test_invalid_state(self):
         battery = Scenario().battery()

@@ -12,7 +12,7 @@ from hybsim.engine import Engine
 from hybsim.metrics import compare, run_scenario
 from hybsim.scenario import (MAX_DELAY, MAX_EVENTS, MAX_RETRIES, PROTOCOLS,
                              Scenario, ScenarioError, emit_scenario,
-                             parse_scenario)
+                             parse_pair, parse_scenario)
 
 
 class TestParse:
@@ -32,6 +32,22 @@ class TestParse:
         sc = parse_scenario("topology_size = 800x600\nbs_location = 10,20\n")
         assert sc.topology_size == (800.0, 600.0)
         assert sc.bs_location == (10.0, 20.0)
+
+    @pytest.mark.parametrize("sep", ["x", ","])
+    @pytest.mark.parametrize("text,pair", [
+        ("1{}2", (1.0, 2.0)), (" 1 {} 2 ", (1.0, 2.0)),
+        ("-1.5{}1e3", (-1.5, 1000.0)), ("inf {} 2", (math.inf, 2.0)),
+        ("1{}2{}3", None), ("1{}", None), ("{}2", None), ("{}", None),
+        ("1", None), ("", None), ("a{}2", None), ("1{}{}2", None)])
+    def test_pair_parser(self, sep, text, pair):
+        # the scenario file and the command line read pairs with this one
+        # parser, which raises ValueError on anything but two floats
+        text = text.replace("{}", sep)
+        if pair is None:
+            with pytest.raises(ValueError):
+                parse_pair(text, sep)
+        else:
+            assert parse_pair(text, sep) == pair
 
     def test_vertical_extent_unbounded(self):
         assert parse_scenario("vertical_extent_N = unbounded\n").vertical_extent_N is None
