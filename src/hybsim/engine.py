@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from .radio import (EnergyState, RadioParams, frame_airtime, is_alive,
-                    link_bounds, link_feasible, received_power, rx_energy,
-                    tx_energy)
+from .radio import (RadioParams, frame_airtime, link_bounds, link_feasible,
+                    received_power, rx_energy, tx_energy)
 from .scenario import Scenario
 from .topology import Grid, Location, LocationTable
 # perfbench/tracer.py wraps the two table builders here by name
@@ -219,10 +218,10 @@ class Engine:
     once with ``trans`` None, BUSY with the frame a stronger grab
     cancelled, or OK, COLLISION or NO_RX at frame end; a deferred send
     reports only when its retry resolves. A runner reads only the engine's
-    ``sc``, ``nodes``, ``asleep``, ``now`` and ``pending`` (the hybrid one
-    also ``locs``, ``radio`` and ``coeff``), no private member, and calls
-    only ``schedule``, ``jitter``, ``new_packet``, ``drop``, ``deliver``
-    and the three ``send_*`` methods.
+    ``sc``, ``nodes`` (each node's residual, in J), ``asleep``, ``now``
+    and ``pending`` (the hybrid one also ``locs``, ``radio`` and
+    ``coeff``), no private member, and calls only ``schedule``, ``jitter``,
+    ``new_packet``, ``drop``, ``deliver`` and the three ``send_*`` methods.
 
     An engine keeps fewer than 30 instance attributes: from 30 on, CPython
     3.11 no longer shares their keys, and every ``self.x`` load slows."""
@@ -236,12 +235,13 @@ class Engine:
         self.locs = place_nodes(scenario)
         self.rng_jitter = substream(scenario.seed, "jitter")
 
-        # each node's battery; asleep maps each node that died, BS never, to
-        # its time of death, in order of death: 0 for one that starts drained
-        self.nodes: Dict[int, EnergyState] = {
-            i: scenario.battery() for i in sorted(self.locs.entries)}
-        self.asleep: Dict[int, float] = {
-            i: 0.0 for i, b in self.nodes.items() if not is_alive(b)}
+        # each node's residual charge in J; asleep maps each node that fell
+        # below the energy threshold, BS never, to its time of death, in
+        # order of death: every node at 0, in id order, if all start below
+        full = scenario.initial_energy
+        self.nodes = dict.fromkeys(sorted(self.locs.entries), full)
+        self.asleep: Dict[int, float] = dict.fromkeys(
+            self.nodes if full < scenario.energy_threshold else (), 0.0)
 
         # static topology: who hears whom, for every node and for BS.
         # _ids lists every endpoint in bit order, ascending node id then BS,
@@ -303,19 +303,18 @@ class Engine:
     # ------------------------------------------------------------------ energy
 
     def charge(self, node: object, amount: float) -> None:
-        """Drain ``amount`` joules from ``node``'s battery, the one place
-        that drains one; the residual clamps at zero. Every charged copy of
-        a frame comes here, so the body makes no further call."""
+        """Drain ``amount`` joules from ``node``'s residual, the one place
+        that drains one; it clamps at zero, and below the energy threshold
+        the node dies. Every charged copy of a frame comes here, so the
+        body makes no further call."""
         if node == BS:
             return  # the sink is mains powered
         if amount < 0:
             raise ValueError("amount must be non-negative")
-        battery = self.nodes[node]
+        left = self.nodes[node] - amount
         # max(0.0, left) to the bit, NaN included
-        left = battery.residual - amount
-        battery.residual = left if left > 0.0 else 0.0
-        # not radio.is_alive(battery), inlined
-        if battery.residual < battery.threshold and node not in self.asleep:
+        left = self.nodes[node] = left if left > 0.0 else 0.0
+        if left < self.sc.energy_threshold and node not in self.asleep:
             self.asleep[node] = self.now
 
     def loc(self, node: object) -> Location:

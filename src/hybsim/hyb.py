@@ -17,8 +17,7 @@ from . import engine as eng
 from .engine import (ASLEEP, BS, BUSY, CONFIG, CONGESTION, DATA, DROP_REASONS,
                      DUPLICATE, NO_ROUTE, NO_RX, OK, REPORT, RETRY_GAP,
                      DataPacket)
-from .radio import (EnergyState, RadioParams, EnergyCoefficients,
-                    is_alive, link_feasible, tx_energy)
+from .radio import RadioParams, EnergyCoefficients, link_feasible, tx_energy
 from .topology import Location, Row
 
 # Action kinds
@@ -65,7 +64,6 @@ class DedupBuffer:
 @dataclass(slots=True)
 class HybNodeState:
     id: int
-    energy: EnergyState
     dedup: DedupBuffer
     linked: Tuple[int, ...] = ()   # row members the link reaches, in row order
     use_count: Dict[int, int] = field(default_factory=dict)
@@ -100,19 +98,21 @@ class HybContext:
     energy_coeff: EnergyCoefficients
     location_of: Callable[[int], Location]
     asleep: Callable[[int], bool]  # death oracle for neighbour selection
+    charge: Dict[int, float]       # each node's residual, Engine.nodes
+    threshold: float               # J, below which a node is asleep
     payload_bits: int              # the size of every data frame
     wait_t: float                  # s, waiting budget of a congested packet
     forwards: Dict[int, Action] = field(default_factory=dict, compare=False)
 
 
-def single_hop_feasible(state: HybNodeState) -> bool:
-    """Direct delivery is on when the link closes and the battery covers it.
+def single_hop_feasible(state: HybNodeState, ctx: HybContext) -> bool:
+    """Direct delivery is on when the link closes and the residual covers it.
 
-    ``set_row`` decides the link and the cost; the battery is read anew.
+    ``set_row`` decides the link and the cost; the residual is read anew.
     """
     cost = state.direct_cost
     return (cost is not None
-            and state.energy.residual >= state.energy.threshold + cost)
+            and ctx.charge[state.id] >= ctx.threshold + cost)
 
 
 def best_neighbour(state: HybNodeState, packet: DataPacket,
@@ -137,7 +137,7 @@ def best_neighbour(state: HybNodeState, packet: DataPacket,
 
 
 def _route(state: HybNodeState, packet: DataPacket, ctx: HybContext) -> Action:
-    if single_hop_feasible(state):
+    if single_hop_feasible(state, ctx):
         return _DIRECT
     return _forward(state, packet, ctx)
 
@@ -152,12 +152,12 @@ def _forward(state: HybNodeState, packet: DataPacket,
     return ctx.forwards[nxt]
 
 
-def _gate(state: HybNodeState, packet: DataPacket,
+def _gate(state: HybNodeState, packet: DataPacket, ctx: HybContext,
           now: float) -> Optional[Action]:
     """The energy gate, then the duplicate buffer: the DROP for a node that
     must not handle the packet, else None, with the event recorded. The
-    gate reads the node's own battery, whatever ``ctx.asleep`` believes."""
-    if not is_alive(state.energy):
+    gate reads the node's own residual, whatever ``ctx.asleep`` believes."""
+    if ctx.charge[state.id] < ctx.threshold:
         return _DROPS[ASLEEP]
     if state.dedup.contains(packet.event_id, now):
         return _DROPS[DUPLICATE]
@@ -168,7 +168,7 @@ def _gate(state: HybNodeState, packet: DataPacket,
 def on_sense(state: HybNodeState, packet: DataPacket, ctx: HybContext,
              now: float) -> Action:
     """Handle a locally sensed event."""
-    return _gate(state, packet, now) or _route(state, packet, ctx)
+    return _gate(state, packet, ctx, now) or _route(state, packet, ctx)
 
 
 def on_receive(state: HybNodeState, packet: DataPacket, ctx: HybContext,
@@ -178,7 +178,7 @@ def on_receive(state: HybNodeState, packet: DataPacket, ctx: HybContext,
     On the fresh path the node appends itself to the packet's route before
     choosing the next action, so the hop is recorded exactly once.
     """
-    dropped = _gate(state, packet, now)
+    dropped = _gate(state, packet, ctx, now)
     if dropped is not None:
         return dropped
     packet.visited.append(state.id)
@@ -213,9 +213,8 @@ class HybRunner:
         self.region = sc.region_params()
         locs = engine.locs
         self.states: Dict[int, HybNodeState] = {
-            i: HybNodeState(id=i, energy=battery,  # shared battery
-                            dedup=DedupBuffer(ttl=sc.dedup_ttl))
-            for i, battery in engine.nodes.items()}
+            i: HybNodeState(id=i, dedup=DedupBuffer(ttl=sc.dedup_ttl))
+            for i in engine.nodes}
         # base-station knowledge, fed by residual reports
         self.bs_known_residual: Dict[int, float] = {
             i: sc.initial_energy for i in engine.nodes}
@@ -225,7 +224,8 @@ class HybRunner:
         self.ctx = HybContext(
             bs_location=locs.base_station, radio=engine.radio,
             energy_coeff=engine.coeff, location_of=locs.entries.__getitem__,
-            asleep=asleep, payload_bits=sc.payload_bits, wait_t=sc.wait_t)
+            asleep=asleep, charge=engine.nodes, threshold=sc.energy_threshold,
+            payload_bits=sc.payload_bits, wait_t=sc.wait_t)
 
     # -------------------------------------------------------------- phases
 
@@ -299,7 +299,7 @@ class HybRunner:
                 for n in pkt.visited:
                     if n not in e.asleep:
                         e.send_oob_control(REPORT, n, BS)
-                        self.bs_known_residual[n] = e.nodes[n].residual
+                        self.bs_known_residual[n] = e.nodes[n]
             else:
                 self._relay(trans.rx, pkt)
         else:  # ASLEEP, or a COLLISION: no frame lost on the air is resent

@@ -136,8 +136,8 @@ def counted_report(engine: Engine) -> MetricsReport:
         delivered=delivered,
         dropped=dict(engine.dropped),
         unique_events_delivered=len(tally.delivered_ids),
-        energy_consumed=sum(engine.sc.initial_energy - battery.residual
-                            for battery in engine.nodes.values()))
+        energy_consumed=sum(engine.sc.initial_energy - residual
+                            for residual in engine.nodes.values()))
 
 
 def run_scenario(scenario: Scenario) -> Tuple[MetricsReport, str]:

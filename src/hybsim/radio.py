@@ -1,4 +1,4 @@
-"""Propagation, link feasibility, airtime and battery accounting.
+"""Propagation, link feasibility, airtime and energy costs.
 
 Shared by every protocol: log-distance path loss calibrated so that the
 configured radio range meets the reception threshold exactly, plus a
@@ -119,22 +119,4 @@ def rx_energy(coeff: EnergyCoefficients, bits: int) -> float:
     if bits < 0:
         raise ValueError("bits must be non-negative")
     return coeff.elec * bits
-
-
-@dataclass(slots=True)
-class EnergyState:
-    """One node's battery. Below ``threshold`` the node is asleep for good."""
-
-    residual: float   # J
-    threshold: float  # J
-
-    def __post_init__(self):
-        if not 0 <= self.residual < math.inf:  # NaN too
-            raise ValueError("residual must be non-negative and finite")
-        if not 0 <= self.threshold < math.inf:  # NaN too
-            raise ValueError("threshold must be non-negative and finite")
-
-
-def is_alive(state: EnergyState) -> bool:
-    return state.residual >= state.threshold
 

@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
-from .radio import (RadioParams, EnergyCoefficients, EnergyState,
-                    frame_airtime)
+from .radio import RadioParams, EnergyCoefficients, frame_airtime
 from .topology import (Location, LocationTable, RegionParams,
                        parse_location_file)
 
@@ -135,10 +134,12 @@ class Scenario:
         if not self.retry_backoff * 2 ** (self.data_retries - 1) <= MAX_DELAY:
             raise ScenarioError("retry_backoff * 2 ** (data_retries - 1) "
                                 f"exceeds {MAX_DELAY:g} s")
+        for name in ("initial_energy", "energy_threshold"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN too
+                raise ScenarioError(f"{name} must be non-negative and finite")
         try:  # the radio, energy and region checks live with those types
             self.radio_params()
             self.energy_coefficients()
-            self.battery()
             self.region_params()
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
@@ -161,11 +162,6 @@ class Scenario:
 
     def energy_coefficients(self) -> EnergyCoefficients:
         return EnergyCoefficients(elec=self.elec, amp=self.amp)
-
-    def battery(self) -> EnergyState:
-        """A full battery for one node."""
-        return EnergyState(residual=self.initial_energy,
-                           threshold=self.energy_threshold)
 
     def region_params(self) -> RegionParams:
         return RegionParams(

@@ -243,15 +243,15 @@ def refresh_table(table: NeighbourTable, locs: LocationTable,
                   params: RegionParams, dead: Set[int]) -> NeighbourTable:
     """The table with the dead nodes removed from the network.
 
-    A table that lists none of them comes back unchanged, as a copy; any
-    other is rebuilt over its surviving rows' nodes. The input table is
-    never modified.
+    A table that lists none of them is returned itself; any other is
+    rebuilt over its surviving rows' nodes. The input table is never
+    modified.
     """
     unknown = dead - locs.entries.keys()
     if unknown:
         raise TopologyError(f"dead set contains unknown ids: {sorted(unknown)}")
     if dead.isdisjoint(table.rows):
-        return NeighbourTable(rows=dict(table.rows))
+        return table
     return compute_neighbour_table(locs, params, set(table.rows) - dead)
 
 

@@ -61,8 +61,8 @@ def sweep() -> List[SweepRun]:
                 wall = time.perf_counter() - start
                 report = collect(log)
                 report.energy_consumed = sum(
-                    sc.initial_energy - battery.residual
-                    for battery in engine.nodes.values())
+                    sc.initial_energy - residual
+                    for residual in engine.nodes.values())
                 runs.append(SweepRun(protocol, n, seed, engine, report, wall,
                                      log, charges, deliveries))
     return runs
@@ -182,10 +182,10 @@ def test_criterion_07_redundancy_suppression(tmp_path):
 def test_criterion_08_energy_properties(sweep, tmp_path):
     # (a) every node's charge ledger replays exactly to its residual
     for r in sweep:
-        for node, battery in r.engine.nodes.items():
+        for node, residual in r.engine.nodes.items():
             replayed = replay_energy_ledger(r.engine.sc.initial_energy,
                                             r.charges[node])
-            assert replayed == battery.residual, \
+            assert replayed == residual, \
                 f"{r.protocol}/{r.node_count}/{r.seed}: node {node} ledger drift"
     # (b) no frame was ever put on the air by an asleep transmitter
     for r in sweep:

@@ -16,7 +16,7 @@ from hybsim.engine import (ASLEEP, BROADCAST, BS, BUSY, COLLISION, CONFIG,
                            place_nodes, substream)
 from hybsim.hyb import HybNodeState
 from hybsim.metrics import collect
-from hybsim.radio import frame_airtime, link_feasible
+from hybsim.radio import frame_airtime, link_feasible, rx_energy, tx_energy
 from hybsim.scenario import Scenario
 from hybsim.topology import compute_neighbour_table, refresh_table
 
@@ -258,12 +258,11 @@ class TestArbitration:
     def test_drained_sender_sends_no_control_frame(self, tmp_path):
         e = self.make(tmp_path)
         e.charge(0, 10.0)
-        residual = {n: battery.residual for n, battery in e.nodes.items()}
+        residual = dict(e.nodes)
         e.send_oob_control(CONFIG, 0, BS)
         e.send_oob_control(REPORT, 0, 2)
         assert log_lines(e) == []
-        assert {n: battery.residual
-                for n, battery in e.nodes.items()} == residual
+        assert e.nodes == residual
 
     def test_nodes_drained_from_the_start_upload_nothing(self):
         log = Engine(Scenario(node_count=5, sim_time=2,
@@ -279,6 +278,7 @@ class TestArbitration:
         # every node is in asleep, stamped 0, from t = 0 on
         e = Engine(Scenario(node_count=5, sim_time=2, **knob))
         assert e.asleep == dict.fromkeys(e.nodes, 0.0)
+        assert list(e.asleep) == sorted(e.nodes)  # in id order
         e.run()
         assert e.asleep == dict.fromkeys(e.nodes, 0.0)
 
@@ -664,26 +664,26 @@ class TestEnergyAccounting:
         e.charge(0, cost)
         assert e.asleep == {0: 2.5}
         assert charges[0] == [cost, cost]
-        assert e.nodes[0].residual == 0.0  # clamped, not negative
+        assert e.nodes[0] == 0.0  # clamped, not negative
 
     def test_charge_preserves_initial(self, tmp_path):
         e = make_engine(tmp_path, {0: (100.0, 100.0)}, (1500.0, 1500.0))
         e.charge(0, 3.25)
-        assert e.nodes[0].residual == pytest.approx(6.75)
+        assert e.nodes[0] == pytest.approx(6.75)
         # energy used is read against the scenario's starting charge
-        assert e.sc.initial_energy - e.nodes[0].residual == 3.25
+        assert e.sc.initial_energy - e.nodes[0] == 3.25
 
     def test_negative_charge_rejected(self, tmp_path):
         e = make_engine(tmp_path, {0: (100.0, 100.0)}, (1500.0, 1500.0))
         with pytest.raises(ValueError):
             e.charge(0, -0.1)
-        assert e.nodes[0].residual == 10.0
+        assert e.nodes[0] == 10.0
 
     def test_charged_down_to_the_threshold_stays_awake(self, tmp_path):
         e = make_engine(tmp_path, {0: (100.0, 100.0)}, (1500.0, 1500.0),
                         initial_energy=0.75, energy_threshold=0.25)
         e.charge(0, 0.5)
-        assert e.nodes[0].residual == 0.25
+        assert e.nodes[0] == 0.25
         assert e.asleep == {}
         e.now = 1.5
         e.charge(0, 1e-9)
@@ -691,6 +691,27 @@ class TestEnergyAccounting:
         e.now = 2.0
         e.charge(0, 1e-9)   # a dead node dies once
         assert e.asleep == {0: 1.5}
+
+    def test_a_frame_ending_after_its_sender_died_keeps_the_death_time(
+            self, tmp_path):
+        # hyb node 0's own DATA frame is on the air when the base station's
+        # out-of-band CONFIG drains 0 below the threshold; the frame's end
+        # then charges 0 again, and 0's first death time must stand
+        sc = Scenario()
+        config_cost = rx_energy(sc.energy_coefficients(), sc.control_bits)
+        e = make_engine(tmp_path, {0: (100.0, 100.0)}, (150.0, 150.0),
+                        protocol="hyb",
+                        initial_energy=sc.energy_threshold + config_cost / 2)
+        charges = record_charges(e)
+        e.send_unicast(DATA, 0, BS, on_result=ignore)
+        frame = granted(e, 0, BS)
+        middle = (frame.start + frame.end) / 2
+        run_at(e, middle, partial(e.send_oob_control, CONFIG, BS, 0))
+        data_cost = tx_energy(e.coeff, sc.payload_bits, e.dist(0, BS))
+        assert charges[0] == [config_cost, data_cost]
+        assert e.nodes[0] == 0.0
+        assert e.asleep == {0: middle}
+        assert log_lines(e)[-1].split()[1:] == [DATA, "0", BS, "-", OK]
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -709,15 +730,14 @@ class TestEnergyAccounting:
         deaths = []
 
         # the nodes that start drained died at 0, before any charge
-        deaths = [n for n, battery in e.nodes.items()
-                  if battery.residual < battery.threshold]
+        deaths = [n for n, residual in e.nodes.items()
+                  if residual < threshold]
 
         def checked_charge(node, amount):
             before = dict(e.asleep)
             charge(node, amount)
             assert set(e.asleep) == {
-                n for n, battery in e.nodes.items()
-                if battery.residual < battery.threshold}
+                n for n, residual in e.nodes.items() if residual < threshold}
             # no stored time ever changes
             assert {n: e.asleep[n] for n in before} == before
             new = [n for n in e.asleep if n not in before]
@@ -736,11 +756,13 @@ class TestEnergyAccounting:
         assert e.asleep == {}
 
     def test_hyb_states_share_the_engine_battery(self):
-        # the hybrid state machine decides on the battery the engine charges
+        # the hybrid state machine decides on the residuals the engine
+        # charges and on the scenario's one threshold
         e = Engine(Scenario(protocol="hyb", node_count=25, sim_time=20.0, seed=1))
         e.run()
-        for n, battery in e.nodes.items():
-            assert e.protocol.states[n].energy is battery
+        assert e.protocol.ctx.charge is e.nodes
+        assert e.protocol.ctx.threshold == e.sc.energy_threshold
+        assert all(type(residual) is float for residual in e.nodes.values())
 
 
 class TestHybRunner:
@@ -878,7 +900,7 @@ class TestHybRunner:
 
     def test_reported_liveness_holds_a_residual_at_the_threshold(self):
         # the base station believes a node alive while its last report is
-        # at or above the threshold: the test radio.is_alive applies
+        # at or above the threshold: the test Engine.charge applies
         e = Engine(Scenario(protocol="hyb", node_count=3, sim_time=1.0,
                             liveness="reported"))
         runner, threshold = e.protocol, e.sc.energy_threshold

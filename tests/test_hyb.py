@@ -1,5 +1,6 @@
 """Unit tests for the hybrid protocol's per-node state machine."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -12,7 +13,7 @@ from hybsim.hyb import (ASLEEP, CONGESTION, DROP, DUPLICATE, FORWARD,
                         HybContext, HybNodeState, best_neighbour, note_forward,
                         on_busy_channel, on_receive, on_sense,
                         single_hop_feasible)
-from hybsim.radio import EnergyState, tx_energy
+from hybsim.radio import tx_energy
 from hybsim.scenario import Scenario
 from hybsim.topology import DIRECT, ISOLATED, Location
 
@@ -23,18 +24,18 @@ POINTS = {1: Location(300.0, 0.0), 2: Location(320.0, 40.0),
 SCENARIO = Scenario()
 
 
-def make_ctx(dead=(), wait_t=0.1):
+def make_ctx(dead=(), wait_t=0.1, residual=10.0):
     return HybContext(
         bs_location=BS, radio=SCENARIO.radio_params(),
         energy_coeff=SCENARIO.energy_coefficients(),
         location_of=POINTS.__getitem__,
-        asleep=lambda v: v in dead, payload_bits=4096, wait_t=wait_t)
+        asleep=lambda v: v in dead, charge=dict.fromkeys(POINTS, residual),
+        threshold=SCENARIO.energy_threshold, payload_bits=4096,
+        wait_t=wait_t)
 
 
-def make_state(node, row, residual=10.0):
-    st = HybNodeState(id=node,
-                      energy=replace(SCENARIO.battery(), residual=residual),
-                      dedup=DedupBuffer(ttl=5.0))
+def make_state(node, row):
+    st = HybNodeState(id=node, dedup=DedupBuffer(ttl=5.0))
     st.set_row(row, make_ctx())
     return st
 
@@ -90,40 +91,34 @@ class TestDedupBuffer:
 
 class TestSingleHopFeasible:
     def test_in_range_with_energy(self):
-        assert single_hop_feasible(make_state(1, DIRECT))
+        assert single_hop_feasible(make_state(1, DIRECT), make_ctx())
 
     def test_out_of_range(self):
-        assert not single_hop_feasible(make_state(3, (1, 2)))
+        assert not single_hop_feasible(make_state(3, (1, 2)), make_ctx())
 
     def test_battery_must_cover_the_send(self):
         ctx = make_ctx()
         cost = tx_energy(ctx.energy_coeff, 4096, POINTS[1].dist(BS))
-        thr = 1e-6
-        rich = HybNodeState(id=1, energy=EnergyState(
-            residual=thr + cost, threshold=thr),
-            dedup=DedupBuffer(ttl=5.0))
-        poor = HybNodeState(id=1, energy=EnergyState(
-            residual=thr + cost * 0.99, threshold=thr),
-            dedup=DedupBuffer(ttl=5.0))
-        for st in (rich, poor):
-            st.set_row(DIRECT, ctx)
-        assert single_hop_feasible(rich)
-        assert not single_hop_feasible(poor)
+        thr = ctx.threshold
+        assert thr == 1e-6
+        st = make_state(1, DIRECT)
+        assert single_hop_feasible(st, make_ctx(residual=thr + cost))
+        assert not single_hop_feasible(st, make_ctx(residual=thr + cost * 0.99))
 
     def test_decision_follows_a_battery_drained_after_caching(self):
         st = make_state(1, DIRECT)
         ctx = make_ctx()
-        assert single_hop_feasible(st)
+        assert single_hop_feasible(st, ctx)
         cost = st.direct_cost
         assert cost == tx_energy(ctx.energy_coeff, 4096, POINTS[1].dist(BS))
-        st.energy.residual = st.energy.threshold + cost / 2
-        assert not single_hop_feasible(st)
+        ctx.charge[1] = ctx.threshold + cost / 2
+        assert not single_hop_feasible(st, ctx)
         assert st.direct_cost == cost
 
     def test_out_of_range_is_cached_as_no_link(self):
         st = make_state(3, (1, 2))
         assert st.direct_cost is None
-        assert not single_hop_feasible(st)
+        assert not single_hop_feasible(st, make_ctx())
 
     def test_cost_uses_the_contexts_payload_size(self):
         ctx = replace(make_ctx(), payload_bits=8192)
@@ -138,7 +133,7 @@ class TestSingleHopFeasible:
         monkeypatch.setattr(hyb, "link_feasible", lambda radio, d: d < 290.0)
         st = make_state(1, DIRECT)
         assert st.direct_cost is None
-        assert not single_hop_feasible(st)
+        assert not single_hop_feasible(st, make_ctx())
 
 
 class TestBestNeighbour:
@@ -212,8 +207,17 @@ class TestOnSense:
         assert action.neighbour == 1
 
     def test_asleep_gate(self):
-        st = make_state(1, DIRECT, residual=0.0)
-        action = on_sense(st, make_packet(1), make_ctx(), 0.0)
+        st = make_state(1, DIRECT)
+        action = on_sense(st, make_packet(1), make_ctx(residual=0.0), 0.0)
+        assert (action.kind, action.reason) == (DROP, ASLEEP)
+
+    def test_a_residual_at_the_threshold_passes_the_gate(self):
+        threshold = SCENARIO.energy_threshold
+        at = make_ctx(residual=threshold)
+        action = on_sense(make_state(3, (1, 2)), make_packet(3), at, 0.0)
+        assert (action.kind, action.neighbour) == (FORWARD, 1)
+        below = make_ctx(residual=math.nextafter(threshold, 0.0))
+        action = on_sense(make_state(3, (1, 2)), make_packet(3), below, 0.0)
         assert (action.kind, action.reason) == (DROP, ASLEEP)
 
     def test_duplicate_within_ttl(self):

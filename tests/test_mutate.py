@@ -30,9 +30,11 @@ def mutants():
 def test_every_operator_is_mutated_once():
     got = sorted((m.line, m.change) for m in mutants())
     assert got == sorted([
-        (2, "if test -> True"), (2, "and -> or"), (2, "< -> <="),
+        (2, "if test -> True"), (2, "and -> or"), (2, "drop and operand 1"),
+        (2, "drop and operand 2"), (2, "< -> <="),
         (2, ">= -> >"), (3, "+ 1 -> - 1"), (4, "if test -> True"),
-        (4, "or -> and"), (4, "== -> !="), (4, "!= -> =="),
+        (4, "or -> and"), (4, "drop or operand 1"), (4, "drop or operand 2"),
+        (4, "== -> !="), (4, "!= -> =="),
         (6, "> -> >="), (6, "<= -> <"), (6, "- 1 -> + 1"),
         (6, "< -> <= at comparison 1"), (6, "< -> <= at comparison 2")])
 
@@ -62,6 +64,26 @@ def test_applied_text():
     # a span after a non-ASCII character: offsets count UTF-8 bytes
     assert by_change[(6, "<= -> <")].apply(SNIPPET).splitlines()[5] \
         == '    return "é" > b, (a < b), n - 1, n + 2, 0 < n < 9'
+
+
+def test_a_two_operand_bool_op_loses_either_operand():
+    by_change = {(m.line, m.change): m for m in mutants()}
+    assert by_change[(2, "drop and operand 1")].apply(SNIPPET) \
+        .splitlines()[1] == "    if (n >= 0):"
+    assert by_change[(2, "drop and operand 2")].apply(SNIPPET) \
+        .splitlines()[1] == "    if (a < b):"
+    assert by_change[(4, "drop or operand 2")].apply(SNIPPET) \
+        .splitlines()[3] == "    elif (a == b):"
+    # an operand may itself be a bool op; three operands only swap
+    nested = mutate.generate("x = a and (b or c)\ny = a or b or c\n", "n.py")
+    assert sorted((m.line, m.change, m.replacement) for m in nested) == [
+        (1, "and -> or", "(a or (b or c))"),
+        (1, "drop and operand 1", "(b or c)"),
+        (1, "drop and operand 2", "(a)"),
+        (1, "drop or operand 1", "(c)"),
+        (1, "drop or operand 2", "(b)"),
+        (1, "or -> and", "(b and c)"),
+        (2, "or -> and", "(a and b and c)")]
 
 
 def test_changed_lines_reads_the_new_side_of_a_diff():

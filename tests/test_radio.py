@@ -7,10 +7,9 @@ from dataclasses import replace
 import pytest
 
 from hybsim.engine import Engine
-from hybsim.radio import (EnergyCoefficients, EnergyState, RadioParams,
-                          frame_airtime, is_alive, link_feasible,
-                          received_power, rx_energy, tx_energy)
-from hybsim.scenario import Scenario
+from hybsim.radio import (EnergyCoefficients, RadioParams, frame_airtime,
+                          link_feasible, received_power, rx_energy, tx_energy)
+from hybsim.scenario import Scenario, ScenarioError
 
 
 @pytest.fixture
@@ -109,35 +108,39 @@ class TestEnergyModel:
 
 
 class TestEnergyState:
+    """A node's energy state: its residual charge, one float in
+    ``Engine.nodes``, against the scenario's one ``energy_threshold``."""
+
     def test_alive_at_threshold_boundary(self):
-        st = EnergyState(residual=1e-6, threshold=1e-6)
-        assert is_alive(st)
-        st.residual -= 1e-9
-        assert not is_alive(st)
+        e = Engine(Scenario(node_count=1, sim_time=1.0, initial_energy=1e-6,
+                            energy_threshold=1e-6))
+        assert e.nodes == {0: 1e-6} and e.asleep == {}
+        e.charge(0, 1e-9)
+        assert e.nodes[0] == 1e-6 - 1e-9 and e.asleep == {0: 0.0}
 
     def test_deduct_clamps_at_zero(self):
         # Engine.charge is the one place that drains a battery
         e = Engine(Scenario(node_count=1, sim_time=1.0, initial_energy=1e-4))
         node = next(iter(e.nodes))
         e.charge(node, 1.0)
-        assert e.nodes[node].residual == 0.0
+        assert e.nodes[node] == 0.0
         e.charge(node, 1.0)
-        assert e.nodes[node].residual == 0.0
+        assert e.nodes[node] == 0.0
 
     def test_invalid_state(self):
-        battery = Scenario().battery()
         for bad in (-1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="residual"):
-                replace(battery, residual=bad)
-        with pytest.raises(ValueError):
-            replace(battery, threshold=-1.0)
+            for key in ("initial_energy", "energy_threshold"):
+                with pytest.raises(ScenarioError, match=key):
+                    Scenario(**{key: bad})
 
     def test_residual_bounds_are_zero_and_the_largest_float(self):
         for edge in (0.0, math.ulp(0.0), sys.float_info.max):
-            assert EnergyState(residual=edge, threshold=0.0).residual == edge
+            e = Engine(Scenario(node_count=2, initial_energy=edge,
+                                energy_threshold=0.0))
+            assert e.nodes == {0: edge, 1: edge} and e.asleep == {}
 
     def test_types_have_no_defaults(self):
         # Scenario owns every default; each type is built from its fields
-        for cls in (RadioParams, EnergyCoefficients, EnergyState):
+        for cls in (RadioParams, EnergyCoefficients):
             with pytest.raises(TypeError):
                 cls()

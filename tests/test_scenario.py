@@ -85,9 +85,10 @@ class TestParse:
         ("bandwidth = nan\n", "bandwidth"),
         ("elec = 0\n", "energy coefficients"),
         ("amp = 0\n", "energy coefficients"),
-        ("initial_energy = -1\n", "residual"),
+        ("initial_energy = -1\n", "initial_energy"),
         # every run would report energy_consumed = inf - inf = nan
-        ("initial_energy = inf\n", "residual"),
+        ("initial_energy = inf\n", "initial_energy"),
+        ("initial_energy = nan\n", "initial_energy"),
         ("energy_threshold = -1\n", "threshold"),
         ("max_neighbours_K = 0\n", "max_neighbours_K"),
         ("band_halfwidth_M = 0\n", "band_halfwidth_M"),

@@ -171,6 +171,15 @@ class TestRefresh:
                                 350.0, alive={0, 1, 2, 3, 4})
         assert refreshed.rows == want
 
+    def test_no_dead_row_returns_the_input_table(self):
+        # 5 is placed but holds no row, so no row changes
+        params = region(band_halfwidth_M=100.0)
+        table = compute_neighbour_table(sample_table(), params, {0, 1, 2, 3, 4})
+        rows = dict(table.rows)
+        for dead in (set(), {5}):
+            assert refresh_table(table, sample_table(), params, dead) is table
+        assert table.rows == rows
+
     def test_unknown_dead_id_rejected(self):
         params = region(band_halfwidth_M=100.0)
         table = compute_neighbour_table(sample_table(), params, {0, 1})

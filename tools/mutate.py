@@ -1,8 +1,9 @@
 """One-operator mutation testing for src/hybsim, standard library only.
 
 Each mutant changes one operator in one module: ``<`` and ``<=``, ``>`` and
-``>=``, ``==`` and ``!=``, ``and`` and ``or`` swap; an ``if`` test becomes
-``True``; ``+ 1`` and ``- 1`` on integers swap. A mutant replaces only the
+``>=``, ``==`` and ``!=``, ``and`` and ``or`` swap; an ``and`` or ``or`` of
+two operands loses one of them; an ``if`` test becomes ``True``; ``+ 1`` and
+``- 1`` on integers swap. A mutant replaces only the
 source span of the node it changes. Mutants run one at a time, in a
 temporary copy of the tree, as ``python -m pytest -x -q -p no:cacheprovider``
 with a limit of TIMEOUT seconds and of MEMORY bytes of address space per
@@ -158,6 +159,10 @@ def generate(source: str, path: str) -> List[Mutant]:
         elif isinstance(node, ast.BoolOp):
             op, change = swap(node.op)
             emit(node, f"({ast.unparse(ast.BoolOp(op, node.values))})", change)
+            if len(node.values) == 2:
+                for k, kept in enumerate(reversed(node.values)):
+                    emit(node, f"({ast.unparse(kept)})",
+                         f"drop {SYMBOLS[type(node.op)]} operand {k + 1}")
         elif isinstance(node, ast.If):
             emit(node.test, "True", "if test -> True")
         elif (isinstance(node, ast.BinOp) and type(node.op) in (ast.Add, ast.Sub)
